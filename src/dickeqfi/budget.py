@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, asdict, field
 
 from .exchange import mixed_rate_factor
+from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
@@ -187,8 +188,10 @@ def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> MixedRateCo
     """Overlap penalty when the two ensembles couple unequally.
 
     ``delta_gamma_rel`` is the relative coupling mismatch (gamma minus
-    gamma-prime over gamma).  Returns the exact per-step product factor,
-    its quadratic expansion 1 - N d^2 / 8, and their relative gap.
+    gamma-prime over gamma).  ``exact`` is the per-step model's factor
+    (see ``exchange_integral_mixed_rates``), which is the true overlap
+    ratio only for one photon per arm; ``expansion`` is its quadratic
+    expansion 1 - N d^2 / 8, and ``relative_gap`` the gap between the two.
     """
     r = 1.0 - delta_gamma_rel
     if not r > 0.0:
@@ -308,8 +311,8 @@ def full_budget(
     delayed = delay_correction(n, params.gamma_1d, params.delay)
 
     i_eff = value * mixed.exact * delayed.bound_factor
-    ideal = n * (value * n + 2.0) / 2.0
-    degraded = n * (i_eff * n + 2.0) / 2.0
+    ideal = twin_qfi(n, value)
+    degraded = twin_qfi(n, i_eff)
     loss = interferometer_loss_correction(
         degraded, n, i_eff, params.interferometer_loss
     )

@@ -11,7 +11,8 @@ Values resolve with the precedence flags > config file > defaults.  CSV
 output is comma-separated with a header row, LF endings and full double
 precision; a leading timestamp comment line is suppressed by
 --no-header so that output bytes are reproducible.  Exit codes: 0 on
-success, 2 on validation errors, 1 on numeric failure.
+success (also when the reader closes stdout early), 2 on validation
+errors, 1 on numeric failure.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .exchange import (
 )
 from .ladder import TwinConfiguration, build_dicke
 from .metrology import parity_curve, qfi_twin
-from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, OracleTooLargeError, oracle_integral
+from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -86,30 +87,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_rows(rows, columns, cfg: RunConfig, stream):
-    if cfg.options["format"] == "json":
-        payload = {"subcommand": cfg.subcommand, "rows": rows}
-        if not cfg.options["no_header"]:
-            payload["generated"] = datetime.datetime.now(
-                datetime.timezone.utc
-            ).isoformat()
-        stream.write(json.dumps(payload, indent=2) + "\n")
-        return
+def _table(rows, columns, cfg: RunConfig):
+    """Lines of a row table in the configured format."""
+    stamp = None
     if not cfg.options["no_header"]:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        stream.write(f"# generated={stamp}\n")
-    stream.write(",".join(columns) + "\n")
+    if cfg.options["format"] == "json":
+        payload = {"subcommand": cfg.subcommand, "rows": rows}
+        if stamp:
+            payload["generated"] = stamp
+        yield json.dumps(payload, indent=2) + "\n"
+        return
+    if stamp:
+        yield f"# generated={stamp}\n"
+    yield ",".join(columns) + "\n"
     for row in rows:
-        stream.write(",".join(_fmt(row.get(c, "")) for c in columns) + "\n")
+        yield ",".join(_fmt(row.get(c, "")) for c in columns) + "\n"
 
 
-def _emit(rows, columns, cfg: RunConfig):
-    out = cfg.options.get("out")
+def _write(cfg: RunConfig, lines):
+    """Write output lines, one at a time, to --out or stdout."""
+    out = cfg.options["out"]
     if out:
         with open(out, "w", newline="") as handle:
-            _write_rows(rows, columns, cfg, handle)
+            handle.writelines(lines)
     else:
-        _write_rows(rows, columns, cfg, sys.stdout)
+        sys.stdout.writelines(lines)
 
 
 def _parse_int_range(spec: str, step: int, key: str) -> list[int]:
@@ -135,8 +138,15 @@ def _parse_float_list(spec: str, points: int, key: str) -> list[float]:
         raise UsageError(key, f"could not parse value list {spec!r}") from exc
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    """Merge flag values over config-file values over defaults."""
+def _positive_int(value, key: str) -> int:
+    text = str(value).strip()
+    if not text.isdecimal() or int(text) < 1:
+        raise UsageError(key, f"expected an integer >= 1, got {value!r}")
+    return int(text)
+
+
+def _resolve(args: argparse.Namespace, table) -> RunConfig:
+    """Merge flag values over config-file values over the table defaults."""
     file_values = {}
     if args.config:
         with open(args.config) as handle:
@@ -146,18 +156,21 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
         else:
             file_values = dict(loaded)
     options = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
+    for name, default, _ in table:
+        key = name[2:].replace("-", "_")
+        flag = getattr(args, key)
         if flag is not None:
             options[key] = flag
         elif key in file_values:
             options[key] = file_values[key]
         else:
             options[key] = default
-    if options.get("jobs") is None:
-        env = os.environ.get(_ENV_JOBS)
-        options["jobs"] = int(env) if env else (os.cpu_count() or 1)
-    options["jobs"] = int(options["jobs"])
+    if options["jobs"] is not None:
+        options["jobs"] = _positive_int(options["jobs"], "jobs")
+    elif os.environ.get(_ENV_JOBS):
+        options["jobs"] = _positive_int(os.environ[_ENV_JOBS], _ENV_JOBS)
+    else:
+        options["jobs"] = os.cpu_count() or 1
     if options["format"] not in ("csv", "json"):
         raise UsageError("format", f"unsupported output format {options['format']!r}")
     cfg = RunConfig(subcommand=args.subcommand, options=options)
@@ -165,29 +178,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> RunConfig:
         with open(args.dump_config, "w") as handle:
             handle.write(cfg.to_json() + "\n")
     return cfg
-
-
-_COMMON_DEFAULTS = {
-    "out": None,
-    "format": "csv",
-    "jobs": None,
-    "no_header": False,
-    "oracle_max": DEFAULT_MAX_TOTAL_PHOTONS,
-}
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--out", help="output path (default: stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default=None)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help=f"worker processes (default: ${_ENV_JOBS} or logical cores)")
-    parser.add_argument("--no-header", dest="no_header", action="store_true",
-                        default=None, help="suppress the timestamp header line")
-    parser.add_argument("--oracle-max", dest="oracle_max", type=int, default=None,
-                        help="total-photon guard for oracle evaluations")
-    parser.add_argument("--config", help="JSON file with option defaults")
-    parser.add_argument("--dump-config", dest="dump_config",
-                        help="write the resolved configuration as JSON")
 
 
 def _family(options) -> LadderFamily:
@@ -211,28 +201,14 @@ def cmd_exchange(cfg: RunConfig) -> int:
             raise UsageError("n", f"total photon numbers must be even >= 2, got {n}")
 
     if opts["verify_oracle"]:
-        tol = float(opts["tol"])
-        worst = 0.0
-        for n in n_values:
-            if n > int(opts["oracle_max"]):
-                print(f"N={n}: skipped (above oracle guard {opts['oracle_max']})")
-                continue
-            arm = family.build_arm(n)
-            rec = exchange_integral(TwinConfiguration(arm, arm)).value
-            ora = oracle_integral(arm, arm, l=1,
-                                  max_total_photons=int(opts["oracle_max"])).value
-            diff = abs(rec - ora)
-            worst = max(worst, diff)
-            print(f"N={n}: recurrence={rec:.12e} oracle={ora:.12e} |diff|={diff:.3e}")
-        if worst > tol:
-            print(f"verification FAILED: max |diff| {worst:.3e} > {tol:g}",
-                  file=sys.stderr)
-            return EXIT_NUMERIC
-        return EXIT_OK
+        guard = int(opts["oracle_max"])
+        cases = ((f"N={n}", None if n > guard else family.build_arm(n))
+                 for n in n_values)
+        return _oracle_check(cfg, cases, summary=False)
 
     rows = qfi_vs_n_sweep(family, n_values, jobs=opts["jobs"])
     failed = [r for r in rows if "error" in r]
-    _emit(rows, SWEEP_COLUMNS + ("error",) if failed else SWEEP_COLUMNS, cfg)
+    _write(cfg, _table(rows, SWEEP_COLUMNS + ("error",) if failed else SWEEP_COLUMNS, cfg))
     if failed:
         print(f"{len(failed)} sweep points failed", file=sys.stderr)
         return EXIT_NUMERIC
@@ -273,7 +249,7 @@ def cmd_loss(cfg: RunConfig) -> int:
             for m in range(n + 1):
                 row[f"P_{m}"] = float(trace.populations[m, k])
             rows.append(row)
-        _emit(rows, columns, cfg)
+        _write(cfg, _table(rows, columns, cfg))
         return EXIT_OK
 
     rows = []
@@ -288,7 +264,7 @@ def cmd_loss(cfg: RunConfig) -> int:
                 "one_minus_p_product": 1.0 - est.product_estimate,
                 "log_estimate": 0.0 if math.isinf(p1d) else math.log(n) / p1d,
             })
-    _emit(rows, _LOSS_COLUMNS, cfg)
+    _write(cfg, _table(rows, _LOSS_COLUMNS, cfg))
     return EXIT_OK
 
 
@@ -311,12 +287,8 @@ def cmd_parity(cfg: RunConfig) -> int:
         arm = family.build_arm(2 * m)
         guard = int(opts["oracle_max"])
         if 2 * m > guard:
-            print(
-                f"error: m: {m} photons per arm exceeds the oracle guard "
-                f"({guard} total); rerun with --single-mode or raise --oracle-max",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            raise UsageError("m", f"{m} photons per arm exceeds the oracle guard "
+                             f"({guard} total); rerun with --single-mode or raise --oracle-max")
         integrals = [
             oracle_integral(arm, arm, l=l, max_total_photons=guard).value
             for l in range(m + 1)
@@ -325,9 +297,10 @@ def cmd_parity(cfg: RunConfig) -> int:
     phis = np.linspace(-float(opts["phi_max"]), float(opts["phi_max"]),
                        int(opts["points"]))
     curve = parity_curve(m, integrals, phis)
-    qfi = qfi_twin(2 * m, _as_integral(integrals[1], 2 * m)).qfi
-    rows = curve.to_rows()
-    _emit(rows, ("phi", "expectation"), cfg)
+    one_pair = ExchangeIntegral(value=integrals[1], total_photons=2 * m,
+                                method="oracle", exchanged_count=1)
+    qfi = qfi_twin(2 * m, one_pair).qfi
+    _write(cfg, _table(curve.to_rows(), ("phi", "expectation"), cfg))
     print(f"# curvature={-curve.curvature:.12g} qfi={qfi:.12g} "
           f"saturation={-curve.curvature / qfi:.12g}", file=sys.stderr)
     if opts["check_derivative"]:
@@ -337,13 +310,6 @@ def cmd_parity(cfg: RunConfig) -> int:
         if abs(endpoint_derivative - m * (m + 1) / 2.0) > 1e-9:
             return EXIT_NUMERIC
     return EXIT_OK
-
-
-def _as_integral(value: float, n_total: int):
-    from .oracle import ExchangeIntegral
-
-    return ExchangeIntegral(value=value, total_photons=n_total,
-                            method="oracle", exchanged_count=1)
 
 
 _REPORT_REQUIRED = ("q", "n_g", "lambda_a", "gamma_1d", "gamma_star", "n")
@@ -378,12 +344,7 @@ def cmd_report(cfg: RunConfig) -> int:
     if opts["json"]:
         payload = budget.to_dict()
         payload["platform"] = params.to_dict()
-        text = json.dumps(payload, indent=2) + "\n"
-        if opts["out"]:
-            with open(opts["out"], "w") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(cfg, [json.dumps(payload, indent=2) + "\n"])
         return EXIT_OK
 
     lines = [
@@ -408,18 +369,41 @@ def cmd_report(cfg: RunConfig) -> int:
             p_probe = collection_probability_product(n_probe // 2, loss)
             lines.append(f"    {n_probe:<6d} {p_probe:.6f}")
             n_probe *= 2
-    text = "\n".join(lines) + "\n"
-    if opts["out"]:
-        with open(opts["out"], "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(cfg, [line + "\n" for line in lines])
+    return EXIT_OK
+
+
+def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
+    """Recurrence against the float oracle for each (label, arm) case; an
+    arm of None marks a case above the oracle guard, reported as skipped.
+    ``summary`` adds a closing line when every case is within --tol."""
+    opts = cfg.options
+    tol = float(opts["tol"])
+    worst = 0.0
+    lines = []
+    for label, arm in cases:
+        if arm is None:
+            lines.append(f"{label}: skipped (above oracle guard {opts['oracle_max']})\n")
+            continue
+        rec = exchange_integral(TwinConfiguration(arm, arm)).value
+        ora = oracle_integral(arm, arm, l=1,
+                              max_total_photons=int(opts["oracle_max"])).value
+        diff = abs(rec - ora)
+        worst = max(worst, diff)
+        lines.append(f"{label}: recurrence={rec:.12e} oracle={ora:.12e} |diff|={diff:.3e}\n")
+    failed = worst > tol
+    if summary and not failed:
+        lines.append(f"verification passed: max |diff| {worst:.3e} <= {tol:g}\n")
+    _write(cfg, lines)
+    if failed:
+        print(f"verification FAILED: max |diff| {worst:.3e} > {tol:g}",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     opts = cfg.options
-    tol = float(opts["tol"])
     families = []
     for tok in str(opts["families"]).split(","):
         tok = tok.strip()
@@ -428,62 +412,84 @@ def cmd_verify(cfg: RunConfig) -> int:
             families.append(LadderFamily(kind=kind, gamma=1.0, u=float(u)))
         else:
             families.append(LadderFamily(kind=tok, gamma=1.0))
-    worst = 0.0
-    for family in families:
-        for m in range(1, int(opts["m_max"]) + 1):
-            arm = family.build_arm(2 * m)
-            rec = exchange_integral(TwinConfiguration(arm, arm)).value
-            ora = oracle_integral(arm, arm, l=1,
-                                  max_total_photons=int(opts["oracle_max"])).value
-            diff = abs(rec - ora)
-            worst = max(worst, diff)
-            label = family.kind if family.u == 0 else f"{family.kind}(u={family.u:g})"
-            print(f"{label:<22} m={m}: recurrence={rec:.12e} "
-                  f"oracle={ora:.12e} |diff|={diff:.3e}")
-    if worst > tol:
-        print(f"verification FAILED: max |diff| {worst:.3e} > {tol:g}",
-              file=sys.stderr)
-        return EXIT_NUMERIC
-    print(f"verification passed: max |diff| {worst:.3e} <= {tol:g}")
-    return EXIT_OK
+    cases = (
+        (f"{_family_label(family):<22} m={m}", family.build_arm(2 * m))
+        for family in families
+        for m in range(1, int(opts["m_max"]) + 1)
+    )
+    return _oracle_check(cfg, cases, summary=True)
 
 
-_SUBCOMMAND_DEFAULTS = {
-    "exchange": {
-        **_COMMON_DEFAULTS,
-        "family": None, "gamma": 1.0, "u_over_gamma": 0.0,
-        "n": None, "step": 2, "verify_oracle": False, "tol": 1e-9,
-    },
-    "loss": {
-        **_COMMON_DEFAULTS,
-        "n": None, "purcell": "inf", "points": 17, "trace": False,
-    },
-    "parity": {
-        **_COMMON_DEFAULTS,
-        "m": None, "single_mode": False, "family": None, "gamma": 1.0,
-        "u_over_gamma": 0.0, "phi_max": math.pi / 2, "points": 181,
-        "check_derivative": False,
-    },
-    "report": {
-        **_COMMON_DEFAULTS,
-        "q": None, "n_g": None, "lambda_a": None, "gamma_1d": None,
-        "gamma_star": None, "n": None, "pulse_error": 0.0, "delta_gamma": 0.0,
-        "delay": 0.0, "eta": 0.0, "margin_factor": 10.0, "json": False,
-        "fidelity_table": False,
-    },
-    "verify": {
-        **_COMMON_DEFAULTS,
-        "families": "dicke,harmonic,anharmonic:1,anharmonic:10,anharmonic:1000",
-        "m_max": 4, "tol": 1e-9,
-    },
-}
+def _family_label(family: LadderFamily) -> str:
+    return family.kind if family.u == 0 else f"{family.kind}(u={family.u:g})"
 
-_HANDLERS = {
-    "exchange": cmd_exchange,
-    "loss": cmd_loss,
-    "parity": cmd_parity,
-    "report": cmd_report,
-    "verify": cmd_verify,
+
+_FAMILY = ("--family", None, {"choices": ["dicke", "harmonic", "anharmonic"]})
+_GAMMA = ("--gamma", 1.0, {"type": float})
+_U_OVER_GAMMA = ("--u-over-gamma", 0.0, {"type": float})
+_TOL = ("--tol", 1e-9, {"type": float})
+_COMMON = (
+    ("--out", None, {"help": "output path (default: stdout)"}),
+    ("--format", "csv", {"choices": ["csv", "json"]}),
+    ("--jobs", None, {"help": "worker processes, an integer >= 1 "
+                              f"(default: ${_ENV_JOBS} or logical cores)"}),
+    ("--no-header", False, {"action": "store_true",
+                            "help": "suppress the timestamp header line"}),
+    ("--oracle-max", DEFAULT_MAX_TOTAL_PHOTONS,
+     {"type": int, "help": "total-photon guard for oracle evaluations"}),
+)
+
+# Each subcommand: handler, help line and its options as (flag, default,
+# argparse keywords).  The parser gives every flag a None default, so that
+# _resolve can tell an omitted flag from one that was set.
+_SUBCOMMANDS = {
+    "exchange": (cmd_exchange, "exchange-integral / QFI sweep", (
+        _FAMILY, _GAMMA, _U_OVER_GAMMA,
+        ("--n", None, {"help": "total photon numbers: '4..500' or '4,8,16'"}),
+        ("--step", 2, {"type": int}),
+        ("--verify-oracle", False, {"action": "store_true"}),
+        _TOL, *_COMMON,
+    )),
+    "loss": (cmd_loss, "collection-probability sweep or trace", (
+        ("--n", None, {"help": "emitter numbers: '10,100,1000'"}),
+        ("--purcell", "inf", {"help": "'10..1e5', comma list, or 'inf'"}),
+        ("--points", 17, {"type": int, "help": "points of a geometric purcell range"}),
+        ("--trace", False, {"action": "store_true",
+                            "help": "emit the population trace instead of the sweep"}),
+        *_COMMON,
+    )),
+    "parity": (cmd_parity, "parity fringe and curvature check", (
+        ("--m", None, {"type": int, "help": "photons per arm"}),
+        ("--single-mode", False, {"action": "store_true"}),
+        _FAMILY, _GAMMA, _U_OVER_GAMMA,
+        ("--phi-max", math.pi / 2, {"type": float}),
+        ("--points", 181, {"type": int}),
+        ("--check-derivative", False, {"action": "store_true"}),
+        *_COMMON,
+    )),
+    "report": (cmd_report, "consolidated platform error budget", (
+        ("--q", None, {"type": float, "help": "waveguide quality factor"}),
+        ("--n-g", None, {"type": float, "help": "group index"}),
+        ("--lambda-a", None, {"type": float, "help": "emitter wavelength [m]"}),
+        ("--gamma-1d", None, {"type": float, "help": "guided decay rate [rad/s]"}),
+        ("--gamma-star", None, {"type": float, "help": "residual decay rate [rad/s]"}),
+        ("--n", None, {"type": int, "help": "total photon number (even)"}),
+        ("--pulse-error", 0.0, {"type": float}),
+        ("--delta-gamma", 0.0, {"type": float,
+                                "help": "relative coupling mismatch of the two ensembles"}),
+        ("--delay", 0.0, {"type": float, "help": "wavepacket arrival delay [s]"}),
+        ("--eta", 0.0, {"type": float, "help": "interferometer photon-loss probability"}),
+        ("--margin-factor", 10.0, {"type": float}),
+        ("--json", False, {"action": "store_true"}),
+        ("--fidelity-table", False, {"action": "store_true"}),
+        *_COMMON,
+    )),
+    "verify": (cmd_verify, "recurrence-vs-oracle equivalence run", (
+        ("--families", "dicke,harmonic,anharmonic:1,anharmonic:10,anharmonic:1000",
+         {"help": "comma list, 'anharmonic:<u>' for shifts"}),
+        ("--m-max", 4, {"type": int}),
+        _TOL, *_COMMON,
+    )),
 }
 
 
@@ -494,83 +500,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "multimode photon states",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("exchange", help="exchange-integral / QFI sweep")
-    p.add_argument("--family", choices=["dicke", "harmonic", "anharmonic"])
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--u-over-gamma", dest="u_over_gamma", type=float, default=None)
-    p.add_argument("--n", help="total photon numbers: '4..500' or '4,8,16'")
-    p.add_argument("--step", type=int, default=None)
-    p.add_argument("--verify-oracle", dest="verify_oracle", action="store_true",
-                   default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("loss", help="collection-probability sweep or trace")
-    p.add_argument("--n", help="emitter numbers: '10,100,1000'")
-    p.add_argument("--purcell", help="'10..1e5', comma list, or 'inf'")
-    p.add_argument("--points", type=int, default=None,
-                   help="points of a geometric purcell range")
-    p.add_argument("--trace", action="store_true", default=None,
-                   help="emit the population trace instead of the sweep")
-    _add_common(p)
-
-    p = sub.add_parser("parity", help="parity fringe and curvature check")
-    p.add_argument("--m", type=int, help="photons per arm")
-    p.add_argument("--single-mode", dest="single_mode", action="store_true",
-                   default=None)
-    p.add_argument("--family", choices=["dicke", "harmonic", "anharmonic"])
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--u-over-gamma", dest="u_over_gamma", type=float, default=None)
-    p.add_argument("--phi-max", dest="phi_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--check-derivative", dest="check_derivative",
-                   action="store_true", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("report", help="consolidated platform error budget")
-    p.add_argument("--q", type=float, help="waveguide quality factor")
-    p.add_argument("--n-g", dest="n_g", type=float, help="group index")
-    p.add_argument("--lambda-a", dest="lambda_a", type=float,
-                   help="emitter wavelength [m]")
-    p.add_argument("--gamma-1d", dest="gamma_1d", type=float,
-                   help="guided decay rate [rad/s]")
-    p.add_argument("--gamma-star", dest="gamma_star", type=float,
-                   help="residual decay rate [rad/s]")
-    p.add_argument("--n", type=int, help="total photon number (even)")
-    p.add_argument("--pulse-error", dest="pulse_error", type=float, default=None)
-    p.add_argument("--delta-gamma", dest="delta_gamma", type=float, default=None,
-                   help="relative coupling mismatch of the two ensembles")
-    p.add_argument("--delay", type=float, default=None,
-                   help="wavepacket arrival delay [s]")
-    p.add_argument("--eta", type=float, default=None,
-                   help="interferometer photon-loss probability")
-    p.add_argument("--margin-factor", dest="margin_factor", type=float,
-                   default=None)
-    p.add_argument("--json", action="store_true", default=None)
-    p.add_argument("--fidelity-table", dest="fidelity_table", action="store_true",
-                   default=None)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="recurrence-vs-oracle equivalence run")
-    p.add_argument("--families", help="comma list, 'anharmonic:<u>' for shifts")
-    p.add_argument("--m-max", dest="m_max", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    _add_common(p)
-
+    for name, (_, help_line, table) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, _, kwargs in table:
+            p.add_argument(flag, default=None, **kwargs)
+        p.add_argument("--config", help="JSON file with option defaults")
+        p.add_argument("--dump-config", help="write the resolved configuration as JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, table = _SUBCOMMANDS[args.subcommand]
     try:
-        cfg = _resolve(args, _SUBCOMMAND_DEFAULTS[args.subcommand])
-        return _HANDLERS[args.subcommand](cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OracleTooLargeError, FileNotFoundError) as exc:
+        code = handler(_resolve(args, table))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``): the rest of the
+        # output is unwanted, not an error.  Point stdout at devnull so the
+        # interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    except (ValueError, FileNotFoundError) as exc:
+        # UsageError and OracleTooLargeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, RuntimeError) as exc:

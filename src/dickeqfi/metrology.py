@@ -86,13 +86,17 @@ def qfi_general(
     return _report(qfi, m + n, "general", repetitions)
 
 
+def twin_qfi(n_total: int, i: float) -> float:
+    """Twin-pair QFI F = N (I N + 2) / 2 for N photons and overlap I."""
+    return n_total * (i * n_total + 2.0) / 2.0
+
+
 def qfi_twin(n_total: int, i_n: ExchangeIntegral, repetitions: int = 1) -> QfiReport:
-    """QFI of a twin pair carrying N/2 photons per arm: F = N (I N + 2) / 2."""
+    """Twin-pair QFI report (``twin_qfi``) from the single-pair overlap."""
     if n_total < 2 or n_total % 2:
         raise ValueError(f"twin input needs an even total photon number, got {n_total}")
     _require_single_exchange(i_n)
-    qfi = n_total * (i_n.value * n_total + 2.0) / 2.0
-    return _report(qfi, n_total, "twin", repetitions)
+    return _report(twin_qfi(n_total, i_n.value), n_total, "twin", repetitions)
 
 
 def qfi_mixed_number(

@@ -25,6 +25,7 @@ divides by a well-conditioned accumulator.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -36,6 +37,10 @@ from .ladder import DecayLadder
 # 2 = label-swapped arm A, 3 = label-swapped arm B.
 _CORR_ARM = (0, 1, 0, 1)
 _CORR_CONJ = (True, True, False, False)
+# Symmetry groups of integration variables: swapped arm-A, regular arm-A,
+# swapped arm-B and regular arm-B times, each with the two correlation
+# functions its variables appear in.
+_GROUP_CORRS = ((0, 3), (0, 2), (1, 2), (1, 3))
 
 DEFAULT_MAX_TOTAL_PHOTONS = 8
 
@@ -75,15 +80,9 @@ class DelayCheck:
     reference: float  # zero-delay value of the same integral
 
 
-def _variable_groups(m: int, n: int, l: int):
-    """Symmetry groups of integration variables and the two correlation
-    functions each group's variables appear in."""
-    return (
-        (l, (0, 3)),       # swapped arm-A times
-        (m - l, (0, 2)),   # regular arm-A times
-        (l, (1, 2)),       # swapped arm-B times
-        (n - l, (1, 3)),   # regular arm-B times
-    )
+def _group_counts(m: int, n: int, l: int):
+    """Number of variables in each group of ``_GROUP_CORRS``."""
+    return (l, m - l, l, n - l)
 
 
 def _multiset_sequences(counts):
@@ -106,35 +105,76 @@ def _multiset_sequences(counts):
     yield from rec(list(counts), total)
 
 
-def _sequence_value(seq, memberships, rates, freqs):
-    """Closed-form value of one interleaving, latest time first."""
+def _transition_steps(rates, freqs):
+    """Rate and exponent increment of each transition, per correlation
+    function in firing order.
+
+    The increments are complex floats, or exact real numbers in the type
+    of the rates (``Fraction``) when ``freqs`` is None.
+    """
+    steps = []
+    for corr in range(4):
+        arm = _CORR_ARM[corr]
+        row = []
+        for j, gam in enumerate(rates[arm]):
+            inc = (gam - (rates[arm][j - 1] if j else 0)) / 2
+            if freqs is not None:
+                dw = freqs[arm][j] - (freqs[arm][j - 1] if j else 0.0)
+                inc = complex(inc, -dw if _CORR_CONJ[corr] else dw)
+            row.append((gam, inc))
+        steps.append(row)
+    return steps
+
+
+def _walk(seq, memberships, steps):
+    """Walk one interleaving, latest time first.
+
+    Each slot fires the next pending transition of every correlation
+    function its group belongs to; yields, per slot, the rates fired and
+    the running exponent accumulator.
+    """
     fired = [0, 0, 0, 0]
-    acc = 0.0 + 0.0j
-    val = 1.0 + 0.0j
+    acc = 0
     for g in seq:
+        fired_rates = ()
         for corr in memberships[g]:
-            arm = _CORR_ARM[corr]
             j = fired[corr]
             fired[corr] = j + 1
-            gam = rates[arm][j]
-            gam_prev = rates[arm][j - 1] if j else 0.0
-            w = freqs[arm][j]
-            w_prev = freqs[arm][j - 1] if j else 0.0
+            gam, inc = steps[corr][j]
+            acc += inc
+            fired_rates += (gam,)
+        yield fired_rates, acc
+
+
+def _compensated_sum(terms):
+    """Kahan sum of complex terms, nearly independent of their order."""
+    total = comp = 0j
+    for term in terms:
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
+
+
+def _sequence_value(seq, steps):
+    """Closed-form value of one interleaving."""
+    val = 1.0 + 0.0j
+    for fired_rates, acc in _walk(seq, _GROUP_CORRS, steps):
+        for gam in fired_rates:
             val *= math.sqrt(gam)
-            dw = w - w_prev
-            if _CORR_CONJ[corr]:
-                dw = -dw
-            acc += complex(0.5 * (gam - gam_prev), dw)
         val /= acc
     return val
 
 
-def _guard(total: int, limit: int):
-    if total > limit:
+def _guard(m: int, n: int, l: int, limit: int):
+    if m + n > limit:
         raise OracleTooLargeError(
             f"oracle limited to {limit} total photons "
-            f"(requested {total}); raise max_total_photons to override"
+            f"(requested {m + n}); raise max_total_photons to override"
         )
+    if not 0 <= l <= min(m, n):
+        raise ValueError(f"exchanged-pair count l={l} outside 0..{min(m, n)}")
 
 
 def oracle_integral(
@@ -162,9 +202,7 @@ def oracle_integral(
     if ladder_b is None:
         ladder_b = ladder_a
     m, n = ladder_a.levels, ladder_b.levels
-    _guard(m + n, max_total_photons)
-    if not 0 <= l <= min(m, n):
-        raise ValueError(f"exchanged-pair count l={l} outside 0..{min(m, n)}")
+    _guard(m, n, l, max_total_photons)
     if delay < 0.0:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     if delay > 0.0 and l > 1:
@@ -180,36 +218,26 @@ def oracle_integral(
         )
     # With l = 0 the swap phases cancel pairwise, so any delay drops out.
 
-    rates = (ladder_a.rates, ladder_b.rates)
-    freqs = (ladder_a.frequencies, ladder_b.frequencies)
-    groups = _variable_groups(m, n, l)
-    memberships = tuple(g[1] for g in groups)
-    counts = tuple(g[0] for g in groups)
+    steps = _transition_steps(
+        (ladder_a.rates, ladder_b.rates), (ladder_a.frequencies, ladder_b.frequencies)
+    )
+    counts = _group_counts(m, n, l)
 
     if reduce_symmetry:
-        weight = 1.0
-        for c in counts:
-            weight *= math.factorial(c)
+        weight = math.prod(math.factorial(c) for c in counts)
         items = [(seq, weight) for seq in _multiset_sequences(counts)]
     else:
         labels = []
         for g, c in enumerate(counts):
             labels.extend([g] * c)
-        import itertools
-
         items = [(seq, 1.0) for seq in itertools.permutations(labels)]
 
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(items)
 
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for seq, weight in items:
-        term = weight * _sequence_value(seq, memberships, rates, freqs)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    total = _compensated_sum(
+        weight * _sequence_value(seq, steps) for seq, weight in items
+    )
     total /= math.factorial(m) * math.factorial(n)
     return ExchangeIntegral(
         value=total.real,
@@ -238,9 +266,7 @@ def oracle_integral_exact(
     if ladder_b is None:
         ladder_b = ladder_a
     m, n = ladder_a.levels, ladder_b.levels
-    _guard(m + n, max_total_photons)
-    if not 0 <= l <= min(m, n):
-        raise ValueError(f"exchanged-pair count l={l} outside 0..{min(m, n)}")
+    _guard(m, n, l, max_total_photons)
     if any(ladder_a.frequencies) or any(ladder_b.frequencies):
         raise ValueError("exact mode requires all frequencies equal to zero")
 
@@ -248,31 +274,15 @@ def oracle_integral_exact(
         tuple(Fraction(r) for r in ladder_a.rates),
         tuple(Fraction(r) for r in ladder_b.rates),
     )
-    groups = _variable_groups(m, n, l)
-    memberships = tuple(g[1] for g in groups)
-    counts = tuple(g[0] for g in groups)
-    weight = 1
-    for c in counts:
-        weight *= math.factorial(c)
-
-    numerator = Fraction(1)
-    for arm in rates:
-        for gam in arm:
-            numerator *= gam
+    steps = _transition_steps(rates, None)
+    counts = _group_counts(m, n, l)
+    weight = math.prod(math.factorial(c) for c in counts)
+    numerator = math.prod(rates[0] + rates[1])
 
     total = Fraction(0)
     for seq in _multiset_sequences(counts):
-        fired = [0, 0, 0, 0]
-        acc = Fraction(0)
         denom = Fraction(1)
-        for g in seq:
-            for corr in memberships[g]:
-                arm = _CORR_ARM[corr]
-                j = fired[corr]
-                fired[corr] = j + 1
-                gam = rates[arm][j]
-                gam_prev = rates[arm][j - 1] if j else Fraction(0)
-                acc += (gam - gam_prev) / 2
+        for _, acc in _walk(seq, _GROUP_CORRS, steps):
             denom *= acc
         total += Fraction(1) / denom
     return numerator * weight * total / (
@@ -408,12 +418,9 @@ _SLOT_EVENTS = {
 def _delayed_integral(ladder_a, ladder_b, tau, shuffle_seed=None):
     m, n = ladder_a.levels, ladder_b.levels
     rates = (ladder_a.rates, ladder_b.rates)
-    freqs = (ladder_a.frequencies, ladder_b.frequencies)
+    steps = _transition_steps(rates, (ladder_a.frequencies, ladder_b.frequencies))
 
-    numerator = 1.0
-    for arm in rates:
-        for gam in arm:
-            numerator *= gam
+    numerator = math.prod(rates[0] + rates[1])
     weight = math.factorial(m - 1) * math.factorial(n - 1)
 
     counts = (1, 1, 1, 1, m - 1, n - 1)
@@ -427,35 +434,14 @@ def _delayed_integral(ladder_a, ladder_b, tau, shuffle_seed=None):
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(items)
 
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    for seq in items:
-        term = weight * _delayed_sequence_value(seq, rates, freqs, tau)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    total = _compensated_sum(
+        weight * _delayed_sequence_value(seq, steps, tau) for seq in items
+    )
     return numerator * total / (math.factorial(m) * math.factorial(n))
 
 
-def _delayed_sequence_value(seq, rates, freqs, tau):
-    fired = [0, 0, 0, 0]
-    partials = []
-    acc = 0.0 + 0.0j
-    for slot in seq:
-        for corr in _SLOT_EVENTS[slot]:
-            arm = _CORR_ARM[corr]
-            j = fired[corr]
-            fired[corr] = j + 1
-            gam = rates[arm][j]
-            gam_prev = rates[arm][j - 1] if j else 0.0
-            w = freqs[arm][j]
-            w_prev = freqs[arm][j - 1] if j else 0.0
-            dw = w - w_prev
-            if _CORR_CONJ[corr]:
-                dw = -dw
-            acc += complex(0.5 * (gam - gam_prev), dw)
-        partials.append(acc)
+def _delayed_sequence_value(seq, steps, tau):
+    partials = [acc for _, acc in _walk(seq, _SLOT_EVENTS, steps)]
 
     # Gap k lies between ordered values k and k+1 (1-based, last gap
     # reaches zero).  The rigid pair (x, x+tau) pins the gap-sum of the

@@ -1,7 +1,13 @@
+import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dickeqfi
 from dickeqfi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
@@ -76,6 +82,18 @@ class TestExchangeCommand:
         )
         assert code == EXIT_OK
         assert "|diff|" in out
+
+    def test_verify_oracle_honours_out(self, tmp_path, capsys):
+        path = tmp_path / "check.txt"
+        code, out, _ = run(
+            capsys, "exchange", "--family", "dicke", "--n", "4,10",
+            "--verify-oracle", "--out", str(path),
+        )
+        assert code == EXIT_OK
+        assert out == ""
+        lines = path.read_text().splitlines()
+        assert lines[0].startswith("N=4: recurrence=")
+        assert lines[1] == "N=10: skipped (above oracle guard 8)"
 
     def test_missing_n_names_key(self, capsys):
         code, _, err = run(capsys, "exchange", "--family", "dicke")
@@ -239,6 +257,13 @@ class TestVerifyCommand:
         assert code == EXIT_NUMERIC
         assert "FAILED" in err
 
+    def test_honours_out(self, tmp_path, capsys):
+        path = tmp_path / "verify.txt"
+        code, out, _ = run(capsys, "verify", "--m-max", "2", "--out", str(path))
+        assert code == EXIT_OK
+        assert out == ""
+        assert "verification passed" in path.read_text()
+
 
 class TestConfigHandling:
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
@@ -288,6 +313,27 @@ class TestConfigHandling:
         assert code == EXIT_OK
         assert RunConfig.from_json(dump.read_text()).options["jobs"] == 1
 
+    @pytest.mark.parametrize("jobs", ["abc", "-3", "0", "2.5"])
+    def test_invalid_jobs_flag_names_key(self, capsys, jobs):
+        code, _, err = run(
+            capsys, "exchange", "--family", "dicke", "--n", "4", "--jobs", jobs
+        )
+        assert code == EXIT_USAGE
+        assert "error: jobs:" in err
+
+    def test_invalid_jobs_in_config_names_key(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"family": "dicke", "n": "4", "jobs": 0}))
+        code, _, err = run(capsys, "exchange", "--config", str(config))
+        assert code == EXIT_USAGE
+        assert "error: jobs:" in err
+
+    def test_invalid_jobs_env_names_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("DICKEQFI_JOBS", "abc")
+        code, _, err = run(capsys, "exchange", "--family", "dicke", "--n", "4")
+        assert code == EXIT_USAGE
+        assert "error: DICKEQFI_JOBS:" in err
+
     def test_unknown_format_rejected(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"family": "dicke", "n": "4", "format": "xml"}))
@@ -330,3 +376,30 @@ def test_unknown_subcommand_exits_usage():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == EXIT_USAGE
+
+
+def test_closed_stdout_exits_cleanly():
+    # The trace is larger than a pipe buffer, so the program is still
+    # writing when the reader stops after the first line.
+    src = str(Path(dickeqfi.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dickeqfi.cli", "loss", "--n", "30", "--purcell", "inf",
+         "--trace", "--no-header"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"t,P_0,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert err == b""
+
+
+def test_traced_names_resolve():
+    # The benchmark's tracer replaces these module attributes; each must
+    # exist, or a traced run fails before it starts.
+    from perfbench.tracing import WRAPPED
+
+    for module, attr, _, _ in WRAPPED:
+        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"

@@ -1,3 +1,5 @@
+import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -11,13 +13,65 @@ from dickeqfi.exchange import (
     mixed_rate_factor,
     qfi_vs_n_sweep,
     _twin_recurrence,
+    _worker_count,
 )
-from dickeqfi.ladder import DecayLadder, TwinConfiguration, build_dicke
+from dickeqfi.ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dicke
 from dickeqfi.oracle import oracle_integral
 
 
 def twin(ladder):
     return TwinConfiguration(ladder, ladder)
+
+
+def split_recurrence(rates_num, rates_den, freqs):
+    """Twin recurrence with separate numerator and accumulator rates,
+    written as a plain double loop over the three tables.
+
+    Reference for the unequal-coupling model: with numerators at the
+    geometric and accumulators at the arithmetic mean of the two arm
+    rates, it must equal the closed form of exchange_integral_mixed_rates.
+    """
+    m = len(rates_num)
+    num, den, w = [0.0, *rates_num], [0.0, *rates_den], [0.0, *freqs]
+
+    def c0(i, j):
+        return den[m - i] + den[m - j]
+
+    def c2(i, j):
+        return den[m - 1 - i] + den[m - 1 - j]
+
+    def c1(i, j):
+        dw = (w[m - i] - w[m - 1 - i]) - (w[m - j] - w[m - 1 - j])
+        return (c0(i, j) + c2(i, j)) / 2 + 1j * dw
+
+    def n0(i):
+        return num[m - i + 1]
+
+    def n1(i):
+        return math.sqrt(num[m - i] * num[m - i + 1])
+
+    def n2(i):
+        return num[m - i]
+
+    f0 = np.zeros((m, m))
+    f1 = np.zeros((m, m), dtype=complex)
+    f2 = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            a0, a1, a2 = (1.0 if i == j == 0 else 0.0), 0j, 0.0
+            if i:
+                a0 += n0(i) / c0(i - 1, j) * f0[i - 1, j]
+                a1 += n1(i) / c1(i - 1, j) * f1[i - 1, j]
+                a2 += n2(i) / c2(i - 1, j) * f2[i - 1, j]
+            if j:
+                a0 += n0(j) / c0(i, j - 1) * f0[i, j - 1]
+                a1 += n1(j) / c1(i, j - 1) * f1[i, j - 1]
+                a2 += n2(j) / c2(i, j - 1) * f2[i, j - 1]
+            s_cross = math.sqrt(num[m - i]) * math.sqrt(num[m - j])
+            f0[i, j] = a0
+            f1[i, j] = a1 + s_cross / c0(i, j) * a0
+            f2[i, j] = a2 + 2.0 * s_cross * (f1[i, j] / c1(i, j)).real
+    return f2[m - 1, m - 1] / m**2
 
 
 class TestAgainstOracle:
@@ -98,19 +152,19 @@ class TestValues:
 class TestRecurrenceState:
     def test_base_entry_is_exactly_one(self):
         arm = build_dicke(4, 1.0)
-        state = _twin_recurrence(arm.rates, arm.rates, arm.frequencies)
+        state = _twin_recurrence(arm.rates, arm.frequencies)
         assert state.f0[0, 0] == 1.0
         assert np.all(np.isfinite(state.f2))
         assert np.all(np.isfinite(np.abs(state.f1)))
 
     def test_value_assembly(self):
         arm = build_dicke(3, 1.0)
-        state = _twin_recurrence(arm.rates, arm.rates, arm.frequencies)
+        state = _twin_recurrence(arm.rates, arm.frequencies)
         assert state.value == state.f2[2, 2] / 9.0
 
     def test_exponent_accessors(self):
         arm = build_dicke(2, 1.0)
-        state = _twin_recurrence(arm.rates, arm.rates, arm.frequencies)
+        state = _twin_recurrence(arm.rates, arm.frequencies)
         # with two levels of rate 2: c0 = 4 everywhere, c2(0,0) = 4
         assert state.c0(0, 0) == 4.0
         assert state.c2(0, 0) == 4.0
@@ -118,8 +172,23 @@ class TestRecurrenceState:
 
     def test_magnitudes_stay_moderate_at_scale(self):
         arm = build_dicke(250, 1.0)
-        state = _twin_recurrence(arm.rates, arm.rates, arm.frequencies)
+        state = _twin_recurrence(arm.rates, arm.frequencies)
         assert np.max(np.abs(state.f2)) < 1e8
+
+    @given(
+        m=st.integers(1, 200),
+        gamma=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+        u=st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0**e)),
+        kerr=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_finite_and_bounded_over_scales(self, m, gamma, u, kerr):
+        # 0 <= I <= 1 up to rounding: harmonic ladders, where I = 1
+        # exactly, come out a few ulps above one
+        arm = build_anharmonic(m, gamma, u) if kerr else build_dicke(m, gamma)
+        value = _twin_recurrence(arm.rates, arm.frequencies).value
+        assert math.isfinite(value)
+        assert -1e-12 <= value <= 1.0 + 1e-12
 
 
 class TestErrors:
@@ -142,13 +211,30 @@ class TestMixedRates:
             base, rel=1e-14
         )
 
+    @pytest.mark.parametrize(
+        "arm", [build_dicke(5, 1.0), build_anharmonic(4, 1.0, 3.0)], ids=["dicke", "kerr"]
+    )
+    def test_split_reference_matches_recurrence(self, arm):
+        reference = split_recurrence(arm.rates, arm.rates, arm.frequencies)
+        assert reference == pytest.approx(exchange_integral(twin(arm)).value, rel=1e-13)
+
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     @pytest.mark.parametrize("ratio", [0.5, 1.2, 3.0])
     def test_per_step_product_theorem(self, m, ratio):
-        mixed = exchange_integral_mixed_rates(m, ratio).value
-        base = exchange_integral(twin(build_dicke(m, 1.0))).value
-        assert mixed == pytest.approx(
-            mixed_rate_factor(ratio, 2 * m) * base, rel=5e-14
+        ladder = build_dicke(m, 1.0)
+        rates = np.asarray(ladder.rates)
+        reference = split_recurrence(
+            rates * math.sqrt(ratio), rates * (1.0 + ratio) / 2.0, ladder.frequencies
+        )
+        assert exchange_integral_mixed_rates(m, ratio).value == pytest.approx(
+            reference, rel=5e-14
+        )
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.2, 3.0])
+    def test_model_is_the_overlap_at_one_photon_per_arm(self, ratio):
+        exact = oracle_integral(build_dicke(1, 1.0), build_dicke(1, ratio), l=1).value
+        assert exchange_integral_mixed_rates(1, ratio).value == pytest.approx(
+            exact, abs=1e-12
         )
 
     def test_documented_ten_photon_factor(self):
@@ -213,6 +299,13 @@ class TestSweep:
     def test_rejects_odd_totals(self):
         with pytest.raises(ValueError):
             qfi_vs_n_sweep(LadderFamily("dicke"), [4, 5])
+
+    def test_worker_count_is_clamped(self):
+        cores = os.cpu_count() or 1
+        assert _worker_count(10**9, 3) == min(3, cores)
+        assert _worker_count(10**9, 10**9) == cores
+        assert _worker_count(None, 4) == 1
+        assert _worker_count(-3, 4) == 1
 
     def test_parallel_matches_serial(self):
         family = LadderFamily("dicke")

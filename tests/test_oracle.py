@@ -76,10 +76,10 @@ class TestStructuralInvariants:
     def test_enumeration_counts(self):
         # the grouped enumeration covers all (m+n)! labeled orderings:
         # distinct sequences times the per-group permutation weights
-        from dickeqfi.oracle import _multiset_sequences, _variable_groups
+        from dickeqfi.oracle import _group_counts, _multiset_sequences
 
         for m, n, l in ((2, 2, 1), (3, 3, 1), (3, 2, 2), (4, 4, 0)):
-            counts = tuple(c for c, _ in _variable_groups(m, n, l))
+            counts = _group_counts(m, n, l)
             sequences = sum(1 for _ in _multiset_sequences(counts))
             weight = 1
             for c in counts:
