@@ -5,9 +5,9 @@ proportional to the excitation number, so the probability of losing at
 least one photon out of the burst sums the per-rung branching errors.
 The sum is a harmonic number over the rate ratio, which is why curves
 for different emitter numbers collapse onto (roughly) ln(N) over the
-ratio.  The demo integrates the rate equations exactly, compares with
-the branching product and the logarithmic estimate, and writes
-loss_scaling.csv.
+ratio.  The ladder is an absorbing chain with no re-entry, so the exact
+collection probability is the per-rung branching product; the demo
+compares it with the logarithmic estimate and writes loss_scaling.csv.
 
 Note the deliberate honesty check: at N = 10 the harmonic number is 27
 percent above ln(10), so the logarithmic estimate is a scaling law, not

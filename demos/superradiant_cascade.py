@@ -1,12 +1,12 @@
 """Anatomy of one collective decay burst.
 
-Integrates the ladder rate equations for twenty fully excited emitters
+Propagates the ladder rate equations for twenty fully excited emitters
 without residual loss and prints the two signatures of the burst: the
-top rung drains as a plain exponential at rate N, and the integrated
-residence time of every rung equals the inverse of its own collective
-rate, smallest in the middle of the ladder where emission peaks at
-rates of order N^2/4.  The residence profile is mirror symmetric about
-the ladder midpoint.
+top rung drains as a plain exponential at rate N, and the residence time
+of every rung (reach probability over out-rate, here one over the rate)
+equals the inverse of its own collective rate, smallest in the middle of
+the ladder where emission peaks at rates of order N^2/4.  The residence
+profile is mirror symmetric about the ladder midpoint.
 
 Writes cascade_trace.csv (t, P_0..P_N, sum) next to this script.
 """

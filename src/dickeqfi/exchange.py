@@ -30,6 +30,9 @@ from .ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dick
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
+# Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
+_OVERSHOOT_TOL = 1e-12
+
 
 class InvalidLadderError(ValueError):
     """Ladder cannot be integrated (nonpositive exponent accumulator)."""
@@ -65,8 +68,15 @@ class RecurrenceState:
 
     @property
     def value(self) -> float:
+        """The overlap, with a rounding overshoot of one clipped back to one.
+
+        Harmonic ladders, where I = 1 exactly, come out a few ulps high.
+        """
         m = self.photons_per_arm
-        return float(self.f2[m - 1, m - 1]) / m**2
+        value = float(self.f2[m - 1, m - 1]) / m**2
+        if value > 1.0 + _OVERSHOOT_TOL:
+            raise InvalidLadderError(f"overlap {value!r} exceeds one beyond rounding")
+        return min(value, 1.0)
 
 
 def _twin_recurrence(rates, freqs) -> RecurrenceState:

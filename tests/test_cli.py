@@ -173,6 +173,17 @@ class TestParityCommand:
         assert code == EXIT_OK
         assert "expected=6" in err
 
+    def test_derivative_check_accepts_a_multimode_fringe(self, capsys):
+        # a Dicke input's endpoint derivative is m(m I + 1)/2, not m(m+1)/2
+        code, _, err = run(
+            capsys, "parity", "--family", "dicke", "--m", "4", "--points", "3",
+            "--no-header", "--check-derivative",
+        )
+        assert code == EXIT_OK
+        derivative = float(err.split("legendre_endpoint_derivative=")[1].split()[0])
+        assert derivative < 10.0
+        assert f"expected={derivative:.12g}" in err
+
     def test_multimode_curvature_matches_qfi(self, capsys):
         code, _, err = run(
             capsys, "parity", "--family", "dicke", "--m", "2", "--points", "3",
@@ -378,15 +389,18 @@ def test_unknown_subcommand_exits_usage():
     assert info.value.code == EXIT_USAGE
 
 
+def _subprocess_env():
+    src = str(Path(dickeqfi.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_closed_stdout_exits_cleanly():
     # The trace is larger than a pipe buffer, so the program is still
     # writing when the reader stops after the first line.
-    src = str(Path(dickeqfi.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "dickeqfi.cli", "loss", "--n", "30", "--purcell", "inf",
          "--trace", "--no-header"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env(),
     )
     assert proc.stdout.readline().startswith(b"t,P_0,")
     proc.stdout.close()
@@ -394,6 +408,15 @@ def test_closed_stdout_exits_cleanly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_OK
     assert err == b""
+
+
+def test_import_loads_no_solver_or_sparse_scipy():
+    # Only the population trace needs scipy, and it imports it lazily.
+    probe = ("import sys, dickeqfi.cli; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=_subprocess_env(), check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_traced_names_resolve():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.integrate import solve_ivp
 
 from dickeqfi.dickesim import (
     LossModel,
@@ -14,6 +16,37 @@ from dickeqfi.dickesim import (
 )
 
 LOSSLESS = LossModel(1.0, 0.0)
+
+
+def bdf_cascade(n, gamma_star, t_eval):
+    """Independent oracle: the cascade rate equations integrated with BDF.
+
+    Rung m of N decays into the waveguide at m(N-m+1) and out of the
+    ladder at m * gamma_star (unit waveguide rate); the residence
+    integrals ride along as d(res_m)/dt = P_m.  Returns the populations
+    on ``t_eval`` and the residences at its last time.
+    """
+    m = np.arange(n + 1, dtype=float)
+    down = m[1:] * (n - m[1:] + 1.0)
+    out = np.concatenate(([0.0], down)) + m * gamma_star
+    rates = sparse.diags([-out, down], offsets=[0, 1])
+    zero = sparse.csc_matrix((n + 1, n + 1))
+    aug = sparse.bmat([[rates, zero], [sparse.identity(n + 1), zero]], format="csc")
+    y0 = np.zeros(2 * (n + 1))
+    y0[n] = 1.0
+    sol = solve_ivp(lambda t, y: aug @ y, (0.0, t_eval[-1]), y0, method="BDF",
+                    jac=aug, t_eval=t_eval, rtol=1e-11, atol=1e-14)
+    assert sol.success, sol.message
+    return sol.y[: n + 1], sol.y[n + 1:, -1]
+
+
+def bdf_drained(n, gamma_star):
+    """Ground population and residences after forty cascade durations,
+    by which every rung has drained."""
+    horizon = 40.0 * superradiance_timescale(n, 1.0).exact
+    populations, residence = bdf_cascade(n, gamma_star, [0.0, horizon])
+    assert np.sum(populations[1:, -1]) < 1e-12
+    return populations[0, -1], residence
 
 
 class TestLossModel:
@@ -60,6 +93,15 @@ class TestAnalyticSeeds:
             atol=1e-9,
         )
 
+    def test_nonuniform_grid(self):
+        # every change of step size needs its own propagator
+        grid = np.array([0.0, 0.1, 0.3, 0.35, 1.0, 3.0])
+        trace = dicke_populations(2, LOSSLESS, t_grid=grid)
+        np.testing.assert_allclose(trace.populations[2], np.exp(-2.0 * grid), atol=1e-12)
+        np.testing.assert_allclose(
+            trace.populations[1], 2.0 * grid * np.exp(-2.0 * grid), atol=1e-12
+        )
+
     def test_initial_condition(self):
         trace = dicke_populations(6, LOSSLESS)
         assert trace.populations[6][0] == 1.0
@@ -89,13 +131,23 @@ class TestResidence:
         trace = dicke_populations(n, LOSSLESS)
         gammas = collective_rates(n, 1.0)
         np.testing.assert_allclose(
-            trace.residence[1:] * gammas, np.ones(n), rtol=1e-6
+            trace.residence[1:] * gammas, np.ones(n), rtol=1e-12
         )
 
     def test_residence_mirror_symmetry(self):
         trace = dicke_populations(20, LOSSLESS)
         res = trace.residence[1:]
-        np.testing.assert_allclose(res, res[::-1], rtol=1e-6)
+        np.testing.assert_allclose(res, res[::-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("n,purcell", [(1, 4.0), (12, 50.0), (40, 300.0)])
+    def test_residence_matches_integrated_occupation(self, n, purcell):
+        trace = dicke_populations(n, LossModel(1.0, 1.0 / purcell))
+        _, residence = bdf_drained(n, 1.0 / purcell)
+        np.testing.assert_allclose(trace.residence[1:], residence[1:], rtol=1e-10)
+
+    def test_ground_level_residence_is_infinite(self):
+        # the ground level absorbs the collected weight and never empties
+        assert math.isinf(dicke_populations(3, LOSSLESS).residence[0])
 
 
 class TestCollectionProbability:
@@ -111,11 +163,14 @@ class TestCollectionProbability:
         assert est.exact == pytest.approx(0.8, abs=1e-9)
         assert est.product_estimate == pytest.approx(0.8, rel=1e-14)
 
-    @pytest.mark.parametrize("n,purcell", [(5, 50.0), (20, 300.0), (60, 1000.0)])
+    @pytest.mark.parametrize(
+        "n,purcell", [(1, 4.0), (5, 50.0), (20, 300.0), (60, 1000.0), (100, 1000.0)]
+    )
     def test_integration_matches_branching_product(self, n, purcell):
-        loss = LossModel(1.0, 1.0 / purcell)
-        est = dicke_collection_probability(n, loss)
-        assert est.exact == pytest.approx(est.product_estimate, rel=1e-6)
+        est = dicke_collection_probability(n, LossModel(1.0, 1.0 / purcell))
+        integrated, _ = bdf_drained(n, 1.0 / purcell)
+        assert 1.0 - est.exact == pytest.approx(1.0 - integrated, rel=1e-10)
+        assert est.exact == est.product_estimate
 
     def test_hundred_emitters_kilopurcell(self):
         est = dicke_collection_probability(100, LossModel(1.0, 1e-3))
@@ -140,6 +195,13 @@ class TestCollectionProbability:
     def test_product_within_unit_interval(self, n, purcell):
         p = collection_probability_product(n, LossModel(1.0, 1.0 / purcell))
         assert 0.0 < p <= 1.0
+
+    @pytest.mark.parametrize("n,purcell", [(20, math.inf), (100, math.inf), (100, 1000.0)])
+    def test_trace_matches_integration(self, n, purcell):
+        gamma_star = 1.0 / purcell
+        trace = dicke_populations(n, LossModel(1.0, gamma_star))
+        populations, _ = bdf_cascade(n, gamma_star, trace.times)
+        np.testing.assert_allclose(trace.populations, populations, rtol=0.0, atol=1e-9)
 
     def test_trace_collection_matches_product(self):
         loss = LossModel(1.0, 0.02)

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dickeqfi.exchange import (
+    InvalidLadderError,
     LadderFamily,
+    RecurrenceState,
     exchange_integral,
     exchange_integral_mixed_rates,
     mixed_rate_factor,
@@ -15,7 +17,13 @@ from dickeqfi.exchange import (
     _twin_recurrence,
     _worker_count,
 )
-from dickeqfi.ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dicke
+from dickeqfi.ladder import (
+    DecayLadder,
+    TwinConfiguration,
+    build_anharmonic,
+    build_dicke,
+    build_harmonic,
+)
 from dickeqfi.oracle import oracle_integral
 
 
@@ -183,12 +191,24 @@ class TestRecurrenceState:
     )
     @settings(max_examples=30, deadline=None)
     def test_finite_and_bounded_over_scales(self, m, gamma, u, kerr):
-        # 0 <= I <= 1 up to rounding: harmonic ladders, where I = 1
-        # exactly, come out a few ulps above one
         arm = build_anharmonic(m, gamma, u) if kerr else build_dicke(m, gamma)
         value = _twin_recurrence(arm.rates, arm.frequencies).value
         assert math.isfinite(value)
-        assert -1e-12 <= value <= 1.0 + 1e-12
+        assert 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("m,gamma", [(2, 1.0), (200, 1e-6)])
+    def test_harmonic_overshoot_is_clipped_to_one(self, m, gamma):
+        # the raw table entry reads a few ulps above one here
+        arm = build_harmonic(m, gamma)
+        state = _twin_recurrence(arm.rates, arm.frequencies)
+        assert state.f2[m - 1, m - 1] / m**2 > 1.0
+        assert state.value == 1.0
+
+    def test_overshoot_beyond_rounding_raises(self):
+        table = np.array([[1.0 + 1e-9]])
+        state = RecurrenceState(photons_per_arm=1, f2=table, f1=table, f0=table)
+        with pytest.raises(InvalidLadderError):
+            state.value
 
 
 class TestErrors:
