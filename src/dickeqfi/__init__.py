@@ -51,6 +51,7 @@ from .dickesim import (
     LossModel,
     PopulationTrace,
     SuperradianceTime,
+    collection_loss_probability,
     collection_probability_product,
     collective_rates,
     dicke_collection_probability,

@@ -29,6 +29,7 @@ import numpy as np
 from .budget import PlatformParams, full_budget
 from .dickesim import (
     LossModel,
+    collection_loss_probability,
     collection_probability_product,
     dicke_collection_probability,
     dicke_populations,
@@ -78,12 +79,12 @@ class RunConfig:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.17g}"
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
     return str(value)
 
 
@@ -242,26 +243,26 @@ def cmd_loss(cfg: RunConfig) -> int:
         p1d = purcells[0]
         loss = LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
         trace = dicke_populations(n, loss)
-        columns = ("t",) + tuple(f"P_{m}" for m in range(n + 1)) + ("sum",)
-        rows = []
-        for k, t in enumerate(trace.times):
-            row = {"t": float(t), "sum": float(1.0 - trace.sum_deficit[k])}
-            for m in range(n + 1):
-                row[f"P_{m}"] = float(trace.populations[m, k])
-            rows.append(row)
-        _write(cfg, _table(rows, columns, cfg))
+        levels = tuple(f"P_{m}" for m in range(n + 1))
+        # JSON rows keep the key order t, sum, P_0..P_N; CSV columns put sum last
+        keys = ("t", "sum") + levels
+        values = np.vstack(
+            (trace.times, 1.0 - trace.sum_deficit, trace.populations)
+        ).T.tolist()
+        rows = [dict(zip(keys, row)) for row in values]
+        _write(cfg, _table(rows, ("t",) + levels + ("sum",), cfg))
         return EXIT_OK
 
     rows = []
     for n in n_values:
         for p1d in purcells:
             loss = LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
-            est = dicke_collection_probability(n, loss)
+            one_minus_p = collection_loss_probability(n, loss)
             rows.append({
                 "N": n,
                 "purcell": p1d,
-                "one_minus_p_exact": 1.0 - est.exact,
-                "one_minus_p_product": 1.0 - est.product_estimate,
+                "one_minus_p_exact": one_minus_p,
+                "one_minus_p_product": one_minus_p,
                 "log_estimate": 0.0 if math.isinf(p1d) else math.log(n) / p1d,
             })
     _write(cfg, _table(rows, _LOSS_COLUMNS, cfg))

@@ -4,9 +4,12 @@ The naive exchange integral over a pair of m-photon cascades costs
 (m!)^4 terms.  Working in the time domain instead, integrating always
 over the latest remaining emission time maps the integral onto three
 triangular tables of partial integrals, distinguished by how many of
-the two swapped emission times are still pending.  Filling the tables
-in order of total excitation number costs O(m^2), which reaches
-hundreds of photons in milliseconds.
+the two swapped emission times are still pending.  Entry (i, j) of each
+table depends only on entries (i-1, j) and (i, j-1), so one pass over
+the antidiagonals i + j = k fills all three tables together while
+keeping only the previous antidiagonal of each: O(m^2) time and O(m)
+memory, which reaches a thousand photons per arm in a fraction of a
+second.
 
 The tables are stored in the factorial-rescaled form (dividing entry
 (i, j) by i! j!); the rescaling removes the combinatorial prefactors
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,31 +43,16 @@ class InvalidLadderError(ValueError):
 
 @dataclass
 class RecurrenceState:
-    """Filled partial-integral tables plus the exponent accessors.
+    """Outcome of the one-pass recurrence: its last table entry.
 
-    ``f2``, ``f1`` and ``f0`` hold the rescaled tables with two, one and
-    zero swapped emission times pending; ``c2``/``c1``/``c0`` are the
-    matching exponent accumulators.  Exposed mainly for validation: the
-    base entry of ``f0`` is exactly one and every stored magnitude is
-    finite by construction.
+    The pass walks the three tables antidiagonal by antidiagonal and
+    keeps only the previous antidiagonal of each, so it costs O(m^2)
+    time and O(m) memory; ``corner`` is the rescaled two-pending entry
+    (m-1, m-1), which is m^2 times the overlap.
     """
 
     photons_per_arm: int
-    f2: np.ndarray
-    f1: np.ndarray
-    f0: np.ndarray
-    _c2: np.ndarray = field(repr=False, default=None)
-    _c1: np.ndarray = field(repr=False, default=None)
-    _c0: np.ndarray = field(repr=False, default=None)
-
-    def c2(self, i: int, j: int) -> float:
-        return self._c2[i, j]
-
-    def c1(self, i: int, j: int) -> complex:
-        return self._c1[i, j]
-
-    def c0(self, i: int, j: int) -> float:
-        return self._c0[i, j]
+    corner: float
 
     @property
     def value(self) -> float:
@@ -72,81 +60,103 @@ class RecurrenceState:
 
         Harmonic ladders, where I = 1 exactly, come out a few ulps high.
         """
-        m = self.photons_per_arm
-        value = float(self.f2[m - 1, m - 1]) / m**2
+        value = self.corner / self.photons_per_arm**2
         if value > 1.0 + _OVERSHOOT_TOL:
             raise InvalidLadderError(f"overlap {value!r} exceeds one beyond rounding")
         return min(value, 1.0)
 
 
-def _twin_recurrence(rates, freqs) -> RecurrenceState:
-    """Fill the three tables for a twin pair of identical ladders."""
+def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
+    """The length-m coefficient vectors that every table entry is built from.
+
+    Entry (i, j) has the exponent accumulators c0 = gr0[i] + gr0[j],
+    c2 = gr2[i] + gr2[j] and c1 = (c0 + c2)/2 + 1j (dw[i] - dw[j]), the
+    cross numerator sq[i] sq[j], and steps down in i with numerators
+    n0[i], n1[i], n2[i] for the zero-, one- and two-pending tables.
+    """
     m = len(rates)
     g = np.concatenate(([0.0], np.asarray(rates, dtype=float)))
     w = np.concatenate(([0.0], np.asarray(freqs, dtype=float)))
     if np.any(g[1:] <= 0.0):
         raise InvalidLadderError("all ladder rates must be positive")
-
     idx = np.arange(m)
-    gr0 = g[m - idx]           # accumulator rate with i swapped-pending
-    gr2 = g[m - 1 - idx]
-    dw = w[m - idx] - w[m - 1 - idx]
-    c0 = gr0[:, None] + gr0[None, :]
-    c2 = gr2[:, None] + gr2[None, :]
-    c1 = (c0 + c2) / 2.0 + 1j * (dw[:, None] - dw[None, :])
+    # index 0 never steps down: its unit numerators meet only pads and the seed
+    n0 = np.ones(m)
+    n1 = np.ones(m)
+    n0[1:] = g[m - idx[1:] + 1]
+    n1[1:] = np.sqrt(g[m - idx[1:]] * g[m - idx[1:] + 1])
+    return {
+        "gr0": g[m - idx],  # accumulator rate with i swapped-pending
+        "gr2": g[m - 1 - idx],
+        "dw": w[m - idx] - w[m - 1 - idx],
+        "sq": np.sqrt(g[m - idx]),
+        "n0": n0,
+        "n1": n1,
+        "n2": g[m - idx],
+    }
 
-    sq = np.sqrt(g[m - idx])
-    s_cross = sq[:, None] * sq[None, :]
-    n0 = np.empty(m)
-    n1 = np.empty(m)
-    n0[0] = n1[0] = np.nan  # index 0 never steps down
-    if m > 1:
-        ii = idx[1:]
-        n0[1:] = g[m - ii + 1]
-        n1[1:] = np.sqrt(g[m - ii] * g[m - ii + 1])
-    n2 = g[m - idx]
 
-    f0 = np.zeros((m, m))
-    f1 = np.zeros((m, m), dtype=complex)
-    f2 = np.zeros((m, m))
-    f0[0, 0] = 1.0
-    for k in range(1, 2 * m - 1):
-        i = np.arange(max(0, k - (m - 1)), min(m - 1, k) + 1)
-        j = k - i
-        acc = np.zeros(len(i))
-        mi = i >= 1
-        acc[mi] += n0[i[mi]] / c0[i[mi] - 1, j[mi]] * f0[i[mi] - 1, j[mi]]
-        mj = j >= 1
-        acc[mj] += n0[j[mj]] / c0[i[mj], j[mj] - 1] * f0[i[mj], j[mj] - 1]
-        f0[i, j] = acc
+def _antidiagonals(rates, freqs):
+    """Fill the three tables in one pass, yielding ``(lo, f0, f1, f2)``.
 
-    for k in range(0, 2 * m - 1):
-        i = np.arange(max(0, k - (m - 1)), min(m - 1, k) + 1)
-        j = k - i
-        acc = s_cross[i, j] / c0[i, j] * f0[i, j] + 0j
-        mi = i >= 1
-        acc[mi] += n1[i[mi]] / c1[i[mi] - 1, j[mi]] * f1[i[mi] - 1, j[mi]]
-        mj = j >= 1
-        acc[mj] += n1[j[mj]] / c1[i[mj], j[mj] - 1] * f1[i[mj], j[mj] - 1]
-        f1[i, j] = acc
-
-    for k in range(0, 2 * m - 1):
-        i = np.arange(max(0, k - (m - 1)), min(m - 1, k) + 1)
-        j = k - i
+    Antidiagonal k holds the entries (i, k - i) for i = lo..lo + len - 1.
+    Each table's previous antidiagonal sits in a buffer of length m + 1
+    with entry i at index i + 1, so the neighbours (i - 1, j) and
+    (i, j - 1) are the plain slices [lo:hi + 1] and [lo + 1:hi + 2], and
+    the missing neighbours on the table's edges read a zero pad.  The
+    j-indexed coefficients are slices of reversed copies of the vectors.
+    """
+    vec = _ladder_vectors(rates, freqs)
+    rev = {name: v[::-1].copy() for name, v in vec.items()}
+    m = len(rates)
+    # Accumulators of the previous antidiagonal, with pads of 1: a pad
+    # neighbour then adds numerator / 1 * 0 = 0.  The base entry
+    # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
+    # -1, whose numerator n0[0] and accumulator pad are both 1.
+    c_prev = [np.ones(m + 1), np.ones(m + 1, dtype=complex), np.ones(m + 1)]
+    c_next = [np.ones(m + 1), np.ones(m + 1, dtype=complex), np.ones(m + 1)]
+    p0, p1, p2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
+    p0[0] = 1.0
+    for k in range(2 * m - 1):
+        lo, hi = max(0, k - m + 1), min(m - 1, k)
+        # i-indexed coefficients and up neighbours share one slice
+        i = up = slice(lo, hi + 1)
+        j, left = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
+        (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
+        c0 = np.add(vec["gr0"][i], rev["gr0"][j], out=b0[left])
+        c2 = np.add(vec["gr2"][i], rev["gr2"][j], out=b2[left])
+        c1 = np.add((c0 + c2) / 2.0, 1j * (vec["dw"][i] - rev["dw"][j]), out=b1[left])
+        s = vec["sq"][i] * rev["sq"][j]
+        q0, q1, q2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
+        f0 = np.add(
+            vec["n0"][i] / a0[up] * p0[up],
+            rev["n0"][j] / a0[left] * p0[left],
+            out=q0[left],
+        )
+        f1 = np.add(
+            s / c0 * f0 + vec["n1"][i] / a1[up] * p1[up],
+            rev["n1"][j] / a1[left] * p1[left],
+            out=q1[left],
+        )
         # the two swapped-time branches are complex conjugates, so their
         # coupled contribution is twice the real part
-        acc = 2.0 * s_cross[i, j] * np.real(f1[i, j] / c1[i, j])
-        mi = i >= 1
-        acc[mi] += n2[i[mi]] / c2[i[mi] - 1, j[mi]] * f2[i[mi] - 1, j[mi]]
-        mj = j >= 1
-        acc[mj] += n2[j[mj]] / c2[i[mj], j[mj] - 1] * f2[i[mj], j[mj] - 1]
-        f2[i, j] = acc
+        f2 = np.add(
+            2.0 * s * (f1 / c1).real + vec["n2"][i] / a2[up] * p2[up],
+            rev["n2"][j] / a2[left] * p2[left],
+            out=q2[left],
+        )
+        if not (np.isfinite(f0).all() and np.isfinite(f2).all()):
+            raise InvalidLadderError("recurrence produced nonfinite entries")
+        yield lo, f0, f1, f2
+        c_prev, c_next = c_next, c_prev
+        p0, p1, p2 = q0, q1, q2
 
-    state = RecurrenceState(photons_per_arm=m, f2=f2, f1=f1, f0=f0)
-    state._c2, state._c1, state._c0 = c2, c1, c0
-    if not (np.all(np.isfinite(f0)) and np.all(np.isfinite(f2))):
-        raise InvalidLadderError("recurrence produced nonfinite entries")
-    return state
+
+def _twin_recurrence(rates, freqs) -> RecurrenceState:
+    """Run the recurrence for a twin pair of identical ladders."""
+    for _, _, _, f2 in _antidiagonals(rates, freqs):
+        pass
+    return RecurrenceState(photons_per_arm=len(rates), corner=float(f2[0]))
 
 
 def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:

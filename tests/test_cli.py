@@ -1,5 +1,6 @@
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,23 @@ class TestLossCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "N,purcell,one_minus_p_exact,one_minus_p_product,log_estimate"
         assert len(lines) == 5
+
+    def test_one_minus_p_keeps_its_digits(self, capsys):
+        # 1 - p summed over the rung k = 1..N where the first photon is
+        # lost (probability 1/(kP + 1) each), without cancellation
+        n, purcell = 10, 1e12
+        terms, kept = [], 1.0
+        for k in range(1, n + 1):
+            share = 1.0 / (k * purcell + 1.0)
+            terms.append(share * kept)
+            kept *= 1.0 - share
+        code, out, _ = run(
+            capsys, "loss", "--n", str(n), "--purcell", "1e12", "--no-header"
+        )
+        assert code == EXIT_OK
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[2]) == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
+        assert row[3] == row[2]
 
     def test_infinite_purcell(self, capsys):
         code, out, _ = run(

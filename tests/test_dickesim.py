@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from dickeqfi.dickesim import (
     LossModel,
+    collection_loss_probability,
     collection_probability_product,
     collective_rates,
     dicke_collection_probability,
@@ -172,6 +173,18 @@ class TestCollectionProbability:
         assert 1.0 - est.exact == pytest.approx(1.0 - integrated, rel=1e-10)
         assert est.exact == est.product_estimate
 
+    @pytest.mark.parametrize(
+        "n,purcell", [(1, 4.0), (10, 1e2), (10, 1e12), (10, 1e15), (1000, 1.2e5)]
+    )
+    def test_loss_probability_keeps_its_digits(self, n, purcell):
+        assert collection_loss_probability(n, LossModel(1.0, 1.0 / purcell)) == pytest.approx(
+            first_loss_sum(n, purcell), rel=1e-12, abs=0.0
+        )
+
+    def test_lossless_chain_loses_nothing(self):
+        q = collection_loss_probability(7, LOSSLESS)
+        assert q == 0.0 and math.copysign(1.0, q) == 1.0
+
     def test_hundred_emitters_kilopurcell(self):
         est = dicke_collection_probability(100, LossModel(1.0, 1e-3))
         assert 1.0 - est.exact == pytest.approx(4.6e-3, rel=0.15)
@@ -209,6 +222,21 @@ class TestCollectionProbability:
         assert trace.collection_probability == pytest.approx(
             collection_probability_product(12, loss), rel=1e-6
         )
+
+
+def first_loss_sum(n, purcell):
+    """1 - p as the chance that the first lost photon leaves at rung k.
+
+    Rung k of the cascade (k = N - m + 1) loses its photon with
+    probability 1/(kP + 1); the terms are positive, so ``math.fsum``
+    adds them without cancellation.
+    """
+    terms, kept = [], 1.0
+    for k in range(1, n + 1):
+        share = 1.0 / (k * purcell + 1.0)
+        terms.append(share * kept)
+        kept *= 1.0 - share
+    return math.fsum(terms)
 
 
 class TestTimescale:

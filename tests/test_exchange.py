@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,8 @@ from dickeqfi.exchange import (
     exchange_integral_mixed_rates,
     mixed_rate_factor,
     qfi_vs_n_sweep,
+    _antidiagonals,
+    _ladder_vectors,
     _twin_recurrence,
     _worker_count,
 )
@@ -82,6 +85,17 @@ def split_recurrence(rates_num, rates_den, freqs):
     return f2[m - 1, m - 1] / m**2
 
 
+def full_tables(ladder):
+    """The three m x m tables, rebuilt from the library's antidiagonals."""
+    m = ladder.levels
+    tables = (np.zeros((m, m)), np.zeros((m, m), dtype=complex), np.zeros((m, m)))
+    for k, (lo, *diagonals) in enumerate(_antidiagonals(ladder.rates, ladder.frequencies)):
+        i = np.arange(lo, lo + len(diagonals[0]))
+        for table, diagonal in zip(tables, diagonals):
+            table[i, k - i] = diagonal
+    return tables
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -117,6 +131,42 @@ class TestAgainstOracle:
         rec = exchange_integral(twin(arm)).value
         ora = oracle_integral(arm, arm, l=1).value
         assert rec == pytest.approx(ora, abs=1e-9)
+
+
+class TestAgainstSplitReference:
+    """The fused pass against the plain double-loop reference."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 40])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            LadderFamily("dicke"),
+            LadderFamily("harmonic"),
+            LadderFamily("anharmonic", u=1.0),
+            LadderFamily("anharmonic", u=10.0),
+            LadderFamily("anharmonic", u=1000.0),
+        ],
+        ids=["dicke", "harmonic", "anharm1", "anharm10", "anharm1000"],
+    )
+    def test_families(self, family, m):
+        arm = family.build_arm(2 * m)
+        reference = split_recurrence(arm.rates, arm.rates, arm.frequencies)
+        assert exchange_integral(twin(arm)).value == pytest.approx(
+            reference, rel=1e-13, abs=0.0
+        )
+
+    @given(
+        m=st.integers(3, 7),
+        rates=st.lists(st.floats(0.05, 20.0), min_size=7, max_size=7),
+        freqs=st.lists(st.floats(-50.0, 50.0), min_size=7, max_size=7),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_ladders(self, m, rates, freqs):
+        arm = DecayLadder(levels=m, rates=tuple(rates[:m]), frequencies=tuple(freqs[:m]))
+        reference = split_recurrence(arm.rates, arm.rates, arm.frequencies)
+        assert _twin_recurrence(arm.rates, arm.frequencies).corner / m**2 == pytest.approx(
+            reference, rel=1e-13, abs=0.0
+        )
 
 
 class TestValues:
@@ -159,29 +209,54 @@ class TestValues:
 
 class TestRecurrenceState:
     def test_base_entry_is_exactly_one(self):
-        arm = build_dicke(4, 1.0)
-        state = _twin_recurrence(arm.rates, arm.frequencies)
-        assert state.f0[0, 0] == 1.0
-        assert np.all(np.isfinite(state.f2))
-        assert np.all(np.isfinite(np.abs(state.f1)))
+        f0, f1, f2 = full_tables(build_dicke(4, 1.0))
+        assert f0[0, 0] == 1.0
+        assert np.all(np.isfinite(f0))
+        assert np.all(np.isfinite(f2))
+        assert np.all(np.isfinite(np.abs(f1)))
+
+    @pytest.mark.parametrize(
+        "arm",
+        [build_dicke(30, 1.0), build_anharmonic(30, 1.0, 10.0)],
+        ids=["dicke", "kerr"],
+    )
+    def test_zero_pending_table_is_exactly_symmetric(self, arm):
+        f0, _, _ = full_tables(arm)
+        assert np.array_equal(f0, f0.T)
 
     def test_value_assembly(self):
         arm = build_dicke(3, 1.0)
+        _, _, f2 = full_tables(arm)
         state = _twin_recurrence(arm.rates, arm.frequencies)
-        assert state.value == state.f2[2, 2] / 9.0
+        assert state.corner == f2[2, 2]
+        assert state.value == f2[2, 2] / 9.0
 
-    def test_exponent_accessors(self):
+    def test_exponent_accumulators(self):
         arm = build_dicke(2, 1.0)
-        state = _twin_recurrence(arm.rates, arm.frequencies)
+        v = _ladder_vectors(arm.rates, arm.frequencies)
         # with two levels of rate 2: c0 = 4 everywhere, c2(0,0) = 4
-        assert state.c0(0, 0) == 4.0
-        assert state.c2(0, 0) == 4.0
-        assert state.c1(0, 0) == 4.0
+        c0 = v["gr0"][0] + v["gr0"][0]
+        c2 = v["gr2"][0] + v["gr2"][0]
+        assert c0 == 4.0
+        assert v["gr0"][0] + v["gr0"][1] == 4.0
+        assert c2 == 4.0
+        assert (c0 + c2) / 2.0 + 1j * (v["dw"][0] - v["dw"][0]) == 4.0
 
     def test_magnitudes_stay_moderate_at_scale(self):
-        arm = build_dicke(250, 1.0)
-        state = _twin_recurrence(arm.rates, arm.frequencies)
-        assert np.max(np.abs(state.f2)) < 1e8
+        _, _, f2 = full_tables(build_dicke(250, 1.0))
+        assert np.max(np.abs(f2)) < 1e8
+
+    @pytest.mark.parametrize("kerr", [False, True], ids=["dicke", "kerr"])
+    def test_memory_is_linear_in_photon_number(self, kerr):
+        # three m x m tables at m = 400 would take over 10 MB
+        arm = build_anharmonic(400, 1.0, 10.0) if kerr else build_dicke(400, 1.0)
+        tracemalloc.start()
+        try:
+            exchange_integral(twin(arm))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @given(
         m=st.integers(1, 200),
@@ -201,14 +276,18 @@ class TestRecurrenceState:
         # the raw table entry reads a few ulps above one here
         arm = build_harmonic(m, gamma)
         state = _twin_recurrence(arm.rates, arm.frequencies)
-        assert state.f2[m - 1, m - 1] / m**2 > 1.0
+        assert state.corner / m**2 > 1.0
         assert state.value == 1.0
 
     def test_overshoot_beyond_rounding_raises(self):
-        table = np.array([[1.0 + 1e-9]])
-        state = RecurrenceState(photons_per_arm=1, f2=table, f1=table, f0=table)
+        state = RecurrenceState(photons_per_arm=1, corner=1.0 + 1e-9)
         with pytest.raises(InvalidLadderError):
             state.value
+
+    def test_nonfinite_entries_raise(self):
+        arm = build_dicke(5, 1e300)
+        with np.errstate(all="ignore"), pytest.raises(InvalidLadderError, match="nonfinite"):
+            _twin_recurrence(arm.rates, arm.frequencies)
 
 
 class TestErrors:
