@@ -1,12 +1,31 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dickeqfi.ladder import build_anharmonic, build_dicke, build_harmonic
+from dickeqfi.ladder import DecayLadder, build_anharmonic, build_dicke, build_harmonic
 from dickeqfi.oracle import (
+    _DELAYED_ROOT,
+    _GROUP_CORRS,
+    _SLOT_EVENTS,
+    _XH,
+    _XL,
+    _WH,
+    _WL,
     OracleTooLargeError,
+    _compensated_sum,
+    _fold_delayed,
+    _group_counts,
+    _hypoexp_density,
+    _int_power_exp,
+    _polyexp_cross_integral,
+    _polyexp_eval,
+    _polyexp_product,
+    _transition_steps,
+    _walk,
     oracle_delay_check,
     oracle_integral,
     oracle_integral_exact,
@@ -18,6 +37,149 @@ from dickeqfi.oracle import (
 X4 = Fraction(11, 12)
 # Six-photon value from the exact-rational oracle, pinned as regression.
 X6 = Fraction(68183, 77175)
+
+
+# -- Test-side reference: enumerate every interleaving, then walk each ------
+# one from the top.  No prefix is shared and nothing is memoized, and the
+# terms can be summed over all (m+n)! labeled orderings or in a shuffled
+# order.  With the grouped lexicographic order it performs the library's
+# float operations in the library's order, so the two agree bit for bit.
+
+
+def _multiset_sequences(counts):
+    """All distinct orderings of group labels with the given multiplicities."""
+    total = sum(counts)
+    seq = []
+
+    def rec(remaining, left):
+        if left == 0:
+            yield tuple(seq)
+            return
+        for g, c in enumerate(remaining):
+            if c:
+                remaining2 = list(remaining)
+                remaining2[g] -= 1
+                seq.append(g)
+                yield from rec(remaining2, left - 1)
+                seq.pop()
+
+    yield from rec(list(counts), total)
+
+
+def _walk_sequence(seq, memberships, steps):
+    """Rates fired and running accumulator of each slot of one ordering."""
+    fired = [0, 0, 0, 0]
+    acc = 0
+    for g in seq:
+        fired_rates = ()
+        for corr in memberships[g]:
+            j = fired[corr]
+            fired[corr] = j + 1
+            gam, inc = steps[corr][j]
+            acc += inc
+            fired_rates += (gam,)
+        yield fired_rates, acc
+
+
+def _float_steps(a, b):
+    return _transition_steps((a.rates, b.rates), (a.frequencies, b.frequencies))
+
+
+def _shuffled(items, shuffle_seed):
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(items)
+    return items
+
+
+def reference_float(a, b, l, *, full=False, shuffle_seed=None):
+    m, n = a.levels, b.levels
+    steps = _float_steps(a, b)
+    counts = _group_counts(m, n, l)
+    if full:
+        labels = [g for g, c in enumerate(counts) for _ in range(c)]
+        items = [(seq, 1.0) for seq in itertools.permutations(labels)]
+    else:
+        weight = math.prod(math.factorial(c) for c in counts)
+        items = [(seq, weight) for seq in _multiset_sequences(counts)]
+
+    def value(seq):
+        val = 1.0 + 0.0j
+        for fired_rates, acc in _walk_sequence(seq, _GROUP_CORRS, steps):
+            for gam in fired_rates:
+                val *= math.sqrt(gam)
+            val /= acc
+        return val
+
+    total = _compensated_sum(
+        weight * value(seq) for seq, weight in _shuffled(items, shuffle_seed)
+    )
+    return total / (math.factorial(m) * math.factorial(n))
+
+
+def reference_exact(arm, l):
+    rates = (tuple(Fraction(r) for r in arm.rates),) * 2
+    steps = _transition_steps(rates, None)
+    counts = _group_counts(arm.levels, arm.levels, l)
+    total = Fraction(0)
+    for seq in _multiset_sequences(counts):
+        denom = Fraction(1)
+        for _, acc in _walk_sequence(seq, _GROUP_CORRS, steps):
+            denom *= acc
+        total += Fraction(1) / denom
+    weight = math.prod(math.factorial(c) for c in counts)
+    return math.prod(rates[0] + rates[1]) * weight * total / math.factorial(arm.levels) ** 2
+
+
+def _delayed_sequence_value(seq, steps, tau):
+    partials = [acc for _, acc in _walk_sequence(seq, _SLOT_EVENTS, steps)]
+    p_xh, p_xl = seq.index(_XH) + 1, seq.index(_XL) + 1
+    p_wh, p_wl = seq.index(_WH) + 1, seq.index(_WL) + 1
+    win_x = set(range(p_xh, p_xl))
+    win_w = set(range(p_wh, p_wl))
+    if win_x and win_w and (win_x <= win_w or win_w <= win_x):
+        return 0.0 + 0.0j
+
+    value = 1.0 + 0.0j
+    for k in range(1, len(seq) + 1):
+        if k not in win_x and k not in win_w:
+            value /= partials[k - 1]
+
+    def density(ks):
+        return _hypoexp_density([partials[k - 1] for k in sorted(ks)], tau)
+
+    overlap = win_x & win_w
+    if not overlap:
+        for win in (win_x, win_w):
+            value *= _polyexp_eval(density(win), tau)
+        return value
+    first, second = (win_x, win_w) if min(win_x) < min(win_w) else (win_w, win_x)
+    value *= _polyexp_cross_integral(
+        density(overlap),
+        _polyexp_product(density(first - overlap), density(second - overlap)),
+        tau,
+        lambda p, beta: _int_power_exp(p, beta, tau),
+    )
+    return value
+
+
+def reference_delayed(a, b, tau, *, shuffle_seed=None):
+    m, n = a.levels, b.levels
+    steps = _float_steps(a, b)
+    weight = math.factorial(m - 1) * math.factorial(n - 1)
+    items = [
+        seq for seq in _multiset_sequences((1, 1, 1, 1, m - 1, n - 1))
+        if seq.index(_XH) < seq.index(_XL) and seq.index(_WH) < seq.index(_WL)
+    ]
+    total = _compensated_sum(
+        weight * _delayed_sequence_value(seq, steps, tau)
+        for seq in _shuffled(items, shuffle_seed)
+    )
+    numerator = math.prod(a.rates + b.rates)
+    return numerator * total / (math.factorial(m) * math.factorial(n))
+
+
+def _same_bits(result, reference):
+    return result.value == reference.real and result.imag_residual == abs(reference.imag)
 
 
 class TestNormalization:
@@ -74,30 +236,33 @@ class TestReferenceValues:
 
 class TestStructuralInvariants:
     def test_enumeration_counts(self):
-        # the grouped enumeration covers all (m+n)! labeled orderings:
-        # distinct sequences times the per-group permutation weights
-        from dickeqfi.oracle import _group_counts, _multiset_sequences
-
+        # the walk visits every distinct grouped sequence once, so its
+        # leaves times the per-group permutation weights cover all (m+n)!
+        # labeled orderings
         for m, n, l in ((2, 2, 1), (3, 3, 1), (3, 2, 2), (4, 4, 0)):
             counts = _group_counts(m, n, l)
-            sequences = sum(1 for _ in _multiset_sequences(counts))
-            weight = 1
-            for c in counts:
-                weight *= math.factorial(c)
-            assert sequences * weight == math.factorial(m + n)
+            arm_a, arm_b = build_dicke(m, 1.0), build_dicke(n, 1.0)
+            leaves = _walk(counts, _GROUP_CORRS, _float_steps(arm_a, arm_b),
+                           lambda seq, g, rates, acc: seq + (g,), (), lambda seq: seq)
+            assert leaves == list(_multiset_sequences(counts))
+            weight = math.prod(math.factorial(c) for c in counts)
+            assert len(leaves) * weight == math.factorial(m + n)
 
     def test_symmetry_reduction_matches_full_enumeration(self):
         arm = build_dicke(2, 1.0)
-        reduced = oracle_integral(arm, arm, l=1, reduce_symmetry=True).value
-        full = oracle_integral(arm, arm, l=1, reduce_symmetry=False).value
+        reduced = oracle_integral(arm, arm, l=1).value
+        full = reference_float(arm, arm, 1, full=True).real
         assert reduced == pytest.approx(full, abs=1e-13)
 
     def test_enumeration_order_is_irrelevant(self):
         arm = build_anharmonic(3, 1.0, 3.0)
         base = oracle_integral(arm, arm, l=1).value
+        delayed = oracle_integral(arm, arm, l=1, delay=0.3).value
         for seed in (1, 2, 3):
-            shuffled = oracle_integral(arm, arm, l=1, shuffle_seed=seed).value
+            shuffled = reference_float(arm, arm, 1, shuffle_seed=seed).real
             assert shuffled == pytest.approx(base, abs=1e-12)
+            shuffled = reference_delayed(arm, arm, 0.3, shuffle_seed=seed).real
+            assert shuffled == pytest.approx(delayed, abs=1e-12)
 
     @pytest.mark.parametrize("ladder", [build_dicke(3, 1.0), build_anharmonic(3, 1.0, 8.0)])
     def test_twin_results_are_real(self, ladder):
@@ -133,6 +298,65 @@ class TestStructuralInvariants:
         assert result.total_photons == 3
         assert abs(result.value) <= 1.0 + 1e-9
         assert result.imag_residual <= 1e-10
+
+
+TWIN_ARMS = {
+    **{f"dicke{m}": build_dicke(m, 1.0) for m in (1, 2, 3)},
+    **{f"kerr{m}-u{u}": build_anharmonic(m, 1.0, u) for m in (1, 2, 3) for u in (3, 13)},
+}
+DISTINCT_PAIRS = {
+    "dicke1-dicke3": (build_dicke(1, 1.0), build_dicke(3, 1.0)),
+    "dicke2-kerr3": (build_dicke(2, 1.0), build_anharmonic(3, 1.0, 3.0)),
+}
+FLOAT_CASES = {
+    **{name: (arm, arm) for name, arm in TWIN_ARMS.items()},
+    **DISTINCT_PAIRS,
+}
+DELAYED_CASES = {
+    **{f"dicke{m}": (build_dicke(m, 1.0),) * 2 for m in (1, 2, 3)},
+    "kerr2": (build_anharmonic(2, 1.0, 3.0),) * 2,
+    **DISTINCT_PAIRS,
+}
+
+
+class TestWalkerEquivalence:
+    """The prefix-sharing walk equals the enumerate-and-walk reference bit
+    for bit: same leaves, same order, same float operations per leaf."""
+
+    @pytest.mark.parametrize("a, b", FLOAT_CASES.values(), ids=FLOAT_CASES.keys())
+    def test_float_path(self, a, b):
+        for l in range(min(a.levels, b.levels) + 1):
+            assert _same_bits(oracle_integral(a, b, l=l), reference_float(a, b, l))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_rational_path(self, m):
+        arm = build_dicke(m, 1.0)
+        for l in range(m + 1):
+            assert oracle_integral_exact(arm, arm, l=l) == reference_exact(arm, l)
+
+    @pytest.mark.parametrize("a, b", DELAYED_CASES.values(), ids=DELAYED_CASES.keys())
+    def test_delayed_path(self, a, b):
+        for tau in (0.05, 0.4):
+            result = oracle_integral(a, b, l=1, delay=tau)
+            assert _same_bits(result, reference_delayed(a, b, tau))
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (1, 3), (3, 2), (2, 4), (4, 4)])
+    def test_delayed_walk_visits_admissible_orderings_only(self, m, n):
+        # orderings of m+n+2 slots with the two rigid pairs' high events
+        # first: a quarter of the (m+n+2)! / ((m-1)! (n-1)!) sequences
+        a, b = build_dicke(m, 1.0), build_dicke(n, 1.0)
+        leaves = _walk((1, 1, 1, 1, m - 1, n - 1), _SLOT_EVENTS, _float_steps(a, b),
+                       _fold_delayed, _DELAYED_ROOT, lambda state: state)
+        expected = math.factorial(m + n + 2) // (
+            2 * 2 * math.factorial(m - 1) * math.factorial(n - 1)
+        )
+        assert len(leaves) == expected
+
+    def test_no_memo_survives_a_call(self):
+        arm = build_anharmonic(2, 1.0, 13.0)
+        for tau in (0.1, 0.7, 0.1):
+            result = oracle_integral(arm, arm, l=1, delay=tau)
+            assert _same_bits(result, reference_delayed(arm, arm, tau))
 
 
 class TestGuards:
@@ -228,6 +452,24 @@ class TestDelay:
         assert check.bound <= check.exact <= check.reference + 1e-12
         assert check.exact > 0.0
 
+    def test_near_degenerate_rates_are_continuous(self):
+        # Splitting the Dicke ladder's degenerate rates by a relative eps
+        # moves the delayed overlap smoothly (slope about -0.19); a closed
+        # form that divides by the tiny rate differences used to return
+        # 3358 at eps = 1e-10.
+        base = build_dicke(3, 1.0)
+        tau = 0.2
+        plain = oracle_integral(base, base, l=1, delay=tau).value
+        for eps in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4):
+            arm = DecayLadder(
+                levels=3,
+                rates=tuple(r * (1 + eps * (i + 1)) for i, r in enumerate(base.rates)),
+                frequencies=(0.0,) * 3,
+            )
+            check = oracle_delay_check(arm, tau)
+            assert abs(check.exact - plain) <= 0.5 * eps + 1e-12
+            assert check.bound <= check.exact <= check.reference
+
     @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0])
     def test_independent_quadrature_cross_check(self, tau):
         # two-emitter twin: the amplitude is 2 exp(-max(u1, u2)), so after
@@ -262,8 +504,6 @@ class TestDelay:
 )
 @settings(max_examples=25, deadline=None)
 def test_cross_arm_values_stay_bounded(m, rates_a, rates_b):
-    from dickeqfi.ladder import DecayLadder
-
     a = DecayLadder(levels=2, rates=tuple(rates_a), frequencies=(0.0, 0.0))
     b = DecayLadder(levels=2, rates=tuple(rates_b), frequencies=(0.0, 0.0))
     result = oracle_integral(a, b, l=m)
