@@ -50,8 +50,7 @@ collection = dicke_collection_probability(params.n_photons // 2, loss)
 budget = full_budget(params, overlap, collection.exact)
 
 print(f"exchange overlap at N = {params.n_photons}: {overlap.value:.4f}")
-print(f"per-arm collection probability: {collection.exact:.4f} "
-      f"(branching product {collection.product_estimate:.4f})")
+print(f"per-arm collection probability: {collection.exact:.4f}")
 print(f"ideal QFI            : {budget.ideal_qfi:.1f}")
 print(f"combined lower bound : {budget.combined_qfi_lower_bound:.1f}")
 print("\nchannel breakdown:")

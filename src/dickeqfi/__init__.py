@@ -3,9 +3,9 @@
 The package computes the quantum Fisher information, and hence the
 achievable phase sensitivity, of interferometry with photon wavepackets
 emitted by collectively decaying emitter ladders: a polynomial-cost
-table recurrence evaluates the controlling exchange overlap, an exact
-factorial-cost oracle validates it at small photon numbers, cascade
-rate equations quantify the collection probability under residual
+table recurrence evaluates the controlling exchange overlap of two arms,
+an exact factorial-cost oracle validates it at small photon numbers,
+cascade rate equations quantify the collection probability under residual
 emission, and an error-budget layer turns platform parameters into
 feasibility verdicts.
 """
@@ -31,8 +31,6 @@ from .exchange import (
     RecurrenceState,
     SWEEP_COLUMNS,
     exchange_integral,
-    exchange_integral_mixed_rates,
-    mixed_rate_factor,
     qfi_vs_n_sweep,
 )
 from .metrology import (
@@ -63,7 +61,6 @@ from .budget import (
     DelayCorrection,
     ErrorBudget,
     LossCorrection,
-    MixedRateCorrection,
     PlatformParams,
     PropagationCheck,
     PulseErrorEstimate,

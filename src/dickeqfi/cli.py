@@ -235,6 +235,9 @@ def cmd_loss(cfg: RunConfig) -> int:
             purcells.append(math.inf)
         else:
             purcells.extend(_parse_float_list(tok, int(opts["points"]), "purcell"))
+    for p1d in purcells:
+        if not p1d > 0.0:
+            raise UsageError("purcell", f"rate ratios must be positive, got {p1d}")
 
     if opts["trace"]:
         if len(n_values) != 1 or len(purcells) != 1:
@@ -382,6 +385,8 @@ def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
     ``summary`` adds a closing line when every case is within --tol."""
     opts = cfg.options
     tol = float(opts["tol"])
+    if not 0.0 <= tol < math.inf:
+        raise UsageError("tol", f"expected a finite number >= 0, got {opts['tol']!r}")
     worst = 0.0
     lines = []
     for label, arm in cases:
@@ -478,8 +483,8 @@ _SUBCOMMANDS = {
         ("--gamma-star", None, {"type": float, "help": "residual decay rate [rad/s]"}),
         ("--n", None, {"type": int, "help": "total photon number (even)"}),
         ("--pulse-error", 0.0, {"type": float}),
-        ("--delta-gamma", 0.0, {"type": float,
-                                "help": "relative coupling mismatch of the two ensembles"}),
+        ("--delta-gamma", 0.0, {"type": float, "help": "relative coupling mismatch "
+                                "d < 1 of the two ensembles (exact overlap penalty)"}),
         ("--delay", 0.0, {"type": float, "help": "wavepacket arrival delay [s]"}),
         ("--eta", 0.0, {"type": float, "help": "interferometer photon-loss probability"}),
         ("--margin-factor", 10.0, {"type": float}),

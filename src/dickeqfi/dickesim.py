@@ -64,7 +64,6 @@ class CollectionEstimate:
     """Collection probability: exact branching product, log scaling."""
 
     exact: float
-    product_estimate: float
     log_estimate: float
 
 
@@ -203,21 +202,19 @@ def dicke_collection_probability(n_emitters: int, loss: LossModel) -> Collection
     """N-photon collection probability, exact and in its log scaling.
 
     ``exact`` is the per-rung branching product, which is exact for the
-    absorbing chain (``product_estimate`` carries the same number); and
-    ``log_estimate`` is 1 - ln(N)/P.  To leading order in 1/P the product
-    is 1 - H_N/P, and ln(N) is only the large-N form of the harmonic
-    number H_N, so at small N the error 1 - p exceeds ln(N)/P for any P:
-    by 27% at N = 10 (H_10/ln(10) = 1.27) and 13% at N = 100.
+    absorbing chain, and ``log_estimate`` is 1 - ln(N)/P.  To leading
+    order in 1/P the product is 1 - H_N/P, and ln(N) is only the large-N
+    form of the harmonic number H_N, so at small N the error 1 - p
+    exceeds ln(N)/P for any P: by 27% at N = 10 (H_10/ln(10) = 1.27) and
+    13% at N = 100.
     """
     if n_emitters < 1:
         raise ValueError(f"need at least one emitter, got {n_emitters}")
-    product = collection_probability_product(n_emitters, loss)
     if loss.gamma_star == 0.0:
         log_estimate = 1.0
     else:
         log_estimate = 1.0 - math.log(n_emitters) / loss.purcell
     return CollectionEstimate(
-        exact=product,
-        product_estimate=product,
+        exact=collection_probability_product(n_emitters, loss),
         log_estimate=log_estimate,
     )

@@ -1,15 +1,17 @@
-"""Polynomial-cost evaluation of the twin exchange integral.
+"""Polynomial-cost evaluation of the exchange integral of two arms.
 
 The naive exchange integral over a pair of m-photon cascades costs
 (m!)^4 terms.  Working in the time domain instead, integrating always
 over the latest remaining emission time maps the integral onto three
 triangular tables of partial integrals, distinguished by how many of
-the two swapped emission times are still pending.  Entry (i, j) of each
-table depends only on entries (i-1, j) and (i, j-1), so one pass over
-the antidiagonals i + j = k fills all three tables together while
-keeping only the previous antidiagonal of each: O(m^2) time and O(m)
-memory, which reaches a thousand photons per arm in a fraction of a
-second.
+the two swapped emission times are still pending.  Row i of each table
+steps down arm A's ladder and column j arm B's, so the arms may differ
+in rates and level frequencies; identical arms are the twin case.
+Entry (i, j) of each table depends only on entries (i-1, j) and
+(i, j-1), so one pass over the antidiagonals i + j = k fills all three
+tables together while keeping only the previous antidiagonal of each:
+O(m^2) time and O(m) memory, which reaches a thousand photons per arm
+in a fraction of a second.
 
 The tables are stored in the factorial-rescaled form (dividing entry
 (i, j) by i! j!); the rescaling removes the combinatorial prefactors
@@ -22,7 +24,6 @@ stays real throughout.
 """
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -96,19 +97,22 @@ def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
     }
 
 
-def _antidiagonals(rates, freqs):
+def _antidiagonals(a: DecayLadder, b: DecayLadder):
     """Fill the three tables in one pass, yielding ``(lo, f0, f1, f2)``.
 
-    Antidiagonal k holds the entries (i, k - i) for i = lo..lo + len - 1.
-    Each table's previous antidiagonal sits in a buffer of length m + 1
-    with entry i at index i + 1, so the neighbours (i - 1, j) and
-    (i, j - 1) are the plain slices [lo:hi + 1] and [lo + 1:hi + 2], and
-    the missing neighbours on the table's edges read a zero pad.  The
-    j-indexed coefficients are slices of reversed copies of the vectors.
+    Row i steps down arm a's ladder and column j arm b's.  Antidiagonal
+    k holds the entries (i, k - i) for i = lo..lo + len - 1.  Each
+    table's previous antidiagonal sits in a buffer of length m + 1 with
+    entry i at index i + 1, so the neighbours (i - 1, j) and (i, j - 1)
+    are the plain slices [lo:hi + 1] and [lo + 1:hi + 2], and the
+    missing neighbours on the table's edges read a zero pad.  The
+    j-indexed coefficients are slices of reversed copies of arm b's
+    vectors.
     """
-    vec = _ladder_vectors(rates, freqs)
-    rev = {name: v[::-1].copy() for name, v in vec.items()}
-    m = len(rates)
+    vec = _ladder_vectors(a.rates, a.frequencies)
+    rev = _ladder_vectors(b.rates, b.frequencies)
+    rev = {name: v[::-1].copy() for name, v in rev.items()}
+    m = a.levels
     # Accumulators of the previous antidiagonal, with pads of 1: a pad
     # neighbour then adds numerator / 1 * 0 = 0.  The base entry
     # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
@@ -152,69 +156,29 @@ def _antidiagonals(rates, freqs):
         p0, p1, p2 = q0, q1, q2
 
 
-def _twin_recurrence(rates, freqs) -> RecurrenceState:
-    """Run the recurrence for a twin pair of identical ladders."""
-    for _, _, _, f2 in _antidiagonals(rates, freqs):
+def _recurrence(a: DecayLadder, b: DecayLadder) -> RecurrenceState:
+    """Run the recurrence for arms a and b of equal photon number."""
+    for _, _, _, f2 in _antidiagonals(a, b):
         pass
-    return RecurrenceState(photons_per_arm=len(rates), corner=float(f2[0]))
+    return RecurrenceState(photons_per_arm=a.levels, corner=float(f2[0]))
 
 
 def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
-    """Exchange integral of a twin configuration via the table recurrence.
+    """Exchange integral of a zero-delay configuration via the table recurrence.
 
-    Requires identical arms and zero delay; distinct arms or delayed
-    arrival are exact-oracle territory (the analytic delay bound lives
-    in the error-budget module).
+    The two arms may be any ladders with the same photon number; delayed
+    arrival is exact-oracle territory (the analytic delay bound lives in
+    the error-budget module).
     """
     if config.delay != 0.0:
         raise ValueError(
             "recurrence handles zero delay only; use the oracle for the "
             "exact delayed value or the budget bound"
         )
-    if config.ladder_a != config.ladder_b:
-        raise ValueError(
-            "recurrence handles identical twin ladders only; use the "
-            "oracle for distinct arms"
-        )
-    ladder = config.ladder_a
-    state = _twin_recurrence(ladder.rates, ladder.frequencies)
+    state = _recurrence(config.ladder_a, config.ladder_b)
     return ExchangeIntegral(
         value=state.value,
-        total_photons=2 * ladder.levels,
-        method="recurrence",
-        exchanged_count=1,
-    )
-
-
-def mixed_rate_factor(gamma_ratio: float, n_total: int) -> float:
-    """Per-step model penalty (2 sqrt(r) / (1 + r))^N at coupling ratio r."""
-    if not gamma_ratio > 0.0:
-        raise ValueError(f"gamma ratio must be positive, got {gamma_ratio}")
-    r = float(gamma_ratio)
-    return (2.0 * math.sqrt(r) / (1.0 + r)) ** n_total
-
-
-def exchange_integral_mixed_rates(
-    m: int, gamma_ratio: float, gamma_1d: float = 1.0
-) -> ExchangeIntegral:
-    """Per-step model of the twin overlap for unequal couplings.
-
-    The model is the Dicke recurrence with the arm rates gamma and
-    gamma' = ratio * gamma entering as their geometric mean in every
-    numerator and their arithmetic mean in every exponent accumulator.
-    Each of the 2m update steps then acquires the identical factor
-    2 sqrt(r) / (1 + r), so the model is that factor to the power 2m
-    times the equal-coupling integral, evaluated here in closed form.
-
-    It is the exact overlap of the two ensembles only at m = 1; for
-    m >= 2 the oracle on the two distinct ladders gives a larger value
-    (0.9069 against 0.9016 at m = 2, r = 1.2).
-    """
-    factor = mixed_rate_factor(gamma_ratio, 2 * m)
-    ladder = build_dicke(m, gamma_1d)
-    return ExchangeIntegral(
-        value=factor * _twin_recurrence(ladder.rates, ladder.frequencies).value,
-        total_photons=2 * m,
+        total_photons=config.total_photons,
         method="recurrence",
         exchanged_count=1,
     )

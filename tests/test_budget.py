@@ -14,9 +14,8 @@ from dickeqfi.budget import (
     pulse_error,
     retardation_check,
 )
-from dickeqfi.exchange import mixed_rate_factor
 from dickeqfi.ladder import build_dicke
-from dickeqfi.oracle import oracle_delay_check
+from dickeqfi.oracle import oracle_delay_check, oracle_integral
 
 SIN_WAVEGUIDE = dict(
     quality_factor=1e6,
@@ -83,32 +82,21 @@ class TestPulseError:
 
 class TestMixedRateCorrection:
     def test_matched_couplings(self):
-        corr = mixed_rate_correction(0.0, 10)
-        assert corr.exact == 1.0
-        assert corr.expansion == 1.0
+        assert mixed_rate_correction(0.0, 10) == 1.0
 
     def test_twenty_percent_mismatch(self):
-        # gamma' = 1.2 gamma, i.e. relative mismatch -0.2
-        corr = mixed_rate_correction(-0.2, 10)
-        assert corr.exact == pytest.approx(0.9594, abs=5e-5)
-        assert corr.expansion == pytest.approx(0.95)
+        # gamma' = 1.2 gamma, i.e. relative mismatch -0.2, against the
+        # oracle's ratio of the mismatched to the matched overlap
+        a, b = build_dicke(5, 1.0), build_dicke(5, 1.2)
+        mismatched = oracle_integral(a, b, l=1, max_total_photons=10).value
+        matched = oracle_integral(a, a, l=1, max_total_photons=10).value
+        assert mixed_rate_correction(-0.2, 10) == pytest.approx(
+            mismatched / matched, rel=1e-12
+        )
 
-    def test_expansion_gap_shrinks_cubically(self):
-        # fitted envelope at the largest mismatch holds for smaller ones
-        x0 = 0.1
-        c = abs(
-            mixed_rate_correction(x0, 20).exact
-            - mixed_rate_correction(x0, 20).expansion
-        ) / x0**2
-        for x in (x0 / 10.0, x0 / 100.0):
-            corr = mixed_rate_correction(x, 20)
-            assert abs(corr.exact - corr.expansion) <= c * x**2
-
-    def test_requirement_scale(self):
-        # the expansion deviates from one by N d^2 / 8, so keeping the
-        # penalty small is the condition N d^2 << 1
-        corr = mixed_rate_correction(0.05, 100)
-        assert 1.0 - corr.expansion == pytest.approx(100 * 0.05**2 / 8.0)
+    def test_penalty_is_mild_at_the_paper_scale(self):
+        # N = 1000, d = 0.1: the per-step model put this at 0.250
+        assert mixed_rate_correction(0.1, 1000) == pytest.approx(0.97116, abs=5e-5)
 
     def test_rejects_flipped_coupling(self):
         with pytest.raises(ValueError):
@@ -255,7 +243,7 @@ class TestFullBudget:
     def test_mixed_channel_uses_closed_form(self):
         budget = full_budget(_params(delta_gamma=0.2), 0.9, 1.0)
         entry = {e.channel: e for e in budget.entries}["mixed_coupling"]
-        assert entry.value == pytest.approx(mixed_rate_factor(0.8, 10), rel=1e-12)
+        assert entry.value == mixed_rate_correction(0.2, 10)
 
     def test_collection_probability_validated(self):
         with pytest.raises(ValueError):

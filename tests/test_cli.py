@@ -286,6 +286,20 @@ class TestVerifyCommand:
         assert code == EXIT_NUMERIC
         assert "FAILED" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--m-max", "2"],
+         ["exchange", "--family", "dicke", "--n", "4", "--verify-oracle"]],
+        ids=["verify", "exchange"],
+    )
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, argv, tol):
+        # a NaN tolerance used to pass every case: worst > nan is never true
+        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        assert code == EXIT_USAGE
+        assert "tol:" in err
+        assert out == ""
+
     def test_honours_out(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"
         code, out, _ = run(capsys, "verify", "--m-max", "2", "--out", str(path))
@@ -399,6 +413,38 @@ def test_malformed_inputs_exit_usage(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+_SIN_REPORT = ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "300e-9",
+               "--gamma-1d", "3.7699e7", "--gamma-star", "6.2832e5", "--n", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv,key",
+    [
+        (_SIN_REPORT + ["--pulse-error", "nan"], "pulse_error"),
+        (_SIN_REPORT + ["--delay", "nan"], "delay"),
+        (_SIN_REPORT + ["--delta-gamma", "nan"], "delta_gamma"),
+        (_SIN_REPORT + ["--delta-gamma", "1.5"], "delta_gamma"),
+        (_SIN_REPORT + ["--margin-factor", "0"], "margin_factor"),
+        (_SIN_REPORT + ["--margin-factor", "nan"], "margin_factor"),
+        (_SIN_REPORT + ["--margin-factor", "inf"], "margin_factor"),
+        ([*_SIN_REPORT[:-4], "--gamma-star", "inf", "--n", "10"], "gamma_star"),
+        (["loss", "--n", "10", "--purcell", "nan"], "purcell"),
+        (["loss", "--n", "10", "--purcell", "0"], "purcell"),
+        (["loss", "--n", "10", "--purcell", "nan..1e3", "--points", "2"], "purcell"),
+    ],
+    ids=[
+        "pulse-nan", "delay-nan", "delta-gamma-nan", "delta-gamma-1.5", "margin-0",
+        "margin-nan", "margin-inf", "gamma-star-inf", "purcell-nan", "purcell-0",
+        "purcell-range-nan",
+    ],
+)
+def test_nonfinite_physical_inputs_name_the_key(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert key in err
+    assert out == ""
 
 
 def test_unknown_subcommand_exits_usage():

@@ -12,12 +12,10 @@ from dickeqfi.exchange import (
     LadderFamily,
     RecurrenceState,
     exchange_integral,
-    exchange_integral_mixed_rates,
-    mixed_rate_factor,
     qfi_vs_n_sweep,
     _antidiagonals,
     _ladder_vectors,
-    _twin_recurrence,
+    _recurrence,
     _worker_count,
 )
 from dickeqfi.ladder import (
@@ -27,42 +25,40 @@ from dickeqfi.ladder import (
     build_dicke,
     build_harmonic,
 )
-from dickeqfi.oracle import oracle_integral
+from dickeqfi.budget import mixed_rate_correction
+from dickeqfi.oracle import oracle_integral, oracle_integral_exact
 
 
 def twin(ladder):
     return TwinConfiguration(ladder, ladder)
 
 
-def split_recurrence(rates_num, rates_den, freqs):
-    """Twin recurrence with separate numerator and accumulator rates,
-    written as a plain double loop over the three tables.
-
-    Reference for the unequal-coupling model: with numerators at the
-    geometric and accumulators at the arithmetic mean of the two arm
-    rates, it must equal the closed form of exchange_integral_mixed_rates.
-    """
-    m = len(rates_num)
-    num, den, w = [0.0, *rates_num], [0.0, *rates_den], [0.0, *freqs]
+def split_recurrence(a, b):
+    """Recurrence of arms a (rows) and b (columns), written as a plain
+    double loop over the three full tables: the reference for the fused
+    antidiagonal pass."""
+    m = a.levels
+    ga, gb = [0.0, *a.rates], [0.0, *b.rates]
+    wa, wb = [0.0, *a.frequencies], [0.0, *b.frequencies]
 
     def c0(i, j):
-        return den[m - i] + den[m - j]
+        return ga[m - i] + gb[m - j]
 
     def c2(i, j):
-        return den[m - 1 - i] + den[m - 1 - j]
+        return ga[m - 1 - i] + gb[m - 1 - j]
 
     def c1(i, j):
-        dw = (w[m - i] - w[m - 1 - i]) - (w[m - j] - w[m - 1 - j])
+        dw = (wa[m - i] - wa[m - 1 - i]) - (wb[m - j] - wb[m - 1 - j])
         return (c0(i, j) + c2(i, j)) / 2 + 1j * dw
 
-    def n0(i):
-        return num[m - i + 1]
+    def n0(g, i):
+        return g[m - i + 1]
 
-    def n1(i):
-        return math.sqrt(num[m - i] * num[m - i + 1])
+    def n1(g, i):
+        return math.sqrt(g[m - i] * g[m - i + 1])
 
-    def n2(i):
-        return num[m - i]
+    def n2(g, i):
+        return g[m - i]
 
     f0 = np.zeros((m, m))
     f1 = np.zeros((m, m), dtype=complex)
@@ -71,14 +67,14 @@ def split_recurrence(rates_num, rates_den, freqs):
         for j in range(m):
             a0, a1, a2 = (1.0 if i == j == 0 else 0.0), 0j, 0.0
             if i:
-                a0 += n0(i) / c0(i - 1, j) * f0[i - 1, j]
-                a1 += n1(i) / c1(i - 1, j) * f1[i - 1, j]
-                a2 += n2(i) / c2(i - 1, j) * f2[i - 1, j]
+                a0 += n0(ga, i) / c0(i - 1, j) * f0[i - 1, j]
+                a1 += n1(ga, i) / c1(i - 1, j) * f1[i - 1, j]
+                a2 += n2(ga, i) / c2(i - 1, j) * f2[i - 1, j]
             if j:
-                a0 += n0(j) / c0(i, j - 1) * f0[i, j - 1]
-                a1 += n1(j) / c1(i, j - 1) * f1[i, j - 1]
-                a2 += n2(j) / c2(i, j - 1) * f2[i, j - 1]
-            s_cross = math.sqrt(num[m - i]) * math.sqrt(num[m - j])
+                a0 += n0(gb, j) / c0(i, j - 1) * f0[i, j - 1]
+                a1 += n1(gb, j) / c1(i, j - 1) * f1[i, j - 1]
+                a2 += n2(gb, j) / c2(i, j - 1) * f2[i, j - 1]
+            s_cross = math.sqrt(ga[m - i]) * math.sqrt(gb[m - j])
             f0[i, j] = a0
             f1[i, j] = a1 + s_cross / c0(i, j) * a0
             f2[i, j] = a2 + 2.0 * s_cross * (f1[i, j] / c1(i, j)).real
@@ -89,7 +85,7 @@ def full_tables(ladder):
     """The three m x m tables, rebuilt from the library's antidiagonals."""
     m = ladder.levels
     tables = (np.zeros((m, m)), np.zeros((m, m), dtype=complex), np.zeros((m, m)))
-    for k, (lo, *diagonals) in enumerate(_antidiagonals(ladder.rates, ladder.frequencies)):
+    for k, (lo, *diagonals) in enumerate(_antidiagonals(ladder, ladder)):
         i = np.arange(lo, lo + len(diagonals[0]))
         for table, diagonal in zip(tables, diagonals):
             table[i, k - i] = diagonal
@@ -150,22 +146,24 @@ class TestAgainstSplitReference:
     )
     def test_families(self, family, m):
         arm = family.build_arm(2 * m)
-        reference = split_recurrence(arm.rates, arm.rates, arm.frequencies)
+        reference = split_recurrence(arm, arm)
         assert exchange_integral(twin(arm)).value == pytest.approx(
             reference, rel=1e-13, abs=0.0
         )
 
     @given(
         m=st.integers(3, 7),
-        rates=st.lists(st.floats(0.05, 20.0), min_size=7, max_size=7),
-        freqs=st.lists(st.floats(-50.0, 50.0), min_size=7, max_size=7),
+        rates=st.lists(st.floats(0.05, 20.0), min_size=14, max_size=14),
+        freqs=st.lists(st.floats(-50.0, 50.0), min_size=14, max_size=14),
     )
     @settings(max_examples=40, deadline=None)
     def test_random_ladders(self, m, rates, freqs):
-        arm = DecayLadder(levels=m, rates=tuple(rates[:m]), frequencies=tuple(freqs[:m]))
-        reference = split_recurrence(arm.rates, arm.rates, arm.frequencies)
-        assert _twin_recurrence(arm.rates, arm.frequencies).corner / m**2 == pytest.approx(
-            reference, rel=1e-13, abs=0.0
+        # two independently drawn arms
+        a = DecayLadder(levels=m, rates=tuple(rates[:m]), frequencies=tuple(freqs[:m]))
+        b = DecayLadder(levels=m, rates=tuple(rates[7:7 + m]),
+                        frequencies=tuple(freqs[7:7 + m]))
+        assert _recurrence(a, b).corner / m**2 == pytest.approx(
+            split_recurrence(a, b), rel=1e-13, abs=0.0
         )
 
 
@@ -227,7 +225,7 @@ class TestRecurrenceState:
     def test_value_assembly(self):
         arm = build_dicke(3, 1.0)
         _, _, f2 = full_tables(arm)
-        state = _twin_recurrence(arm.rates, arm.frequencies)
+        state = _recurrence(arm, arm)
         assert state.corner == f2[2, 2]
         assert state.value == f2[2, 2] / 9.0
 
@@ -260,14 +258,21 @@ class TestRecurrenceState:
 
     @given(
         m=st.integers(1, 200),
-        gamma=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
-        u=st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0**e)),
-        kerr=st.booleans(),
+        arms=st.lists(
+            st.tuples(
+                st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+                st.one_of(st.just(0.0), st.floats(-8.0, 8.0).map(lambda e: 10.0**e)),
+                st.booleans(),
+            ),
+            min_size=2, max_size=2,
+        ),
     )
     @settings(max_examples=30, deadline=None)
-    def test_finite_and_bounded_over_scales(self, m, gamma, u, kerr):
-        arm = build_anharmonic(m, gamma, u) if kerr else build_dicke(m, gamma)
-        value = _twin_recurrence(arm.rates, arm.frequencies).value
+    def test_finite_and_bounded_over_scales(self, m, arms):
+        # two independently drawn Dicke or Kerr arms
+        a, b = (build_anharmonic(m, gamma, u) if kerr else build_dicke(m, gamma)
+                for gamma, u, kerr in arms)
+        value = _recurrence(a, b).value
         assert math.isfinite(value)
         assert 0.0 <= value <= 1.0
 
@@ -275,7 +280,7 @@ class TestRecurrenceState:
     def test_harmonic_overshoot_is_clipped_to_one(self, m, gamma):
         # the raw table entry reads a few ulps above one here
         arm = build_harmonic(m, gamma)
-        state = _twin_recurrence(arm.rates, arm.frequencies)
+        state = _recurrence(arm, arm)
         assert state.corner / m**2 > 1.0
         assert state.value == 1.0
 
@@ -287,7 +292,7 @@ class TestRecurrenceState:
     def test_nonfinite_entries_raise(self):
         arm = build_dicke(5, 1e300)
         with np.errstate(all="ignore"), pytest.raises(InvalidLadderError, match="nonfinite"):
-            _twin_recurrence(arm.rates, arm.frequencies)
+            _recurrence(arm, arm)
 
 
 class TestErrors:
@@ -296,73 +301,104 @@ class TestErrors:
         with pytest.raises(ValueError):
             exchange_integral(TwinConfiguration(arm, arm, delay=0.1))
 
-    def test_rejects_distinct_arms(self):
-        with pytest.raises(ValueError):
-            exchange_integral(
-                TwinConfiguration(build_dicke(2, 1.0), build_dicke(2, 2.0))
-            )
+
+DICKE_RATIOS = [0.3, 0.5, 1.2, 2.0, 3.0]
+KERR_PAIRS = [((1.0, 0.5), (2.0, 3.0)), ((1.0, 10.0), (1.5, 1.0)), ((0.3, 0.0), (2.0, 7.0))]
 
 
 class TestMixedRates:
+    """Distinct arms: unequal couplings and Kerr ladders of different gamma, u."""
+
     def test_equal_couplings_reduce_to_twin(self):
-        base = exchange_integral(twin(build_dicke(3, 1.0))).value
-        assert exchange_integral_mixed_rates(3, 1.0).value == pytest.approx(
-            base, rel=1e-14
-        )
+        arm = build_dicke(3, 1.0)
+        base = exchange_integral(twin(arm)).value
+        assert exchange_integral(TwinConfiguration(arm, build_dicke(3, 1.0))).value == base
 
     @pytest.mark.parametrize(
         "arm", [build_dicke(5, 1.0), build_anharmonic(4, 1.0, 3.0)], ids=["dicke", "kerr"]
     )
     def test_split_reference_matches_recurrence(self, arm):
-        reference = split_recurrence(arm.rates, arm.rates, arm.frequencies)
+        reference = split_recurrence(arm, arm)
         assert reference == pytest.approx(exchange_integral(twin(arm)).value, rel=1e-13)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 8])
     @pytest.mark.parametrize("ratio", [0.5, 1.2, 3.0])
-    def test_per_step_product_theorem(self, m, ratio):
-        ladder = build_dicke(m, 1.0)
-        rates = np.asarray(ladder.rates)
-        reference = split_recurrence(
-            rates * math.sqrt(ratio), rates * (1.0 + ratio) / 2.0, ladder.frequencies
+    def test_distinct_arms_match_split_reference(self, m, ratio):
+        a, b = build_dicke(m, 1.0), build_dicke(m, ratio)
+        assert exchange_integral(TwinConfiguration(a, b)).value == pytest.approx(
+            split_recurrence(a, b), rel=1e-13
         )
-        assert exchange_integral_mixed_rates(m, ratio).value == pytest.approx(
-            reference, rel=5e-14
-        )
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ratio", DICKE_RATIOS)
+    def test_dicke_arms_match_oracle(self, m, ratio):
+        a, b = build_dicke(m, 1.0), build_dicke(m, ratio)
+        rec = exchange_integral(TwinConfiguration(a, b)).value
+        assert rec == pytest.approx(oracle_integral(a, b, l=1).value, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("pair", KERR_PAIRS, ids=["a", "b", "c"])
+    def test_kerr_arms_match_oracle(self, m, pair):
+        a, b = (build_anharmonic(m, gamma, u) for gamma, u in pair)
+        rec = exchange_integral(TwinConfiguration(a, b)).value
+        assert rec == pytest.approx(oracle_integral(a, b, l=1).value, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m,ratio", [(2, 1.2), (3, 0.5)])
+    def test_dicke_arms_match_rational_oracle(self, m, ratio):
+        a, b = build_dicke(m, 1.0), build_dicke(m, ratio)
+        exact = oracle_integral_exact(a, b, l=1)
+        rec = exchange_integral(TwinConfiguration(a, b)).value
+        assert rec == pytest.approx(float(exact), rel=0.0, abs=1e-15)
 
     @pytest.mark.parametrize("ratio", [0.3, 0.5, 1.2, 3.0])
     def test_model_is_the_overlap_at_one_photon_per_arm(self, ratio):
-        exact = oracle_integral(build_dicke(1, 1.0), build_dicke(1, ratio), l=1).value
-        assert exchange_integral_mixed_rates(1, ratio).value == pytest.approx(
+        a, b = build_dicke(1, 1.0), build_dicke(1, ratio)
+        exact = oracle_integral(a, b, l=1).value
+        # one photon per arm: 2 sqrt(r) / (1 + r), squared
+        assert exact == pytest.approx(4.0 * ratio / (1.0 + ratio) ** 2, rel=1e-14)
+        assert exchange_integral(TwinConfiguration(a, b)).value == pytest.approx(
             exact, abs=1e-12
         )
 
     def test_documented_ten_photon_factor(self):
-        factor = mixed_rate_factor(1.2, 10)
-        assert factor == pytest.approx(0.9594, abs=5e-5)
-        ratio = (
-            exchange_integral_mixed_rates(5, 1.2).value
-            / exchange_integral(twin(build_dicke(5, 1.0))).value
-        )
-        assert ratio == pytest.approx(factor, rel=1e-12)
+        # N = 10, gamma' = 1.2 gamma: the per-step model's factor was 0.9594;
+        # test_budget checks this ratio against the oracle
+        a, b = build_dicke(5, 1.0), build_dicke(5, 1.2)
+        ratio = (exchange_integral(TwinConfiguration(a, b)).value
+                 / exchange_integral(twin(a)).value)
+        assert ratio == pytest.approx(0.984045, abs=5e-7)
 
     def test_quadratic_expansion(self):
-        # small mismatch d: factor = 1 - N d^2 / 8 + O(d^3)
-        for d in (1e-2, 1e-3):
-            factor = mixed_rate_factor(1.0 - d, 10)
-            assert abs(factor - (1.0 - 10.0 / 8.0 * d * d)) <= 10.0 * d**3
+        # small mismatch d: 1 - ratio = c d^2 + O(d^3), c independent of d
+        c = [(1.0 - mixed_rate_correction(d, 100)) / d**2 for d in (1e-2, 1e-3, -1e-3)]
+        assert c[1] == pytest.approx(c[0], rel=0.02)
+        assert c[2] == pytest.approx(c[1], rel=0.002)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [(build_dicke(4, 1.0), build_dicke(4, 2.5)),
+         (build_anharmonic(30, 1.0, 2.0), build_anharmonic(30, 0.7, 15.0)),
+         (build_dicke(60, 1.0), build_anharmonic(60, 3.0, 0.5))],
+        ids=["dicke", "kerr", "dicke-kerr"],
+    )
+    def test_symmetric_in_the_arms(self, a, b):
+        forward = exchange_integral(TwinConfiguration(a, b)).value
+        backward = exchange_integral(TwinConfiguration(b, a)).value
+        assert forward == pytest.approx(backward, rel=1e-13, abs=0.0)
 
     @given(ratio=st.floats(0.05, 20.0))
     @settings(max_examples=30, deadline=None)
     def test_ratio_inversion_symmetry(self, ratio):
-        assert mixed_rate_factor(ratio, 6) == pytest.approx(
-            mixed_rate_factor(1.0 / ratio, 6), rel=1e-12
-        )
+        # scale invariance and arm symmetry: I(1, r) = I(1/r, 1) = I(1, 1/r)
+        arm = build_dicke(3, 1.0)
+        up = exchange_integral(TwinConfiguration(arm, build_dicke(3, ratio))).value
+        down = exchange_integral(TwinConfiguration(arm, build_dicke(3, 1.0 / ratio))).value
+        assert up == pytest.approx(down, rel=1e-12)
 
     def test_rejects_nonpositive_ratio(self):
-        with pytest.raises(ValueError):
-            exchange_integral_mixed_rates(2, 0.0)
-        with pytest.raises(ValueError):
-            mixed_rate_factor(-1.0, 4)
+        for d in (1.0, 2.0):
+            with pytest.raises(ValueError):
+                mixed_rate_correction(d, 4)
 
 
 class TestAnharmonicFalloff:
