@@ -195,16 +195,22 @@ def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
     gamma-prime over gamma).  The penalty is the exact ratio
     I(gamma, (1 - d) gamma) / I(gamma, gamma) of the Dicke arms with
     N/2 photons each.  Its shortfall from one grows as d^2 and only
-    slowly with N: the ratio is 0.971 at N = 1000, d = 0.1.
+    slowly with N: the ratio is 0.971 at N = 1000, d = 0.1.  The stronger
+    arm is built at rate one, by the scale invariance I(1, r) = I(1/r, 1),
+    so no rate overflows at a large negative d; at d = 0 the ratio is
+    exactly one and no recurrence runs.
     """
     r = 1.0 - delta_gamma_rel
     if not r > 0.0:
         raise ValueError(
             f"relative mismatch {delta_gamma_rel} implies a nonpositive coupling"
         )
-    arm = build_dicke(n_photons // 2, 1.0)
-    mismatched = exchange_integral(TwinConfiguration(arm, build_dicke(n_photons // 2, r)))
-    return mismatched.value / exchange_integral(TwinConfiguration(arm, arm)).value
+    if delta_gamma_rel == 0.0:
+        return 1.0
+    m = n_photons // 2
+    pair = TwinConfiguration(build_dicke(m, min(1.0, 1.0 / r)), build_dicke(m, min(r, 1.0)))
+    arm = build_dicke(m, 1.0)
+    return exchange_integral(pair).value / exchange_integral(TwinConfiguration(arm, arm)).value
 
 
 def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrection:

@@ -7,9 +7,13 @@ Subcommands
     report     consolidated error budget for a platform parameter set
     verify     recurrence-vs-oracle equivalence run
 
-Values resolve with the precedence flags > config file > defaults.  CSV
-output is comma-separated with a header row, LF endings and full double
-precision; a leading timestamp comment line is suppressed by
+Values resolve with the precedence flags > config file > defaults
+(then $DICKEQFI_JOBS for --jobs).  Each option's row in ``_SUBCOMMANDS``
+holds the converter that checks it, whatever the source; a rejected
+value, a missing required one or an unknown config key names the key.
+
+CSV output is comma-separated with a header row, LF endings and full
+double precision; a leading timestamp comment line is suppressed by
 --no-header so that output bytes are reproducible.  Exit codes: 0 on
 success (also when the reader closes stdout early), 2 on validation
 errors, 1 on numeric failure.
@@ -116,64 +120,110 @@ def _write(cfg: RunConfig, lines):
         sys.stdout.writelines(lines)
 
 
-def _parse_int_range(spec: str, step: int, key: str) -> list[int]:
+_REQUIRED = object()  # default of an option that has to be given
+
+
+def _rule(need: str, parse, test=lambda x: True):
+    """Converter of a flag's text or a JSON string or number that ``parse``
+    reads and ``test`` accepts; ``need`` says what is accepted, unless
+    ``test`` raises a ValueError of its own."""
+    def convert(value):
+        plain = isinstance(value, (str, int, float)) and not isinstance(value, bool)
+        try:
+            x = parse(str(value))
+        except ValueError:
+            plain = False
+        if not (plain and test(x)):
+            raise ValueError(f"expected {need}, got {value!r}")
+        return x
+    return convert
+
+
+_COUNT = _rule("an integer >= 1", int, lambda n: n >= 1)
+_EVEN = _rule("an even integer >= 2", int, lambda n: n >= 2 and n % 2 == 0)
+_FINITE = _rule("a finite number", float, math.isfinite)
+_POSITIVE = _rule("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
+_NONNEGATIVE = _rule("a finite number >= 0", float, lambda x: 0.0 <= x < math.inf)
+_RATIO = _rule("a number > 0, or inf for no loss", float, lambda x: x > 0.0)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _choice(*names):
+    """Converter to one of ``names``, and argparse keywords listing them."""
+    return (_rule(f"one of {', '.join(names)}", str, names.__contains__),
+            {"metavar": "{" + ",".join(names) + "}"})
+
+
+def _int_list(spec: str, step: int = 1) -> range | list[int]:
+    """Integers >= 1 of a '4,8,16' list or of a '4..500' range in ``step``s."""
+    lo, sep, hi = spec.partition("..")
+    if sep:
+        return range(_COUNT(lo), _COUNT(hi) + 1, step)
+    return [_COUNT(tok) for tok in spec.split(",") if tok]
+
+
+def _ratios(spec: str, points: int = 2) -> list[float]:
+    """Rate ratios of a comma list of values, 'inf' and geometric 'lo..hi' ranges."""
+    ratios = []
+    for tok in filter(None, spec.split(",")):
+        lo, sep, hi = tok.partition("..")
+        if sep:
+            lo, hi = _POSITIVE(lo), _POSITIVE(hi)
+            if not lo < hi:
+                raise ValueError(f"a geometric range needs low < high, got {tok!r}")
+            ratios.extend(np.geomspace(lo, hi, points))
+        else:
+            ratios.append(_RATIO(tok))
+    return ratios
+
+
+def _families(spec: str) -> list[LadderFamily]:
+    """Unit-rate families of a comma list; 'anharmonic:<u>' sets the shift."""
+    parts = (tok.strip().partition(":") for tok in spec.split(","))
+    return [LadderFamily(kind, gamma=1.0, u=_FINITE(u) if sep else 0.0)
+            for kind, sep, u in parts]
+
+
+def _convert(convert, value, key: str):
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..")
-            lo, hi = int(float(lo)), int(float(hi))
-            return list(range(lo, hi + 1, step))
-        return [int(float(tok)) for tok in spec.split(",") if tok]
+        return convert(value)
     except ValueError as exc:
-        raise UsageError(key, f"could not parse integer list {spec!r}") from exc
-
-
-def _parse_float_list(spec: str, points: int, key: str) -> list[float]:
-    try:
-        if ".." in spec:
-            lo, hi = (float(tok) for tok in spec.split(".."))
-            if lo <= 0 or hi <= lo:
-                raise ValueError("need 0 < low < high for a geometric range")
-            return list(np.geomspace(lo, hi, points))
-        return [float(tok) for tok in spec.split(",") if tok]
-    except ValueError as exc:
-        raise UsageError(key, f"could not parse value list {spec!r}") from exc
-
-
-def _positive_int(value, key: str) -> int:
-    text = str(value).strip()
-    if not text.isdecimal() or int(text) < 1:
-        raise UsageError(key, f"expected an integer >= 1, got {value!r}")
-    return int(text)
+        raise UsageError(key, str(exc)) from None
 
 
 def _resolve(args: argparse.Namespace, table) -> RunConfig:
-    """Merge flag values over config-file values over the table defaults."""
-    file_values = {}
+    """Each option from its flag, else the config file, else its default;
+    a given value passes through the row's converter."""
+    given = {}
     if args.config:
         with open(args.config) as handle:
             loaded = json.load(handle)
-        if "options" in loaded:  # accept a dumped RunConfig verbatim
-            file_values = dict(loaded["options"])
-        else:
-            file_values = dict(loaded)
+        # a dumped RunConfig is accepted verbatim
+        given = loaded.get("options", loaded) if isinstance(loaded, dict) else None
+        if not isinstance(given, dict):
+            raise UsageError("config", "expected a JSON object of options")
+    keys = [row[0][2:].replace("-", "_") for row in table]
+    unknown = sorted(set(given) - set(keys))
+    if unknown:
+        raise UsageError(unknown[0], f"not an option of {args.subcommand}")
     options = {}
-    for name, default, _ in table:
-        key = name[2:].replace("-", "_")
-        flag = getattr(args, key)
-        if flag is not None:
-            options[key] = flag
-        elif key in file_values:
-            options[key] = file_values[key]
+    for key, (_, default, convert, _) in zip(keys, table):
+        value = getattr(args, key)
+        value = given.get(key) if value is None else value
+        if value is not None:
+            options[key] = _convert(convert, value, key)
+        elif default is _REQUIRED:
+            raise UsageError(key, "a value is required")
         else:
             options[key] = default
-    if options["jobs"] is not None:
-        options["jobs"] = _positive_int(options["jobs"], "jobs")
-    elif os.environ.get(_ENV_JOBS):
-        options["jobs"] = _positive_int(os.environ[_ENV_JOBS], _ENV_JOBS)
-    else:
-        options["jobs"] = os.cpu_count() or 1
-    if options["format"] not in ("csv", "json"):
-        raise UsageError("format", f"unsupported output format {options['format']!r}")
+    if options["jobs"] is None:
+        env = os.environ.get(_ENV_JOBS)
+        options["jobs"] = _convert(_COUNT, env, _ENV_JOBS) if env else os.cpu_count() or 1
     cfg = RunConfig(subcommand=args.subcommand, options=options)
     if args.dump_config:
         with open(args.dump_config, "w") as handle:
@@ -182,28 +232,17 @@ def _resolve(args: argparse.Namespace, table) -> RunConfig:
 
 
 def _family(options) -> LadderFamily:
-    kind = options["family"]
-    if kind is None:
-        raise UsageError("family", "a ladder family is required")
-    if kind not in ("dicke", "harmonic", "anharmonic"):
-        raise UsageError("family", f"unknown family {kind!r}")
-    return LadderFamily(kind=kind, gamma=float(options["gamma"]),
-                        u=float(options["u_over_gamma"]) * float(options["gamma"]))
+    return LadderFamily(kind=options["family"], gamma=options["gamma"],
+                        u=options["u_over_gamma"] * options["gamma"])
 
 
 def cmd_exchange(cfg: RunConfig) -> int:
     opts = cfg.options
-    if opts["n"] is None:
-        raise UsageError("n", "a photon-number list or range is required")
     family = _family(opts)
-    n_values = _parse_int_range(str(opts["n"]), int(opts["step"]), "n")
-    for n in n_values:
-        if n < 2 or n % 2:
-            raise UsageError("n", f"total photon numbers must be even >= 2, got {n}")
+    n_values = [_convert(_EVEN, n, "n") for n in _int_list(opts["n"], opts["step"])]
 
     if opts["verify_oracle"]:
-        guard = int(opts["oracle_max"])
-        cases = ((f"N={n}", None if n > guard else family.build_arm(n))
+        cases = ((f"N={n}", None if n > opts["oracle_max"] else family.build_arm(n))
                  for n in n_values)
         return _oracle_check(cfg, cases, summary=False)
 
@@ -222,22 +261,8 @@ _LOSS_COLUMNS = ("N", "purcell", "one_minus_p_exact", "one_minus_p_product",
 
 def cmd_loss(cfg: RunConfig) -> int:
     opts = cfg.options
-    if opts["n"] is None:
-        raise UsageError("n", "an emitter-number list is required")
-    n_values = _parse_int_range(str(opts["n"]), 1, "n")
-    for n in n_values:
-        if n < 1:
-            raise UsageError("n", f"emitter numbers must be positive, got {n}")
-    purcells = []
-    for tok in str(opts["purcell"]).split(","):
-        tok = tok.strip()
-        if tok in ("inf", "Inf", "INF"):
-            purcells.append(math.inf)
-        else:
-            purcells.extend(_parse_float_list(tok, int(opts["points"]), "purcell"))
-    for p1d in purcells:
-        if not p1d > 0.0:
-            raise UsageError("purcell", f"rate ratios must be positive, got {p1d}")
+    n_values = _int_list(opts["n"])
+    purcells = _ratios(opts["purcell"], opts["points"])
 
     if opts["trace"]:
         if len(n_values) != 1 or len(purcells) != 1:
@@ -275,21 +300,15 @@ def cmd_loss(cfg: RunConfig) -> int:
 def cmd_parity(cfg: RunConfig) -> int:
     opts = cfg.options
     m = opts["m"]
-    if m is None:
-        raise UsageError("m", "the photons-per-arm count is required")
-    m = int(m)
-    if m < 1:
-        raise UsageError("m", f"need at least one photon per arm, got {m}")
-    single = bool(opts["single_mode"])
-    if not single and opts["family"] is None:
+    if not opts["single_mode"] and opts["family"] is None:
         raise UsageError("family", "choose --single-mode or a ladder family")
 
-    if single:
+    if opts["single_mode"]:
         integrals = [1.0] * (m + 1)
     else:
         family = _family(opts)
         arm = family.build_arm(2 * m)
-        guard = int(opts["oracle_max"])
+        guard = opts["oracle_max"]
         if 2 * m > guard:
             raise UsageError("m", f"{m} photons per arm exceeds the oracle guard "
                              f"({guard} total); rerun with --single-mode or raise --oracle-max")
@@ -298,8 +317,7 @@ def cmd_parity(cfg: RunConfig) -> int:
             for l in range(m + 1)
         ]
 
-    phis = np.linspace(-float(opts["phi_max"]), float(opts["phi_max"]),
-                       int(opts["points"]))
+    phis = np.linspace(-opts["phi_max"], opts["phi_max"], opts["points"])
     curve = parity_curve(m, integrals, phis)
     one_pair = ExchangeIntegral(value=integrals[1], total_photons=2 * m,
                                 method="oracle", exchanged_count=1)
@@ -318,25 +336,13 @@ def cmd_parity(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_REPORT_REQUIRED = ("q", "n_g", "lambda_a", "gamma_1d", "gamma_star", "n")
-
-
 def cmd_report(cfg: RunConfig) -> int:
     opts = cfg.options
-    for key in _REPORT_REQUIRED:
-        if opts[key] is None:
-            raise UsageError(key, "required physical parameter is missing")
     params = PlatformParams(
-        quality_factor=float(opts["q"]),
-        group_index=float(opts["n_g"]),
-        wavelength=float(opts["lambda_a"]),
-        gamma_1d=float(opts["gamma_1d"]),
-        gamma_star=float(opts["gamma_star"]),
-        n_photons=int(opts["n"]),
-        pulse_error=float(opts["pulse_error"]),
-        delta_gamma=float(opts["delta_gamma"]),
-        delay=float(opts["delay"]),
-        interferometer_loss=float(opts["eta"]),
+        quality_factor=opts["q"], group_index=opts["n_g"], wavelength=opts["lambda_a"],
+        gamma_1d=opts["gamma_1d"], gamma_star=opts["gamma_star"], n_photons=opts["n"],
+        pulse_error=opts["pulse_error"], delta_gamma=opts["delta_gamma"],
+        delay=opts["delay"], interferometer_loss=opts["eta"],
     )
     n = params.n_photons
     arm = build_dicke(n // 2, 1.0)
@@ -344,8 +350,7 @@ def cmd_report(cfg: RunConfig) -> int:
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
     loss = LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
     p = dicke_collection_probability(n // 2, loss).exact
-    budget = full_budget(params, integral, p,
-                         margin_factor=float(opts["margin_factor"]))
+    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
         payload = budget.to_dict()
@@ -384,9 +389,7 @@ def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
     arm of None marks a case above the oracle guard, reported as skipped.
     ``summary`` adds a closing line when every case is within --tol."""
     opts = cfg.options
-    tol = float(opts["tol"])
-    if not 0.0 <= tol < math.inf:
-        raise UsageError("tol", f"expected a finite number >= 0, got {opts['tol']!r}")
+    tol = opts["tol"]
     worst = 0.0
     lines = []
     for label, arm in cases:
@@ -394,8 +397,7 @@ def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
             lines.append(f"{label}: skipped (above oracle guard {opts['oracle_max']})\n")
             continue
         rec = exchange_integral(TwinConfiguration(arm, arm)).value
-        ora = oracle_integral(arm, arm, l=1,
-                              max_total_photons=int(opts["oracle_max"])).value
+        ora = oracle_integral(arm, arm, l=1, max_total_photons=opts["oracle_max"]).value
         diff = abs(rec - ora)
         worst = max(worst, diff)
         lines.append(f"{label}: recurrence={rec:.12e} oracle={ora:.12e} |diff|={diff:.3e}\n")
@@ -412,18 +414,10 @@ def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     opts = cfg.options
-    families = []
-    for tok in str(opts["families"]).split(","):
-        tok = tok.strip()
-        if ":" in tok:
-            kind, u = tok.split(":")
-            families.append(LadderFamily(kind=kind, gamma=1.0, u=float(u)))
-        else:
-            families.append(LadderFamily(kind=tok, gamma=1.0))
     cases = (
         (f"{_family_label(family):<22} m={m}", family.build_arm(2 * m))
-        for family in families
-        for m in range(1, int(opts["m_max"]) + 1)
+        for family in _families(opts["families"])
+        for m in range(1, opts["m_max"] + 1)
     )
     return _oracle_check(cfg, cases, summary=True)
 
@@ -432,70 +426,75 @@ def _family_label(family: LadderFamily) -> str:
     return family.kind if family.u == 0 else f"{family.kind}(u={family.u:g})"
 
 
-_FAMILY = ("--family", None, {"choices": ["dicke", "harmonic", "anharmonic"]})
-_GAMMA = ("--gamma", 1.0, {"type": float})
-_U_OVER_GAMMA = ("--u-over-gamma", 0.0, {"type": float})
-_TOL = ("--tol", 1e-9, {"type": float})
+_FAMILY_KIND = _choice("dicke", "harmonic", "anharmonic")
+_N_SPEC = _rule("a list or range of integers", str, _int_list)
+_GAMMA = ("--gamma", 1.0, _POSITIVE, {})
+_U_OVER_GAMMA = ("--u-over-gamma", 0.0, _FINITE, {})
+_TOL = ("--tol", 1e-9, _NONNEGATIVE, {})
 _COMMON = (
-    ("--out", None, {"help": "output path (default: stdout)"}),
-    ("--format", "csv", {"choices": ["csv", "json"]}),
-    ("--jobs", None, {"help": "worker processes, an integer >= 1 "
-                              f"(default: ${_ENV_JOBS} or logical cores)"}),
-    ("--no-header", False, {"action": "store_true",
-                            "help": "suppress the timestamp header line"}),
-    ("--oracle-max", DEFAULT_MAX_TOTAL_PHOTONS,
-     {"type": int, "help": "total-photon guard for oracle evaluations"}),
+    ("--out", None, _rule("a path", str), {"help": "output path (default: stdout)"}),
+    ("--format", "csv", *_choice("csv", "json")),
+    ("--jobs", None, _COUNT, {"help": "worker processes, an integer >= 1 "
+                                      f"(default: ${_ENV_JOBS} or logical cores)"}),
+    ("--no-header", False, _flag, {"action": "store_true",
+                                   "help": "suppress the timestamp header line"}),
+    ("--oracle-max", DEFAULT_MAX_TOTAL_PHOTONS, _COUNT,
+     {"help": "total-photon guard for oracle evaluations"}),
 )
 
 # Each subcommand: handler, help line and its options as (flag, default,
-# argparse keywords).  The parser gives every flag a None default, so that
-# _resolve can tell an omitted flag from one that was set.
+# converter, argparse keywords).  The parser gives every flag a None
+# default, so that _resolve can tell an omitted flag from one that was set.
 _SUBCOMMANDS = {
     "exchange": (cmd_exchange, "exchange-integral / QFI sweep", (
-        _FAMILY, _GAMMA, _U_OVER_GAMMA,
-        ("--n", None, {"help": "total photon numbers: '4..500' or '4,8,16'"}),
-        ("--step", 2, {"type": int}),
-        ("--verify-oracle", False, {"action": "store_true"}),
+        ("--family", _REQUIRED, *_FAMILY_KIND), _GAMMA, _U_OVER_GAMMA,
+        ("--n", _REQUIRED, _N_SPEC, {"help": "total photon numbers: '4..500' or '4,8,16'"}),
+        ("--step", 2, _COUNT, {}),
+        ("--verify-oracle", False, _flag, {"action": "store_true"}),
         _TOL, *_COMMON,
     )),
     "loss": (cmd_loss, "collection-probability sweep or trace", (
-        ("--n", None, {"help": "emitter numbers: '10,100,1000'"}),
-        ("--purcell", "inf", {"help": "'10..1e5', comma list, or 'inf'"}),
-        ("--points", 17, {"type": int, "help": "points of a geometric purcell range"}),
-        ("--trace", False, {"action": "store_true",
-                            "help": "emit the population trace instead of the sweep"}),
+        ("--n", _REQUIRED, _N_SPEC, {"help": "emitter numbers: '10,100,1000'"}),
+        ("--purcell", "inf", _rule("a list or range of rate ratios", str, _ratios),
+         {"help": "'10..1e5', comma list, or 'inf'"}),
+        ("--points", 17, _COUNT, {"help": "points of a geometric purcell range"}),
+        ("--trace", False, _flag, {"action": "store_true",
+                                   "help": "emit the population trace instead of the sweep"}),
         *_COMMON,
     )),
     "parity": (cmd_parity, "parity fringe and curvature check", (
-        ("--m", None, {"type": int, "help": "photons per arm"}),
-        ("--single-mode", False, {"action": "store_true"}),
-        _FAMILY, _GAMMA, _U_OVER_GAMMA,
-        ("--phi-max", math.pi / 2, {"type": float}),
-        ("--points", 181, {"type": int}),
-        ("--check-derivative", False, {"action": "store_true"}),
+        ("--m", _REQUIRED, _COUNT, {"help": "photons per arm"}),
+        ("--single-mode", False, _flag, {"action": "store_true"}),
+        ("--family", None, *_FAMILY_KIND), _GAMMA, _U_OVER_GAMMA,
+        ("--phi-max", math.pi / 2, _FINITE, {}),
+        ("--points", 181, _COUNT, {}),
+        ("--check-derivative", False, _flag, {"action": "store_true"}),
         *_COMMON,
     )),
     "report": (cmd_report, "consolidated platform error budget", (
-        ("--q", None, {"type": float, "help": "waveguide quality factor"}),
-        ("--n-g", None, {"type": float, "help": "group index"}),
-        ("--lambda-a", None, {"type": float, "help": "emitter wavelength [m]"}),
-        ("--gamma-1d", None, {"type": float, "help": "guided decay rate [rad/s]"}),
-        ("--gamma-star", None, {"type": float, "help": "residual decay rate [rad/s]"}),
-        ("--n", None, {"type": int, "help": "total photon number (even)"}),
-        ("--pulse-error", 0.0, {"type": float}),
-        ("--delta-gamma", 0.0, {"type": float, "help": "relative coupling mismatch "
-                                "d < 1 of the two ensembles (exact overlap penalty)"}),
-        ("--delay", 0.0, {"type": float, "help": "wavepacket arrival delay [s]"}),
-        ("--eta", 0.0, {"type": float, "help": "interferometer photon-loss probability"}),
-        ("--margin-factor", 10.0, {"type": float}),
-        ("--json", False, {"action": "store_true"}),
-        ("--fidelity-table", False, {"action": "store_true"}),
+        ("--q", _REQUIRED, _POSITIVE, {"help": "waveguide quality factor"}),
+        ("--n-g", _REQUIRED, _POSITIVE, {"help": "group index"}),
+        ("--lambda-a", _REQUIRED, _POSITIVE, {"help": "emitter wavelength [m]"}),
+        ("--gamma-1d", _REQUIRED, _POSITIVE, {"help": "guided decay rate [rad/s]"}),
+        ("--gamma-star", _REQUIRED, _NONNEGATIVE, {"help": "residual decay rate [rad/s]"}),
+        ("--n", _REQUIRED, _EVEN, {"help": "total photon number (even)"}),
+        ("--pulse-error", 0.0, _NONNEGATIVE, {}),
+        ("--delta-gamma", 0.0, _rule("a finite number < 1", float, lambda x: -math.inf < x < 1),
+         {"help": "relative coupling mismatch d < 1 of the two ensembles "
+                  "(exact overlap penalty)"}),
+        ("--delay", 0.0, _NONNEGATIVE, {"help": "wavepacket arrival delay [s]"}),
+        ("--eta", 0.0, _rule("a probability in [0, 1]", float, lambda x: 0 <= x <= 1),
+         {"help": "interferometer photon-loss probability"}),
+        ("--margin-factor", 10.0, _POSITIVE, {}),
+        ("--json", False, _flag, {"action": "store_true"}),
+        ("--fidelity-table", False, _flag, {"action": "store_true"}),
         *_COMMON,
     )),
     "verify": (cmd_verify, "recurrence-vs-oracle equivalence run", (
         ("--families", "dicke,harmonic,anharmonic:1,anharmonic:10,anharmonic:1000",
+         _rule("a list of families", str, _families),
          {"help": "comma list, 'anharmonic:<u>' for shifts"}),
-        ("--m-max", 4, {"type": int}),
+        ("--m-max", 4, _COUNT, {}),
         _TOL, *_COMMON,
     )),
 }
@@ -510,7 +509,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (_, help_line, table) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_line)
-        for flag, _, kwargs in table:
+        for flag, _, _, kwargs in table:
             p.add_argument(flag, default=None, **kwargs)
         p.add_argument("--config", help="JSON file with option defaults")
         p.add_argument("--dump-config", help="write the resolved configuration as JSON")

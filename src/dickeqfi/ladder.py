@@ -15,6 +15,7 @@ frequency 0 by definition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -24,8 +25,9 @@ class DecayLadder:
 
     ``rates[j-1]`` is the decay rate of level j to level j-1 and
     ``frequencies[j-1]`` the energy of level j (level 0 is at 0).  Every
-    rate must be strictly positive; this is what guarantees convergence
-    of all exchange integrals built from the ladder.
+    rate must be strictly positive and finite, and every frequency
+    finite; this is what guarantees convergence of all exchange integrals
+    built from the ladder.
     """
 
     levels: int
@@ -47,9 +49,11 @@ class DecayLadder:
             raise ValueError(
                 f"expected {self.levels} frequencies, got {len(self.frequencies)}"
             )
-        for j, rate in enumerate(self.rates, start=1):
-            if not rate > 0.0:
-                raise ValueError(f"rate of level {j} must be positive, got {rate}")
+        for j, (rate, freq) in enumerate(zip(self.rates, self.frequencies), start=1):
+            if not 0.0 < rate < math.inf:
+                raise ValueError(f"rate of level {j} must be positive and finite, got {rate}")
+            if not math.isfinite(freq):
+                raise ValueError(f"frequency of level {j} must be finite, got {freq}")
 
     def to_dict(self) -> dict:
         return {

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dickeqfi.budget
 from dickeqfi.budget import (
     PlatformParams,
     SPEED_OF_LIGHT,
@@ -14,7 +15,8 @@ from dickeqfi.budget import (
     pulse_error,
     retardation_check,
 )
-from dickeqfi.ladder import build_dicke
+from dickeqfi.exchange import exchange_integral
+from dickeqfi.ladder import TwinConfiguration, build_dicke
 from dickeqfi.oracle import oracle_delay_check, oracle_integral
 
 SIN_WAVEGUIDE = dict(
@@ -101,6 +103,21 @@ class TestMixedRateCorrection:
     def test_rejects_flipped_coupling(self):
         with pytest.raises(ValueError):
             mixed_rate_correction(1.5, 10)
+
+    def test_stronger_second_arm_matches_the_unscaled_ratio(self):
+        # d < 0 builds the arms at rates 1/r and 1, not 1 and r = 1 - d
+        arm = build_dicke(50, 1.0)
+        unscaled = exchange_integral(TwinConfiguration(arm, build_dicke(50, 1.1))).value
+        unscaled /= exchange_integral(TwinConfiguration(arm, arm)).value
+        assert mixed_rate_correction(-0.1, 100) == pytest.approx(unscaled, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("d,calls", [(0.0, 0), (0.1, 2)])
+    def test_matched_couplings_run_no_recurrence(self, monkeypatch, d, calls):
+        seen = []
+        monkeypatch.setattr(dickeqfi.budget, "exchange_integral",
+                            lambda config: seen.append(config) or exchange_integral(config))
+        full_budget(_params(delta_gamma=d), 0.9, 1.0)
+        assert len(seen) == calls
 
 
 class TestDelayCorrection:

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import dickeqfi
-from dickeqfi.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
+from dickeqfi.cli import _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
 
 
 def run(capsys, *argv):
@@ -490,3 +491,136 @@ def test_traced_names_resolve():
 
     for module, attr, _, _ in WRAPPED:
         assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def test_large_negative_mismatch_stays_finite(capsys):
+    # d = -1e300 asks for a second arm 1e300 times stronger; no rate may overflow
+    code, out, err = run(capsys, *_SIN_REPORT[:-1], "100", "--delta-gamma=-1e300", "--json")
+    assert code == EXIT_OK
+    assert err == ""
+    entry = next(e for e in json.loads(out)["entries"] if e["channel"] == "mixed_coupling")
+    assert 0.0 <= entry["value"] <= 1.0
+
+
+# Options that every run of a subcommand needs, given in its config file.
+_NEEDED = {
+    "exchange": {"family": "dicke", "n": "4"},
+    "loss": {"n": "3"},
+    "parity": {"m": 1, "family": "dicke"},
+    "report": {"q": 1e6, "n_g": 10, "lambda_a": 3e-7, "gamma_1d": 3.7699e7,
+               "gamma_star": 6.2832e5, "n": 4},
+    "verify": {"m_max": 1},
+}
+
+# Per option: a valid value as flag text and the same value in JSON, then an
+# invalid flag text (None for a switch or a path, where every flag is valid)
+# and an invalid JSON value.  A switch's valid flag is the bare flag.
+_CASES = {
+    "family": ("harmonic", "harmonic", "cubic", 1),
+    "gamma": ("0.5", 0.5, "inf", "inf"),
+    "u_over_gamma": ("2", 2, "nan", "x"),
+    "step": ("4", 4, "-2", 0),
+    "verify_oracle": (True, True, None, "true"),
+    "tol": ("1e-6", 1e-6, "nan", -1),
+    "out": ("out.txt", "out.txt", None, True),
+    "format": ("json", "json", "xml", ["csv"]),
+    "jobs": ("1", 1, "0", 2.5),
+    "no_header": (True, True, None, "yes"),
+    "oracle_max": ("6", 6, "0", "six"),
+    "purcell": ("10..100", "10..100", "0", "100..10"),
+    "points": ("3", 3, "0", 1.5),
+    "trace": (True, True, None, "false"),
+    "m": ("2", 2, "0", True),
+    "single_mode": (True, True, None, 1),
+    "phi_max": ("1", 1, "inf", "nan"),
+    "check_derivative": (True, True, None, "false"),
+    "q": ("2e6", 2e6, "nan", -1),
+    "n_g": ("5", 5, "0", "inf"),
+    "lambda_a": ("5e-7", 5e-7, "-1", 0),
+    "gamma_1d": ("1e7", 1e7, "inf", "fast"),
+    "gamma_star": ("0", 0, "-1", "inf"),
+    "pulse_error": ("0.01", 0.01, "-0.1", "nan"),
+    "delta_gamma": ("0.1", 0.1, "1", "nan"),
+    "delay": ("1e-12", 1e-12, "-1", "inf"),
+    "eta": ("0.01", 0.01, "2", -0.1),
+    "margin_factor": ("5", 5, "0", "inf"),
+    "json": (True, True, None, "true"),
+    "fidelity_table": (True, True, None, 0),
+    "families": ("dicke,anharmonic:3", "dicke,anharmonic:3", "cubic", "anharmonic:x"),
+    "m_max": ("2", 2, "0", 0),
+    ("exchange", "n"): ("4,6", "4,6", "4.5", 4.5),
+    ("loss", "n"): ("3,5", "3,5", "0", "x"),
+    ("report", "n"): ("6", 6, "5", 4.5),
+}
+
+
+def _option_rows():
+    for subcommand, (_, _, table) in _SUBCOMMANDS.items():
+        for flag, *_ in table:
+            key = flag[2:].replace("-", "_")
+            yield pytest.param(subcommand, flag, key, id=f"{subcommand}-{key}")
+
+
+@pytest.mark.parametrize("subcommand,flag,key", _option_rows())
+def test_every_option_reads_alike_from_flag_and_config(
+    tmp_path, capsys, monkeypatch, subcommand, flag, key
+):
+    case = _CASES.get((subcommand, key), _CASES.get(key))
+    assert case is not None, f"no test values for {subcommand} {flag}"
+    valid_flag, valid_json, invalid_flag, invalid_json = case
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DICKEQFI_JOBS", "1")
+
+    names = itertools.count()
+
+    def config(**values):
+        path = tmp_path / f"config{next(names)}.json"
+        path.write_text(json.dumps({**_NEEDED[subcommand], **values}))
+        return ["--config", str(path)]
+
+    as_flag = [flag] if valid_flag is True else [f"{flag}={valid_flag}"]
+    dumps = []
+    for argv in (config() + as_flag, config(**{key: valid_json})):
+        dump = tmp_path / f"dump{len(dumps)}.json"
+        code, _, err = run(capsys, subcommand, *argv, "--dump-config", str(dump))
+        assert code == EXIT_OK, err
+        dumps.append(dump.read_bytes())
+    assert dumps[0] == dumps[1]
+
+    invalid = [config(**{key: invalid_json})]
+    if invalid_flag is not None:
+        invalid.append(config() + [f"{flag}={invalid_flag}"])
+    for argv in invalid:
+        code, out, err = run(capsys, subcommand, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {key}:"), err
+        assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,config,key",
+    [
+        (["loss", "--n", "3"], {"trace": "false"}, "trace"),
+        (["exchange", "--family", "dicke", "--n", "4"], {"no-header": True}, "no-header"),
+        (["verify", "--m-max", "0"], None, "m_max"),
+        (["exchange", "--family", "dicke", "--n", "4..10", "--step=-2"], None, "step"),
+        (["parity", "--family", "dicke", "--m", "2", "--gamma", "inf"], None, "gamma"),
+        (["exchange", "--family", "dicke", "--n", "4.5"], None, "n"),
+        (["exchange", "--family", "dicke", "--n", "1e400"], None, "n"),
+        (["exchange", "--family", "dicke", "--n", "4"], {"gamma": "inf"}, "gamma"),
+    ],
+    ids=[
+        "config-trace-string", "config-hyphen-key", "m-max-0", "negative-step",
+        "infinite-gamma", "fractional-n", "overflowing-n", "config-gamma-inf",
+    ],
+)
+def test_misread_inputs_name_their_key(tmp_path, capsys, argv, config, key):
+    # a bare cast would misread each of these or fail without naming the key
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: {key}:"), err
+    assert out == ""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -98,6 +100,20 @@ class TestDecayLadderValidation:
     def test_nonpositive_rate(self):
         with pytest.raises(ValueError):
             DecayLadder(levels=2, rates=(1.0, 0.0), frequencies=(0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: build_dicke(3, math.inf), "rate of level 1"),
+            (lambda: build_harmonic(3, math.inf), "rate of level 1"),
+            # level 1 sits at 0 * u, which is NaN for a NaN shift
+            (lambda: build_anharmonic(3, 1.0, math.nan), "frequency of level 1"),
+        ],
+        ids=["dicke-inf-rate", "harmonic-inf-rate", "anharmonic-nan-shift"],
+    )
+    def test_nonfinite_ladders_are_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_json_round_trip(self):
         ladder = build_anharmonic(3, 2.0, 7.5)
