@@ -188,7 +188,9 @@ def pulse_error(delta_omega_t: float, n_photons: int) -> PulseErrorEstimate:
     )
 
 
-def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
+def mixed_rate_correction(
+    delta_gamma_rel: float, n_photons: int, matched_overlap: float | None = None
+) -> float:
     """Overlap penalty when the two ensembles couple unequally.
 
     ``delta_gamma_rel`` is the relative coupling mismatch d (gamma minus
@@ -198,7 +200,8 @@ def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
     slowly with N: the ratio is 0.971 at N = 1000, d = 0.1.  The stronger
     arm is built at rate one, by the scale invariance I(1, r) = I(1/r, 1),
     so no rate overflows at a large negative d; at d = 0 the ratio is
-    exactly one and no recurrence runs.
+    exactly one and no recurrence runs.  ``matched_overlap`` is the
+    denominator I(gamma, gamma), if the caller has already computed it.
     """
     r = 1.0 - delta_gamma_rel
     if not r > 0.0:
@@ -209,8 +212,10 @@ def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
         return 1.0
     m = n_photons // 2
     pair = TwinConfiguration(build_dicke(m, min(1.0, 1.0 / r)), build_dicke(m, min(r, 1.0)))
-    arm = build_dicke(m, 1.0)
-    return exchange_integral(pair).value / exchange_integral(TwinConfiguration(arm, arm)).value
+    if matched_overlap is None:
+        arm = build_dicke(m, 1.0)
+        matched_overlap = exchange_integral(TwinConfiguration(arm, arm)).value
+    return exchange_integral(pair).value / matched_overlap
 
 
 def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrection:
@@ -296,6 +301,7 @@ def full_budget(
     i_n: ExchangeIntegral | float,
     p: float,
     margin_factor: float = DEFAULT_MARGIN_FACTOR,
+    matched_overlap: float | None = None,
 ) -> ErrorBudget:
     """Compose every channel into one Fisher-information lower bound.
 
@@ -303,6 +309,8 @@ def full_budget(
     fraction enters squared, and the detection-loss correction is
     subtracted at first order.  The channels are derived separately, so
     the combined number is a first-order estimate, not a joint theorem.
+    ``matched_overlap`` passes on to ``mixed_rate_correction``: a caller
+    whose ``i_n`` is already the matched Dicke overlap saves its rerun.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
@@ -318,7 +326,7 @@ def full_budget(
         params.group_index, params.wavelength, params.gamma_1d, n, margin_factor
     )
     pulse = pulse_error(params.pulse_error, n)
-    mixed = mixed_rate_correction(params.delta_gamma, n)
+    mixed = mixed_rate_correction(params.delta_gamma, n, matched_overlap)
     delayed = delay_correction(n, params.gamma_1d, params.delay)
 
     i_eff = value * mixed * delayed.bound_factor

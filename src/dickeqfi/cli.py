@@ -350,7 +350,8 @@ def cmd_report(cfg: RunConfig) -> int:
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
     loss = LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
     p = dicke_collection_probability(n // 2, loss).exact
-    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
+    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"],
+                         matched_overlap=integral.value)
 
     if opts["json"]:
         payload = budget.to_dict()
@@ -414,10 +415,14 @@ def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     opts = cfg.options
+    m_max, guard = opts["m_max"], opts["oracle_max"]
+    if 2 * m_max > guard:
+        raise UsageError("m_max", f"{m_max} photons per arm exceeds the oracle guard "
+                         f"({guard} total); lower --m-max or raise --oracle-max")
     cases = (
         (f"{_family_label(family):<22} m={m}", family.build_arm(2 * m))
         for family in _families(opts["families"])
-        for m in range(1, opts["m_max"] + 1)
+        for m in range(1, m_max + 1)
     )
     return _oracle_check(cfg, cases, summary=True)
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dickeqfi.budget
+import dickeqfi.cli
 from dickeqfi.budget import (
     PlatformParams,
     SPEED_OF_LIGHT,
@@ -118,6 +119,20 @@ class TestMixedRateCorrection:
                             lambda config: seen.append(config) or exchange_integral(config))
         full_budget(_params(delta_gamma=d), 0.9, 1.0)
         assert len(seen) == calls
+
+    def test_report_runs_the_matched_overlap_once(self, monkeypatch, capsys):
+        # the report's own I(gamma, gamma) is the ratio's denominator
+        seen = []
+        for module in (dickeqfi.budget, dickeqfi.cli):
+            monkeypatch.setattr(module, "exchange_integral",
+                                lambda config: seen.append(config) or exchange_integral(config))
+        code = dickeqfi.cli.main([
+            "report", "--q", "1e6", "--n-g", "10", "--lambda-a", "300e-9",
+            "--gamma-1d", "3.7699e7", "--gamma-star", "6.2832e5", "--n", "100",
+            "--delta-gamma", "0.1", "--no-header",
+        ])
+        assert code == 0 and "mixed_coupling" in capsys.readouterr().out
+        assert len(seen) == 2
 
 
 class TestDelayCorrection:

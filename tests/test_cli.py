@@ -301,6 +301,12 @@ class TestVerifyCommand:
         assert "tol:" in err
         assert out == ""
 
+    def test_oracle_guard_names_the_flags(self, capsys):
+        code, out, err = run(capsys, "verify", "--oracle-max", "2", "--m-max", "2")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: m_max:") and "--oracle-max" in err
+        assert out == ""
+
     def test_honours_out(self, tmp_path, capsys):
         path = tmp_path / "verify.txt"
         code, out, _ = run(capsys, "verify", "--m-max", "2", "--out", str(path))
@@ -476,12 +482,19 @@ def test_closed_stdout_exits_cleanly():
 
 
 def test_import_loads_no_solver_or_sparse_scipy():
-    # Only the population trace needs scipy, and it imports it lazily.
-    probe = ("import sys, dickeqfi.cli; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.sparse') if m in sys.modules))")
+    # Only the tests' oracles use scipy: neither the import nor a population
+    # trace, whose matrix exponential is the package's own, loads any of it.
+    probe = ("import contextlib, io, sys\n"
+             "from dickeqfi import cli\n"
+             "def scipy(): return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "print(scipy())\n"
+             "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+             "    code = cli.main(['loss', '--n', '100', '--purcell', '1000', '--trace',"
+             " '--no-header'])\n"
+             "print(code, len(out.getvalue().splitlines()), scipy())\n")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=_subprocess_env(), check=True).stdout
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "0 402 []"]
 
 
 def test_traced_names_resolve():

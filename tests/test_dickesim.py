@@ -8,6 +8,7 @@ from scipy.integrate import solve_ivp
 
 from dickeqfi.dickesim import (
     LossModel,
+    _expm,
     collection_loss_probability,
     collection_probability_product,
     collective_rates,
@@ -219,6 +220,47 @@ class TestCollectionProbability:
         assert trace.collection_probability == pytest.approx(
             collection_probability_product(12, loss), rel=1e-6
         )
+
+    def test_trace_ground_population_matches_product(self):
+        # at N = 300, P = 1e5 the grid's last ground population is the
+        # branching product to the propagator's rounding (scipy's expm: 3.5e-9)
+        loss = LossModel(1.0, 1e-5)
+        trace = dicke_populations(300, loss)
+        assert trace.populations[0, -1] == pytest.approx(
+            collection_probability_product(300, loss), rel=1e-11, abs=0.0
+        )
+
+
+def cascade_generator(n, gamma_star):
+    """Dense rate matrix of the cascade, unit waveguide rate."""
+    m = np.arange(1, n + 1, dtype=float)
+    down = m * (n - m + 1.0)
+    return np.diag(np.concatenate(([0.0], -down - m * gamma_star))) + np.diag(down, k=1)
+
+
+class TestPropagator:
+    @pytest.mark.parametrize("n", [1, 2, 10, 100, 300])
+    @pytest.mark.parametrize("purcell", [math.inf, 1e3])
+    @pytest.mark.parametrize("steps", [400, 1])
+    def test_cascade_step_matches_scipy(self, n, purcell, steps):
+        from scipy.linalg import expm
+
+        t_max = 20.0 * superradiance_timescale(n, 1.0).exact
+        a = cascade_generator(n, 1.0 / purcell) * (t_max / steps)
+        assert np.max(np.abs(_expm(a) - expm(a))) <= 1e-10
+
+    # one 1-norm inside each Pade degree's theta (3, 5, 7, 9, 13) and two
+    # that need halving and squaring back
+    @pytest.mark.parametrize("norm", [0.01, 0.2, 0.9, 2.0, 5.0, 40.0, 300.0])
+    def test_every_pade_degree_matches_scipy(self, norm):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((6, 6)) + np.triu(rng.standard_normal((6, 6)), 1) * 3.0
+        a -= 8.0 * np.eye(6)  # every eigenvalue has a negative real part
+        a *= norm / np.abs(a).sum(axis=0).max()
+        exact = expm(a)
+        assert np.max(np.abs(_expm(a) - exact)) <= 1e-13 * np.max(np.abs(exact))
 
 
 def first_loss_sum(n, purcell):
