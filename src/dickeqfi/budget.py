@@ -18,6 +18,7 @@ the verdicts so a different threshold can be applied downstream.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict, field
@@ -188,9 +189,18 @@ def pulse_error(delta_omega_t: float, n_photons: int) -> PulseErrorEstimate:
     )
 
 
-def mixed_rate_correction(
-    delta_gamma_rel: float, n_photons: int, matched_overlap: float | None = None
-) -> float:
+@functools.lru_cache(maxsize=8)
+def matched_dicke_overlap(n_emitters: int) -> ExchangeIntegral:
+    """Overlap of two matched unit-rate Dicke arms of ``n_emitters`` each.
+
+    Memoised: the report's integral and the denominator of
+    ``mixed_rate_correction`` are the same recurrence.
+    """
+    arm = build_dicke(n_emitters, 1.0)
+    return exchange_integral(TwinConfiguration(arm, arm))
+
+
+def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
     """Overlap penalty when the two ensembles couple unequally.
 
     ``delta_gamma_rel`` is the relative coupling mismatch d (gamma minus
@@ -200,8 +210,7 @@ def mixed_rate_correction(
     slowly with N: the ratio is 0.971 at N = 1000, d = 0.1.  The stronger
     arm is built at rate one, by the scale invariance I(1, r) = I(1/r, 1),
     so no rate overflows at a large negative d; at d = 0 the ratio is
-    exactly one and no recurrence runs.  ``matched_overlap`` is the
-    denominator I(gamma, gamma), if the caller has already computed it.
+    exactly one and no recurrence runs.
     """
     r = 1.0 - delta_gamma_rel
     if not r > 0.0:
@@ -212,10 +221,7 @@ def mixed_rate_correction(
         return 1.0
     m = n_photons // 2
     pair = TwinConfiguration(build_dicke(m, min(1.0, 1.0 / r)), build_dicke(m, min(r, 1.0)))
-    if matched_overlap is None:
-        arm = build_dicke(m, 1.0)
-        matched_overlap = exchange_integral(TwinConfiguration(arm, arm)).value
-    return exchange_integral(pair).value / matched_overlap
+    return exchange_integral(pair).value / matched_dicke_overlap(m).value
 
 
 def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrection:
@@ -301,7 +307,6 @@ def full_budget(
     i_n: ExchangeIntegral | float,
     p: float,
     margin_factor: float = DEFAULT_MARGIN_FACTOR,
-    matched_overlap: float | None = None,
 ) -> ErrorBudget:
     """Compose every channel into one Fisher-information lower bound.
 
@@ -309,8 +314,6 @@ def full_budget(
     fraction enters squared, and the detection-loss correction is
     subtracted at first order.  The channels are derived separately, so
     the combined number is a first-order estimate, not a joint theorem.
-    ``matched_overlap`` passes on to ``mixed_rate_correction``: a caller
-    whose ``i_n`` is already the matched Dicke overlap saves its rerun.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
@@ -326,7 +329,7 @@ def full_budget(
         params.group_index, params.wavelength, params.gamma_1d, n, margin_factor
     )
     pulse = pulse_error(params.pulse_error, n)
-    mixed = mixed_rate_correction(params.delta_gamma, n, matched_overlap)
+    mixed = mixed_rate_correction(params.delta_gamma, n)
     delayed = delay_correction(n, params.gamma_1d, params.delay)
 
     i_eff = value * mixed * delayed.bound_factor

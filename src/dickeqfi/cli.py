@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .budget import PlatformParams, full_budget
+from .budget import PlatformParams, full_budget, matched_dicke_overlap
 from .dickesim import (
     LossModel,
     collection_loss_probability,
@@ -44,7 +44,8 @@ from .exchange import (
     exchange_integral,
     qfi_vs_n_sweep,
 )
-from .ladder import TwinConfiguration, build_dicke
+# build_dicke is unused here but stays a cli attribute: perfbench's tracer wraps it
+from .ladder import TwinConfiguration, build_dicke  # noqa: F401
 from .metrology import parity_curve, qfi_twin
 from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
 
@@ -297,6 +298,13 @@ def cmd_loss(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _oracle_guard(key: str, m: int, guard: int, hint: str) -> None:
+    """Reject m photons per arm when the twin state exceeds the oracle guard."""
+    if 2 * m > guard:
+        raise UsageError(key, f"{m} photons per arm exceeds the oracle guard "
+                         f"({guard} total); {hint}")
+
+
 def cmd_parity(cfg: RunConfig) -> int:
     opts = cfg.options
     m = opts["m"]
@@ -309,9 +317,7 @@ def cmd_parity(cfg: RunConfig) -> int:
         family = _family(opts)
         arm = family.build_arm(2 * m)
         guard = opts["oracle_max"]
-        if 2 * m > guard:
-            raise UsageError("m", f"{m} photons per arm exceeds the oracle guard "
-                             f"({guard} total); rerun with --single-mode or raise --oracle-max")
+        _oracle_guard("m", m, guard, "rerun with --single-mode or raise --oracle-max")
         integrals = [
             oracle_integral(arm, arm, l=l, max_total_photons=guard).value
             for l in range(m + 1)
@@ -345,13 +351,11 @@ def cmd_report(cfg: RunConfig) -> int:
         delay=opts["delay"], interferometer_loss=opts["eta"],
     )
     n = params.n_photons
-    arm = build_dicke(n // 2, 1.0)
-    integral = exchange_integral(TwinConfiguration(arm, arm))
+    integral = matched_dicke_overlap(n // 2)
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
     loss = LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
     p = dicke_collection_probability(n // 2, loss).exact
-    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"],
-                         matched_overlap=integral.value)
+    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
         payload = budget.to_dict()
@@ -415,14 +419,12 @@ def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
 
 def cmd_verify(cfg: RunConfig) -> int:
     opts = cfg.options
-    m_max, guard = opts["m_max"], opts["oracle_max"]
-    if 2 * m_max > guard:
-        raise UsageError("m_max", f"{m_max} photons per arm exceeds the oracle guard "
-                         f"({guard} total); lower --m-max or raise --oracle-max")
+    _oracle_guard("m_max", opts["m_max"], opts["oracle_max"],
+                  "lower --m-max or raise --oracle-max")
     cases = (
         (f"{_family_label(family):<22} m={m}", family.build_arm(2 * m))
         for family in _families(opts["families"])
-        for m in range(1, m_max + 1)
+        for m in range(1, opts["m_max"] + 1)
     )
     return _oracle_check(cfg, cases, summary=True)
 

@@ -96,49 +96,33 @@ def superradiance_timescale(n_emitters: int, gamma_1d: float) -> SuperradianceTi
     )
 
 
-# Higham (2005), Table 2.3: the [m/m] Pade approximant of exp is accurate
-# to double precision for ||A||_1 <= theta_m.  Coefficients b_0..b_m.
-_PADE = (
-    (1.495585217958292e-2, (120, 60, 12, 1)),
-    (2.539398330063230e-1, (30240, 15120, 3360, 420, 30, 1)),
-    (9.504178996162932e-1, (17297280, 8648640, 1995840, 277200, 25200, 1512, 56, 1)),
-    (2.097847961257068e0, (17643225600, 8821612800, 2075673600, 302702400,
-                           30270240, 2162160, 110880, 3960, 90, 1)),
-    (5.371920351148152e0, (64764752532480000, 32382376266240000, 7771770303897600,
-                           1187353796428800, 129060195264000, 10559470521600,
-                           670442572800, 33522128640, 1323241920, 40840800,
-                           960960, 16380, 182, 1)),
-)
+# Higham (2005), Table 2.3: the [13/13] Pade approximant of exp is
+# accurate to double precision for ||A||_1 <= theta_13.  Coefficients b_0..b_13.
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000, 32382376266240000, 7771770303897600,
+            1187353796428800, 129060195264000, 10559470521600,
+            670442572800, 33522128640, 1323241920, 40840800,
+            960960, 16380, 182, 1)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring (Higham 2005, Alg. 2.3).
 
-    The lowest Pade degree whose theta bounds the 1-norm is used as is;
-    past theta_13 the matrix is halved s times, the degree-13 approximant
-    taken and squared back s times.
+    The matrix is halved s times until its 1-norm is within theta_13,
+    the degree-13 Pade approximant is taken, and squared back s times.
     """
     norm = float(np.abs(a).sum(axis=0).max())
-    s = 0
-    for theta, b in _PADE:
-        if norm <= theta:
-            break
-    else:
-        s = math.ceil(math.log2(norm / theta))
-        a = a / 2.0**s
-    # even powers I, A^2, A^4, A^6; higher even terms fold through A^6
-    evens = [np.eye(len(a)), a @ a]
-    while len(evens) < min(len(b) // 2, 4):
-        evens.append(evens[-1] @ evens[1])
-
-    def even_poly(c):
-        low = sum(ck * e for ck, e in zip(c[:4], evens))
-        if len(c) > 4:
-            low = low + evens[3] @ sum(ck * e for ck, e in zip(c[4:], evens[1:]))
-        return low
-
-    u = a @ even_poly(b[1::2])
-    v = even_poly(b[0::2])
+    s = max(0, math.ceil(math.log2(norm / _THETA_13))) if norm > 0.0 else 0
+    a = a / 2.0**s
+    b = _PADE_13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     x = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         x = x @ x
