@@ -22,22 +22,15 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import importlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .budget import PlatformParams, full_budget, matched_dicke_overlap
-from .dickesim import (
-    LossModel,
-    collection_loss_probability,
-    collection_probability_product,
-    dicke_collection_probability,
-    dicke_populations,
-)
 from .exchange import (
     SWEEP_COLUMNS,
     LadderFamily,
@@ -48,6 +41,23 @@ from .exchange import (
 from .ladder import TwinConfiguration, build_dicke  # noqa: F401
 from .metrology import parity_curve, qfi_twin
 from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
+
+# The cascade module imports numpy, so its names are bound on first use
+# (PEP 562).  Handlers reach them through ``_self``, this module, at call
+# time: a replaced attribute (a tracer's wrapper, a test's patch) is what
+# they call.
+_DICKESIM = ("LossModel", "collection_loss_probability", "collection_probability_product",
+             "dicke_collection_probability", "dicke_populations")
+_self = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _DICKESIM:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(".dickesim", __package__), name)
+    globals()[name] = value
+    return value
+
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -88,7 +98,7 @@ def _fmt(value) -> str:
         return f"{value:.17g}"
     if isinstance(value, bool):
         return str(value).lower()
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # numpy integers too
         return str(int(value))
     return str(value)
 
@@ -168,8 +178,22 @@ def _int_list(spec: str, step: int = 1) -> range | list[int]:
     return [_COUNT(tok) for tok in spec.split(",") if tok]
 
 
+# Largest total photon number of an exchange sweep: m = 10^4 photons per
+# arm, the reach of the O(m^2) recurrence.
+MAX_EXCHANGE_N = 20_000
+
+
+def _within_reach(spec: str) -> bool:
+    """Whether no N of a list or range exceeds MAX_EXCHANGE_N; a range is
+    judged by its upper end, without building its points."""
+    ns = _int_list(spec)
+    return max(ns[-1:] if isinstance(ns, range) else ns, default=0) <= MAX_EXCHANGE_N
+
+
 def _ratios(spec: str, points: int = 2) -> list[float]:
     """Rate ratios of a comma list of values, 'inf' and geometric 'lo..hi' ranges."""
+    import numpy as np
+
     ratios = []
     for tok in filter(None, spec.split(",")):
         lo, sep, hi = tok.partition("..")
@@ -261,6 +285,8 @@ _LOSS_COLUMNS = ("N", "purcell", "one_minus_p_exact", "one_minus_p_product",
 
 
 def cmd_loss(cfg: RunConfig) -> int:
+    import numpy as np
+
     opts = cfg.options
     n_values = _int_list(opts["n"])
     purcells = _ratios(opts["purcell"], opts["points"])
@@ -270,8 +296,8 @@ def cmd_loss(cfg: RunConfig) -> int:
             raise UsageError("trace", "a trace needs exactly one N and one purcell")
         n = n_values[0]
         p1d = purcells[0]
-        loss = LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
-        trace = dicke_populations(n, loss)
+        loss = _self.LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
+        trace = _self.dicke_populations(n, loss)
         levels = tuple(f"P_{m}" for m in range(n + 1))
         # JSON rows keep the key order t, sum, P_0..P_N; CSV columns put sum last
         keys = ("t", "sum") + levels
@@ -285,8 +311,8 @@ def cmd_loss(cfg: RunConfig) -> int:
     rows = []
     for n in n_values:
         for p1d in purcells:
-            loss = LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
-            one_minus_p = collection_loss_probability(n, loss)
+            loss = _self.LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
+            one_minus_p = _self.collection_loss_probability(n, loss)
             rows.append({
                 "N": n,
                 "purcell": p1d,
@@ -303,6 +329,22 @@ def _oracle_guard(key: str, m: int, guard: int, hint: str) -> None:
     if 2 * m > guard:
         raise UsageError(key, f"{m} photons per arm exceeds the oracle guard "
                          f"({guard} total); {hint}")
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` bit for bit, in plain floats: point
+    k is k*step + start and the last one is stop."""
+    delta = stop - start
+    div = num - 1
+    if not div:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:  # an underflowed step: numpy scales k/div by delta instead
+        grid = [k / div * delta + start for k in range(num)]
+    else:
+        grid = [k * step + start for k in range(num)]
+    grid[-1] = stop
+    return grid
 
 
 def cmd_parity(cfg: RunConfig) -> int:
@@ -323,7 +365,7 @@ def cmd_parity(cfg: RunConfig) -> int:
             for l in range(m + 1)
         ]
 
-    phis = np.linspace(-opts["phi_max"], opts["phi_max"], opts["points"])
+    phis = _linspace(-opts["phi_max"], opts["phi_max"], opts["points"])
     curve = parity_curve(m, integrals, phis)
     one_pair = ExchangeIntegral(value=integrals[1], total_photons=2 * m,
                                 method="oracle", exchanged_count=1)
@@ -353,8 +395,8 @@ def cmd_report(cfg: RunConfig) -> int:
     n = params.n_photons
     integral = matched_dicke_overlap(n // 2)
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
-    loss = LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
-    p = dicke_collection_probability(n // 2, loss).exact
+    loss = _self.LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
+    p = _self.dicke_collection_probability(n // 2, loss).exact
     budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
@@ -382,7 +424,7 @@ def cmd_report(cfg: RunConfig) -> int:
         lines.append("    N      p")
         n_probe = 2
         while n_probe <= 2048:
-            p_probe = collection_probability_product(n_probe // 2, loss)
+            p_probe = _self.collection_probability_product(n_probe // 2, loss)
             lines.append(f"    {n_probe:<6d} {p_probe:.6f}")
             n_probe *= 2
     _write(cfg, [line + "\n" for line in lines])
@@ -435,6 +477,8 @@ def _family_label(family: LadderFamily) -> str:
 
 _FAMILY_KIND = _choice("dicke", "harmonic", "anharmonic")
 _N_SPEC = _rule("a list or range of integers", str, _int_list)
+_EXCHANGE_N = _rule(f"a list or range of integers up to {MAX_EXCHANGE_N}", str,
+                    _within_reach)
 _GAMMA = ("--gamma", 1.0, _POSITIVE, {})
 _U_OVER_GAMMA = ("--u-over-gamma", 0.0, _FINITE, {})
 _TOL = ("--tol", 1e-9, _NONNEGATIVE, {})
@@ -455,7 +499,8 @@ _COMMON = (
 _SUBCOMMANDS = {
     "exchange": (cmd_exchange, "exchange-integral / QFI sweep", (
         ("--family", _REQUIRED, *_FAMILY_KIND), _GAMMA, _U_OVER_GAMMA,
-        ("--n", _REQUIRED, _N_SPEC, {"help": "total photon numbers: '4..500' or '4,8,16'"}),
+        ("--n", _REQUIRED, _EXCHANGE_N,
+         {"help": "total photon numbers: '4..500' or '4,8,16'"}),
         ("--step", 2, _COUNT, {}),
         ("--verify-oracle", False, _flag, {"action": "store_true"}),
         _TOL, *_COMMON,

@@ -25,14 +25,14 @@ stays real throughout.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-
-import numpy as np
 
 from .ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dicke, build_harmonic
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
+
+# numpy is imported by the two functions that build arrays: the command
+# line imports this module for every subcommand, and parity never needs it.
 
 # Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
 _OVERSHOOT_TOL = 1e-12
@@ -75,6 +75,8 @@ def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
     cross numerator sq[i] sq[j], and steps down in i with numerators
     n0[i], n1[i], n2[i] for the zero-, one- and two-pending tables.
     """
+    import numpy as np
+
     m = len(rates)
     g = np.concatenate(([0.0], np.asarray(rates, dtype=float)))
     w = np.concatenate(([0.0], np.asarray(freqs, dtype=float)))
@@ -109,6 +111,8 @@ def _antidiagonals(a: DecayLadder, b: DecayLadder):
     j-indexed coefficients are slices of reversed copies of arm b's
     vectors.
     """
+    import numpy as np
+
     vec = _ladder_vectors(a.rates, a.frequencies)
     rev = _ladder_vectors(b.rates, b.frequencies)
     rev = {name: v[::-1].copy() for name, v in rev.items()}
@@ -251,6 +255,8 @@ def qfi_vs_n_sweep(
             raise ValueError(f"total photon number must be even >= 2, got {n}")
     workers = _worker_count(jobs, len(n_values))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, [family] * len(n_values), n_values))
     return [_sweep_point(family, n) for n in n_values]

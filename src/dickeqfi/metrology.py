@@ -12,8 +12,6 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-import numpy as np
-
 from .oracle import ExchangeIntegral
 
 _INPUT_KINDS = ("twin", "general", "mixed_number", "lossy_lower_bound")
@@ -213,7 +211,7 @@ def parity_curve(m: int, integrals, phi_grid) -> ParityCurve:
     equals minus the twin QFI regardless of the higher exchange terms.
     """
     vals = _check_integrals(m, integrals)
-    phis = tuple(float(p) for p in np.asarray(phi_grid, dtype=float))
+    phis = tuple(float(p) for p in phi_grid)
     expectation = tuple(parity_expectation(m, vals, p) for p in phis)
     curvature = -2.0 * m * (m * vals[1] + vals[0]) if m >= 1 else 0.0
     return ParityCurve(

@@ -113,7 +113,7 @@ def _transition_steps(rates, freqs):
     return steps
 
 
-def _walk(counts, memberships, steps, fold, root, leaf):
+def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
     """Leaf values of a depth-first walk over all interleavings.
 
     The interleavings are the distinct orderings of group labels with
@@ -125,6 +125,9 @@ def _walk(counts, memberships, steps, fold, root, leaf):
     slot, given the rates fired and the accumulator after it, or returns
     None to prune the branch; ``leaf(state)`` turns a complete path into
     its value.  Two interleavings share the fold of their common prefix.
+    A fold that returns ``dead`` marks a prefix all of whose completions
+    have the value ``leaf(dead)``: that value is recorded once per
+    completion, in place, without walking the subtree.
     """
     remaining = list(counts)
     fired = [0, 0, 0, 0]
@@ -144,6 +147,13 @@ def _walk(counts, memberships, steps, fold, root, leaf):
                 rates += (gam,)
             child = fold(state, g, rates, child_acc)
             if child is None:
+                continue
+            if child is dead:
+                remaining[g] = c - 1
+                completions = math.factorial(left) // math.prod(
+                    math.factorial(k) for k in remaining)
+                values.extend([leaf(child)] * completions)
+                remaining[g] = c
                 continue
             if not left:
                 values.append(leaf(child))
@@ -419,15 +429,14 @@ _SLOT_EVENTS = (
 # the rates of the gaps in window x only, in w only and in both, each
 # window's stage (0 pending, 1 open, 2 closed) and whether x opened first.
 _DELAYED_ROOT = (1.0 + 0.0j, (), (), (), 0, 0, False)
-# Nested windows force x == w, an empty ordering region whose value is 0.
+# Nested windows force x == w, an empty ordering region whose value is 0,
+# and so is every completion of it.
 _NESTED = "nested"
 
 
 def _fold_delayed(state, g, rates, acc):
     """Extend a delayed path by one slot; None prunes the orderings in
     which a rigid pair's low event precedes its high one."""
-    if state is _NESTED:
-        return state
     value, x_only, w_only, both, x, w, x_first = state
     if g == _XH:
         x, x_first = 1, w == 0
@@ -503,6 +512,7 @@ def _delayed_integral(ladder_a, ladder_b, tau):
 
     counts = (1, 1, 1, 1, m - 1, n - 1)
     total = _compensated_sum(
-        _walk(counts, _SLOT_EVENTS, steps, _fold_delayed, _DELAYED_ROOT, leaf)
+        _walk(counts, _SLOT_EVENTS, steps, _fold_delayed, _DELAYED_ROOT, leaf,
+              dead=_NESTED)
     )
     return numerator * total / (math.factorial(m) * math.factorial(n))

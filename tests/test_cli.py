@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import dickeqfi
-from dickeqfi.cli import _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, RunConfig, main
+from dickeqfi.cli import (
+    _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_EXCHANGE_N, RunConfig, _linspace, main,
+)
 
 
 def run(capsys, *argv):
@@ -111,6 +114,36 @@ class TestExchangeCommand:
         code, _, err = run(capsys, "exchange", "--n", "4")
         assert code == EXIT_USAGE
         assert "family:" in err
+
+    def test_n_beyond_recurrence_reach_rejected_at_once(self, capsys):
+        # 10^9 points would be built and swept; the converter rejects the
+        # range by its upper end before any point exists
+        start = time.perf_counter()
+        code, out, err = run(capsys, "exchange", "--family", "dicke",
+                             "--n", "2..2000000000", "--step", "2", "--no-header")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: n: ") and str(MAX_EXCHANGE_N) in err
+
+    @pytest.mark.parametrize("spec", [f"4,{MAX_EXCHANGE_N + 2}", f"{MAX_EXCHANGE_N + 2}"])
+    def test_n_list_beyond_reach_rejected(self, capsys, spec):
+        code, out, err = run(capsys, "exchange", "--family", "dicke", "--n", spec)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "n:" in err
+
+    def test_n_at_reach_accepted(self, capsys):
+        # the bound is inclusive; the oracle check skips the points cheaply
+        code, out, _ = run(capsys, "exchange", "--family", "dicke", "--no-header",
+                           "--n", f"{MAX_EXCHANGE_N - 2}..{MAX_EXCHANGE_N}",
+                           "--verify-oracle")
+        assert code == EXIT_OK
+        assert out.splitlines()[-1].startswith(f"N={MAX_EXCHANGE_N}: skipped")
+
+    def test_loss_n_keeps_its_own_rule(self, capsys):
+        code, _, err = run(capsys, "loss", "--n", f"{MAX_EXCHANGE_N + 1}",
+                           "--purcell", "1e3", "--no-header")
+        assert code == EXIT_OK, err
 
 
 class TestLossCommand:
@@ -495,6 +528,121 @@ def test_import_loads_no_solver_or_sparse_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          env=_subprocess_env(), check=True).stdout
     assert out.splitlines() == ["[]", "0 402 []"]
+
+
+def _probe(code: str) -> list[str]:
+    """Stdout lines of ``code`` run in a fresh interpreter."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_subprocess_env(), check=True).stdout.splitlines()
+
+
+# Prints whether numpy is loaded, after the probe's own statements.
+_NUMPY_LOADED = "import sys; print('numpy' in sys.modules)\n"
+_QUIET = ("import contextlib, io\n"
+          "with contextlib.redirect_stdout(io.StringIO()), "
+          "contextlib.redirect_stderr(io.StringIO()):\n")
+
+
+def test_cli_import_loads_no_numpy():
+    assert _probe("import dickeqfi.cli\n" + _NUMPY_LOADED) == ["False"]
+
+
+def test_parity_loads_no_numpy():
+    # the oracle builds the overlaps and the phi grid is plain floats
+    assert _probe("from dickeqfi import cli\n" + _QUIET +
+                  "    code = cli.main(['parity', '--m', '4', '--family', 'dicke',"
+                  " '--no-header'])\n"
+                  "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
+
+
+def test_oracle_driver_loads_no_numpy():
+    assert _probe("from dickeqfi import ladder, oracle\n"
+                  "arm = ladder.build_dicke(2, 1.0)\n"
+                  "print(oracle.oracle_integral_exact(arm, arm, l=1))\n"
+                  "print(oracle.oracle_delay_check(arm, 0.1).exact > 0)\n"
+                  + _NUMPY_LOADED) == ["11/12", "True", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["exchange", "--family", "dicke", "--n", "4,6"],
+    ["loss", "--n", "10", "--purcell", "10..1e3", "--points", "3"],
+    ["loss", "--n", "5", "--purcell", "100", "--trace"],
+    ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "3e-7", "--gamma-1d", "3.7699e7",
+     "--gamma-star", "6.2832e5", "--n", "20", "--fidelity-table"],
+], ids=["exchange", "loss", "loss-trace", "report"])
+def test_array_subcommands_run_in_a_fresh_interpreter(argv):
+    # numpy is imported on first use, by the handler or the module it calls
+    assert _probe("import contextlib, io\n"
+                  "from dickeqfi import cli\n"
+                  "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+                  f"    code = cli.main({argv + ['--no-header']!r})\n"
+                  "print(code, len(out.getvalue().splitlines()) > 1)\n") == ["0 True"]
+
+
+def test_package_names_resolve_on_first_use():
+    assert _probe("import dickeqfi, sys\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('dickeqfi.')))\n"
+                  "print(dickeqfi.build_dicke(1, 1.0).levels)\n"
+                  "print(sorted(m for m in sys.modules if m.startswith('dickeqfi.')))\n"
+                  + _NUMPY_LOADED) == ["[]", "1", "['dickeqfi.ladder']", "False"]
+
+
+def test_package_namespace():
+    for name in dickeqfi.__all__:
+        assert getattr(dickeqfi, name) is not None, name
+    assert set(dickeqfi.__all__) <= set(dir(dickeqfi))
+    namespace = {}
+    exec("from dickeqfi import *", namespace)
+    assert set(dickeqfi.__all__) <= set(namespace)
+    assert namespace["exchange_integral"] is dickeqfi.exchange.exchange_integral
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dickeqfi.no_such_name
+    with pytest.raises(ImportError):
+        exec("from dickeqfi import no_such_name", {})
+
+
+def test_cli_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dickeqfi.cli.no_such_name
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 181, 4097])
+def test_phi_grid_is_numpy_linspace_bit_for_bit(points):
+    # 5e-324 and 1e-320 underflow the step to zero, where numpy scales
+    # k/div by the span instead
+    np = pytest.importorskip("numpy")
+    for a in (0.0, 5e-324, 1e-320, 1e-300, 1e-10, 0.3, 1.0, math.pi / 2, 2.5, 1e10,
+              1e300, -1.0):
+        grid = np.array(_linspace(-a, a, points))
+        assert grid.tobytes() == np.linspace(-a, a, points).tobytes(), a
+
+
+_REPORT_ARGS = ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "3e-7",
+                "--gamma-1d", "3.7699e7", "--gamma-star", "6.2832e5", "--n", "20"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("exchange_integral", ["verify", "--m-max", "1", "--families", "dicke"]),
+    ("qfi_vs_n_sweep", ["exchange", "--family", "dicke", "--n", "4", "--jobs", "1"]),
+    ("oracle_integral", ["parity", "--m", "1", "--family", "dicke"]),
+    ("parity_curve", ["parity", "--m", "1", "--single-mode"]),
+    ("qfi_twin", ["parity", "--m", "1", "--single-mode"]),
+    ("collection_loss_probability", ["loss", "--n", "3"]),
+    ("dicke_populations", ["loss", "--n", "3", "--trace"]),
+    ("dicke_collection_probability", _REPORT_ARGS),
+    ("collection_probability_product", _REPORT_ARGS + ["--fidelity-table"]),
+    ("full_budget", _REPORT_ARGS),
+])
+def test_handlers_call_through_cli_attributes(monkeypatch, capsys, name, argv):
+    # A replaced cli attribute (a tracer's wrapper, a test's patch) is
+    # what the handler calls, also for names bound on first use.
+    calls = []
+    original = getattr(dickeqfi.cli, name)
+    monkeypatch.setattr(dickeqfi.cli, name,
+                        lambda *a, **k: calls.append(name) or original(*a, **k))
+    assert main(argv + ["--no-header"]) == EXIT_OK
+    capsys.readouterr()
+    assert calls
 
 
 def test_traced_names_resolve():

@@ -10,6 +10,7 @@ from dickeqfi.ladder import DecayLadder, build_anharmonic, build_dicke, build_ha
 from dickeqfi.oracle import (
     _DELAYED_ROOT,
     _GROUP_CORRS,
+    _NESTED,
     _SLOT_EVENTS,
     _XH,
     _XL,
@@ -346,11 +347,29 @@ class TestWalkerEquivalence:
         # first: a quarter of the (m+n+2)! / ((m-1)! (n-1)!) sequences
         a, b = build_dicke(m, 1.0), build_dicke(n, 1.0)
         leaves = _walk((1, 1, 1, 1, m - 1, n - 1), _SLOT_EVENTS, _float_steps(a, b),
-                       _fold_delayed, _DELAYED_ROOT, lambda state: state)
+                       _fold_delayed, _DELAYED_ROOT, lambda state: state, dead=_NESTED)
         expected = math.factorial(m + n + 2) // (
             2 * 2 * math.factorial(m - 1) * math.factorial(n - 1)
         )
         assert len(leaves) == expected
+
+    def test_nested_windows_are_not_walked(self, monkeypatch):
+        # Once the windows nest, every completion is zero: the walk records
+        # those zeros by count instead of folding through the subtree, which
+        # at m = 4 skips 20,498 of the 78,828 folds.  The zeros keep their
+        # places in the sum, so the value keeps its bits.
+        folds = []
+
+        def counting(state, *args):
+            folds.append(state)
+            return _fold_delayed(state, *args)
+
+        monkeypatch.setattr("dickeqfi.oracle._fold_delayed", counting)
+        arm = build_dicke(4, 1.0)
+        result = oracle_integral(arm, arm, l=1, delay=0.15, max_total_photons=8)
+        assert len(folds) == 78_828 - 20_498
+        assert _NESTED not in folds
+        assert _same_bits(result, reference_delayed(arm, arm, 0.15))
 
     def test_no_memo_survives_a_call(self):
         arm = build_anharmonic(2, 1.0, 13.0)
