@@ -42,10 +42,13 @@ from .ladder import TwinConfiguration, build_dicke  # noqa: F401
 from .metrology import parity_curve, qfi_twin
 from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
 
-# The cascade module imports numpy, so its names are bound on first use
-# (PEP 562).  Handlers reach them through ``_self``, this module, at call
-# time: a replaced attribute (a tracer's wrapper, a test's patch) is what
-# they call.
+# The modules above import no numpy, and their names are bound at import
+# as they are defined: perfbench's tracer wraps exchange_integral both here
+# and on the exchange module, so a later binding would take the wrapper and
+# record each call twice.  The cascade module imports numpy, so its names
+# are bound on first use (PEP 562).  Handlers reach them through ``_self``,
+# this module, at call time: a replaced attribute (a tracer's wrapper, a
+# test's patch) is what they call.
 _DICKESIM = ("LossModel", "collection_loss_probability", "collection_probability_product",
              "dicke_collection_probability", "dicke_populations")
 _self = sys.modules[__name__]

@@ -494,8 +494,10 @@ def test_unknown_subcommand_exits_usage():
 
 
 def _subprocess_env():
-    src = str(Path(dickeqfi.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # src/ for the package, the repository root for perfbench
+    src = Path(dickeqfi.__file__).resolve().parents[1]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(src.parent), os.environ.get("PYTHONPATH", "")]))
 
 
 def test_closed_stdout_exits_cleanly():
@@ -567,8 +569,7 @@ def test_oracle_driver_loads_no_numpy():
     ["exchange", "--family", "dicke", "--n", "4,6"],
     ["loss", "--n", "10", "--purcell", "10..1e3", "--points", "3"],
     ["loss", "--n", "5", "--purcell", "100", "--trace"],
-    ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "3e-7", "--gamma-1d", "3.7699e7",
-     "--gamma-star", "6.2832e5", "--n", "20", "--fidelity-table"],
+    _SIN_REPORT + ["--fidelity-table"],
 ], ids=["exchange", "loss", "loss-trace", "report"])
 def test_array_subcommands_run_in_a_fresh_interpreter(argv):
     # numpy is imported on first use, by the handler or the module it calls
@@ -617,10 +618,6 @@ def test_phi_grid_is_numpy_linspace_bit_for_bit(points):
         assert grid.tobytes() == np.linspace(-a, a, points).tobytes(), a
 
 
-_REPORT_ARGS = ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "3e-7",
-                "--gamma-1d", "3.7699e7", "--gamma-star", "6.2832e5", "--n", "20"]
-
-
 @pytest.mark.parametrize("name, argv", [
     ("exchange_integral", ["verify", "--m-max", "1", "--families", "dicke"]),
     ("qfi_vs_n_sweep", ["exchange", "--family", "dicke", "--n", "4", "--jobs", "1"]),
@@ -629,9 +626,9 @@ _REPORT_ARGS = ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "3e-7",
     ("qfi_twin", ["parity", "--m", "1", "--single-mode"]),
     ("collection_loss_probability", ["loss", "--n", "3"]),
     ("dicke_populations", ["loss", "--n", "3", "--trace"]),
-    ("dicke_collection_probability", _REPORT_ARGS),
-    ("collection_probability_product", _REPORT_ARGS + ["--fidelity-table"]),
-    ("full_budget", _REPORT_ARGS),
+    ("dicke_collection_probability", _SIN_REPORT),
+    ("collection_probability_product", _SIN_REPORT + ["--fidelity-table"]),
+    ("full_budget", _SIN_REPORT),
 ])
 def test_handlers_call_through_cli_attributes(monkeypatch, capsys, name, argv):
     # A replaced cli attribute (a tracer's wrapper, a test's patch) is
@@ -643,6 +640,23 @@ def test_handlers_call_through_cli_attributes(monkeypatch, capsys, name, argv):
     assert main(argv + ["--no-header"]) == EXIT_OK
     capsys.readouterr()
     assert calls
+
+
+def test_traced_run_records_one_span_per_call():
+    # The tracer wraps exchange_integral on both exchange and cli; cli must
+    # hold the function itself, or each recurrence would leave two spans.
+    out = _probe("import collections, contextlib, io\n"
+                 "import dickeqfi.cli\n"
+                 "from perfbench.tracing import Tracer, install_all\n"
+                 "tracer = Tracer()\n"
+                 "install_all(tracer)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    dickeqfi.cli.main(['verify', '--m-max', '2', '--families',"
+                 " 'dicke,anharmonic:3', '--no-header'])\n"
+                 "print(sorted(collections.Counter(s['name'] for s in tracer.spans).items()))\n")
+    # a one-level Kerr ladder has no level shift, so its span reads "dicke"
+    assert out == [str([("exchange.integral.dicke", 3), ("exchange.integral.kerr", 1),
+                        ("ladder.build", 4), ("oracle.float", 4)])]
 
 
 def test_traced_names_resolve():
