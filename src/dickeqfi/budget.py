@@ -290,13 +290,7 @@ class ErrorBudget:
     collection_probability: float = 1.0
 
     def to_dict(self) -> dict:
-        return {
-            "entries": [asdict(e) for e in self.entries],
-            "ideal_qfi": self.ideal_qfi,
-            "combined_qfi_lower_bound": self.combined_qfi_lower_bound,
-            "effective_exchange_integral": self.effective_exchange_integral,
-            "collection_probability": self.collection_probability,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

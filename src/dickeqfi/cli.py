@@ -11,12 +11,16 @@ Values resolve with the precedence flags > config file > defaults
 (then $DICKEQFI_JOBS for --jobs).  Each option's row in ``_SUBCOMMANDS``
 holds the converter that checks it, whatever the source; a rejected
 value, a missing required one or an unknown config key names the key.
+A subcommand takes only the options its handler reads, and --jobs and
+--no-header, which every subcommand accepts.
 
-CSV output is comma-separated with a header row, LF endings and full
-double precision; a leading timestamp comment line is suppressed by
---no-header so that output bytes are reproducible.  Exit codes: 0 on
-success (also when the reader closes stdout early), 2 on validation
-errors, 1 on numeric failure.
+exchange, loss and parity print a row table, CSV or --format json; CSV
+is comma-separated with a header row, LF endings and full double
+precision.  Their leading timestamp line is suppressed by --no-header
+so that output bytes are reproducible.  report prints text or --json,
+verify one line per case; --oracle-max guards the oracle of parity and
+verify.  Exit codes: 0 on success (also when the reader closes stdout
+early), 2 on validation errors, 1 on numeric failure.
 """
 from __future__ import annotations
 
@@ -268,12 +272,6 @@ def cmd_exchange(cfg: RunConfig) -> int:
     opts = cfg.options
     family = _family(opts)
     n_values = [_convert(_EVEN, n, "n") for n in _int_list(opts["n"], opts["step"])]
-
-    if opts["verify_oracle"]:
-        cases = ((f"N={n}", None if n > opts["oracle_max"] else family.build_arm(n))
-                 for n in n_values)
-        return _oracle_check(cfg, cases, summary=False)
-
     rows = qfi_vs_n_sweep(family, n_values, jobs=opts["jobs"])
     failed = [r for r in rows if "error" in r]
     _write(cfg, _table(rows, SWEEP_COLUMNS + ("error",) if failed else SWEEP_COLUMNS, cfg))
@@ -281,6 +279,11 @@ def cmd_exchange(cfg: RunConfig) -> int:
         print(f"{len(failed)} sweep points failed", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
+
+
+def _loss_model(purcell: float):
+    """Cascade loss model of a guided-to-residual rate ratio; inf is lossless."""
+    return _self.LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
 
 
 _LOSS_COLUMNS = ("N", "purcell", "one_minus_p_exact", "one_minus_p_product",
@@ -298,9 +301,7 @@ def cmd_loss(cfg: RunConfig) -> int:
         if len(n_values) != 1 or len(purcells) != 1:
             raise UsageError("trace", "a trace needs exactly one N and one purcell")
         n = n_values[0]
-        p1d = purcells[0]
-        loss = _self.LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
-        trace = _self.dicke_populations(n, loss)
+        trace = _self.dicke_populations(n, _loss_model(purcells[0]))
         levels = tuple(f"P_{m}" for m in range(n + 1))
         # JSON rows keep the key order t, sum, P_0..P_N; CSV columns put sum last
         keys = ("t", "sum") + levels
@@ -314,8 +315,7 @@ def cmd_loss(cfg: RunConfig) -> int:
     rows = []
     for n in n_values:
         for p1d in purcells:
-            loss = _self.LossModel(1.0, 0.0 if math.isinf(p1d) else 1.0 / p1d)
-            one_minus_p = _self.collection_loss_probability(n, loss)
+            one_minus_p = _self.collection_loss_probability(n, _loss_model(p1d))
             rows.append({
                 "N": n,
                 "purcell": p1d,
@@ -398,7 +398,7 @@ def cmd_report(cfg: RunConfig) -> int:
     n = params.n_photons
     integral = matched_dicke_overlap(n // 2)
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
-    loss = _self.LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
+    loss = _loss_model(purcell)
     p = _self.dicke_collection_probability(n // 2, loss).exact
     budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
@@ -434,44 +434,29 @@ def cmd_report(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _oracle_check(cfg: RunConfig, cases, summary: bool) -> int:
-    """Recurrence against the float oracle for each (label, arm) case; an
-    arm of None marks a case above the oracle guard, reported as skipped.
-    ``summary`` adds a closing line when every case is within --tol."""
+def cmd_verify(cfg: RunConfig) -> int:
     opts = cfg.options
-    tol = opts["tol"]
+    guard, tol = opts["oracle_max"], opts["tol"]
+    _oracle_guard("m_max", opts["m_max"], guard, "lower --m-max or raise --oracle-max")
     worst = 0.0
     lines = []
-    for label, arm in cases:
-        if arm is None:
-            lines.append(f"{label}: skipped (above oracle guard {opts['oracle_max']})\n")
-            continue
-        rec = exchange_integral(TwinConfiguration(arm, arm)).value
-        ora = oracle_integral(arm, arm, l=1, max_total_photons=opts["oracle_max"]).value
-        diff = abs(rec - ora)
-        worst = max(worst, diff)
-        lines.append(f"{label}: recurrence={rec:.12e} oracle={ora:.12e} |diff|={diff:.3e}\n")
+    for family in _families(opts["families"]):
+        for m in range(1, opts["m_max"] + 1):
+            arm = family.build_arm(2 * m)
+            rec = exchange_integral(TwinConfiguration(arm, arm)).value
+            ora = oracle_integral(arm, arm, l=1, max_total_photons=guard).value
+            diff = abs(rec - ora)
+            worst = max(worst, diff)
+            lines.append(f"{_family_label(family):<22} m={m}: recurrence={rec:.12e} "
+                         f"oracle={ora:.12e} |diff|={diff:.3e}\n")
     failed = worst > tol
-    if summary and not failed:
+    if not failed:
         lines.append(f"verification passed: max |diff| {worst:.3e} <= {tol:g}\n")
     _write(cfg, lines)
     if failed:
-        print(f"verification FAILED: max |diff| {worst:.3e} > {tol:g}",
-              file=sys.stderr)
+        print(f"verification FAILED: max |diff| {worst:.3e} > {tol:g}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    opts = cfg.options
-    _oracle_guard("m_max", opts["m_max"], opts["oracle_max"],
-                  "lower --m-max or raise --oracle-max")
-    cases = (
-        (f"{_family_label(family):<22} m={m}", family.build_arm(2 * m))
-        for family in _families(opts["families"])
-        for m in range(1, opts["m_max"] + 1)
-    )
-    return _oracle_check(cfg, cases, summary=True)
 
 
 def _family_label(family: LadderFamily) -> str:
@@ -484,17 +469,17 @@ _EXCHANGE_N = _rule(f"a list or range of integers up to {MAX_EXCHANGE_N}", str,
                     _within_reach)
 _GAMMA = ("--gamma", 1.0, _POSITIVE, {})
 _U_OVER_GAMMA = ("--u-over-gamma", 0.0, _FINITE, {})
-_TOL = ("--tol", 1e-9, _NONNEGATIVE, {})
-_COMMON = (
-    ("--out", None, _rule("a path", str), {"help": "output path (default: stdout)"}),
-    ("--format", "csv", *_choice("csv", "json")),
-    ("--jobs", None, _COUNT, {"help": "worker processes, an integer >= 1 "
-                                      f"(default: ${_ENV_JOBS} or logical cores)"}),
-    ("--no-header", False, _flag, {"action": "store_true",
-                                   "help": "suppress the timestamp header line"}),
-    ("--oracle-max", DEFAULT_MAX_TOTAL_PHOTONS, _COUNT,
-     {"help": "total-photon guard for oracle evaluations"}),
-)
+_OUT = ("--out", None, _rule("a path", str), {"help": "output path (default: stdout)"})
+_FORMAT = ("--format", "csv", *_choice("csv", "json"))
+_ORACLE_MAX = ("--oracle-max", DEFAULT_MAX_TOTAL_PHOTONS, _COUNT,
+               {"help": "total-photon guard for oracle evaluations"})
+# Every subcommand takes --jobs and --no-header, also where its handler
+# reads neither: the benchmark (perfbench/workloads.py) passes both to
+# each command-line run.
+_JOBS = ("--jobs", None, _COUNT, {"help": "worker processes, an integer >= 1 "
+                                          f"(default: ${_ENV_JOBS} or logical cores)"})
+_NO_HEADER = ("--no-header", False, _flag, {"action": "store_true",
+                                            "help": "suppress the timestamp header line"})
 
 # Each subcommand: handler, help line and its options as (flag, default,
 # converter, argparse keywords).  The parser gives every flag a None
@@ -505,8 +490,7 @@ _SUBCOMMANDS = {
         ("--n", _REQUIRED, _EXCHANGE_N,
          {"help": "total photon numbers: '4..500' or '4,8,16'"}),
         ("--step", 2, _COUNT, {}),
-        ("--verify-oracle", False, _flag, {"action": "store_true"}),
-        _TOL, *_COMMON,
+        _OUT, _FORMAT, _JOBS, _NO_HEADER,
     )),
     "loss": (cmd_loss, "collection-probability sweep or trace", (
         ("--n", _REQUIRED, _N_SPEC, {"help": "emitter numbers: '10,100,1000'"}),
@@ -515,16 +499,17 @@ _SUBCOMMANDS = {
         ("--points", 17, _COUNT, {"help": "points of a geometric purcell range"}),
         ("--trace", False, _flag, {"action": "store_true",
                                    "help": "emit the population trace instead of the sweep"}),
-        *_COMMON,
+        _OUT, _FORMAT, _JOBS, _NO_HEADER,
     )),
     "parity": (cmd_parity, "parity fringe and curvature check", (
         ("--m", _REQUIRED, _COUNT, {"help": "photons per arm"}),
         ("--single-mode", False, _flag, {"action": "store_true"}),
         ("--family", None, *_FAMILY_KIND), _GAMMA, _U_OVER_GAMMA,
-        ("--phi-max", math.pi / 2, _FINITE, {}),
+        ("--phi-max", math.pi / 2, _rule("a number x with 2x finite", float,
+                                         lambda x: math.isfinite(2 * x)), {}),
         ("--points", 181, _COUNT, {}),
         ("--check-derivative", False, _flag, {"action": "store_true"}),
-        *_COMMON,
+        _OUT, _FORMAT, _JOBS, _NO_HEADER, _ORACLE_MAX,
     )),
     "report": (cmd_report, "consolidated platform error budget", (
         ("--q", _REQUIRED, _POSITIVE, {"help": "waveguide quality factor"}),
@@ -543,14 +528,15 @@ _SUBCOMMANDS = {
         ("--margin-factor", 10.0, _POSITIVE, {}),
         ("--json", False, _flag, {"action": "store_true"}),
         ("--fidelity-table", False, _flag, {"action": "store_true"}),
-        *_COMMON,
+        _OUT, _JOBS, _NO_HEADER,
     )),
     "verify": (cmd_verify, "recurrence-vs-oracle equivalence run", (
         ("--families", "dicke,harmonic,anharmonic:1,anharmonic:10,anharmonic:1000",
          _rule("a list of families", str, _families),
          {"help": "comma list, 'anharmonic:<u>' for shifts"}),
         ("--m-max", 4, _COUNT, {}),
-        _TOL, *_COMMON,
+        ("--tol", 1e-9, _NONNEGATIVE, {}),
+        _OUT, _JOBS, _NO_HEADER, _ORACLE_MAX,
     )),
 }
 

@@ -12,7 +12,8 @@ import pytest
 
 import dickeqfi
 from dickeqfi.cli import (
-    _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_EXCHANGE_N, RunConfig, _linspace, main,
+    _EXCHANGE_N, _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_EXCHANGE_N, RunConfig,
+    _linspace, main,
 )
 
 
@@ -80,26 +81,6 @@ class TestExchangeCommand:
         assert payload["rows"][0]["N"] == 4
         assert "generated" not in payload
 
-    def test_verify_oracle(self, capsys):
-        code, out, _ = run(
-            capsys, "exchange", "--family", "dicke", "--n", "4,6",
-            "--verify-oracle",
-        )
-        assert code == EXIT_OK
-        assert "|diff|" in out
-
-    def test_verify_oracle_honours_out(self, tmp_path, capsys):
-        path = tmp_path / "check.txt"
-        code, out, _ = run(
-            capsys, "exchange", "--family", "dicke", "--n", "4,10",
-            "--verify-oracle", "--out", str(path),
-        )
-        assert code == EXIT_OK
-        assert out == ""
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("N=4: recurrence=")
-        assert lines[1] == "N=10: skipped (above oracle guard 8)"
-
     def test_missing_n_names_key(self, capsys):
         code, _, err = run(capsys, "exchange", "--family", "dicke")
         assert code == EXIT_USAGE
@@ -132,13 +113,11 @@ class TestExchangeCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert "n:" in err
 
-    def test_n_at_reach_accepted(self, capsys):
-        # the bound is inclusive; the oracle check skips the points cheaply
-        code, out, _ = run(capsys, "exchange", "--family", "dicke", "--no-header",
-                           "--n", f"{MAX_EXCHANGE_N - 2}..{MAX_EXCHANGE_N}",
-                           "--verify-oracle")
-        assert code == EXIT_OK
-        assert out.splitlines()[-1].startswith(f"N={MAX_EXCHANGE_N}: skipped")
+    def test_n_at_reach_accepted(self):
+        # the bound is inclusive; the converter is called directly, as a
+        # sweep to N = MAX_EXCHANGE_N would take minutes
+        for spec in (f"{MAX_EXCHANGE_N - 2}..{MAX_EXCHANGE_N}", f"4,{MAX_EXCHANGE_N}"):
+            assert _EXCHANGE_N(spec) == spec
 
     def test_loss_n_keeps_its_own_rule(self, capsys):
         code, _, err = run(capsys, "loss", "--n", f"{MAX_EXCHANGE_N + 1}",
@@ -320,16 +299,10 @@ class TestVerifyCommand:
         assert code == EXIT_NUMERIC
         assert "FAILED" in err
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
-    @pytest.mark.parametrize(
-        "argv",
-        [["verify", "--m-max", "2"],
-         ["exchange", "--family", "dicke", "--n", "4", "--verify-oracle"]],
-        ids=["verify", "exchange"],
-    )
-    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, argv, tol):
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"], ids=lambda tol: f"verify-{tol}")
+    def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tol):
         # a NaN tolerance used to pass every case: worst > nan is never true
-        code, out, err = run(capsys, *argv, f"--tol={tol}")
+        code, out, err = run(capsys, "verify", "--m-max", "2", f"--tol={tol}")
         assert code == EXIT_USAGE
         assert "tol:" in err
         assert out == ""
@@ -695,7 +668,6 @@ _CASES = {
     "gamma": ("0.5", 0.5, "inf", "inf"),
     "u_over_gamma": ("2", 2, "nan", "x"),
     "step": ("4", 4, "-2", 0),
-    "verify_oracle": (True, True, None, "true"),
     "tol": ("1e-6", 1e-6, "nan", -1),
     "out": ("out.txt", "out.txt", None, True),
     "format": ("json", "json", "xml", ["csv"]),
@@ -772,6 +744,85 @@ def test_every_option_reads_alike_from_flag_and_config(
         assert out == ""
 
 
+class _ReadRecorder(dict):
+    """Options that note each key a handler reads."""
+
+    def __init__(self, options):
+        super().__init__(options)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# Runs of each subcommand that together reach every mode of its handler.
+_MODES = {
+    "exchange": [["--family", "dicke", "--n", "4"]],
+    "loss": [["--n", "3"], ["--n", "3", "--trace"]],
+    "parity": [["--m", "1", "--family", "dicke"],
+               ["--m", "1", "--single-mode", "--check-derivative"]],
+    "report": [_SIN_REPORT[1:] + ["--json"], _SIN_REPORT[1:] + ["--fidelity-table"]],
+    "verify": [["--m-max", "1", "--families", "dicke"]],
+}
+
+# The benchmark passes --jobs and --no-header to every run, so each
+# subcommand takes both: only exchange has a worker pool, and report and
+# verify print no timestamp line.
+_UNREAD = {"loss": {"jobs"}, "parity": {"jobs"},
+           "report": {"jobs", "no_header"}, "verify": {"jobs", "no_header"}}
+
+
+@pytest.mark.parametrize("subcommand", _SUBCOMMANDS)
+def test_every_option_row_is_read(monkeypatch, capsys, subcommand):
+    # an option its handler never reads would be accepted and ignored
+    recorders = []
+    resolve = dickeqfi.cli._resolve
+
+    def recording_resolve(args, table):
+        cfg = resolve(args, table)
+        recorders.append(_ReadRecorder(cfg.options))
+        return RunConfig(cfg.subcommand, recorders[-1])
+
+    monkeypatch.setattr(dickeqfi.cli, "_resolve", recording_resolve)
+    for argv in _MODES[subcommand]:
+        assert main([subcommand, *argv, "--jobs", "1", "--no-header"]) == EXIT_OK
+    capsys.readouterr()
+    read = set().union(*(recorder.read for recorder in recorders))
+    keys = {flag[2:].replace("-", "_") for flag, *_ in _SUBCOMMANDS[subcommand][2]}
+    assert keys - read <= _UNREAD.get(subcommand, set())
+
+
+# Options these subcommands once took and never read, each with a value
+# that was valid then.
+_DROPPED = [
+    ("exchange", "verify_oracle", True),
+    ("exchange", "tol", 1e-9),
+    ("exchange", "oracle_max", 8),
+    ("loss", "oracle_max", 8),
+    ("report", "format", "csv"),
+    ("report", "oracle_max", 8),
+    ("verify", "format", "csv"),
+]
+
+
+@pytest.mark.parametrize("subcommand,key,value", _DROPPED,
+                         ids=[f"{sub}-{key}" for sub, key, _ in _DROPPED])
+def test_options_a_handler_does_not_read_are_rejected(tmp_path, capsys, subcommand, key, value):
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as info:
+        main([subcommand, flag])
+    assert info.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_NEEDED[subcommand], key: value}))
+    code, out, err = run(capsys, subcommand, "--config", str(config))
+    assert code == EXIT_USAGE
+    assert err == f"error: {key}: not an option of {subcommand}\n"
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "argv,config,key",
     [
@@ -783,10 +834,13 @@ def test_every_option_reads_alike_from_flag_and_config(
         (["exchange", "--family", "dicke", "--n", "4.5"], None, "n"),
         (["exchange", "--family", "dicke", "--n", "1e400"], None, "n"),
         (["exchange", "--family", "dicke", "--n", "4"], {"gamma": "inf"}, "gamma"),
+        (["parity", "--single-mode", "--m", "2", "--phi-max", "1e308", "--points", "3"],
+         None, "phi_max"),
     ],
     ids=[
         "config-trace-string", "config-hyphen-key", "m-max-0", "negative-step",
         "infinite-gamma", "fractional-n", "overflowing-n", "config-gamma-inf",
+        "overflowing-phi-span",
     ],
 )
 def test_misread_inputs_name_their_key(tmp_path, capsys, argv, config, key):
