@@ -446,10 +446,11 @@ def cmd_verify(cfg: RunConfig) -> int:
             rec = exchange_integral(TwinConfiguration(arm, arm)).value
             ora = oracle_integral(arm, arm, l=1, max_total_photons=guard).value
             diff = abs(rec - ora)
-            worst = max(worst, diff)
+            if not diff <= worst:  # a NaN difference becomes the worst
+                worst = diff
             lines.append(f"{_family_label(family):<22} m={m}: recurrence={rec:.12e} "
                          f"oracle={ora:.12e} |diff|={diff:.3e}\n")
-    failed = worst > tol
+    failed = not worst <= tol
     if not failed:
         lines.append(f"verification passed: max |diff| {worst:.3e} <= {tol:g}\n")
     _write(cfg, lines)

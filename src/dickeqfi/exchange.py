@@ -21,11 +21,25 @@ exponent accumulators complex (transition-frequency mismatches between
 the two pending branches); the final integral is provably real and is
 assembled from the real part of the coupled term, so the top table
 stays real throughout.
+
+The corner is a linear path sum over the lattice: each entry is a
+weighted sum of its two predecessors and of the lower tables at the same
+node, with weights set by the two ladders alone.  Running the transposed
+(adjoint) recurrence back from the corner therefore gives, at every node
+(d, d), the corner of the sub-lattice that starts there, which is the
+recurrence of the arms' top m - d rungs.  For cavity ladders these are
+the (m - d)-photon arms themselves: rung k decays at k gamma and sits at
+k(k-1) u whatever the photon number, so a smaller arm is the bottom rungs
+of a larger one, and one adjoint pass at the largest photon number gives
+a whole sweep for the cost of one recurrence.  Dicke arms do not nest:
+rung k of m emitters decays at k(m-k+1) gamma, so each Dicke point runs
+its own forward pass.
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from .ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dicke, build_harmonic
 from .metrology import twin_qfi
@@ -160,6 +174,65 @@ def _antidiagonals(a: DecayLadder, b: DecayLadder):
         p0, p1, p2 = q0, q1, q2
 
 
+def _reverse_pass(a: DecayLadder, b: DecayLadder):
+    """The adjoint of ``_antidiagonals``: for every d = 0..m-1, the corner
+    of the recurrence of the two arms' sub-lattice from (d, d).
+
+    Entry (i, j) of each adjoint table is the derivative of the corner
+    f2(m-1, m-1) with respect to a unit source in the forward table at
+    (i, j), so it sums the forward weights along every path from (i, j)
+    to the corner: l2 = (n2a[i+1] l2(i+1, j) + n2b[j+1] l2(i, j+1)) / c2,
+    l1 = (2 s l2 + the n1 terms) / c1 (complex; the corner reads the real
+    part of l1 times a source) and l0 = (s Re l1 + the n0 terms) / c0.
+    The pass walks the antidiagonals from the corner, where l2 = 1 is
+    seeded without a division (c2 is 0 there), keeping only the next
+    antidiagonal of each table.  The forward base entry is f0 = 1, so
+    l0(d, d) is the corner of the sub-lattice from (d, d), which is the
+    recurrence of the arms' top m - d rungs: (m-d)^2 I(m-d) when those
+    rungs are the ladders of m - d photons (a nested family).  Returns
+    the diagonal l0(d, d) as an array indexed by d.
+    """
+    import numpy as np
+
+    vec = _ladder_vectors(a.rates, a.frequencies)
+    rev = _ladder_vectors(b.rates, b.frequencies)
+    # numerators of the step into row i + 1 (column j + 1); none past the edge
+    for v in (vec, rev):
+        for name in ("n0", "n1", "n2"):
+            v[name] = np.append(v[name][1:], 0.0)
+    rev = {name: v[::-1].copy() for name, v in rev.items()}
+    m = a.levels
+    # Entry i of the next antidiagonal sits at index i, so the neighbours
+    # (i + 1, j) and (i, j + 1) are the slices [lo + 1:hi + 2] and
+    # [lo:hi + 1]; those past the table's edge read a zero pad.
+    p0, p1, p2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
+    diagonal = np.empty(m)
+    for k in range(2 * m - 2, -1, -1):
+        lo, hi = max(0, k - m + 1), min(m - 1, k)
+        i = right = slice(lo, hi + 1)
+        j, down = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
+        c0 = vec["gr0"][i] + rev["gr0"][j]
+        c2 = vec["gr2"][i] + rev["gr2"][j]
+        c1 = (c0 + c2) / 2.0 + 1j * (vec["dw"][i] - rev["dw"][j])
+        s = vec["sq"][i] * rev["sq"][j]
+        q0, q1, q2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
+        l2 = q2[i]
+        if k == 2 * m - 2:
+            l2[0] = 1.0  # the corner itself
+        else:
+            np.divide(vec["n2"][i] * p2[down] + rev["n2"][j] * p2[right], c2, out=l2)
+        l1 = np.divide(2.0 * s * l2 + vec["n1"][i] * p1[down] + rev["n1"][j] * p1[right],
+                       c1, out=q1[i])
+        l0 = np.divide(s * l1.real + vec["n0"][i] * p0[down] + rev["n0"][j] * p0[right],
+                       c0, out=q0[i])
+        if not (np.isfinite(l0).all() and np.isfinite(l2).all()):
+            raise InvalidLadderError("recurrence produced nonfinite entries")
+        if k % 2 == 0:
+            diagonal[k // 2] = l0[k // 2 - lo]
+        p0, p1, p2 = q0, q1, q2
+    return diagonal
+
+
 def _recurrence(a: DecayLadder, b: DecayLadder) -> RecurrenceState:
     """Run the recurrence for arms a and b of equal photon number."""
     for _, _, _, f2 in _antidiagonals(a, b):
@@ -200,6 +273,12 @@ class LadderFamily:
         if self.kind not in ("dicke", "harmonic", "anharmonic"):
             raise ValueError(f"unknown ladder family {self.kind!r}")
 
+    @property
+    def nested(self) -> bool:
+        """Whether each arm is the bottom rungs of every larger arm (cavity
+        ladders, not Dicke ones: see the module docstring)."""
+        return self.kind != "dicke"
+
     def build_arm(self, n_total: int) -> DecayLadder:
         if n_total % 2 or n_total < 2:
             raise ValueError(f"total photon number must be even >= 2, got {n_total}")
@@ -214,11 +293,15 @@ class LadderFamily:
 SWEEP_COLUMNS = ("N", "I_N", "F_Q", "dphi2", "dphi2_snl", "dphi2_hl", "dphi2_fock")
 
 
-def _sweep_point(family: LadderFamily, n_total: int) -> dict:
+def _error_row(n_total: int, exc: Exception) -> dict:
+    return {"N": n_total, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _sweep_row(n_total: int, overlap) -> dict:
+    """Row of total photon number ``n_total``, whose overlap ``overlap()``
+    computes; a failure flags the row, not the sweep."""
     try:
-        arm = family.build_arm(n_total)
-        integral = exchange_integral(TwinConfiguration(arm, arm))
-        value = integral.value
+        value = overlap()
         qfi = twin_qfi(n_total, value)
         return {
             "N": n_total,
@@ -229,8 +312,30 @@ def _sweep_point(family: LadderFamily, n_total: int) -> dict:
             "dphi2_hl": 1.0 / n_total**2,
             "dphi2_fock": 2.0 / (n_total * (n_total + 2.0)),
         }
-    except Exception as exc:  # per-point failures flag the row, not the sweep
-        return {"N": n_total, "error": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:
+        return _error_row(n_total, exc)
+
+
+def _sweep_point(family: LadderFamily, n_total: int) -> dict:
+    def overlap():
+        arm = family.build_arm(n_total)
+        return exchange_integral(TwinConfiguration(arm, arm)).value
+
+    return _sweep_row(n_total, overlap)
+
+
+def _nested_sweep(family: LadderFamily, n_values: list[int]) -> list[dict]:
+    """Rows of a nested family from one reverse pass at the largest N."""
+    try:
+        arm = family.build_arm(max(n_values))
+        corners = _reverse_pass(arm, arm)
+    except Exception as exc:  # no point has an overlap: every row says why
+        return [_error_row(n, exc) for n in n_values]
+
+    def overlap(m):
+        return RecurrenceState(photons_per_arm=m, corner=float(corners[arm.levels - m])).value
+
+    return [_sweep_row(n, partial(overlap, n // 2)) for n in n_values]
 
 
 def _worker_count(jobs: int | None, points: int) -> int:
@@ -245,14 +350,17 @@ def qfi_vs_n_sweep(
 
     Rows carry the exchange integral, the resulting quantum Fisher
     information, the per-shot phase variance and the shot-noise,
-    Heisenberg and photon-number-state references.  Points run
-    independently, optionally on a process pool of at most ``jobs``
-    workers; rows come back in input order either way.
+    Heisenberg and photon-number-state references, in input order.  A
+    nested family takes every point from one reverse pass, and ``jobs``
+    is unused; Dicke points run independently, optionally on a process
+    pool of at most ``jobs`` workers.
     """
     n_values = [int(n) for n in n_values]
     for n in n_values:
         if n % 2 or n < 2:
             raise ValueError(f"total photon number must be even >= 2, got {n}")
+    if family.nested:
+        return _nested_sweep(family, n_values) if n_values else []
     workers = _worker_count(jobs, len(n_values))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

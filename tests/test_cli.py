@@ -65,6 +65,27 @@ class TestExchangeCommand:
         capsys.readouterr()
         assert blobs[0] == blobs[1]
 
+    def test_jobs_do_not_change_nested_sweep_bytes(self, capsys):
+        base = ["exchange", "--family", "anharmonic", "--u-over-gamma", "3",
+                "--n", "4..40", "--no-header"]
+        outputs = [run(capsys, *base, "--jobs", jobs) for jobs in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK
+
+    def test_failed_reverse_pass_exits_numerically(self, capsys, monkeypatch):
+        import dickeqfi.exchange
+
+        def boom(a, b):
+            raise dickeqfi.exchange.InvalidLadderError("synthetic failure")
+
+        monkeypatch.setattr(dickeqfi.exchange, "_reverse_pass", boom)
+        code, out, err = run(capsys, "exchange", "--family", "harmonic", "--n", "4,8",
+                             "--no-header")
+        assert code == EXIT_NUMERIC
+        assert out.splitlines()[1:] == [
+            f"{n},,,,,,,InvalidLadderError: synthetic failure" for n in (4, 8)]
+        assert "2 sweep points failed" in err
+
     def test_header_line_present_by_default(self, capsys):
         code, out, _ = run(capsys, "exchange", "--family", "dicke", "--n", "4")
         assert code == EXIT_OK
@@ -298,6 +319,17 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--m-max", "2", "--tol", "1e-30")
         assert code == EXIT_NUMERIC
         assert "FAILED" in err
+
+    def test_nan_recurrence_fails(self, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0: a NaN difference used to pass the run
+        nan = dickeqfi.oracle.ExchangeIntegral(value=math.nan, total_photons=2,
+                                               method="recurrence", exchanged_count=1)
+        monkeypatch.setattr(dickeqfi.cli, "exchange_integral", lambda config: nan)
+        code, out, err = run(capsys, "verify", "--m-max", "1", "--families", "dicke")
+        assert code == EXIT_NUMERIC
+        assert "|diff|=nan" in out
+        assert "passed" not in out
+        assert "verification FAILED: max |diff| nan" in err
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"], ids=lambda tol: f"verify-{tol}")
     def test_tolerance_must_be_finite_and_nonnegative(self, capsys, tol):

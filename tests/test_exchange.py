@@ -16,6 +16,8 @@ from dickeqfi.exchange import (
     _antidiagonals,
     _ladder_vectors,
     _recurrence,
+    _reverse_pass,
+    _sweep_point,
     _worker_count,
 )
 from dickeqfi.ladder import (
@@ -79,6 +81,41 @@ def split_recurrence(a, b):
             f1[i, j] = a1 + s_cross / c0(i, j) * a0
             f2[i, j] = a2 + 2.0 * s_cross * (f1[i, j] / c1(i, j)).real
     return f2[m - 1, m - 1] / m**2
+
+
+def longdouble_corner(arm):
+    """The forward recurrence's corner in extended precision, for twin arms:
+    each entry is stored divided by its accumulator, with every coefficient
+    built in ``numpy.longdouble`` from the ladder."""
+    m = arm.levels
+    g = np.concatenate(([0], np.array(arm.rates, dtype=np.longdouble)))
+    w = np.concatenate(([0], np.array(arm.frequencies, dtype=np.longdouble)))
+    idx = np.arange(m)
+    gr0, gr2, dw = g[m - idx], g[m - 1 - idx], w[m - idx] - w[m - 1 - idx]
+    sq = np.sqrt(gr0)
+    n0, n1, n2 = np.ones(m, np.longdouble), np.ones(m, np.longdouble), gr0
+    n0[1:] = g[m - idx[1:] + 1]
+    n1[1:] = np.sqrt(g[m - idx[1:]] * g[m - idx[1:] + 1])
+    rows = (gr0, gr2, dw, sq, n0, n1, n2)
+    cols = [v[::-1] for v in rows]
+    h0, h1, h2 = (np.zeros(m + 1, np.longdouble), np.zeros(m + 1, np.clongdouble),
+                  np.zeros(m + 1, np.longdouble))
+    h0[0] = 1  # the base entry, as the up neighbour of (0, 0)
+    for k in range(2 * m - 1):
+        lo, hi = max(0, k - m + 1), min(m - 1, k)
+        i = up = slice(lo, hi + 1)
+        j, left = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
+        (ra0, ra2, rdw, rsq, rn0, rn1, rn2) = (v[i] for v in rows)
+        (cb0, cb2, cdw, csq, cn0, cn1, cn2) = (v[j] for v in cols)
+        c0, c2, s = ra0 + cb0, ra2 + cb2, rsq * csq
+        c1 = (c0 + c2) / 2 + 1j * (rdw - cdw)
+        f0 = rn0 * h0[up] + cn0 * h0[left]
+        f1 = rn1 * h1[up] + cn1 * h1[left] + s * f0 / c0
+        f2 = rn2 * h2[up] + cn2 * h2[left] + 2 * s * (f1 / c1).real
+        if k == 2 * m - 2:
+            return f2[0]  # the corner, whose c2 is 0
+        h0, h1, h2 = np.zeros_like(h0), np.zeros_like(h1), np.zeros_like(h2)
+        h0[left], h1[left], h2[left] = f0 / c0, f1 / c1, f2 / c2
 
 
 def full_tables(ladder):
@@ -295,6 +332,64 @@ class TestRecurrenceState:
             _recurrence(arm, arm)
 
 
+class TestReversePass:
+    """One adjoint pass against a forward pass per photon number."""
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-3])
+    @pytest.mark.parametrize("u", [None, 0.05, 1.0, 10.0, 1000.0],
+                             ids=["harmonic", "u0.05", "u1", "u10", "u1000"])
+    def test_every_sub_arm_matches_the_forward_pass(self, u, gamma):
+        top = 120
+        build = ((lambda m: build_harmonic(m, gamma)) if u is None
+                 else (lambda m: build_anharmonic(m, gamma, u * gamma)))
+        arm = build(top)
+        corners = _reverse_pass(arm, arm)
+        assert len(corners) == top
+        for m in range(1, top + 1):
+            forward = _recurrence(build(m), build(m)).corner
+            assert abs(corners[top - m] - forward) <= 1e-13 * forward, m
+
+    def test_distinct_arms_match_the_forward_pass(self):
+        # the full corner of any two arms, nested or not
+        a, b = build_anharmonic(30, 1.0, 3.0), build_dicke(30, 0.5)
+        forward = _recurrence(a, b).corner
+        assert abs(_reverse_pass(a, b)[0] - forward) <= 1e-13 * forward
+
+    def test_dicke_sub_lattices_are_not_dicke_arms(self):
+        # a Dicke rung's rate depends on the emitter number: no nesting
+        arm = build_dicke(20, 1.0)
+        sub = _reverse_pass(arm, arm)[10] / 10**2
+        assert not abs(sub - _recurrence(build_dicke(10, 1.0), build_dicke(10, 1.0)).value) <= 1e-3
+
+    def test_memory_is_linear_in_photon_number(self):
+        arm = build_anharmonic(400, 1.0, 10.0)
+        tracemalloc.start()
+        try:
+            _reverse_pass(arm, arm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_nonfinite_entries_raise(self):
+        arm = build_harmonic(5, 1e307)
+        with np.errstate(all="ignore"), pytest.raises(InvalidLadderError, match="nonfinite"):
+            _reverse_pass(arm, arm)
+
+
+class TestTrustAtScale:
+    """float64 against an extended-precision copy of the forward pass at a
+    thousand photons per arm, where no oracle reaches."""
+
+    def test_float64_matches_longdouble_at_m_1000(self):
+        dicke = build_dicke(1000, 1.0)
+        exact = longdouble_corner(dicke)
+        assert abs(_recurrence(dicke, dicke).corner - exact) <= 1e-13 * abs(exact)
+        kerr = build_anharmonic(1000, 1.0, 1.0)
+        exact = longdouble_corner(kerr)
+        assert abs(_reverse_pass(kerr, kerr)[0] - exact) <= 1e-13 * abs(exact)
+
+
 class TestErrors:
     def test_rejects_delay(self):
         arm = build_dicke(2, 1.0)
@@ -464,6 +559,61 @@ class TestSweep:
         rows = exchange_module.qfi_vs_n_sweep(LadderFamily("dicke"), [4])
         assert "error" in rows[0]
         assert "synthetic failure" in rows[0]["error"]
+
+    def test_nested_rows_match_the_forward_pass_in_input_order(self):
+        family = LadderFamily("anharmonic", gamma=0.5, u=5.0)
+        n_values = [12, 4, 30, 12, 8, 4]
+        rows = qfi_vs_n_sweep(family, n_values)
+        assert [r["N"] for r in rows] == n_values
+        for row in rows:
+            forward = _sweep_point(family, row["N"])
+            assert set(row) == set(forward)
+            assert abs(row["I_N"] - forward["I_N"]) <= 1e-13 * forward["I_N"]
+            assert row["dphi2_fock"] == forward["dphi2_fock"]
+        assert rows[0] == rows[3] and rows[1] == rows[5]
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-6])
+    def test_harmonic_rows_stay_at_most_one(self, gamma):
+        rows = qfi_vs_n_sweep(LadderFamily("harmonic", gamma=gamma), range(2, 802, 2))
+        values = [r["I_N"] for r in rows]
+        assert all(1.0 - 1e-13 <= v <= 1.0 for v in values)
+
+    def test_nested_sweep_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        rows = qfi_vs_n_sweep(LadderFamily("anharmonic", u=1.0), [4, 8, 12], jobs=4)
+        assert all("error" not in r for r in rows)
+        with pytest.raises(AssertionError, match="pool"):
+            qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8], jobs=2)
+
+    def test_nested_overshoot_flags_its_row_only(self, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        # diagonal entry d holds (2 - d)^2 I; the two-photon arm's reads high
+        monkeypatch.setattr(exchange_module, "_reverse_pass",
+                            lambda a, b: np.array([4.0 * (1.0 + 1e-9), 1.0]))
+        low, high = qfi_vs_n_sweep(LadderFamily("harmonic"), [2, 4])
+        assert low["I_N"] == 1.0 and "error" not in low
+        assert high["error"].startswith("InvalidLadderError: overlap")
+
+    def test_failed_pass_flags_every_row(self, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        def boom(a, b):
+            raise InvalidLadderError("synthetic failure")
+
+        monkeypatch.setattr(exchange_module, "_reverse_pass", boom)
+        rows = qfi_vs_n_sweep(LadderFamily("anharmonic", u=1.0), [8, 4])
+        assert rows == [{"N": n, "error": "InvalidLadderError: synthetic failure"}
+                        for n in (8, 4)]
+
+    def test_empty_sweep(self):
+        assert qfi_vs_n_sweep(LadderFamily("harmonic"), []) == []
+        assert qfi_vs_n_sweep(LadderFamily("dicke"), []) == []
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
