@@ -27,7 +27,7 @@ weighted sum of its two predecessors and of the lower tables at the same
 node, with weights set by the two ladders alone.  Running the transposed
 (adjoint) recurrence back from the corner therefore gives, at every node
 (d, d), the corner of the sub-lattice that starts there, which is the
-recurrence of the arms' top m - d rungs.  For cavity ladders these are
+recurrence of the arms' lowest m - d rungs.  For cavity ladders these are
 the (m - d)-photon arms themselves: rung k decays at k gamma and sits at
 k(k-1) u whatever the photon number, so a smaller arm is the bottom rungs
 of a larger one, and one adjoint pass at the largest photon number gives
@@ -45,7 +45,7 @@ from .ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dick
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
-# numpy is imported by the two functions that build arrays: the command
+# numpy is imported by the functions that build arrays: the command
 # line imports this module for every subcommand, and parity never needs it.
 
 # Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
@@ -186,11 +186,9 @@ def _reverse_pass(a: DecayLadder, b: DecayLadder):
     part of l1 times a source) and l0 = (s Re l1 + the n0 terms) / c0.
     The pass walks the antidiagonals from the corner, where l2 = 1 is
     seeded without a division (c2 is 0 there), keeping only the next
-    antidiagonal of each table.  The forward base entry is f0 = 1, so
-    l0(d, d) is the corner of the sub-lattice from (d, d), which is the
-    recurrence of the arms' top m - d rungs: (m-d)^2 I(m-d) when those
-    rungs are the ladders of m - d photons (a nested family).  Returns
-    the diagonal l0(d, d) as an array indexed by d.
+    antidiagonal of each table.  A forward pass seeds f0 = 1 at its start,
+    so l0(d, d) is the corner of a pass over the arms' lowest m - d rungs:
+    (m-d)^2 I(m-d) for a nested family.  Returns l0(d, d), indexed by d.
     """
     import numpy as np
 
