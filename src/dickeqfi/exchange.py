@@ -32,8 +32,22 @@ the (m - d)-photon arms themselves: rung k decays at k gamma and sits at
 k(k-1) u whatever the photon number, so a smaller arm is the bottom rungs
 of a larger one, and one adjoint pass at the largest photon number gives
 a whole sweep for the cost of one recurrence.  Dicke arms do not nest:
-rung k of m emitters decays at k(m-k+1) gamma, so each Dicke point runs
+rung k of m emitters decays at k(m-k+1) gamma, so each Dicke point needs
 its own forward pass.
+
+The forward pass fills the tables of several pairs at once, one pair per
+column, so one numpy call per antidiagonal serves them all; up to
+m ~ 1000 that call's fixed cost, not its cells, dominates a pass.  With M
+the largest photon number of the batch, pair p's tables are the top-left
+m_p x m_p block of the M x M lattice.  Its coefficient rows past its own
+arms are pads (accumulator rates 1, every numerator and the cross factor
+0), so each entry outside its tables is 0 / positive * finite = 0
+exactly, and an entry inside reads only its own neighbours or the edge
+pads: every column computes its one-pair pass's values bit for bit.  The
+one zero accumulator of a pair, c2 at its corner, is reset to 1 once the
+corner is computed, so the pad entries beyond it divide by 1, not 0.  A
+Dicke sweep groups photon numbers within a factor of two of each other,
+so the pads cost little.
 """
 from __future__ import annotations
 
@@ -50,6 +64,11 @@ from .oracle import ExchangeIntegral
 
 # Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
 _OVERSHOOT_TOL = 1e-12
+
+# Most cells per antidiagonal in one batched Dicke pass (P pairs of at most
+# M photons per arm hold P M cells): past it, the wider buffers cost more
+# memory than the saved numpy calls are worth.
+_BATCH_CELLS = 4096
 
 
 class InvalidLadderError(ValueError):
@@ -113,65 +132,106 @@ def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
     }
 
 
-def _antidiagonals(a: DecayLadder, b: DecayLadder):
-    """Fill the three tables in one pass, yielding ``(lo, f0, f1, f2)``.
+def _antidiagonals(pairs):
+    """Fill the three tables of every pair of arms in one pass, yielding
+    ``(lo, f0, f1, f2)`` per antidiagonal.
 
-    Row i steps down arm a's ladder and column j arm b's.  Antidiagonal
-    k holds the entries (i, k - i) for i = lo..lo + len - 1.  Each
-    table's previous antidiagonal sits in a buffer of length m + 1 with
-    entry i at index i + 1, so the neighbours (i - 1, j) and (i, j - 1)
-    are the plain slices [lo:hi + 1] and [lo + 1:hi + 2], and the
-    missing neighbours on the table's edges read a zero pad.  The
-    j-indexed coefficients are slices of reversed copies of arm b's
-    vectors.
+    Pair p is column p of every array, so each numpy call covers all the
+    pairs.  Within a pair, row i steps down arm a's ladder and column j
+    arm b's, and the two arms have the same photon number m_p.  With M the
+    largest m_p, antidiagonal k holds the entries (i, k - i) for
+    i = lo..lo + len - 1 of the M x M lattice, whose top-left m_p x m_p
+    block is pair p's tables.  Each table's previous antidiagonal sits in
+    an (M + 1, P) buffer with entry i in row i + 1, so the neighbours
+    (i - 1, j) and (i, j - 1) are the contiguous row blocks [lo:hi + 1]
+    and [lo + 1:hi + 2], and the missing neighbours on the lattice's edges
+    read a zero pad.  The j-indexed coefficients are row blocks of arm b's
+    vectors stored reversed.  The yielded arrays are views into buffers
+    that the next steps overwrite.
     """
     import numpy as np
 
-    vec = _ladder_vectors(a.rates, a.frequencies)
-    rev = _ladder_vectors(b.rates, b.frequencies)
-    rev = {name: v[::-1].copy() for name, v in rev.items()}
-    m = a.levels
-    # Accumulators of the previous antidiagonal, with pads of 1: a pad
-    # neighbour then adds numerator / 1 * 0 = 0.  The base entry
-    # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
-    # -1, whose numerator n0[0] and accumulator pad are both 1.
-    c_prev = [np.ones(m + 1), np.ones(m + 1, dtype=complex), np.ones(m + 1)]
-    c_next = [np.ones(m + 1), np.ones(m + 1, dtype=complex), np.ones(m + 1)]
-    p0, p1, p2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
-    p0[0] = 1.0
-    for k in range(2 * m - 1):
-        lo, hi = max(0, k - m + 1), min(m - 1, k)
-        # i-indexed coefficients and up neighbours share one slice
-        i = up = slice(lo, hi + 1)
-        j, left = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
-        (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
-        c0 = np.add(vec["gr0"][i], rev["gr0"][j], out=b0[left])
-        c2 = np.add(vec["gr2"][i], rev["gr2"][j], out=b2[left])
-        c1 = np.add((c0 + c2) / 2.0, 1j * (vec["dw"][i] - rev["dw"][j]), out=b1[left])
-        s = vec["sq"][i] * rev["sq"][j]
-        q0, q1, q2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
-        f0 = np.add(
-            vec["n0"][i] / a0[up] * p0[up],
-            rev["n0"][j] / a0[left] * p0[left],
-            out=q0[left],
-        )
-        f1 = np.add(
-            s / c0 * f0 + vec["n1"][i] / a1[up] * p1[up],
-            rev["n1"][j] / a1[left] * p1[left],
-            out=q1[left],
-        )
-        # the two swapped-time branches are complex conjugates, so their
-        # coupled contribution is twice the real part
-        f2 = np.add(
-            2.0 * s * (f1 / c1).real + vec["n2"][i] / a2[up] * p2[up],
-            rev["n2"][j] / a2[left] * p2[left],
-            out=q2[left],
-        )
-        if not (np.isfinite(f0).all() and np.isfinite(f2).all()):
-            raise InvalidLadderError("recurrence produced nonfinite entries")
-        yield lo, f0, f1, f2
-        c_prev, c_next = c_next, c_prev
-        p0, p1, p2 = q0, q1, q2
+    size, width = max(a.levels for a, _ in pairs), len(pairs)
+    # Coefficient rows outside a pair's arm are pads: with sq = 0 and zero
+    # numerators, every entry past the pair's table stays exactly 0.
+    pads = {"gr0": 1.0, "gr2": 1.0, "dw": 0.0, "sq": 0.0, "n0": 0.0, "n1": 0.0, "n2": 0.0}
+    vec = {name: np.full((size, width), pad) for name, pad in pads.items()}
+    rev = {name: np.full((size, width), pad) for name, pad in pads.items()}
+    corners = _corner_steps(pairs)
+    with np.errstate(all="ignore"):
+        for p, (a, b) in enumerate(pairs):
+            m = a.levels
+            for name, v in _ladder_vectors(a.rates, a.frequencies).items():
+                vec[name][:m, p] = v
+            for name, v in _ladder_vectors(b.rates, b.frequencies).items():
+                rev[name][size - m:, p] = v[::-1]
+        # Accumulators of the previous antidiagonal, with pads of 1: a pad
+        # neighbour then adds numerator / 1 * 0 = 0.  The base entry
+        # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
+        # -1, whose numerator n0[0] and accumulator pad are both 1.
+        shape, types = (size + 1, width), (float, complex, float)
+        c_prev = [np.ones(shape, dtype=t) for t in types]
+        c_next = [np.ones(shape, dtype=t) for t in types]
+        f_prev = [np.zeros(shape, dtype=t) for t in types]
+        f_next = [np.zeros(shape, dtype=t) for t in types]
+        f_prev[0][0] = 1.0
+        for k in range(2 * size - 1):
+            lo, hi = max(0, k - size + 1), min(size - 1, k)
+            # i-indexed coefficients and up neighbours share one slice
+            i = up = slice(lo, hi + 1)
+            j, left = slice(size - 1 - k + lo, size - k + hi), slice(lo + 1, hi + 2)
+            (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
+            (p0, p1, p2), (q0, q1, q2) = f_prev, f_next
+            c0 = np.add(vec["gr0"][i], rev["gr0"][j], out=b0[left])
+            c2 = np.add(vec["gr2"][i], rev["gr2"][j], out=b2[left])
+            c1 = np.add((c0 + c2) / 2.0, 1j * (vec["dw"][i] - rev["dw"][j]), out=b1[left])
+            s = vec["sq"][i] * rev["sq"][j]
+            f0 = np.add(
+                vec["n0"][i] / a0[up] * p0[up],
+                rev["n0"][j] / a0[left] * p0[left],
+                out=q0[left],
+            )
+            f1 = np.add(
+                s / c0 * f0 + vec["n1"][i] / a1[up] * p1[up],
+                rev["n1"][j] / a1[left] * p1[left],
+                out=q1[left],
+            )
+            # the two swapped-time branches are complex conjugates, so their
+            # coupled contribution is twice the real part
+            f2 = np.add(
+                2.0 * s * (f1 / c1).real + vec["n2"][i] / a2[up] * p2[up],
+                rev["n2"][j] / a2[left] * p2[left],
+                out=q2[left],
+            )
+            if not (np.isfinite(f0).all() and np.isfinite(f2).all()):
+                raise InvalidLadderError("recurrence produced nonfinite entries")
+            # a corner has no successor in its own table; past it, c2 = 1
+            # keeps the pair's pad entries at 0 / 1 * 0 instead of 0 / 0
+            for p in corners.get(k, ()):
+                b2[k // 2 + 1, p] = 1.0
+            yield lo, f0, f1, f2
+            p0[0] = 0.0  # the base entry is read on antidiagonal 0 only
+            c_prev, c_next = c_next, c_prev
+            f_prev, f_next = f_next, f_prev
+
+
+def _corner_steps(pairs) -> dict[int, list[int]]:
+    """The pairs whose corner (m_p - 1, m_p - 1) lies on antidiagonal k, by k."""
+    steps: dict[int, list[int]] = {}
+    for p, (a, _) in enumerate(pairs):
+        steps.setdefault(2 * a.levels - 2, []).append(p)
+    return steps
+
+
+def _corners(pairs) -> list[float]:
+    """The corner f2(m_p - 1, m_p - 1) of each pair's tables, which is
+    m_p^2 times its overlap, from one batched pass."""
+    steps = _corner_steps(pairs)
+    corners = [0.0] * len(pairs)
+    for k, (lo, _, _, f2) in enumerate(_antidiagonals(pairs)):
+        for p in steps.get(k, ()):
+            corners[p] = float(f2[k // 2 - lo, p])
+    return corners
 
 
 def _reverse_pass(a: DecayLadder, b: DecayLadder):
@@ -192,50 +252,50 @@ def _reverse_pass(a: DecayLadder, b: DecayLadder):
     """
     import numpy as np
 
-    vec = _ladder_vectors(a.rates, a.frequencies)
-    rev = _ladder_vectors(b.rates, b.frequencies)
-    # numerators of the step into row i + 1 (column j + 1); none past the edge
-    for v in (vec, rev):
-        for name in ("n0", "n1", "n2"):
-            v[name] = np.append(v[name][1:], 0.0)
-    rev = {name: v[::-1].copy() for name, v in rev.items()}
-    m = a.levels
-    # Entry i of the next antidiagonal sits at index i, so the neighbours
-    # (i + 1, j) and (i, j + 1) are the slices [lo + 1:hi + 2] and
-    # [lo:hi + 1]; those past the table's edge read a zero pad.
-    p0, p1, p2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
-    diagonal = np.empty(m)
-    for k in range(2 * m - 2, -1, -1):
-        lo, hi = max(0, k - m + 1), min(m - 1, k)
-        i = right = slice(lo, hi + 1)
-        j, down = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
-        c0 = vec["gr0"][i] + rev["gr0"][j]
-        c2 = vec["gr2"][i] + rev["gr2"][j]
-        c1 = (c0 + c2) / 2.0 + 1j * (vec["dw"][i] - rev["dw"][j])
-        s = vec["sq"][i] * rev["sq"][j]
-        q0, q1, q2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
-        l2 = q2[i]
-        if k == 2 * m - 2:
-            l2[0] = 1.0  # the corner itself
-        else:
-            np.divide(vec["n2"][i] * p2[down] + rev["n2"][j] * p2[right], c2, out=l2)
-        l1 = np.divide(2.0 * s * l2 + vec["n1"][i] * p1[down] + rev["n1"][j] * p1[right],
-                       c1, out=q1[i])
-        l0 = np.divide(s * l1.real + vec["n0"][i] * p0[down] + rev["n0"][j] * p0[right],
-                       c0, out=q0[i])
-        if not (np.isfinite(l0).all() and np.isfinite(l2).all()):
-            raise InvalidLadderError("recurrence produced nonfinite entries")
-        if k % 2 == 0:
-            diagonal[k // 2] = l0[k // 2 - lo]
-        p0, p1, p2 = q0, q1, q2
-    return diagonal
+    with np.errstate(all="ignore"):
+        vec = _ladder_vectors(a.rates, a.frequencies)
+        rev = _ladder_vectors(b.rates, b.frequencies)
+        # numerators of the step into row i + 1 (column j + 1); none past the edge
+        for v in (vec, rev):
+            for name in ("n0", "n1", "n2"):
+                v[name] = np.append(v[name][1:], 0.0)
+        rev = {name: v[::-1].copy() for name, v in rev.items()}
+        m = a.levels
+        # Entry i of the next antidiagonal sits at index i, so the neighbours
+        # (i + 1, j) and (i, j + 1) are the slices [lo + 1:hi + 2] and
+        # [lo:hi + 1]; those past the table's edge read a zero pad.
+        p0, p1, p2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
+        diagonal = np.empty(m)
+        for k in range(2 * m - 2, -1, -1):
+            lo, hi = max(0, k - m + 1), min(m - 1, k)
+            i = right = slice(lo, hi + 1)
+            j, down = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
+            c0 = vec["gr0"][i] + rev["gr0"][j]
+            c2 = vec["gr2"][i] + rev["gr2"][j]
+            c1 = (c0 + c2) / 2.0 + 1j * (vec["dw"][i] - rev["dw"][j])
+            s = vec["sq"][i] * rev["sq"][j]
+            q0, q1, q2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
+            l2 = q2[i]
+            if k == 2 * m - 2:
+                l2[0] = 1.0  # the corner itself
+            else:
+                np.divide(vec["n2"][i] * p2[down] + rev["n2"][j] * p2[right], c2, out=l2)
+            l1 = np.divide(2.0 * s * l2 + vec["n1"][i] * p1[down] + rev["n1"][j] * p1[right],
+                           c1, out=q1[i])
+            l0 = np.divide(s * l1.real + vec["n0"][i] * p0[down] + rev["n0"][j] * p0[right],
+                           c0, out=q0[i])
+            if not (np.isfinite(l0).all() and np.isfinite(l2).all()):
+                raise InvalidLadderError("recurrence produced nonfinite entries")
+            if k % 2 == 0:
+                diagonal[k // 2] = l0[k // 2 - lo]
+            p0, p1, p2 = q0, q1, q2
+        return diagonal
 
 
 def _recurrence(a: DecayLadder, b: DecayLadder) -> RecurrenceState:
-    """Run the recurrence for arms a and b of equal photon number."""
-    for _, _, _, f2 in _antidiagonals(a, b):
-        pass
-    return RecurrenceState(photons_per_arm=a.levels, corner=float(f2[0]))
+    """Run the recurrence for arms a and b of equal photon number: a
+    batch of one pair."""
+    return RecurrenceState(photons_per_arm=a.levels, corner=_corners([(a, b)])[0])
 
 
 def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
@@ -322,6 +382,10 @@ def _sweep_point(family: LadderFamily, n_total: int) -> dict:
     return _sweep_row(n_total, overlap)
 
 
+def _overlap(m: int, corner: float) -> float:
+    return RecurrenceState(photons_per_arm=m, corner=corner).value
+
+
 def _nested_sweep(family: LadderFamily, n_values: list[int]) -> list[dict]:
     """Rows of a nested family from one reverse pass at the largest N."""
     try:
@@ -329,16 +393,55 @@ def _nested_sweep(family: LadderFamily, n_values: list[int]) -> list[dict]:
         corners = _reverse_pass(arm, arm)
     except Exception as exc:  # no point has an overlap: every row says why
         return [_error_row(n, exc) for n in n_values]
-
-    def overlap(m):
-        return RecurrenceState(photons_per_arm=m, corner=float(corners[arm.levels - m])).value
-
-    return [_sweep_row(n, partial(overlap, n // 2)) for n in n_values]
+    return [_sweep_row(n, partial(_overlap, n // 2, float(corners[arm.levels - n // 2])))
+            for n in n_values]
 
 
-def _worker_count(jobs: int | None, points: int) -> int:
-    """Pool size: at least one, and no more than points or logical cores."""
-    return max(1, min(jobs or 1, points, os.cpu_count() or 1))
+def _dicke_groups(ms) -> list[list[int]]:
+    """Distinct photon numbers per arm, largest first, cut into batched
+    passes: a pass whose largest is M takes the next m while m >= M/2 and
+    its antidiagonals hold at most ``_BATCH_CELLS`` cells."""
+    groups: list[list[int]] = []
+    for m in sorted(set(ms), reverse=True):
+        group = groups[-1] if groups else []
+        if group and 2 * m >= group[0] and (len(group) + 1) * group[0] <= _BATCH_CELLS:
+            group.append(m)
+        else:
+            groups.append([m])
+    return groups
+
+
+def _dicke_group(family: LadderFamily, ms: list[int]) -> list[float] | None:
+    """Corners of the Dicke points with ``ms`` photons per arm from one
+    batched pass, or None if the pass fails."""
+    try:
+        arms = [family.build_arm(2 * m) for m in ms]
+        return _corners([(arm, arm) for arm in arms])
+    except Exception:  # each point reruns alone and reports its own error
+        return None
+
+
+def _dicke_sweep(family: LadderFamily, n_values: list[int], jobs: int | None) -> list[dict]:
+    """Rows of a Dicke family, a group of points per pass (see
+    ``_dicke_groups``), the groups on a pool of at most ``jobs`` workers."""
+    groups = _dicke_groups(n // 2 for n in n_values)
+    workers = _worker_count(jobs, len(groups))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            found = list(pool.map(_dicke_group, [family] * len(groups), groups))
+    else:
+        found = [_dicke_group(family, ms) for ms in groups]
+    corners = {m: c for ms, cs in zip(groups, found) if cs is not None for m, c in zip(ms, cs)}
+    # the points of a failed pass rerun alone, so each failing point flags its own row
+    return [_sweep_row(n, partial(_overlap, n // 2, corners[n // 2])) if n // 2 in corners
+            else _sweep_point(family, n) for n in n_values]
+
+
+def _worker_count(jobs: int | None, tasks: int) -> int:
+    """Pool size: at least one, and no more than tasks or logical cores."""
+    return max(1, min(jobs or 1, tasks, os.cpu_count() or 1))
 
 
 def qfi_vs_n_sweep(
@@ -350,19 +453,15 @@ def qfi_vs_n_sweep(
     information, the per-shot phase variance and the shot-noise,
     Heisenberg and photon-number-state references, in input order.  A
     nested family takes every point from one reverse pass, and ``jobs``
-    is unused; Dicke points run independently, optionally on a process
-    pool of at most ``jobs`` workers.
+    is unused; Dicke points run in batched passes, optionally on a
+    process pool of at most ``jobs`` workers.
     """
     n_values = [int(n) for n in n_values]
     for n in n_values:
         if n % 2 or n < 2:
             raise ValueError(f"total photon number must be even >= 2, got {n}")
+    if not n_values:
+        return []
     if family.nested:
-        return _nested_sweep(family, n_values) if n_values else []
-    workers = _worker_count(jobs, len(n_values))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_point, [family] * len(n_values), n_values))
-    return [_sweep_point(family, n) for n in n_values]
+        return _nested_sweep(family, n_values)
+    return _dicke_sweep(family, n_values, jobs)

@@ -65,6 +65,23 @@ class TestExchangeCommand:
         capsys.readouterr()
         assert blobs[0] == blobs[1]
 
+    def test_jobs_do_not_change_grouped_dicke_bytes(self, capsys):
+        # m = 100, 50 | 20 | 2: three batched passes on a pool of two
+        base = ["exchange", "--family", "dicke", "--n", "4,200,40,100,4", "--no-header"]
+        outputs = [run(capsys, *base, "--jobs", jobs) for jobs in ("1", "2")]
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == EXIT_OK
+
+    def test_failed_points_print_no_numpy_warnings(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dickeqfi.cli", "exchange", "--family", "dicke",
+             "--gamma", "1e300", "--n", "4,6", "--jobs", "1", "--no-header"],
+            capture_output=True, env=_subprocess_env(), timeout=120,
+        )
+        assert proc.returncode == EXIT_NUMERIC
+        assert proc.stderr == b"2 sweep points failed\n"
+        assert proc.stdout.count(b"InvalidLadderError") == 2
+
     def test_jobs_do_not_change_nested_sweep_bytes(self, capsys):
         base = ["exchange", "--family", "anharmonic", "--u-over-gamma", "3",
                 "--n", "4..40", "--no-header"]

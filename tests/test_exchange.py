@@ -13,7 +13,10 @@ from dickeqfi.exchange import (
     RecurrenceState,
     exchange_integral,
     qfi_vs_n_sweep,
+    _BATCH_CELLS,
     _antidiagonals,
+    _corners,
+    _dicke_groups,
     _ladder_vectors,
     _recurrence,
     _reverse_pass,
@@ -118,14 +121,17 @@ def longdouble_corner(arm):
         h0[left], h1[left], h2[left] = f0 / c0, f1 / c1, f2 / c2
 
 
-def full_tables(ladder):
-    """The three m x m tables, rebuilt from the library's antidiagonals."""
-    m = ladder.levels
+def full_tables(ladder, pairs=None, column=0):
+    """The three M x M tables of one column of a batched pass (by default
+    the one-pair pass of twin arms), rebuilt from the library's
+    antidiagonals; M is the largest photon number of the batch."""
+    pairs = pairs or [(ladder, ladder)]
+    m = max(a.levels for a, _ in pairs)
     tables = (np.zeros((m, m)), np.zeros((m, m), dtype=complex), np.zeros((m, m)))
-    for k, (lo, *diagonals) in enumerate(_antidiagonals(ladder, ladder)):
+    for k, (lo, *diagonals) in enumerate(_antidiagonals(pairs)):
         i = np.arange(lo, lo + len(diagonals[0]))
         for table, diagonal in zip(tables, diagonals):
-            table[i, k - i] = diagonal
+            table[i, k - i] = diagonal[:, column]
     return tables
 
 
@@ -328,7 +334,7 @@ class TestRecurrenceState:
 
     def test_nonfinite_entries_raise(self):
         arm = build_dicke(5, 1e300)
-        with np.errstate(all="ignore"), pytest.raises(InvalidLadderError, match="nonfinite"):
+        with pytest.raises(InvalidLadderError, match="nonfinite"):
             _recurrence(arm, arm)
 
 
@@ -373,8 +379,91 @@ class TestReversePass:
 
     def test_nonfinite_entries_raise(self):
         arm = build_harmonic(5, 1e307)
-        with np.errstate(all="ignore"), pytest.raises(InvalidLadderError, match="nonfinite"):
+        with pytest.raises(InvalidLadderError, match="nonfinite"):
             _reverse_pass(arm, arm)
+
+
+BATCHES = {
+    "dicke-mixed": [(build_dicke(m, 1.0),) * 2 for m in (7, 4, 1, 7, 5, 4)],
+    "kerr-u": [(build_anharmonic(m, 1.0, u),) * 2
+               for m, u in ((6, 1.0), (3, 10.0), (6, 0.05), (4, 1000.0))],
+    "distinct-arms": [(build_dicke(5, 1.0), build_dicke(5, 2.5)),
+                      (build_anharmonic(8, 1.0, 2.0), build_anharmonic(8, 0.7, 15.0)),
+                      (build_dicke(2, 1.0), build_anharmonic(2, 3.0, 0.5))],
+}
+
+
+class TestBatchedPass:
+    """Several pairs per pass: each column is its own one-pair pass."""
+
+    @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
+    def test_each_column_is_its_one_pair_pass(self, batch):
+        size = max(a.levels for a, _ in batch)
+        for column, (a, b) in enumerate(batch):
+            m = a.levels
+            alone = full_tables(None, [(a, b)])
+            batched = full_tables(None, batch, column)
+            for own, table in zip(alone, batched):
+                assert np.array_equal(table[:m, :m], own)
+                # the entries past the pair's table stay exactly zero
+                assert not table[m:].any() and not table[:, m:].any()
+            assert batched[2].shape == (size, size)
+        assert _corners(batch) == [_recurrence(a, b).corner for a, b in batch]
+
+    def test_a_nonfinite_column_flags_only_its_own_rows(self):
+        # gamma = 1e300 overflows from two photons per arm on; one photon
+        # shares the failing pass and still gets its value
+        family = LadderFamily("dicke", gamma=1e300)
+        rows = qfi_vs_n_sweep(family, [2, 4, 2, 6])
+        assert [r["N"] for r in rows] == [2, 4, 2, 6]
+        assert rows[0] == rows[2] == _sweep_point(family, 2)
+        assert rows[0]["I_N"] == pytest.approx(1.0, rel=1e-15)
+        for row in rows[1::2]:
+            assert row["error"] == "InvalidLadderError: recurrence produced nonfinite entries"
+
+    @given(ms=st.lists(st.integers(1, 3000), max_size=60))
+    @settings(max_examples=60, deadline=None)
+    def test_groups_follow_the_rule(self, ms):
+        groups = _dicke_groups(ms)
+        flat = [m for group in groups for m in group]
+        assert flat == sorted(set(ms), reverse=True)
+        for group, following in zip(groups, groups[1:] + [[]]):
+            top = group[0]
+            assert all(2 * m >= top for m in group)
+            assert len(group) == 1 or len(group) * top <= _BATCH_CELLS
+            # a group ends only where the next photon number breaks the rule
+            if following:
+                assert 2 * following[0] < top or (len(group) + 1) * top > _BATCH_CELLS
+
+    def test_bench_grid_groups(self):
+        groups = _dicke_groups(range(20, 1001, 80))
+        assert groups == [[980, 900, 820, 740], [660, 580, 500, 420, 340], [260, 180],
+                          [100], [20]]
+
+    def test_rows_match_one_pass_per_point(self):
+        family = LadderFamily("dicke", gamma=0.3)
+        n_values = [40, 2, 18, 40, 6, 4, 100, 60]
+        rows = qfi_vs_n_sweep(family, n_values)
+        assert rows == [_sweep_point(family, n) for n in n_values]
+
+    def test_a_failed_group_reruns_each_point_alone(self, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        family = LadderFamily("dicke")
+        expected = qfi_vs_n_sweep(family, [4, 8, 40])
+        monkeypatch.setattr(exchange_module, "_dicke_group", lambda family, ms: None)
+        assert qfi_vs_n_sweep(family, [4, 8, 40]) == expected
+
+    def test_sweep_memory_stays_small(self):
+        # the benchmark's Dicke grid: four columns of up to 990 photons
+        tracemalloc.start()
+        try:
+            rows = qfi_vs_n_sweep(LadderFamily("dicke"), range(40, 2001, 160), jobs=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all("error" not in r for r in rows)
+        assert peak < 2e6
 
 
 class TestTrustAtScale:
@@ -552,13 +641,13 @@ class TestSweep:
     def test_per_point_errors_flag_rows(self, monkeypatch):
         import dickeqfi.exchange as exchange_module
 
-        def boom(config):
+        def boom(pairs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(exchange_module, "exchange_integral", boom)
-        rows = exchange_module.qfi_vs_n_sweep(LadderFamily("dicke"), [4])
-        assert "error" in rows[0]
-        assert "synthetic failure" in rows[0]["error"]
+        # the group's pass fails, and so does each point's pass alone
+        monkeypatch.setattr(exchange_module, "_corners", boom)
+        rows = exchange_module.qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8])
+        assert rows == [{"N": n, "error": "RuntimeError: synthetic failure"} for n in (4, 8)]
 
     def test_nested_rows_match_the_forward_pass_in_input_order(self):
         family = LadderFamily("anharmonic", gamma=0.5, u=5.0)
@@ -587,8 +676,11 @@ class TestSweep:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         rows = qfi_vs_n_sweep(LadderFamily("anharmonic", u=1.0), [4, 8, 12], jobs=4)
         assert all("error" not in r for r in rows)
+        # two groups of Dicke points (m = 2 < 20 / 2) share a pool
         with pytest.raises(AssertionError, match="pool"):
-            qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8], jobs=2)
+            qfi_vs_n_sweep(LadderFamily("dicke"), [4, 40], jobs=2)
+        # one group runs in-process
+        assert qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8], jobs=2)
 
     def test_nested_overshoot_flags_its_row_only(self, monkeypatch):
         import dickeqfi.exchange as exchange_module
