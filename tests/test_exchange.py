@@ -121,11 +121,11 @@ def longdouble_corner(arm):
         h0[left], h1[left], h2[left] = f0 / c0, f1 / c1, f2 / c2
 
 
-def full_tables(ladder, pairs=None, column=0):
-    """The three M x M tables of one column of a batched pass (by default
-    the one-pair pass of twin arms), rebuilt from the library's
-    antidiagonals; M is the largest photon number of the batch."""
-    pairs = pairs or [(ladder, ladder)]
+def full_tables(arms, column=0):
+    """The three M x M tables of one column of a batched pass, rebuilt from
+    the library's antidiagonals; ``arms`` is a list of arm pairs or one
+    ladder (its twin pair), and M the largest photon number of the batch."""
+    pairs = arms if isinstance(arms, list) else [(arms, arms)]
     m = max(a.levels for a, _ in pairs)
     tables = (np.zeros((m, m)), np.zeros((m, m), dtype=complex), np.zeros((m, m)))
     for k, (lo, *diagonals) in enumerate(_antidiagonals(pairs)):
@@ -401,8 +401,8 @@ class TestBatchedPass:
         size = max(a.levels for a, _ in batch)
         for column, (a, b) in enumerate(batch):
             m = a.levels
-            alone = full_tables(None, [(a, b)])
-            batched = full_tables(None, batch, column)
+            alone = full_tables([(a, b)])
+            batched = full_tables(batch, column)
             for own, table in zip(alone, batched):
                 assert np.array_equal(table[:m, :m], own)
                 # the entries past the pair's table stay exactly zero
@@ -455,7 +455,7 @@ class TestBatchedPass:
         assert qfi_vs_n_sweep(family, [4, 8, 40]) == expected
 
     def test_sweep_memory_stays_small(self):
-        # the benchmark's Dicke grid: four columns of up to 990 photons
+        # the benchmark's Dicke grid: four columns of up to 980 photons
         tracemalloc.start()
         try:
             rows = qfi_vs_n_sweep(LadderFamily("dicke"), range(40, 2001, 160), jobs=1)
