@@ -34,7 +34,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from .budget import PlatformParams, full_budget, matched_dicke_overlap
 from .exchange import (
     SWEEP_COLUMNS,
     LadderFamily,
@@ -49,19 +48,28 @@ from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
 # The modules above import no numpy, and their names are bound at import
 # as they are defined: perfbench's tracer wraps exchange_integral both here
 # and on the exchange module, so a later binding would take the wrapper and
-# record each call twice.  The cascade module imports numpy, so its names
-# are bound on first use (PEP 562).  Handlers reach them through ``_self``,
-# this module, at call time: a replaced attribute (a tracer's wrapper, a
-# test's patch) is what they call.
-_DICKESIM = ("LossModel", "collection_loss_probability", "collection_probability_product",
-             "dicke_collection_probability", "dicke_populations")
+# record each call twice.  The names in _LATE are bound on first use
+# (PEP 562) from the module it maps them to: the cascade module's trace
+# needs numpy, and only report needs the budget.  A late binding is safe for
+# these names because the tracer wraps each of them here alone, so the hook
+# still takes the function itself.  The budget module binds exchange_integral
+# when it is first imported; under the tracer that is already the wrapper,
+# so the budget's recurrence is recorded, once.  Handlers reach the late
+# names through ``_self``, this module, at call time: a replaced attribute
+# (a tracer's wrapper, a test's patch) is what they call.
+_LATE = {
+    **dict.fromkeys(("LossModel", "collection_loss_probability",
+                     "collection_probability_product", "dicke_collection_probability",
+                     "dicke_populations"), ".dickesim"),
+    **dict.fromkeys(("PlatformParams", "full_budget", "matched_dicke_overlap"), ".budget"),
+}
 _self = sys.modules[__name__]
 
 
 def __getattr__(name):
-    if name not in _DICKESIM:
+    if name not in _LATE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(".dickesim", __package__), name)
+    value = getattr(importlib.import_module(_LATE[name], __package__), name)
     globals()[name] = value
     return value
 
@@ -199,8 +207,6 @@ def _within_reach(spec: str) -> bool:
 
 def _ratios(spec: str, points: int = 2) -> list[float]:
     """Rate ratios of a comma list of values, 'inf' and geometric 'lo..hi' ranges."""
-    import numpy as np
-
     ratios = []
     for tok in filter(None, spec.split(",")):
         lo, sep, hi = tok.partition("..")
@@ -208,10 +214,23 @@ def _ratios(spec: str, points: int = 2) -> list[float]:
             lo, hi = _POSITIVE(lo), _POSITIVE(hi)
             if not lo < hi:
                 raise ValueError(f"a geometric range needs low < high, got {tok!r}")
-            ratios.extend(np.geomspace(lo, hi, points))
+            ratios.extend(_geomspace(lo, hi, points))
         else:
             ratios.append(_RATIO(tok))
     return ratios
+
+
+def _geomspace(lo: float, hi: float, num: int) -> list[float]:
+    """``np.geomspace(lo, hi, num)`` of positive ends in plain floats, by its
+    steps: powers of ten over ``_linspace`` of the logarithms, ends set to
+    ``lo`` and ``hi``.  Ends are exact; an interior point can differ by an
+    ulp where numpy's vectorised log10 or power rounds otherwise."""
+    logs = _linspace(math.log10(lo), math.log10(hi), num)
+    try:
+        grid = [lo] + [10.0 ** x for x in logs[1:-1]]
+    except OverflowError:  # hi within a few ulps of the largest float
+        raise ValueError(f"a geometric range to {hi!r} overflows") from None
+    return grid + [hi] if num > 1 else grid
 
 
 def _families(spec: str) -> list[LadderFamily]:
@@ -291,15 +310,16 @@ _LOSS_COLUMNS = ("N", "purcell", "one_minus_p_exact", "one_minus_p_product",
 
 
 def cmd_loss(cfg: RunConfig) -> int:
-    import numpy as np
-
     opts = cfg.options
     n_values = _int_list(opts["n"])
-    purcells = _ratios(opts["purcell"], opts["points"])
+    # the option's converter checked the range's ends; its points may still overflow
+    purcells = _convert(lambda spec: _ratios(spec, opts["points"]), opts["purcell"], "purcell")
 
     if opts["trace"]:
         if len(n_values) != 1 or len(purcells) != 1:
             raise UsageError("trace", "a trace needs exactly one N and one purcell")
+        import numpy as np
+
         n = n_values[0]
         trace = _self.dicke_populations(n, _loss_model(purcells[0]))
         levels = tuple(f"P_{m}" for m in range(n + 1))
@@ -389,18 +409,18 @@ def cmd_parity(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     opts = cfg.options
-    params = PlatformParams(
+    params = _self.PlatformParams(
         quality_factor=opts["q"], group_index=opts["n_g"], wavelength=opts["lambda_a"],
         gamma_1d=opts["gamma_1d"], gamma_star=opts["gamma_star"], n_photons=opts["n"],
         pulse_error=opts["pulse_error"], delta_gamma=opts["delta_gamma"],
         delay=opts["delay"], interferometer_loss=opts["eta"],
     )
     n = params.n_photons
-    integral = matched_dicke_overlap(n // 2)
+    integral = _self.matched_dicke_overlap(n // 2)
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
     loss = _loss_model(purcell)
     p = _self.dicke_collection_probability(n // 2, loss).exact
-    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
+    budget = _self.full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
         payload = budget.to_dict()

@@ -13,7 +13,7 @@ import pytest
 import dickeqfi
 from dickeqfi.cli import (
     _EXCHANGE_N, _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_EXCHANGE_N, RunConfig,
-    _linspace, main,
+    _linspace, _ratios, main,
 )
 
 
@@ -571,6 +571,31 @@ def test_cli_import_loads_no_numpy():
     assert _probe("import dickeqfi.cli\n" + _NUMPY_LOADED) == ["False"]
 
 
+def test_cli_import_loads_no_budget():
+    # only report needs the budget; its names bind on first use
+    assert _probe("import sys, dickeqfi.cli\n"
+                  "print('dickeqfi.budget' in sys.modules)\n"
+                  "dickeqfi.cli.full_budget\n"
+                  "print('dickeqfi.budget' in sys.modules)\n") == ["False", "True"]
+
+
+def test_loss_sweep_loads_no_numpy():
+    # the closed forms are math, and the geometric purcell grid plain floats
+    assert _probe("from dickeqfi import cli\n" + _QUIET +
+                  "    code = cli.main(['loss', '--n', '10,100', '--purcell', '10..1e3',"
+                  " '--points', '3', '--format', 'json', '--no-header'])\n"
+                  "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
+
+
+def test_cascade_closed_forms_load_no_numpy():
+    assert _probe("from dickeqfi import dickesim as d\n" + _NUMPY_LOADED +
+                  "loss = d.LossModel(1.0, 0.01)\n"
+                  "print(d.collection_loss_probability(10, loss) > 0.0,"
+                  " d.collection_probability_product(10, loss) < 1.0,"
+                  " d.dicke_collection_probability(10, loss).exact < 1.0)\n"
+                  + _NUMPY_LOADED) == ["False", "True True True", "False"]
+
+
 def test_parity_loads_no_numpy():
     # the oracle builds the overlaps and the phi grid is plain floats
     assert _probe("from dickeqfi import cli\n" + _QUIET +
@@ -594,7 +619,8 @@ def test_oracle_driver_loads_no_numpy():
     _SIN_REPORT + ["--fidelity-table"],
 ], ids=["exchange", "loss", "loss-trace", "report"])
 def test_array_subcommands_run_in_a_fresh_interpreter(argv):
-    # numpy is imported on first use, by the handler or the module it calls
+    # numpy, where a subcommand needs it, is imported on first use, by the
+    # handler or the module it calls
     assert _probe("import contextlib, io\n"
                   "from dickeqfi import cli\n"
                   "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
@@ -640,6 +666,39 @@ def test_phi_grid_is_numpy_linspace_bit_for_bit(points):
         assert grid.tobytes() == np.linspace(-a, a, points).tobytes(), a
 
 
+# Ends of geometric purcell ranges: round values and the benchmark's shifted
+# 1e2 and 1e5 (perfbench/workloads.py, f = 10^(v/80)).
+_GEOMETRIC_ENDS = sorted({1e-2, 0.3, 1.0, 7.0, 10.0, 1e2, 1e3, 1e5, 1e12}
+                         | {float(f"{e * 10.0 ** (v / 80.0):.6g}")
+                            for v in range(8) for e in (1e2, 1e5)})
+
+
+@pytest.mark.parametrize("points", [1, 2, 3, 17, 181])
+def test_purcell_grid_is_numpy_geomspace_to_its_last_bits(points):
+    # numpy's vectorised log10 and power may round an ulp away from libm's;
+    # a shifted log10 of an end moves the interior points' exponents, so the
+    # 2-ulp bound holds where both ends' log10 agree, and 1e-14 elsewhere
+    np = pytest.importorskip("numpy")
+    for lo, hi in itertools.combinations(_GEOMETRIC_ENDS, 2):
+        grid = _ratios(f"{lo!r}..{hi!r}", points)
+        ref = np.geomspace(lo, hi, points)
+        assert len(grid) == points and grid[0] == lo and grid[-1] == (hi if points > 1 else lo)
+        assert all(a < b for a, b in zip(grid, grid[1:])), (lo, hi)
+        logs_agree = all(float(np.log10(x)) == math.log10(x) for x in (lo, hi))
+        for x, y in zip(grid[1:-1], ref[1:-1]):
+            assert abs(x - y) <= (2 * math.ulp(y) if logs_agree else 1e-14 * y), (lo, hi, x, y)
+        if points == 2:
+            assert np.array(grid).tobytes() == ref.tobytes()
+
+
+def test_purcell_grid_near_the_largest_float_names_the_key(capsys):
+    top = sys.float_info.max
+    code, _, err = run(capsys, "loss", "--n", "3", "--purcell",
+                       f"{math.nextafter(top, 0)!r}..{top!r}", "--points", "3")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: purcell: ") and "overflows" in err
+
+
 @pytest.mark.parametrize("name, argv", [
     ("exchange_integral", ["verify", "--m-max", "1", "--families", "dicke"]),
     ("qfi_vs_n_sweep", ["exchange", "--family", "dicke", "--n", "4", "--jobs", "1"]),
@@ -679,6 +738,22 @@ def test_traced_run_records_one_span_per_call():
     # a one-level Kerr ladder has no level shift, so its span reads "dicke"
     assert out == [str([("exchange.integral.dicke", 3), ("exchange.integral.kerr", 1),
                         ("ladder.build", 4), ("oracle.float", 4)])]
+
+
+def test_traced_report_records_the_budget_recurrence():
+    # The budget module is imported after the tracer is installed, so it
+    # binds the wrapped exchange_integral and build_dicke: report's matched
+    # overlap leaves one span each.
+    out = _probe("import collections, contextlib, io\n"
+                 "import dickeqfi.cli\n"
+                 "from perfbench.tracing import Tracer, install_all\n"
+                 "tracer = Tracer()\n"
+                 "install_all(tracer)\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    dickeqfi.cli.main({_SIN_REPORT + ['--no-header']!r})\n"
+                 "print(sorted(collections.Counter(s['name'] for s in tracer.spans).items()))\n")
+    assert out == [str([("budget.full", 1), ("dickesim.collection", 1), ("dickesim.product", 1),
+                        ("exchange.integral.dicke", 1), ("ladder.build", 1)])]
 
 
 def test_traced_names_resolve():

@@ -179,6 +179,23 @@ class TestCollectionProbability:
             first_loss_sum(n, purcell), rel=1e-12, abs=0.0
         )
 
+    def test_product_is_the_numpy_product_bit_for_bit(self):
+        for n, purcell in CLOSED_FORM_GRID:
+            loss = LossModel(1.0, 1.0 / purcell)
+            gammas, lost = numpy_rungs(n, loss)
+            expected = float(np.prod(gammas / (gammas + lost)))
+            assert collection_probability_product(n, loss) == expected, (n, purcell)
+
+    def test_loss_probability_is_the_numpy_log_sum(self):
+        # numpy's vectorised log1p can round an ulp away from libm's, and
+        # fsum sums exactly, so the two agree to rounding, not bit for bit
+        for n, purcell in CLOSED_FORM_GRID:
+            loss = LossModel(1.0, 1.0 / purcell)
+            gammas, lost = numpy_rungs(n, loss)
+            expected = 0.0 - math.expm1(float(np.sum(np.log1p(-lost / (gammas + lost)))))
+            assert collection_loss_probability(n, loss) == pytest.approx(
+                expected, rel=1e-15, abs=0.0), (n, purcell)
+
     def test_lossless_chain_loses_nothing(self):
         q = collection_loss_probability(7, LOSSLESS)
         assert q == 0.0 and math.copysign(1.0, q) == 1.0
@@ -229,6 +246,19 @@ class TestCollectionProbability:
         assert trace.populations[0, -1] == pytest.approx(
             collection_probability_product(300, loss), rel=1e-11, abs=0.0
         )
+
+
+# N = 1..10^4 and P = 1e-2..1e12, where the closed forms are pinned to the
+# numpy forms they replaced.
+CLOSED_FORM_GRID = [(n, 10.0 ** (e / 4.0))
+                    for n in (1, 2, 3, 7, 10, 33, 100, 317, 1000, 3162, 10_000)
+                    for e in range(-8, 49, 2)]
+
+
+def numpy_rungs(n, loss):
+    """Collective and residual rate of each rung, as numpy arrays."""
+    m = np.arange(1, n + 1, dtype=float)
+    return m * (n - m + 1.0) * loss.gamma_1d, m * loss.gamma_star
 
 
 def cascade_generator(n, gamma_star):
