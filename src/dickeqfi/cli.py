@@ -223,8 +223,9 @@ def _ratios(spec: str, points: int = 2) -> list[float]:
 def _geomspace(lo: float, hi: float, num: int) -> list[float]:
     """``np.geomspace(lo, hi, num)`` of positive ends in plain floats, by its
     steps: powers of ten over ``_linspace`` of the logarithms, ends set to
-    ``lo`` and ``hi``.  Ends are exact; an interior point can differ by an
-    ulp where numpy's vectorised log10 or power rounds otherwise."""
+    ``lo`` and ``hi``.  Ends are exact; interior points can differ from
+    numpy's in the last bits, where its vectorised log10 or power rounds
+    otherwise than libm."""
     logs = _linspace(math.log10(lo), math.log10(hi), num)
     try:
         grid = [lo] + [10.0 ** x for x in logs[1:-1]]

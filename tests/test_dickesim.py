@@ -248,8 +248,8 @@ class TestCollectionProbability:
         )
 
 
-# N = 1..10^4 and P = 1e-2..1e12, where the closed forms are pinned to the
-# numpy forms they replaced.
+# N = 1..10^4 and P = 1e-2..1e12, where the closed forms are pinned to
+# numpy's array forms of the same branching product.
 CLOSED_FORM_GRID = [(n, 10.0 ** (e / 4.0))
                     for n in (1, 2, 3, 7, 10, 33, 100, 317, 1000, 3162, 10_000)
                     for e in range(-8, 49, 2)]
