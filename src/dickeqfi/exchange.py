@@ -16,11 +16,12 @@ in a fraction of a second.
 The tables are stored in the factorial-rescaled form (dividing entry
 (i, j) by i! j!); the rescaling removes the combinatorial prefactors
 from the update rule and keeps every stored magnitude far from
-overflow.  Ladders with unequal level spacings make the mid-table
-exponent accumulators complex (transition-frequency mismatches between
-the two pending branches); the final integral is provably real and is
-assembled from the real part of the coupled term, so the top table
-stays real throughout.
+overflow.  Ladders with unequal level spacings make the one-pending
+table and its exponent accumulator complex (transition-frequency
+mismatches between the two pending branches); ladders whose level
+frequencies are all zero (Dicke, harmonic) keep them in float64.  The
+final integral is provably real and is assembled from the real part of
+the coupled term, so the top table stays real throughout.
 
 The corner is a linear path sum over the lattice: each entry is a
 weighted sum of its two predecessors and of the lower tables at the same
@@ -148,6 +149,13 @@ def _antidiagonals(pairs):
     read a zero pad.  The j-indexed coefficients are row blocks of arm b's
     vectors stored reversed.  The yielded arrays are views into buffers
     that the next steps overwrite.
+
+    Table 1 and its accumulator buffer are complex only if some arm has a
+    nonzero level frequency, and the buffer holds 1 / c1, so each of its
+    three uses is a multiply.  numpy divides by a complex (c, 0) in
+    Smith's form, as x * (1 / c), so the float64 pass of real ladders
+    repeats the complex pass's bits; dividing by c in real arithmetic
+    would move values by an ulp or so.
     """
     import numpy as np
 
@@ -168,8 +176,10 @@ def _antidiagonals(pairs):
         # Accumulators of the previous antidiagonal, with pads of 1: a pad
         # neighbour then adds numerator / 1 * 0 = 0.  The base entry
         # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
-        # -1, whose numerator n0[0] and accumulator pad are both 1.
-        shape, types = (size + 1, width), (float, complex, float)
+        # -1, whose numerator n0[0] and accumulator pad are both 1.  Buffer
+        # 1 holds reciprocals, and its pads read 1 / 1 = 1 as well.
+        real = not any(any(a.frequencies) or any(b.frequencies) for a, b in pairs)
+        shape, types = (size + 1, width), (float, float if real else complex, float)
         c_prev = [np.ones(shape, dtype=t) for t in types]
         c_next = [np.ones(shape, dtype=t) for t in types]
         f_prev = [np.zeros(shape, dtype=t) for t in types]
@@ -184,7 +194,11 @@ def _antidiagonals(pairs):
             (p0, p1, p2), (q0, q1, q2) = f_prev, f_next
             c0 = np.add(vec["gr0"][i], rev["gr0"][j], out=b0[left])
             c2 = np.add(vec["gr2"][i], rev["gr2"][j], out=b2[left])
-            c1 = np.add((c0 + c2) / 2.0, 1j * (vec["dw"][i] - rev["dw"][j]), out=b1[left])
+            c1 = (c0 + c2) / 2.0
+            if not real:
+                c1 = c1 + 1j * (vec["dw"][i] - rev["dw"][j])
+            # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
+            r1 = np.divide(1.0, c1, out=b1[left])
             s = vec["sq"][i] * rev["sq"][j]
             f0 = np.add(
                 vec["n0"][i] / a0[up] * p0[up],
@@ -192,14 +206,14 @@ def _antidiagonals(pairs):
                 out=q0[left],
             )
             f1 = np.add(
-                s / c0 * f0 + vec["n1"][i] / a1[up] * p1[up],
-                rev["n1"][j] / a1[left] * p1[left],
+                s / c0 * f0 + vec["n1"][i] * a1[up] * p1[up],
+                rev["n1"][j] * a1[left] * p1[left],
                 out=q1[left],
             )
             # the two swapped-time branches are complex conjugates, so their
             # coupled contribution is twice the real part
             f2 = np.add(
-                2.0 * s * (f1 / c1).real + vec["n2"][i] / a2[up] * p2[up],
+                2.0 * s * (f1 * r1).real + vec["n2"][i] / a2[up] * p2[up],
                 rev["n2"][j] / a2[left] * p2[left],
                 out=q2[left],
             )

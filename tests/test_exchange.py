@@ -466,6 +466,66 @@ class TestBatchedPass:
         assert peak < 2e6
 
 
+class TestTableDtype:
+    """Table 1 is complex only when some level frequency is nonzero."""
+
+    @staticmethod
+    def first_f1(pairs):
+        return next(iter(_antidiagonals(pairs)))[2]
+
+    def test_real_ladders_keep_table_one_real(self):
+        pairs = [(build_dicke(5, 1.0), build_dicke(5, 2.5)),
+                 (build_harmonic(3, 1.0), build_harmonic(3, 1.0))]
+        assert self.first_f1(pairs).dtype == np.float64
+
+    def test_a_kerr_column_makes_the_batch_complex(self):
+        assert self.first_f1(BATCHES["distinct-arms"]).dtype == np.complex128
+
+    def test_real_columns_of_a_complex_batch_keep_their_bits(self):
+        batch = BATCHES["distinct-arms"]
+        a, b = batch[0]  # two Dicke arms: a float64 pass on their own
+        assert self.first_f1([(a, b)]).dtype == np.float64
+        batched = full_tables(batch, 0)
+        for own, table in zip(full_tables([(a, b)]), batched):
+            assert np.array_equal(table[:a.levels, :a.levels], own)
+        assert not batched[1].imag.any()
+        assert _corners(batch)[0] == _recurrence(a, b).corner
+
+
+# Corners (m^2 I) of real ladders, as float.hex, from the pass that kept
+# table 1 in complex128: buffer 1's reciprocal repeats numpy's complex
+# division by (c1, 0), so every bit must stay.
+BIT_PINS = {
+    "dicke-1": (build_dicke(1, 1.0), "0x1.0000000000000p+0"),
+    "dicke-2": (build_dicke(2, 1.0), "0x1.d555555555558p+1"),
+    "dicke-4": (build_dicke(4, 1.0), "0x1.bb4b1450a1154p+3"),
+    "dicke-50": (build_dicke(50, 1.0), "0x1.00726a2d04b0ap+11"),
+    "dicke-400": (build_dicke(400, 1.0), "0x1.00aeb5a4c2610p+17"),
+    "dicke-980": (build_dicke(980, 1.0), "0x1.8168f4d791bbep+19"),
+    "dicke-5-g1e-6": (build_dicke(5, 1e-6), "0x1.55faf25b88feep+4"),
+    "dicke-5-g3.7699e7": (build_dicke(5, 3.7699e7), "0x1.55faf25b88ff0p+4"),
+    "harmonic-2": (build_harmonic(2, 1.0), "0x1.0000000000001p+2"),
+    "harmonic-2-g1e-6": (build_harmonic(2, 1e-6), "0x1.0000000000000p+2"),
+    "harmonic-200-g1e-6": (build_harmonic(200, 1e-6), "0x1.3880000000008p+15"),
+}
+
+
+class TestBitPins:
+    @pytest.mark.parametrize("arm,corner", BIT_PINS.values(), ids=BIT_PINS.keys())
+    def test_twin_corner(self, arm, corner):
+        assert _recurrence(arm, arm).corner == float.fromhex(corner)
+
+    def test_distinct_dicke_arms(self):
+        corner = _recurrence(build_dicke(30, 1.0), build_dicke(30, 1.3)).corner
+        assert corner == float.fromhex("0x1.581e23fa89c61p+9")
+
+    def test_first_bench_grid_group(self):
+        arms = [build_dicke(m, 1.0) for m in (980, 900, 820, 740)]
+        assert _corners([(arm, arm) for arm in arms]) == [
+            float.fromhex(c) for c in ("0x1.8168f4d791bbep+19", "0x1.450a26c8f3185p+19",
+                                       "0x1.0dcf22c9fe982p+19", "0x1.b76fc9cdfec31p+18")]
+
+
 class TestTrustAtScale:
     """float64 against an extended-precision copy of the forward pass at a
     thousand photons per arm, where no oracle reaches."""
@@ -476,6 +536,7 @@ class TestTrustAtScale:
         assert abs(_recurrence(dicke, dicke).corner - exact) <= 1e-13 * abs(exact)
         kerr = build_anharmonic(1000, 1.0, 1.0)
         exact = longdouble_corner(kerr)
+        assert abs(_recurrence(kerr, kerr).corner - exact) <= 1e-13 * abs(exact)
         assert abs(_reverse_pass(kerr, kerr)[0] - exact) <= 1e-13 * abs(exact)
 
 
