@@ -398,9 +398,9 @@ def cmd_parity(cfg: RunConfig) -> int:
     print(f"# curvature={-curve.curvature:.12g} qfi={qfi:.12g} "
           f"saturation={-curve.curvature / qfi:.12g}", file=sys.stderr)
     if opts["check_derivative"]:
-        # m(m I + 1)/2 with the one-pair overlap I (1 for a single mode)
+        # a quarter of the twin QFI (its one-pair overlap is 1 for a single mode)
         endpoint_derivative = -curve.curvature / 4.0
-        expected = m * (m * integrals[1] + 1.0) / 2.0
+        expected = qfi / 4.0
         print(f"# legendre_endpoint_derivative={endpoint_derivative:.12g} "
               f"expected={expected:.12g}", file=sys.stderr)
         if abs(endpoint_derivative - expected) > 1e-9:

@@ -28,13 +28,15 @@ weighted sum of its two predecessors and of the lower tables at the same
 node, with weights set by the two ladders alone.  Running the transposed
 (adjoint) recurrence back from the corner therefore gives, at every node
 (d, d), the corner of the sub-lattice that starts there, which is the
-recurrence of the arms' lowest m - d rungs.  For cavity ladders these are
-the (m - d)-photon arms themselves: rung k decays at k gamma and sits at
-k(k-1) u whatever the photon number, so a smaller arm is the bottom rungs
-of a larger one, and one adjoint pass at the largest photon number gives
-a whole sweep for the cost of one recurrence.  Dicke arms do not nest:
-rung k of m emitters decays at k(m-k+1) gamma, so each Dicke point needs
-its own forward pass.
+recurrence of the arms' lowest m - d rungs.  The adjoint is itself a
+forward pass over the reversed lattice, with the zero- and two-pending
+roles swapped, so the one antidiagonal kernel runs both directions.  For
+cavity ladders the sub-lattices are the (m - d)-photon arms themselves:
+rung k decays at k gamma and sits at k(k-1) u whatever the photon
+number, so a smaller arm is the bottom rungs of a larger one, and one
+adjoint pass at the largest photon number gives a whole sweep for the
+cost of one recurrence.  Dicke arms do not nest: rung k of m emitters
+decays at k(m-k+1) gamma, so each Dicke point needs its own forward pass.
 
 The forward pass fills the tables of several pairs at once, one pair per
 column, so one numpy call per antidiagonal serves them all; up to
@@ -101,7 +103,7 @@ class RecurrenceState:
         return min(value, 1.0)
 
 
-def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
+def _ladder_vectors(arm: DecayLadder) -> dict[str, np.ndarray]:
     """The length-m coefficient vectors that every table entry is built from.
 
     Entry (i, j) has the exponent accumulators c0 = gr0[i] + gr0[j],
@@ -111,9 +113,9 @@ def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
     """
     import numpy as np
 
-    m = len(rates)
-    g = np.concatenate(([0.0], np.asarray(rates, dtype=float)))
-    w = np.concatenate(([0.0], np.asarray(freqs, dtype=float)))
+    m = arm.levels
+    g = np.concatenate(([0.0], np.asarray(arm.rates, dtype=float)))
+    w = np.concatenate(([0.0], np.asarray(arm.frequencies, dtype=float)))
     if np.any(g[1:] <= 0.0):
         raise InvalidLadderError("all ladder rates must be positive")
     idx = np.arange(m)
@@ -133,7 +135,7 @@ def _ladder_vectors(rates, freqs) -> dict[str, np.ndarray]:
     }
 
 
-def _antidiagonals(pairs):
+def _antidiagonals(pairs, vectors=_ladder_vectors):
     """Fill the three tables of every pair of arms in one pass, yielding
     ``(lo, f0, f1, f2)`` per antidiagonal.
 
@@ -149,6 +151,12 @@ def _antidiagonals(pairs):
     read a zero pad.  The j-indexed coefficients are row blocks of arm b's
     vectors stored reversed.  The yielded arrays are views into buffers
     that the next steps overwrite.
+
+    ``vectors`` maps an arm to its coefficient vectors: ``_ladder_vectors``
+    for the forward recurrence, ``_adjoint_vectors`` for its adjoint.  On
+    antidiagonal 0, once c1 is formed, a zero c0 reads as 1: the adjoint
+    seeds at the forward corner, where c2 = 0, and its seed enters table 1
+    undivided.  A forward pass has c0(0, 0) > 0, so this leaves it as is.
 
     Table 1 and its accumulator buffer are complex only if some arm has a
     nonzero level frequency, and the buffer holds 1 / c1, so each of its
@@ -169,9 +177,9 @@ def _antidiagonals(pairs):
     with np.errstate(all="ignore"):
         for p, (a, b) in enumerate(pairs):
             m = a.levels
-            for name, v in _ladder_vectors(a.rates, a.frequencies).items():
+            for name, v in vectors(a).items():
                 vec[name][:m, p] = v
-            for name, v in _ladder_vectors(b.rates, b.frequencies).items():
+            for name, v in vectors(b).items():
                 rev[name][size - m:, p] = v[::-1]
         # Accumulators of the previous antidiagonal, with pads of 1: a pad
         # neighbour then adds numerator / 1 * 0 = 0.  The base entry
@@ -197,6 +205,8 @@ def _antidiagonals(pairs):
             c1 = (c0 + c2) / 2.0
             if not real:
                 c1 = c1 + 1j * (vec["dw"][i] - rev["dw"][j])
+            if k == 0:
+                c0[c0 == 0.0] = 1.0  # an adjoint seed: see the docstring
             # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
             r1 = np.divide(1.0, c1, out=b1[left])
             s = vec["sq"][i] * rev["sq"][j]
@@ -248,62 +258,45 @@ def _corners(pairs) -> list[float]:
     return corners
 
 
+def _adjoint_vectors(arm: DecayLadder) -> dict[str, np.ndarray]:
+    """The coefficient vectors of the adjoint recurrence, which is a forward
+    pass over the reversed lattice: the vectors reversed, the zero- and
+    two-pending roles swapped, and each numerator of the step into row
+    i + 1 moved to row i of the reversed arm, with 1 at index 0 to seed
+    the pass."""
+    import numpy as np
+
+    v = _ladder_vectors(arm)
+    swap = {"gr0": "gr2", "gr2": "gr0", "n0": "n2", "n2": "n0"}
+    adjoint = {name: v[swap.get(name, name)][::-1] for name in v}
+    for name in ("n0", "n1", "n2"):
+        adjoint[name] = np.concatenate(([1.0], adjoint[name][:-1]))
+    return adjoint
+
+
 def _reverse_pass(a: DecayLadder, b: DecayLadder):
-    """The adjoint of ``_antidiagonals``: for every d = 0..m-1, the corner
+    """The adjoint of the forward pass: for every d = 0..m-1, the corner
     of the recurrence of the two arms' sub-lattice from (d, d).
 
     Entry (i, j) of each adjoint table is the derivative of the corner
     f2(m-1, m-1) with respect to a unit source in the forward table at
     (i, j), so it sums the forward weights along every path from (i, j)
-    to the corner: l2 = (n2a[i+1] l2(i+1, j) + n2b[j+1] l2(i, j+1)) / c2,
-    l1 = (2 s l2 + the n1 terms) / c1 (complex; the corner reads the real
-    part of l1 times a source) and l0 = (s Re l1 + the n0 terms) / c0.
-    The pass walks the antidiagonals from the corner, where l2 = 1 is
-    seeded without a division (c2 is 0 there), keeping only the next
-    antidiagonal of each table.  A forward pass seeds f0 = 1 at its start,
-    so l0(d, d) is the corner of a pass over the arms' lowest m - d rungs:
-    (m-d)^2 I(m-d) for a nested family.  Returns l0(d, d), indexed by d.
+    to the corner.  A forward pass seeds f0 = 1 at its start, so l0(d, d)
+    is the corner of a pass over the arms' lowest m - d rungs: (m-d)^2
+    I(m-d) for a nested family.  The kernel runs the adjoint on the
+    reversed lattice (``_adjoint_vectors``), where table 2 at node
+    (d', d'), d' = m-1-d, holds l0(d, d) times the forward c0(d, d), which
+    is rates_a[d'] + rates_b[d'].  Returns l0(d, d), indexed by d.
     """
     import numpy as np
 
-    with np.errstate(all="ignore"):
-        vec = _ladder_vectors(a.rates, a.frequencies)
-        rev = _ladder_vectors(b.rates, b.frequencies)
-        # numerators of the step into row i + 1 (column j + 1); none past the edge
-        for v in (vec, rev):
-            for name in ("n0", "n1", "n2"):
-                v[name] = np.append(v[name][1:], 0.0)
-        rev = {name: v[::-1].copy() for name, v in rev.items()}
-        m = a.levels
-        # Entry i of the next antidiagonal sits at index i, so the neighbours
-        # (i + 1, j) and (i, j + 1) are the slices [lo + 1:hi + 2] and
-        # [lo:hi + 1]; those past the table's edge read a zero pad.
-        p0, p1, p2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
-        diagonal = np.empty(m)
-        for k in range(2 * m - 2, -1, -1):
-            lo, hi = max(0, k - m + 1), min(m - 1, k)
-            i = right = slice(lo, hi + 1)
-            j, down = slice(m - 1 - k + lo, m - k + hi), slice(lo + 1, hi + 2)
-            c0 = vec["gr0"][i] + rev["gr0"][j]
-            c2 = vec["gr2"][i] + rev["gr2"][j]
-            c1 = (c0 + c2) / 2.0 + 1j * (vec["dw"][i] - rev["dw"][j])
-            s = vec["sq"][i] * rev["sq"][j]
-            q0, q1, q2 = np.zeros(m + 1), np.zeros(m + 1, dtype=complex), np.zeros(m + 1)
-            l2 = q2[i]
-            if k == 2 * m - 2:
-                l2[0] = 1.0  # the corner itself
-            else:
-                np.divide(vec["n2"][i] * p2[down] + rev["n2"][j] * p2[right], c2, out=l2)
-            l1 = np.divide(2.0 * s * l2 + vec["n1"][i] * p1[down] + rev["n1"][j] * p1[right],
-                           c1, out=q1[i])
-            l0 = np.divide(s * l1.real + vec["n0"][i] * p0[down] + rev["n0"][j] * p0[right],
-                           c0, out=q0[i])
-            if not (np.isfinite(l0).all() and np.isfinite(l2).all()):
-                raise InvalidLadderError("recurrence produced nonfinite entries")
-            if k % 2 == 0:
-                diagonal[k // 2] = l0[k // 2 - lo]
-            p0, p1, p2 = q0, q1, q2
-        return diagonal
+    m = a.levels
+    corners = np.empty(m)
+    for k, (lo, _, _, f2) in enumerate(_antidiagonals([(a, b)], _adjoint_vectors)):
+        if k % 2 == 0:
+            d = k // 2
+            corners[m - 1 - d] = f2[d - lo, 0] / (a.rates[d] + b.rates[d])
+    return corners
 
 
 def _recurrence(a: DecayLadder, b: DecayLadder) -> RecurrenceState:
@@ -470,10 +463,12 @@ def qfi_vs_n_sweep(
     is unused; Dicke points run in batched passes, optionally on a
     process pool of at most ``jobs`` workers.
     """
-    n_values = [int(n) for n in n_values]
+    totals = []
     for n in n_values:
-        if n % 2 or n < 2:
+        if n != int(n) or int(n) % 2 or n < 2:
             raise ValueError(f"total photon number must be even >= 2, got {n}")
+        totals.append(int(n))
+    n_values = totals
     if not n_values:
         return []
     if family.nested:

@@ -179,13 +179,13 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
 def parity_phase_variance(m: int, i_1: ExchangeIntegral) -> float:
     """Small-angle phase variance of the parity readout.
 
-    Equals 1 / (2m (m I + 1)), the inverse of the twin QFI, so parity
-    saturates the Cramer-Rao bound at the operating point.
+    Equals the inverse of the twin QFI, so parity saturates the
+    Cramer-Rao bound at the operating point.
     """
     if m < 1:
         raise ValueError("need at least one photon per arm")
     _require_single_exchange(i_1)
-    return 1.0 / (2.0 * m * (m * i_1.value + 1.0))
+    return 1.0 / twin_qfi(2 * m, i_1.value)
 
 
 @dataclass(frozen=True)

@@ -274,7 +274,7 @@ class TestRecurrenceState:
 
     def test_exponent_accumulators(self):
         arm = build_dicke(2, 1.0)
-        v = _ladder_vectors(arm.rates, arm.frequencies)
+        v = _ladder_vectors(arm)
         # with two levels of rate 2: c0 = 4 everywhere, c2(0,0) = 4
         c0 = v["gr0"][0] + v["gr0"][0]
         c2 = v["gr2"][0] + v["gr2"][0]
@@ -351,8 +351,10 @@ class TestReversePass:
         arm = build(top)
         corners = _reverse_pass(arm, arm)
         assert len(corners) == top
-        for m in range(1, top + 1):
-            forward = _recurrence(build(m), build(m)).corner
+        # one batched forward pass: TestBatchedPass checks that each column
+        # is bit-identical to its one-pair pass
+        forwards = _corners([(build(m), build(m)) for m in range(1, top + 1)])
+        for m, forward in enumerate(forwards, start=1):
             assert abs(corners[top - m] - forward) <= 1e-13 * forward, m
 
     def test_distinct_arms_match_the_forward_pass(self):
@@ -484,6 +486,23 @@ class TestTableDtype:
         batch = BATCHES["distinct-arms"]
         assert self.first_f1(batch).dtype == np.complex128
         assert self.first_f1(batch[:1]).dtype == np.float64
+
+    @pytest.mark.parametrize("arm,dtype", [(build_harmonic(6, 1.0), np.float64),
+                                           (build_anharmonic(6, 1.0, 1.0), np.complex128)],
+                             ids=["harmonic", "kerr"])
+    def test_the_adjoint_pass_follows_the_same_rule(self, arm, dtype, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        seen = set()
+
+        def spy(pairs, vectors):
+            for step in _antidiagonals(pairs, vectors):
+                seen.add(step[2].dtype)
+                yield step
+
+        monkeypatch.setattr(exchange_module, "_antidiagonals", spy)
+        _reverse_pass(arm, arm)
+        assert seen == {np.dtype(dtype)}
 
 
 # Corners (m^2 I) of real ladders, as float.hex, from the pass that kept
@@ -673,6 +692,13 @@ class TestSweep:
     def test_rejects_odd_totals(self):
         with pytest.raises(ValueError):
             qfi_vs_n_sweep(LadderFamily("dicke"), [4, 5])
+        # a non-integral total is not truncated to the even number below it
+        for n in (4.5, 4.9):
+            with pytest.raises(ValueError, match="even >= 2"):
+                qfi_vs_n_sweep(LadderFamily("dicke"), [n])
+        rows = qfi_vs_n_sweep(LadderFamily("dicke"), [4.0, np.int64(6)])
+        assert [row["N"] for row in rows] == [4, 6]
+        assert all(type(row["N"]) is int for row in rows)
 
     def test_worker_count_is_clamped(self):
         cores = os.cpu_count() or 1
