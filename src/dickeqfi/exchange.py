@@ -465,12 +465,11 @@ def qfi_vs_n_sweep(
     """
     totals = []
     for n in n_values:
-        if n != int(n) or int(n) % 2 or n < 2:
+        if n % 2 or n < 2 or n != int(n):
             raise ValueError(f"total photon number must be even >= 2, got {n}")
         totals.append(int(n))
-    n_values = totals
-    if not n_values:
+    if not totals:
         return []
     if family.nested:
-        return _nested_sweep(family, n_values)
-    return _dicke_sweep(family, n_values, jobs)
+        return _nested_sweep(family, totals)
+    return _dicke_sweep(family, totals, jobs)

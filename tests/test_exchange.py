@@ -693,7 +693,7 @@ class TestSweep:
         with pytest.raises(ValueError):
             qfi_vs_n_sweep(LadderFamily("dicke"), [4, 5])
         # a non-integral total is not truncated to the even number below it
-        for n in (4.5, 4.9):
+        for n in (4.5, 4.9, math.inf, math.nan):
             with pytest.raises(ValueError, match="even >= 2"):
                 qfi_vs_n_sweep(LadderFamily("dicke"), [n])
         rows = qfi_vs_n_sweep(LadderFamily("dicke"), [4.0, np.int64(6)])
