@@ -19,12 +19,10 @@ the verdicts so a different threshold can be applied downstream.
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import dataclass, asdict, field
 
 from .exchange import exchange_integral
-from .ladder import TwinConfiguration, build_dicke
+from .ladder import Record, TwinConfiguration, build_dicke
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
@@ -32,8 +30,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
 DEFAULT_MARGIN_FACTOR = 10.0
 
 
-@dataclass(frozen=True)
-class PlatformParams:
+class PlatformParams(Record):
     """Physical description of one experimental platform.
 
     Rates are angular (rad/s), lengths in meters, the delay in seconds;
@@ -41,19 +38,13 @@ class PlatformParams:
     ``interferometer_loss`` is a probability.  Every value must be finite.
     """
 
-    quality_factor: float
-    group_index: float
-    wavelength: float
-    gamma_1d: float
-    gamma_star: float
-    n_photons: int
-    pulse_error: float = 0.0
-    delta_gamma: float = 0.0
-    delay: float = 0.0
-    interferometer_loss: float = 0.0
+    __slots__ = ("quality_factor", "group_index", "wavelength", "gamma_1d", "gamma_star",
+                 "n_photons", "pulse_error", "delta_gamma", "delay", "interferometer_loss")
+    _defaults = {"pulse_error": 0.0, "delta_gamma": 0.0, "delay": 0.0,
+                 "interferometer_loss": 0.0}
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
+        for name, value in self.to_dict().items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         positive = {
@@ -86,45 +77,30 @@ class PlatformParams:
                 f"n_photons must be an even total >= 2, got {self.n_photons}"
             )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+class PropagationCheck(Record):
+    # margin: propagation length in units of the system size
+    __slots__ = ("l_prop_over_lambda", "feasible", "margin")
 
 
-@dataclass(frozen=True)
-class PropagationCheck:
-    l_prop_over_lambda: float
-    feasible: bool
-    margin: float  # propagation length in units of the system size
+class RetardationCheck(Record):
+    # n_cubed_bound: raw bound on N^3 before the margin factor
+    __slots__ = ("n_max", "feasible", "n_cubed_bound")
 
 
-@dataclass(frozen=True)
-class RetardationCheck:
-    n_max: int
-    feasible: bool
-    n_cubed_bound: float  # raw bound on N^3 before the margin factor
+class PulseErrorEstimate(Record):
+    # in_regime: perturbative treatment valid
+    __slots__ = ("infidelity", "in_regime")
 
 
-@dataclass(frozen=True)
-class PulseErrorEstimate:
-    infidelity: float
-    in_regime: bool  # perturbative treatment valid
+class DelayCorrection(Record):
+    __slots__ = ("bound_factor", "first_order", "single_mode_factor")
 
 
-@dataclass(frozen=True)
-class DelayCorrection:
-    bound_factor: float
-    first_order: float
-    single_mode_factor: float
-
-
-@dataclass(frozen=True)
-class LossCorrection:
-    corrected_qfi: float
-    qfi_decrease: float
-    p_no_loss: float
-    eta_threshold: float
-    heisenberg_ok: bool
-    perturbative: bool  # flag is False once eta > 0.1
+class LossCorrection(Record):
+    # perturbative: flag is False once eta > 0.1
+    __slots__ = ("corrected_qfi", "qfi_decrease", "p_no_loss", "eta_threshold",
+                 "heisenberg_ok", "perturbative")
 
 
 def propagation_length_check(
@@ -268,31 +244,25 @@ def interferometer_loss_correction(
     )
 
 
-@dataclass(frozen=True)
-class BudgetEntry:
-    """One imperfection channel of the consolidated budget."""
+class BudgetEntry(Record):
+    """One imperfection channel of the consolidated budget; ``kind`` is
+    feasibility, multiplicative, additive or probability."""
 
-    channel: str
-    kind: str  # feasibility | multiplicative | additive | probability
-    value: float
-    feasible: bool
-    note: str = ""
+    __slots__ = ("channel", "kind", "value", "feasible", "note")
+    _defaults = {"note": ""}
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(Record):
     """Itemised corrections and the combined Fisher-information bound."""
 
-    entries: tuple[BudgetEntry, ...] = field(default_factory=tuple)
-    ideal_qfi: float = 0.0
-    combined_qfi_lower_bound: float = 0.0
-    effective_exchange_integral: float = 0.0
-    collection_probability: float = 1.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    __slots__ = ("entries", "ideal_qfi", "combined_qfi_lower_bound",
+                 "effective_exchange_integral", "collection_probability")
+    _defaults = {"entries": (), "ideal_qfi": 0.0, "combined_qfi_lower_bound": 0.0,
+                 "effective_exchange_integral": 0.0, "collection_probability": 1.0}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict())
 
 

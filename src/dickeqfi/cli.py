@@ -25,14 +25,11 @@ early), 2 on validation errors, 1 on numeric failure.
 from __future__ import annotations
 
 import argparse
-import datetime
 import importlib
-import json
 import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .exchange import (
     SWEEP_COLUMNS,
@@ -41,7 +38,7 @@ from .exchange import (
     qfi_vs_n_sweep,
 )
 # build_dicke is unused here but stays a cli attribute: perfbench's tracer wraps it
-from .ladder import TwinConfiguration, build_dicke  # noqa: F401
+from .ladder import Record, TwinConfiguration, build_dicke  # noqa: F401
 from .metrology import parity_curve, qfi_twin
 from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
 
@@ -89,14 +86,15 @@ class UsageError(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Fully resolved invocation: subcommand plus its option mapping."""
 
-    subcommand: str
-    options: dict = field(default_factory=dict)
+    __slots__ = ("subcommand", "options")
+    _defaults = {"options": {}}
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {"subcommand": self.subcommand, "options": self.options},
             sort_keys=True,
@@ -104,6 +102,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
+        import json
+
         data = json.loads(text)
         return cls(subcommand=data["subcommand"], options=dict(data["options"]))
 
@@ -122,8 +122,12 @@ def _table(rows, columns, cfg: RunConfig):
     """Lines of a row table in the configured format."""
     stamp = None
     if not cfg.options["no_header"]:
+        import datetime
+
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if cfg.options["format"] == "json":
+        import json
+
         payload = {"subcommand": cfg.subcommand, "rows": rows}
         if stamp:
             payload["generated"] = stamp
@@ -199,10 +203,10 @@ MAX_EXCHANGE_N = 20_000
 
 
 def _within_reach(spec: str) -> bool:
-    """Whether no N of a list or range exceeds MAX_EXCHANGE_N; a range is
-    judged by its upper end, without building its points."""
+    """Whether a list or range has an N and none exceeds MAX_EXCHANGE_N; a
+    range is judged by its upper end, without building its points."""
     ns = _int_list(spec)
-    return max(ns[-1:] if isinstance(ns, range) else ns, default=0) <= MAX_EXCHANGE_N
+    return 0 < max(ns[-1:] if isinstance(ns, range) else ns, default=0) <= MAX_EXCHANGE_N
 
 
 def _ratios(spec: str, points: int = 2) -> list[float]:
@@ -253,6 +257,8 @@ def _resolve(args: argparse.Namespace, table) -> RunConfig:
     a given value passes through the row's converter."""
     given = {}
     if args.config:
+        import json
+
         with open(args.config) as handle:
             loaded = json.load(handle)
         # a dumped RunConfig is accepted verbatim
@@ -424,6 +430,8 @@ def cmd_report(cfg: RunConfig) -> int:
     budget = _self.full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
+        import json
+
         payload = budget.to_dict()
         payload["platform"] = params.to_dict()
         _write(cfg, [json.dumps(payload, indent=2) + "\n"])

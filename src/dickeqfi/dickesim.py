@@ -23,17 +23,17 @@ SIAM J. Matrix Anal. Appl. 26, 1179 (2005), written in numpy alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .ladder import Record
 
 _RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class LossModel:
+class LossModel(Record):
     """Waveguide rate and residual (unguided) rate of one emitter."""
 
-    gamma_1d: float
-    gamma_star: float = 0.0
+    __slots__ = ("gamma_1d", "gamma_star")
+    _defaults = {"gamma_star": 0.0}
 
     def __post_init__(self):
         if not self.gamma_1d > 0.0:
@@ -49,33 +49,30 @@ class LossModel:
         return self.gamma_1d / self.gamma_star
 
 
-@dataclass(frozen=True)
-class PopulationTrace:
+class PopulationTrace(Record):
     """Time-resolved ladder populations and their integrated summaries."""
 
-    times: np.ndarray            # shape (T,)
-    populations: np.ndarray      # shape (N+1, T), row m = level m
-    residence: np.ndarray        # shape (N+1,), time spent per level; inf at 0
-    collection_probability: float
-    sum_deficit: np.ndarray      # 1 - sum_m P_m(t) on the grid
-    converged: bool
-    residual: float              # excited population left beyond the horizon
+    __slots__ = (
+        "times",                   # shape (T,)
+        "populations",             # shape (N+1, T), row m = level m
+        "residence",               # shape (N+1,), time spent per level; inf at 0
+        "collection_probability",
+        "sum_deficit",             # 1 - sum_m P_m(t) on the grid
+        "converged",
+        "residual",                # excited population left beyond the horizon
+    )
 
 
-@dataclass(frozen=True)
-class CollectionEstimate:
+class CollectionEstimate(Record):
     """Collection probability: exact branching product, log scaling."""
 
-    exact: float
-    log_estimate: float
+    __slots__ = ("exact", "log_estimate")
 
 
-@dataclass(frozen=True)
-class SuperradianceTime:
+class SuperradianceTime(Record):
     """Cascade duration: exact rate sum and the logarithmic scaling."""
 
-    exact: float
-    log_estimate: float
+    __slots__ = ("exact", "log_estimate")
 
 
 def collective_rates(n_emitters: int, gamma_1d: float) -> np.ndarray:

@@ -55,10 +55,11 @@ so the pads cost little.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
 
-from .ladder import DecayLadder, TwinConfiguration, build_anharmonic, build_dicke, build_harmonic
+from .ladder import (
+    DecayLadder, Record, TwinConfiguration, build_anharmonic, build_dicke, build_harmonic,
+)
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
@@ -78,8 +79,7 @@ class InvalidLadderError(ValueError):
     """Ladder cannot be integrated (nonpositive exponent accumulator)."""
 
 
-@dataclass
-class RecurrenceState:
+class RecurrenceState(Record):
     """Outcome of the one-pass recurrence: its last table entry.
 
     The pass walks the three tables antidiagonal by antidiagonal and
@@ -88,8 +88,7 @@ class RecurrenceState:
     (m-1, m-1), which is m^2 times the overlap.
     """
 
-    photons_per_arm: int
-    corner: float
+    __slots__ = ("photons_per_arm", "corner")
 
     @property
     def value(self) -> float:
@@ -326,13 +325,12 @@ def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
     )
 
 
-@dataclass(frozen=True)
-class LadderFamily:
-    """Family of arm ladders swept against the total photon number."""
+class LadderFamily(Record):
+    """Family of arm ladders swept against the total photon number;
+    ``kind`` is dicke, harmonic or anharmonic."""
 
-    kind: str  # dicke | harmonic | anharmonic
-    gamma: float = 1.0
-    u: float = 0.0
+    __slots__ = ("kind", "gamma", "u")
+    _defaults = {"gamma": 1.0, "u": 0.0}
 
     def __post_init__(self):
         if self.kind not in ("dicke", "harmonic", "anharmonic"):

@@ -14,13 +14,84 @@ frequency 0 by definition.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class DecayLadder:
+class Record:
+    """Immutable record, the package's replacement for a frozen dataclass.
+
+    A subclass names its fields in ``__slots__`` and the defaults of
+    trailing ones in ``_defaults`` (a dict default is copied for each
+    instance); ``__post_init__`` checks the fields and may normalise one
+    through ``object.__setattr__``.  No code is generated per class, so
+    defining a record costs what a plain class does: the command line
+    imports this module on every run.  Equality, hash, repr, pickling and
+    ``to_dict`` work field by field, as they do for a frozen dataclass.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if len(args) > len(names) or not kwargs.keys() <= set(names[len(args):]):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        kwargs.update(zip(names, args))
+        for name in names:
+            if name in kwargs:
+                value = kwargs[name]
+            elif name in self._defaults:
+                value = self._defaults[name]
+                value = dict(value) if isinstance(value, dict) else value
+            else:
+                raise TypeError(f"{type(self).__name__} is missing the field {name!r}")
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def to_dict(self) -> dict:
+        """Fields by name, with records, tuples, lists and dicts within them
+        converted recursively, as ``asdict`` converts a dataclass."""
+        return _plain(self)
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return {name: _plain(getattr(value, name)) for name in value.__slots__}
+    if isinstance(value, (tuple, list)):
+        return type(value)(_plain(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+class DecayLadder(Record):
     """Spectral description of one emission cascade.
 
     ``rates[j-1]`` is the decay rate of level j to level j-1 and
@@ -30,15 +101,16 @@ class DecayLadder:
     built from the ladder.
     """
 
-    levels: int
-    rates: tuple[float, ...]
-    frequencies: tuple[float, ...]
+    __slots__ = ("levels", "rates", "frequencies")
 
     def __post_init__(self):
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         object.__setattr__(
             self, "frequencies", tuple(float(w) for w in self.frequencies)
         )
+        if not self.levels % 1 == 0:  # nan and inf too
+            raise ValueError(f"the number of levels must be an integer, got {self.levels}")
+        object.__setattr__(self, "levels", int(self.levels))
         if self.levels < 1:
             raise ValueError(f"ladder needs at least one level, got {self.levels}")
         if len(self.rates) != self.levels:
@@ -63,32 +135,34 @@ class DecayLadder:
         }
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecayLadder":
         return cls(
-            levels=int(data["levels"]),
+            levels=data["levels"],
             rates=tuple(data["rates"]),
             frequencies=tuple(data["frequencies"]),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "DecayLadder":
+        import json
+
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class TwinConfiguration:
+class TwinConfiguration(Record):
     """Pair of input-arm wavepackets entering the interferometer.
 
     ``delay`` is the relative arrival delay of the two wavefronts in
     units of one over the reference rate; 0 is the ideal case.
     """
 
-    ladder_a: DecayLadder
-    ladder_b: DecayLadder
-    delay: float = 0.0
+    __slots__ = ("ladder_a", "ladder_b", "delay")
+    _defaults = {"delay": 0.0}
 
     def __post_init__(self):
         object.__setattr__(self, "delay", float(self.delay))

@@ -8,17 +8,15 @@ the exchange or oracle modules.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, asdict
 
+from .ladder import Record
 from .oracle import ExchangeIntegral
 
 _INPUT_KINDS = ("twin", "general", "mixed_number", "lossy_lower_bound")
 
 
-@dataclass(frozen=True)
-class QfiReport:
+class QfiReport(Record):
     """Quantum Fisher information and the derived sensitivity ratios.
 
     ``phase_variance`` is the per-shot Cramer-Rao bound 1/(nu * qfi);
@@ -26,22 +24,17 @@ class QfiReport:
     Heisenberg references F = N and F = N^2.
     """
 
-    qfi: float
-    phase_variance: float
-    n_total: int
-    snl_ratio: float
-    hl_ratio: float
-    input_kind: str
-    repetitions: int = 1
+    __slots__ = ("qfi", "phase_variance", "n_total", "snl_ratio", "hl_ratio", "input_kind",
+                 "repetitions")
+    _defaults = {"repetitions": 1}
 
     def __post_init__(self):
         if self.input_kind not in _INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.input_kind!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
+        import json
+
         return json.dumps(self.to_dict())
 
 
@@ -61,6 +54,14 @@ def _report(qfi: float, n_total: int, kind: str, repetitions: int = 1) -> QfiRep
     )
 
 
+def _photon_number(n) -> int:
+    """``n`` as an int, if it is a nonnegative integer: integral floats and
+    numpy integers pass, a fractional, infinite or nan ``n`` does not."""
+    if not (n % 1 == 0 and n >= 0):
+        raise ValueError(f"photon numbers must be nonnegative integers, got {n}")
+    return int(n)
+
+
 def _require_single_exchange(integral: ExchangeIntegral):
     if integral.exchanged_count != 1:
         raise ValueError(
@@ -77,8 +78,7 @@ def qfi_general(
     F = 2 m n I + m + n.  A vacuum port contributes nothing through the
     exchange term, so the single-arm value m is recovered for n = 0.
     """
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be nonnegative")
+    m, n = _photon_number(m), _photon_number(n)
     _require_single_exchange(i_ab)
     qfi = 2.0 * m * n * i_ab.value + m + n
     return _report(qfi, m + n, "general", repetitions)
@@ -109,8 +109,7 @@ def qfi_mixed_number(
     n-photon component and may be None when n = 0.  Different photon
     numbers do not mix, so F = 2 m sum(w n I) + m + <n>.
     """
-    if m < 0:
-        raise ValueError("photon number must be nonnegative")
+    m = _photon_number(m)
     weights = [float(w) for (w, _, _) in components]
     if any(w < 0 for w in weights):
         raise ValueError("component weights must be nonnegative")
@@ -119,9 +118,7 @@ def qfi_mixed_number(
     cross = 0.0
     n_mean = 0.0
     for w, n, integral in components:
-        n = int(n)
-        if n < 0:
-            raise ValueError("photon numbers must be nonnegative")
+        n = _photon_number(n)
         n_mean += w * n
         if n == 0:
             continue
@@ -188,14 +185,10 @@ def parity_phase_variance(m: int, i_1: ExchangeIntegral) -> float:
     return 1.0 / twin_qfi(2 * m, i_1.value)
 
 
-@dataclass(frozen=True)
-class ParityCurve:
+class ParityCurve(Record):
     """Sampled parity fringe with its curvature at the origin."""
 
-    phi: tuple[float, ...]
-    expectation: tuple[float, ...]
-    curvature: float
-    integrals: tuple[float, ...]
+    __slots__ = ("phi", "expectation", "curvature", "integrals")
 
     def to_rows(self) -> list[dict]:
         return [

@@ -35,10 +35,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
-from .ladder import DecayLadder
+from .ladder import DecayLadder, Record
 
 # Correlation functions: 0 = conjugated arm A, 1 = conjugated arm B,
 # 2 = label-swapped arm A, 3 = label-swapped arm B.
@@ -56,8 +54,7 @@ class OracleTooLargeError(ValueError):
     """Requested size exceeds the factorial-cost guard."""
 
 
-@dataclass(frozen=True)
-class ExchangeIntegral:
+class ExchangeIntegral(Record):
     """Result of evaluating an exchange overlap integral.
 
     ``value`` is the (real) integral; ``imag_residual`` records the
@@ -65,11 +62,8 @@ class ExchangeIntegral:
     confidence check since the integral is real for every valid input.
     """
 
-    value: float
-    total_photons: int
-    method: str
-    exchanged_count: int = 1
-    imag_residual: float = 0.0
+    __slots__ = ("value", "total_photons", "method", "exchanged_count", "imag_residual")
+    _defaults = {"exchanged_count": 1, "imag_residual": 0.0}
 
     def __post_init__(self):
         if self.method not in ("recurrence", "oracle"):
@@ -78,13 +72,11 @@ class ExchangeIntegral:
             raise ValueError("exchanged_count must be nonnegative")
 
 
-@dataclass(frozen=True)
-class DelayCheck:
-    """Exact delayed overlap next to its analytic lower bound."""
+class DelayCheck(Record):
+    """Exact delayed overlap next to its analytic lower bound; ``reference``
+    is the zero-delay value of the same integral."""
 
-    exact: float
-    bound: float
-    reference: float  # zero-delay value of the same integral
+    __slots__ = ("exact", "bound", "reference")
 
 
 def _group_counts(m: int, n: int, l: int):
@@ -265,6 +257,7 @@ def oracle_integral_exact(
     _guard(m, n, l, max_total_photons)
     if any(ladder_a.frequencies) or any(ladder_b.frequencies):
         raise ValueError("exact mode requires all frequencies equal to zero")
+    from fractions import Fraction
 
     rates = (
         tuple(Fraction(r) for r in ladder_a.rates),

@@ -151,6 +151,14 @@ class TestExchangeCommand:
         assert (code, out) == (EXIT_USAGE, "")
         assert "n:" in err
 
+    @pytest.mark.parametrize("spec", ["10..4", ","])
+    def test_empty_n_rejected(self, capsys, spec):
+        # as loss rejects it: a sweep of no point is a usage error, not a header
+        code, out, err = run(capsys, "exchange", "--family", "dicke", "--n", spec,
+                             "--no-header")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: n: ")
+
     def test_n_at_reach_accepted(self):
         # the bound is inclusive; the converter is called directly, as a
         # sweep to N = MAX_EXCHANGE_N would take minutes
@@ -569,6 +577,47 @@ _QUIET = ("import contextlib, io\n"
 
 def test_cli_import_loads_no_numpy():
     assert _probe("import dickeqfi.cli\n" + _NUMPY_LOADED) == ["False"]
+
+
+def test_cli_import_loads_no_dataclasses_or_late_stdlib():
+    # records build no code per class, and json, datetime and fractions are
+    # imported by the functions that use them
+    late = ("dataclasses", "inspect", "json", "datetime", "fractions")
+    assert _probe(f"import sys, dickeqfi.cli\nprint([m for m in {late!r} if m in sys.modules])\n"
+                  ) == ["[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["loss", "--n", "10,100", "--purcell", "10..1e3", "--points", "3"],
+    _SIN_REPORT + ["--json"],
+], ids=["loss", "report-json"])
+def test_runs_load_no_dataclasses(argv):
+    assert _probe("from dickeqfi import cli\n" + _QUIET +
+                  f"    code = cli.main({argv + ['--no-header']!r})\n"
+                  "import sys; print(code, 'dataclasses' in sys.modules)\n") == ["0 False"]
+
+
+_DATA = Path(__file__).with_name("data")
+
+
+@pytest.mark.parametrize("argv,pin", [
+    (_SIN_REPORT + ["--json"], "report_sin.json"),
+    (["exchange", "--family", "dicke", "--n", "4,6", "--format", "json", "--jobs", "1"],
+     "exchange_dicke_4_6.json"),
+], ids=["report-json", "exchange-json"])
+def test_json_output_bytes_are_pinned(tmp_path, argv, pin):
+    # the bytes the commands wrote when their records were dataclasses
+    out = tmp_path / "out.json"
+    assert main(argv + ["--no-header", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (_DATA / pin).read_bytes()
+
+
+def test_dump_config_bytes_are_pinned(tmp_path, capsys):
+    dump = tmp_path / "config.json"
+    assert main(["exchange", "--family", "dicke", "--n", "4,6", "--format", "json",
+                 "--jobs", "1", "--no-header", "--dump-config", str(dump)]) == EXIT_OK
+    capsys.readouterr()
+    assert dump.read_bytes() == (_DATA / "exchange_dicke_4_6_config.json").read_bytes()
 
 
 def test_cli_import_loads_no_budget():

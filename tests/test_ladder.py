@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -114,6 +115,19 @@ class TestDecayLadderValidation:
     def test_nonfinite_ladders_are_rejected(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
+
+    @pytest.mark.parametrize("levels", [2.5, math.inf, math.nan])
+    def test_rejects_non_integral_levels(self, levels):
+        # 2.5 built a 2-level ladder from a dict and reported "expected 2.5 rates"
+        fields = {"levels": levels, "rates": [1.0, 2.0], "frequencies": [0.0, 0.0]}
+        for build in (DecayLadder.from_dict, lambda data: DecayLadder(**data)):
+            with pytest.raises(ValueError, match="number of levels must be an integer"):
+                build(fields)
+
+    def test_integral_float_and_numpy_levels_become_int(self):
+        for levels in (2.0, np.int64(2)):
+            ladder = DecayLadder(levels, (1.0, 2.0), (0.0, 0.0))
+            assert type(ladder.levels) is int and ladder == build_harmonic(2, 1.0)
 
     def test_json_round_trip(self):
         ladder = build_anharmonic(3, 2.0, 7.5)

@@ -54,6 +54,17 @@ class TestGeneralQfi:
         with pytest.raises(ValueError):
             qfi_general(2, 2, integral(1.0, exchanged=0))
 
+    @pytest.mark.parametrize("m", [2.5, -1, math.inf, math.nan])
+    def test_rejects_non_integral_photon_numbers(self, m):
+        for args in ((m, 1), (1, m)):
+            with pytest.raises(ValueError, match="photon numbers must be nonnegative integers"):
+                qfi_general(*args, integral(1.0))
+
+    def test_integral_floats_and_numpy_integers_pass(self):
+        report = qfi_general(2.0, np.int64(2), integral(X4))
+        assert report == qfi_general(2, 2, integral(X4))
+        assert type(report.n_total) is int
+
 
 class TestTwinQfi:
     def test_unit_overlap_reference(self):
@@ -116,6 +127,20 @@ class TestMixedNumberQfi:
     def test_missing_integral(self):
         with pytest.raises(ValueError):
             qfi_mixed_number(2, [(1.0, 2, None)])
+
+    @pytest.mark.parametrize("n", [2.5, -2, math.inf, math.nan])
+    def test_rejects_non_integral_photon_numbers(self, n):
+        # 2.5 was truncated to 2; inf and nan raised int()'s own errors
+        with pytest.raises(ValueError, match="photon numbers must be nonnegative integers"):
+            qfi_mixed_number(2, [(1.0, n, integral(1.0))])
+        with pytest.raises(ValueError, match="photon numbers must be nonnegative integers"):
+            qfi_mixed_number(n, [(1.0, 0, None)])
+
+    def test_integral_floats_and_numpy_integers_pass(self):
+        expected = qfi_mixed_number(2, [(0.5, 0, None), (0.5, 2, integral(1.0))])
+        assert qfi_mixed_number(
+            np.int64(2), [(0.5, 0.0, None), (0.5, np.int32(2), integral(1.0))]
+        ) == expected
 
 
 class TestLossyLowerBound:
