@@ -337,6 +337,10 @@ def cmd_loss(cfg: RunConfig) -> int:
         ).T.tolist()
         rows = [dict(zip(keys, row)) for row in values]
         _write(cfg, _table(rows, ("t",) + levels + ("sum",), cfg))
+        if not trace.converged:
+            print(f"population trace not converged: excited population {trace.residual:.3e} "
+                  f"left at the horizon t={trace.horizon:.6g}", file=sys.stderr)
+            return EXIT_NUMERIC
         return EXIT_OK
 
     rows = []

@@ -60,6 +60,7 @@ class PopulationTrace(Record):
         "sum_deficit",             # 1 - sum_m P_m(t) on the grid
         "converged",
         "residual",                # excited population left beyond the horizon
+        "horizon",                 # end of the grid, doubled per extension
     )
 
 
@@ -212,6 +213,7 @@ def dicke_populations(
         sum_deficit=1.0 - populations.sum(axis=0),
         converged=residual <= residual_tol,
         residual=residual,
+        horizon=horizon,
     )
 
 

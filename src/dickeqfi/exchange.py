@@ -50,10 +50,13 @@ pads: every column computes its one-pair pass's values bit for bit.  The
 one zero accumulator of a pair, c2 at its corner, is reset to 1 once the
 corner is computed, so the pad entries beyond it divide by 1, not 0.  A
 Dicke sweep groups photon numbers within a factor of two of each other,
-so the pads cost little.
+so the pads cost little.  The groups of a sweep run in forked children,
+at most ``jobs`` at a time; the parent imports numpy before it forks, so
+no child imports it again.
 """
 from __future__ import annotations
 
+import math
 import os
 from functools import partial
 
@@ -192,6 +195,9 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
         f_prev = [np.zeros(shape, dtype=t) for t in types]
         f_next = [np.zeros(shape, dtype=t) for t in types]
         f_prev[0][0] = 1.0
+        # arm a's coefficient columns (row i) and arm b's reversed ones (j)
+        gr0_a, gr2_a, dw_a, sq_a, n0_a, n1_a, n2_a = (vec[name] for name in pads)
+        gr0_b, gr2_b, dw_b, sq_b, n0_b, n1_b, n2_b = (rev[name] for name in pads)
         for k in range(2 * size - 1):
             lo, hi = max(0, k - size + 1), min(size - 1, k)
             # i-indexed coefficients and up neighbours share one slice
@@ -199,34 +205,34 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
             j, left = slice(size - 1 - k + lo, size - k + hi), slice(lo + 1, hi + 2)
             (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
             (p0, p1, p2), (q0, q1, q2) = f_prev, f_next
-            c0 = np.add(vec["gr0"][i], rev["gr0"][j], out=b0[left])
-            c2 = np.add(vec["gr2"][i], rev["gr2"][j], out=b2[left])
+            c0 = np.add(gr0_a[i], gr0_b[j], out=b0[left])
+            c2 = np.add(gr2_a[i], gr2_b[j], out=b2[left])
             c1 = (c0 + c2) / 2.0
             if not real:
-                c1 = c1 + 1j * (vec["dw"][i] - rev["dw"][j])
+                c1 = c1 + 1j * (dw_a[i] - dw_b[j])
             if k == 0:
                 c0[c0 == 0.0] = 1.0  # an adjoint seed: see the docstring
             # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
             r1 = np.divide(1.0, c1, out=b1[left])
-            s = vec["sq"][i] * rev["sq"][j]
-            f0 = np.add(
-                vec["n0"][i] / a0[up] * p0[up],
-                rev["n0"][j] / a0[left] * p0[left],
-                out=q0[left],
-            )
+            s = sq_a[i] * sq_b[j]
+            f0 = np.add(n0_a[i] / a0[up] * p0[up], n0_b[j] / a0[left] * p0[left], out=q0[left])
             f1 = np.add(
-                s / c0 * f0 + vec["n1"][i] * a1[up] * p1[up],
-                rev["n1"][j] * a1[left] * p1[left],
+                s / c0 * f0 + n1_a[i] * a1[up] * p1[up],
+                n1_b[j] * a1[left] * p1[left],
                 out=q1[left],
             )
             # the two swapped-time branches are complex conjugates, so their
             # coupled contribution is twice the real part
             f2 = np.add(
-                2.0 * s * (f1 * r1).real + vec["n2"][i] / a2[up] * p2[up],
-                rev["n2"][j] / a2[left] * p2[left],
+                2.0 * s * (f1 * r1).real + n2_a[i] / a2[up] * p2[up],
+                n2_b[j] / a2[left] * p2[left],
                 out=q2[left],
             )
-            if not (np.isfinite(f0).all() and np.isfinite(f2).all()):
+            # One sum checks all three tables: a nonfinite f0 or f1 entry
+            # reaches f2 at its own cell, since s / c0 >= 0 and 0 * inf is nan,
+            # and the finite entries are dimensionless, bounded by about m^2,
+            # so their sum cannot overflow.
+            if not math.isfinite(f2.sum()):
                 raise InvalidLadderError("recurrence produced nonfinite entries")
             # a corner has no successor in its own table; past it, c2 = 1
             # keeps the pair's pad entries at 0 / 1 * 0 instead of 0 / 0
@@ -426,16 +432,76 @@ def _dicke_group(family: LadderFamily, ms: list[int]) -> list[float] | None:
         return None
 
 
+def _fork_map(func, tasks: list, workers: int) -> list:
+    """``[func(task) for task in tasks]``, each call in a forked child, with
+    at most ``workers`` children alive at a time.
+
+    A forked child starts with the parent's modules, so what the parent has
+    imported (numpy) is paid for once; the children run elementwise numpy
+    only, so they never need the BLAS threads that a forked child lacks.
+    Each child sends its result back through a pipe with ``marshal`` and
+    leaves with ``os._exit``, so it runs no cleanup of the parent's and
+    flushes no inherited stdout buffer.  A child that dies without a result
+    gives None.  The parent waits on its own children only, and kills and
+    reaps any still running when it raises.
+    """
+    import marshal
+    import select
+    import signal
+
+    results = [None] * len(tasks)
+    todo = list(enumerate(tasks))[::-1]  # popped from the end, in task order
+    children = {}  # read end of a child's pipe -> (task index, pid, chunks read)
+    try:
+        while todo or children:
+            while todo and len(children) < workers:
+                index, task = todo.pop()
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    status = 1
+                    try:
+                        os.close(read)
+                        with os.fdopen(write, "wb") as pipe:
+                            pipe.write(marshal.dumps(func(task)))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write)
+                children[read] = (index, pid, [])
+            for read in select.select(list(children), [], [])[0]:
+                index, pid, chunks = children[read]
+                chunk = os.read(read, 1 << 16)
+                if chunk:
+                    chunks.append(chunk)
+                    continue
+                del children[read]
+                os.close(read)
+                if os.waitpid(pid, 0)[1] == 0:
+                    results[index] = marshal.loads(b"".join(chunks))
+    finally:
+        for read, (_, pid, _) in children.items():
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def _dicke_sweep(family: LadderFamily, n_values: list[int], jobs: int | None) -> list[dict]:
     """Rows of a Dicke family, a group of points per pass (see
-    ``_dicke_groups``), the groups on a pool of at most ``jobs`` workers."""
+    ``_dicke_groups``), the groups, largest first, in at most ``jobs``
+    forked children; without ``os.fork`` they run in-process."""
     groups = _dicke_groups(n // 2 for n in n_values)
-    workers = _worker_count(jobs, len(groups))
+    workers = _worker_count(jobs, len(groups)) if hasattr(os, "fork") else 1
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        import numpy  # noqa: F401  (imported once, here, not in every child)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = list(pool.map(_dicke_group, [family] * len(groups), groups))
+        found = _fork_map(partial(_dicke_group, family), groups, workers)
     else:
         found = [_dicke_group(family, ms) for ms in groups]
     corners = {m: c for ms, cs in zip(groups, found) if cs is not None for m, c in zip(ms, cs)}
@@ -458,8 +524,8 @@ def qfi_vs_n_sweep(
     information, the per-shot phase variance and the shot-noise,
     Heisenberg and photon-number-state references, in input order.  A
     nested family takes every point from one reverse pass, and ``jobs``
-    is unused; Dicke points run in batched passes, optionally on a
-    process pool of at most ``jobs`` workers.
+    is unused; Dicke points run in batched passes, the passes in at most
+    ``jobs`` forked children (in-process where ``os.fork`` is missing).
     """
     totals = []
     for n in n_values:

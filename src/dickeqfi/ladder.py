@@ -91,6 +91,18 @@ def _plain(value):
     return value
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a non-integral, infinite or nan one is rejected,
+    not truncated."""
+    try:
+        count = int(value)
+    except (OverflowError, ValueError):  # inf and nan
+        count = None
+    if count != value:
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return count
+
+
 class DecayLadder(Record):
     """Spectral description of one emission cascade.
 
@@ -108,9 +120,7 @@ class DecayLadder(Record):
         object.__setattr__(
             self, "frequencies", tuple(float(w) for w in self.frequencies)
         )
-        if not self.levels % 1 == 0:  # nan and inf too
-            raise ValueError(f"the number of levels must be an integer, got {self.levels}")
-        object.__setattr__(self, "levels", int(self.levels))
+        object.__setattr__(self, "levels", _count(self.levels, "the number of levels"))
         if self.levels < 1:
             raise ValueError(f"ladder needs at least one level, got {self.levels}")
         if len(self.rates) != self.levels:
@@ -190,11 +200,11 @@ def build_dicke(n_emitters: int, gamma_1d: float) -> DecayLadder:
     peaking at mid-ladder (superradiant burst).  Levels are equispaced,
     so all frequencies vanish in the rotating frame.
     """
-    if n_emitters < 1:
+    n = _count(n_emitters, "n_emitters")
+    if n < 1:
         raise ValueError(f"need at least one emitter, got {n_emitters}")
     if not gamma_1d > 0.0:
         raise ValueError(f"gamma_1d must be positive, got {gamma_1d}")
-    n = int(n_emitters)
     rates = tuple(m * (n - m + 1) * gamma_1d for m in range(1, n + 1))
     return DecayLadder(levels=n, rates=rates, frequencies=(0.0,) * n)
 
@@ -206,11 +216,11 @@ def build_anharmonic(n_photons: int, gamma_1: float, u: float) -> DecayLadder:
     emitted photons spectrally distinguishable once u exceeds the
     linewidth.
     """
-    if n_photons < 1:
+    n = _count(n_photons, "n_photons")
+    if n < 1:
         raise ValueError(f"need at least one photon, got {n_photons}")
     if not gamma_1 > 0.0:
         raise ValueError(f"gamma_1 must be positive, got {gamma_1}")
-    n = int(n_photons)
     rates = tuple(k * gamma_1 for k in range(1, n + 1))
     freqs = tuple(k * (k - 1) * u for k in range(1, n + 1))
     return DecayLadder(levels=n, rates=rates, frequencies=freqs)

@@ -225,6 +225,24 @@ class TestLossCommand:
         first = lines[1].split(",")
         assert float(first[3]) == 1.0  # fully inverted start
 
+    def test_unconverged_trace_exits_numeric(self, capsys, monkeypatch):
+        import numpy as np
+
+        # a grid of 0.2 cascade times and one doubling leaves excited population
+        populations = dickeqfi.cli.dicke_populations
+        monkeypatch.setattr(dickeqfi.cli, "dicke_populations", lambda n, loss: populations(
+            n, loss, t_grid=np.linspace(0.0, 0.2, 5), max_extensions=1))
+        code, out, err = run(
+            capsys, "loss", "--n", "2", "--purcell", "inf", "--trace", "--no-header",
+        )
+        assert code == EXIT_NUMERIC
+        assert out.splitlines()[0] == "t,P_0,P_1,P_2,sum" and len(out.splitlines()) == 6
+        residual = populations(2, dickeqfi.cli._loss_model(math.inf),
+                               t_grid=np.linspace(0.0, 0.2, 5), max_extensions=1).residual
+        assert residual > 1e-10
+        assert err == (f"population trace not converged: excited population {residual:.3e}"
+                       " left at the horizon t=0.4\n")
+
     def test_trace_needs_single_point(self, capsys):
         code, _, err = run(
             capsys, "loss", "--n", "2,3", "--purcell", "inf", "--trace"

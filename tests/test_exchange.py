@@ -337,6 +337,24 @@ class TestRecurrenceState:
         with pytest.raises(InvalidLadderError, match="nonfinite"):
             _recurrence(arm, arm)
 
+    @pytest.mark.parametrize("cross", [1.0, 0.0], ids=["inf", "nan"])
+    def test_a_nonfinite_f0_raises_on_its_own_antidiagonal(self, cross):
+        # f0(3, 0) and f0(0, 3) read the infinite numerator on antidiagonal 3;
+        # a zero cross factor there turns them into nan in f1 and f2
+        def vectors(arm):
+            v = _ladder_vectors(arm)
+            v["n0"][3] = math.inf
+            v["sq"][3] *= cross
+            return v
+
+        arm = build_dicke(6, 1.0)
+        finite = []
+        with pytest.raises(InvalidLadderError,
+                           match="^recurrence produced nonfinite entries$"):
+            for _, f0, f1, f2 in _antidiagonals([(arm, arm)], vectors):
+                finite.append(all(np.isfinite(f).all() for f in (f0, f1, f2)))
+        assert finite == [True] * 3
+
 
 class TestReversePass:
     """One adjoint pass against a forward pass per photon number."""
@@ -749,12 +767,10 @@ class TestSweep:
         assert all(1.0 - 1e-13 <= v <= 1.0 for v in values)
 
     def test_nested_sweep_starts_no_pool(self, monkeypatch):
-        import concurrent.futures
-
         def refuse(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(os, "fork", refuse)
         rows = qfi_vs_n_sweep(LadderFamily("anharmonic", u=1.0), [4, 8, 12], jobs=4)
         assert all("error" not in r for r in rows)
         # two groups of Dicke points (m = 2 < 20 / 2) share a pool
@@ -791,3 +807,127 @@ class TestSweep:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             LadderFamily("squeezed")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the children this process forks and the most alive at once,
+    forbids a bare ``os.wait``, and reports eight cores, so that a pool of
+    up to eight workers runs on any host."""
+    fork, waitpid = os.fork, os.waitpid
+    seen = {"forks": 0, "alive": set(), "peak": 0}
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            seen["forks"] += 1
+            seen["alive"].add(pid)
+            seen["peak"] = max(seen["peak"], len(seen["alive"]))
+        return pid
+
+    def counting_waitpid(pid, options):
+        status = waitpid(pid, options)
+        seen["alive"].discard(pid)
+        return status
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    monkeypatch.setattr(os, "waitpid", counting_waitpid)
+    monkeypatch.delattr(os, "wait")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    return seen
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkPool:
+    """Dicke groups in forked children: rows, limits and clean-up."""
+
+    # photon numbers per arm 40, 20 | 4, 2: two groups
+    N_VALUES = [4, 40, 8, 80]
+
+    def test_a_killed_child_reruns_its_points(self, forks, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        family = LadderFamily("dicke")
+        serial = qfi_vs_n_sweep(family, self.N_VALUES, jobs=1)
+        parent, group, point = os.getpid(), exchange_module._dicke_group, _sweep_point
+        reruns = []
+
+        def dies_in_a_child(family, ms):
+            if 40 in ms and os.getpid() != parent:
+                os._exit(1)
+            return group(family, ms)
+
+        def rerun(family, n_total):
+            reruns.append(n_total)
+            return point(family, n_total)
+
+        monkeypatch.setattr(exchange_module, "_dicke_group", dies_in_a_child)
+        monkeypatch.setattr(exchange_module, "_sweep_point", rerun)
+        assert qfi_vs_n_sweep(family, self.N_VALUES, jobs=2) == serial
+        assert forks["forks"] == 2 and reruns == [40, 80]
+        assert_no_children()
+
+    def test_a_failed_group_in_a_child_reruns_its_points(self, forks, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        family = LadderFamily("dicke", gamma=1e300)
+        serial = qfi_vs_n_sweep(family, [2, 4, 40], jobs=1)
+        assert [("error" in row) for row in serial] == [False, True, True]
+        assert qfi_vs_n_sweep(family, [2, 4, 40], jobs=2) == serial
+        monkeypatch.setattr(exchange_module, "_dicke_group", lambda family, ms: None)
+        assert qfi_vs_n_sweep(family, [2, 4, 40], jobs=2) == serial
+        assert forks["forks"] == 4
+        assert_no_children()
+
+    def test_a_parent_failure_reaps_every_child(self, forks, monkeypatch):
+        import select
+
+        def fails(*args):
+            raise RuntimeError("parent failed")
+
+        monkeypatch.setattr(select, "select", fails)
+        with pytest.raises(RuntimeError, match="parent failed"):
+            qfi_vs_n_sweep(LadderFamily("dicke"), self.N_VALUES, jobs=2)
+        assert forks["forks"] == 2 and not forks["alive"]
+        assert_no_children()
+
+    def test_at_most_workers_children_at_once(self, forks):
+        # photon numbers per arm 63, 31, 15, 7, 3, 1: six groups of one
+        n_values = [2, 6, 14, 30, 62, 126]
+        rows = qfi_vs_n_sweep(LadderFamily("dicke"), n_values, jobs=3)
+        assert rows == qfi_vs_n_sweep(LadderFamily("dicke"), n_values, jobs=1)
+        assert forks["forks"] == 6 and forks["peak"] == 3
+        assert_no_children()
+
+    def test_without_fork_the_sweep_runs_in_process(self, forks, monkeypatch):
+        family = LadderFamily("dicke")
+        serial = qfi_vs_n_sweep(family, self.N_VALUES, jobs=1)
+        monkeypatch.delattr(os, "fork")
+        assert qfi_vs_n_sweep(family, self.N_VALUES, jobs=2) == serial
+        assert forks["forks"] == 0
+
+    def test_the_pool_imports_no_executor(self):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import dickeqfi
+
+        probe = ("import os, sys\n"
+                 "from dickeqfi.exchange import LadderFamily, qfi_vs_n_sweep\n"
+                 "os.cpu_count = lambda: 2\n"
+                 "forks = []\n"
+                 "fork = os.fork\n"
+                 "os.fork = lambda: forks.append(1) or fork()\n"
+                 "rows = qfi_vs_n_sweep(LadderFamily('dicke'), [4, 40], jobs=2)\n"
+                 "print(len(forks), all('error' not in r for r in rows),"
+                 " [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n")
+        src = str(Path(dickeqfi.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=env, check=True, timeout=120).stdout
+        assert out.splitlines() == ["2 True []"]

@@ -71,6 +71,28 @@ class TestCavityBuilders:
             build_anharmonic(2, -0.5, 1.0)
 
 
+BUILDERS = {
+    "dicke": (lambda n: build_dicke(n, 1.0), "n_emitters"),
+    "anharmonic": (lambda n: build_anharmonic(n, 1.0, 0.5), "n_photons"),
+    "harmonic": (lambda n: build_harmonic(n, 1.0), "n_photons"),
+}
+
+
+@pytest.mark.parametrize("build, name", BUILDERS.values(), ids=BUILDERS.keys())
+class TestBuilderPhotonNumbers:
+    @pytest.mark.parametrize("n", [2.5, 3.7, math.inf, math.nan, np.float64(math.inf),
+                                   np.float64(math.nan), -math.inf])
+    def test_rejects_non_integral_numbers(self, build, name, n):
+        # 2.5 and 3.7 were truncated to 2- and 3-level ladders
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            build(n)
+
+    def test_integral_float_and_numpy_numbers_pass(self, build, name):
+        for n in (3.0, np.int64(3), np.float64(3.0)):
+            ladder = build(n)
+            assert type(ladder.levels) is int and ladder == build(3)
+
+
 @given(
     n=st.integers(1, 30),
     gamma=st.floats(1e-3, 1e3),

@@ -38,7 +38,8 @@ SAMPLES = {
     "LossModel": dict(gamma_1d=1.0, gamma_star=0.01),
     "PopulationTrace": dict(times=(0.0, 1.0), populations=((0.0, 0.5), (1.0, 0.5)),
                             residence=(math.inf, 1.0), collection_probability=0.99,
-                            sum_deficit=(0.0, 1e-16), converged=True, residual=0.0),
+                            sum_deficit=(0.0, 1e-16), converged=True, residual=0.0,
+                            horizon=1.0),
     "CollectionEstimate": dict(exact=0.9, log_estimate=0.1),
     "SuperradianceTime": dict(exact=2.5, log_estimate=2.3),
     "PlatformParams": dict(_PLATFORM, pulse_error=0.01, delta_gamma=0.05, delay=1e-9,
@@ -134,7 +135,7 @@ REPRS = {
     "LossModel": "LossModel(gamma_1d=1.0, gamma_star=0.01)",
     "PopulationTrace": "PopulationTrace(times=(0.0, 1.0), populations=((0.0, 0.5), (1.0, 0.5)), "
                        "residence=(inf, 1.0), collection_probability=0.99, sum_deficit=(0.0, "
-                       "1e-16), converged=True, residual=0.0)",
+                       "1e-16), converged=True, residual=0.0, horizon=1.0)",
     "CollectionEstimate": "CollectionEstimate(exact=0.9, log_estimate=0.1)",
     "SuperradianceTime": "SuperradianceTime(exact=2.5, log_estimate=2.3)",
     "PlatformParams": "PlatformParams(quality_factor=1000000.0, group_index=10.0, "
