@@ -25,7 +25,7 @@ _EXPORTS = {
         "oracle_integral", "oracle_integral_exact",
     ),
     "exchange": (
-        "InvalidLadderError", "LadderFamily", "RecurrenceState", "SWEEP_COLUMNS",
+        "InvalidLadderError", "LadderFamily", "SWEEP_COLUMNS",
         "exchange_integral", "qfi_vs_n_sweep",
     ),
     "metrology": (

@@ -197,9 +197,13 @@ def _int_list(spec: str, step: int = 1) -> range | list[int]:
     return [_COUNT(tok) for tok in spec.split(",") if tok]
 
 
-# Largest total photon number of an exchange sweep: m = 10^4 photons per
-# arm, the reach of the O(m^2) recurrence.
+# Largest total photon number of an exchange sweep or a report: m = 10^4
+# photons per arm, the reach of the O(m^2) recurrence.
 MAX_EXCHANGE_N = 20_000
+
+# Largest emitter number of a population trace, whose dense propagator
+# grows as N^2: 6.0 s and 440 MB peak RSS at N = 2000 (2 cores).
+MAX_TRACE_N = 2000
 
 
 def _within_reach(spec: str) -> bool:
@@ -325,9 +329,11 @@ def cmd_loss(cfg: RunConfig) -> int:
     if opts["trace"]:
         if len(n_values) != 1 or len(purcells) != 1:
             raise UsageError("trace", "a trace needs exactly one N and one purcell")
+        n = n_values[0]
+        if n > MAX_TRACE_N:
+            raise UsageError("n", f"a trace takes N up to {MAX_TRACE_N}, got {n}")
         import numpy as np
 
-        n = n_values[0]
         trace = _self.dicke_populations(n, _loss_model(purcells[0]))
         levels = tuple(f"P_{m}" for m in range(n + 1))
         # JSON rows keep the key order t, sum, P_0..P_N; CSV columns put sum last
@@ -551,7 +557,9 @@ _SUBCOMMANDS = {
         ("--lambda-a", _REQUIRED, _POSITIVE, {"help": "emitter wavelength [m]"}),
         ("--gamma-1d", _REQUIRED, _POSITIVE, {"help": "guided decay rate [rad/s]"}),
         ("--gamma-star", _REQUIRED, _NONNEGATIVE, {"help": "residual decay rate [rad/s]"}),
-        ("--n", _REQUIRED, _EVEN, {"help": "total photon number (even)"}),
+        ("--n", _REQUIRED, _rule(f"an even integer from 2 up to {MAX_EXCHANGE_N}", int,
+                                 lambda n: 2 <= n <= MAX_EXCHANGE_N and n % 2 == 0),
+         {"help": "total photon number (even)"}),
         ("--pulse-error", 0.0, _NONNEGATIVE, {}),
         ("--delta-gamma", 0.0, _rule("a finite number < 1", float, lambda x: -math.inf < x < 1),
          {"help": "relative coupling mismatch d < 1 of the two ensembles "

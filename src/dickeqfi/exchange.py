@@ -52,7 +52,11 @@ corner is computed, so the pad entries beyond it divide by 1, not 0.  A
 Dicke sweep groups photon numbers within a factor of two of each other,
 so the pads cost little.  The groups of a sweep run in forked children,
 at most ``jobs`` at a time; the parent imports numpy before it forks, so
-no child imports it again.
+no child imports it again, and a group whose child dies reruns in the
+parent.  No step of a pass checks its entries: ``_overlap`` reads every
+overlap (of one pair, a Dicke group or a cavity sub-lattice) from its
+corner, which a nonfinite entry anywhere in the pair's tables makes
+nonfinite, and no other pair's: an overflow flags its own rows only.
 """
 from __future__ import annotations
 
@@ -79,30 +83,8 @@ _BATCH_CELLS = 4096
 
 
 class InvalidLadderError(ValueError):
-    """Ladder cannot be integrated (nonpositive exponent accumulator)."""
-
-
-class RecurrenceState(Record):
-    """Outcome of the one-pass recurrence: its last table entry.
-
-    The pass walks the three tables antidiagonal by antidiagonal and
-    keeps only the previous antidiagonal of each, so it costs O(m^2)
-    time and O(m) memory; ``corner`` is the rescaled two-pending entry
-    (m-1, m-1), which is m^2 times the overlap.
-    """
-
-    __slots__ = ("photons_per_arm", "corner")
-
-    @property
-    def value(self) -> float:
-        """The overlap, with a rounding overshoot of one clipped back to one.
-
-        Harmonic ladders, where I = 1 exactly, come out a few ulps high.
-        """
-        value = self.corner / self.photons_per_arm**2
-        if value > 1.0 + _OVERSHOOT_TOL:
-            raise InvalidLadderError(f"overlap {value!r} exceeds one beyond rounding")
-        return min(value, 1.0)
+    """Ladder cannot be integrated (nonpositive rates, or an overlap that is
+    nonfinite or exceeds one)."""
 
 
 def _ladder_vectors(arm: DecayLadder) -> dict[str, np.ndarray]:
@@ -228,12 +210,6 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
                 n2_b[j] / a2[left] * p2[left],
                 out=q2[left],
             )
-            # One sum checks all three tables: a nonfinite f0 or f1 entry
-            # reaches f2 at its own cell, since s / c0 >= 0 and 0 * inf is nan,
-            # and the finite entries are dimensionless, bounded by about m^2,
-            # so their sum cannot overflow.
-            if not math.isfinite(f2.sum()):
-                raise InvalidLadderError("recurrence produced nonfinite entries")
             # a corner has no successor in its own table; past it, c2 = 1
             # keeps the pair's pad entries at 0 / 1 * 0 instead of 0 / 0
             for p in corners.get(k, ()):
@@ -261,6 +237,26 @@ def _corners(pairs) -> list[float]:
         for p in steps.get(k, ()):
             corners[p] = float(f2[k // 2 - lo, p])
     return corners
+
+
+def _overlap(m: int, corner: float) -> float:
+    """The overlap corner / m^2 of two m-photon arms, with a rounding
+    overshoot of one clipped back to one (harmonic ladders, where I = 1
+    exactly, read a few ulps high).
+
+    This is the recurrence's one finiteness check.  Every entry of a pair's
+    three tables reaches its corner through strictly positive weights (n0,
+    n1, n2, s / c0, and Re(1 / c1) > 0 into table 2), and 0 * inf and
+    inf - inf are nan, so a nonfinite entry anywhere leaves the corner
+    nonfinite; columns of a batched pass share no arithmetic, so it leaves
+    exactly that pair's corner nonfinite.
+    """
+    if not math.isfinite(corner):
+        raise InvalidLadderError("recurrence produced nonfinite entries")
+    value = corner / m**2
+    if value > 1.0 + _OVERSHOOT_TOL:
+        raise InvalidLadderError(f"overlap {value!r} exceeds one beyond rounding")
+    return min(value, 1.0)
 
 
 def _adjoint_vectors(arm: DecayLadder) -> dict[str, np.ndarray]:
@@ -304,12 +300,6 @@ def _reverse_pass(a: DecayLadder, b: DecayLadder):
     return corners
 
 
-def _recurrence(a: DecayLadder, b: DecayLadder) -> RecurrenceState:
-    """Run the recurrence for arms a and b of equal photon number: a
-    batch of one pair."""
-    return RecurrenceState(photons_per_arm=a.levels, corner=_corners([(a, b)])[0])
-
-
 def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
     """Exchange integral of a zero-delay configuration via the table recurrence.
 
@@ -318,13 +308,11 @@ def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
     the error-budget module).
     """
     if config.delay != 0.0:
-        raise ValueError(
-            "recurrence handles zero delay only; use the oracle for the "
-            "exact delayed value or the budget bound"
-        )
-    state = _recurrence(config.ladder_a, config.ladder_b)
+        raise ValueError("recurrence handles zero delay only; use the oracle for the "
+                         "exact delayed value or the budget bound")
+    a, b = config.ladder_a, config.ladder_b
     return ExchangeIntegral(
-        value=state.value,
+        value=_overlap(a.levels, _corners([(a, b)])[0]),
         total_photons=config.total_photons,
         method="recurrence",
         exchanged_count=1,
@@ -362,50 +350,34 @@ class LadderFamily(Record):
 SWEEP_COLUMNS = ("N", "I_N", "F_Q", "dphi2", "dphi2_snl", "dphi2_hl", "dphi2_fock")
 
 
-def _error_row(n_total: int, exc: Exception) -> dict:
-    return {"N": n_total, "error": f"{type(exc).__name__}: {exc}"}
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _sweep_row(n_total: int, overlap) -> dict:
-    """Row of total photon number ``n_total``, whose overlap ``overlap()``
-    computes; a failure flags the row, not the sweep."""
+def _sweep_row(n_total: int, outcome: float | str) -> dict:
+    """Row of total photon number ``n_total`` from the corner of its arm
+    pair, or from the failure text that stands in for one; a failure flags
+    the row, not the sweep."""
+    if isinstance(outcome, str):
+        return {"N": n_total, "error": outcome}
     try:
-        value = overlap()
+        value = _overlap(n_total // 2, outcome)
         qfi = twin_qfi(n_total, value)
-        return {
-            "N": n_total,
-            "I_N": value,
-            "F_Q": qfi,
-            "dphi2": 1.0 / qfi,
-            "dphi2_snl": 1.0 / n_total,
-            "dphi2_hl": 1.0 / n_total**2,
-            "dphi2_fock": 2.0 / (n_total * (n_total + 2.0)),
-        }
-    except Exception as exc:
-        return _error_row(n_total, exc)
-
-
-def _sweep_point(family: LadderFamily, n_total: int) -> dict:
-    def overlap():
-        arm = family.build_arm(n_total)
-        return exchange_integral(TwinConfiguration(arm, arm)).value
-
-    return _sweep_row(n_total, overlap)
-
-
-def _overlap(m: int, corner: float) -> float:
-    return RecurrenceState(photons_per_arm=m, corner=corner).value
+        return dict(zip(SWEEP_COLUMNS, (n_total, value, qfi, 1.0 / qfi, 1.0 / n_total,
+                                        1.0 / n_total**2, 2.0 / (n_total * (n_total + 2.0)))))
+    except (InvalidLadderError, ArithmeticError) as exc:
+        return {"N": n_total, "error": _failure(exc)}
 
 
 def _nested_sweep(family: LadderFamily, n_values: list[int]) -> list[dict]:
-    """Rows of a nested family from one reverse pass at the largest N."""
+    """Rows of a nested family from one reverse pass at the largest N; an
+    overflow flags only the rows whose sub-lattices it reaches."""
     try:
         arm = family.build_arm(max(n_values))
         corners = _reverse_pass(arm, arm)
     except Exception as exc:  # no point has an overlap: every row says why
-        return [_error_row(n, exc) for n in n_values]
-    return [_sweep_row(n, partial(_overlap, n // 2, float(corners[arm.levels - n // 2])))
-            for n in n_values]
+        return [_sweep_row(n, _failure(exc)) for n in n_values]
+    return [_sweep_row(n, float(corners[arm.levels - n // 2])) for n in n_values]
 
 
 def _dicke_groups(ms) -> list[list[int]]:
@@ -422,14 +394,21 @@ def _dicke_groups(ms) -> list[list[int]]:
     return groups
 
 
-def _dicke_group(family: LadderFamily, ms: list[int]) -> list[float] | None:
-    """Corners of the Dicke points with ``ms`` photons per arm from one
-    batched pass, or None if the pass fails."""
+def _dicke_group(family: LadderFamily, ms: list[int]) -> list[float | str]:
+    """One outcome per Dicke point with ``ms`` photons per arm: the corner
+    of its pair from one batched pass, or the failure text of its own arm's
+    build; a failure of the pass itself flags every point of the group."""
+    outcomes, arms = {}, {}
+    for m in ms:
+        try:
+            arms[m] = family.build_arm(2 * m)
+        except Exception as exc:
+            outcomes[m] = _failure(exc)
     try:
-        arms = [family.build_arm(2 * m) for m in ms]
-        return _corners([(arm, arm) for arm in arms])
-    except Exception:  # each point reruns alone and reports its own error
-        return None
+        outcomes.update(zip(arms, _corners([(arm, arm) for arm in arms.values()])))
+    except Exception as exc:
+        outcomes.update(dict.fromkeys(arms, _failure(exc)))
+    return [outcomes[m] for m in ms]
 
 
 def _fork_map(func, tasks: list, workers: int) -> list:
@@ -498,16 +477,15 @@ def _dicke_sweep(family: LadderFamily, n_values: list[int], jobs: int | None) ->
     forked children; without ``os.fork`` they run in-process."""
     groups = _dicke_groups(n // 2 for n in n_values)
     workers = _worker_count(jobs, len(groups)) if hasattr(os, "fork") else 1
+    found = [None] * len(groups)
     if workers > 1:
         import numpy  # noqa: F401  (imported once, here, not in every child)
 
         found = _fork_map(partial(_dicke_group, family), groups, workers)
-    else:
-        found = [_dicke_group(family, ms) for ms in groups]
-    corners = {m: c for ms, cs in zip(groups, found) if cs is not None for m, c in zip(ms, cs)}
-    # the points of a failed pass rerun alone, so each failing point flags its own row
-    return [_sweep_row(n, partial(_overlap, n // 2, corners[n // 2])) if n // 2 in corners
-            else _sweep_point(family, n) for n in n_values]
+    # a group whose child died, or that no child ran, runs in the parent
+    outcomes = {m: outcome for ms, group in zip(groups, found)
+                for m, outcome in zip(ms, _dicke_group(family, ms) if group is None else group)}
+    return [_sweep_row(n, outcomes[n // 2]) for n in n_values]
 
 
 def _worker_count(jobs: int | None, tasks: int) -> int:
@@ -515,9 +493,7 @@ def _worker_count(jobs: int | None, tasks: int) -> int:
     return max(1, min(jobs or 1, tasks, os.cpu_count() or 1))
 
 
-def qfi_vs_n_sweep(
-    family: LadderFamily, n_values, jobs: int | None = None
-) -> list[dict]:
+def qfi_vs_n_sweep(family: LadderFamily, n_values, jobs: int | None = None) -> list[dict]:
     """Phase-sensitivity table over total photon numbers.
 
     Rows carry the exchange integral, the resulting quantum Fisher

@@ -162,14 +162,28 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
 
     ``integrals`` holds the exchange overlaps with 0..m swapped pairs
     (all ones for a single-mode input).  The value is a binomial-weighted
-    trigonometric polynomial and stays within [-1, 1].
+    trigonometric polynomial within [-1, 1], whose alternating terms reach
+    2^m / m near phi = pi/4: an ArithmeticError reports a sum that cancels
+    past its rounding bound.
     """
     vals = _check_integrals(m, integrals)
     s2 = math.sin(phi) ** 2
     c2 = math.cos(phi) ** 2
-    total = 0.0
+    total = size = 0.0
     for l, val in enumerate(vals):
-        total += (-1.0) ** l * s2**l * c2 ** (m - l) * math.comb(m, l) ** 2 * val
+        term = (-1.0) ** l * s2**l * c2 ** (m - l) * math.comb(m, l) ** 2 * val
+        total += term
+        size += abs(term)
+    # Rounding bound, u = 2^-53, with sin, cos and ** within one ulp (2u):
+    # s2 and c2 are off by 2 * 2u + 2u = 6u, their powers by 6 l u + 2u and
+    # 6 (m - l) u + 2u, and the three products and the float of comb^2 add
+    # 4u, so each term is off by (6m + 8) u of itself at most.  Each of the
+    # m additions adds u of a partial sum, at most u size: the sum is off by
+    # (7m + 8) u size to first order, and higher orders add (7m + 8) u of that.
+    bound = (7 * m + 8) * 2.0**-53 * size
+    if bound > 1e-9:
+        raise ArithmeticError(f"parity expectation at m={m}, phi={phi!r} cancels too far: "
+                              f"rounding bound {bound:.3g} exceeds 1e-9")
     return total
 
 

@@ -12,8 +12,8 @@ import pytest
 
 import dickeqfi
 from dickeqfi.cli import (
-    _EXCHANGE_N, _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_EXCHANGE_N, RunConfig,
-    _linspace, _ratios, main,
+    _EXCHANGE_N, _SUBCOMMANDS, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, MAX_EXCHANGE_N, MAX_TRACE_N,
+    RunConfig, _linspace, _ratios, main,
 )
 
 
@@ -250,6 +250,18 @@ class TestLossCommand:
         assert code == EXIT_USAGE
         assert "trace:" in err
 
+    def test_trace_n_beyond_its_cap_rejected_at_once(self, capsys, monkeypatch):
+        # a dense propagator of 10^4 levels would need about 11 GB
+        def refuse(*args, **kwargs):
+            raise AssertionError("the trace was started")
+
+        monkeypatch.setattr(dickeqfi.cli, "dicke_populations", refuse)
+        for n in (MAX_TRACE_N + 1, 10**4):
+            code, out, err = run(capsys, "loss", "--n", str(n), "--purcell", "inf",
+                                 "--trace", "--no-header")
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == f"error: n: a trace takes N up to {MAX_TRACE_N}, got {n}\n"
+
 
 class TestParityCommand:
     def test_single_mode_legendre(self, capsys):
@@ -286,6 +298,13 @@ class TestParityCommand:
         )
         assert code == EXIT_OK
         assert "saturation=1" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--check-derivative"]], ids=["plain", "derivative"])
+    def test_a_fringe_past_the_rounding_bound_exits_numeric(self, capsys, extra):
+        code, out, err = run(capsys, "parity", "--single-mode", "--m", "60", "--no-header",
+                             *extra)
+        assert code == EXIT_NUMERIC and out == ""
+        assert err.startswith("numeric failure: parity expectation at m=60")
 
     def test_oracle_guard_guides_user(self, capsys):
         code, _, err = run(capsys, "parity", "--family", "dicke", "--m", "6")
@@ -330,6 +349,17 @@ class TestReportCommand:
         code, _, err = run(capsys, "report", "--q", "1e6")
         assert code == EXIT_USAGE
         assert "n_g:" in err
+
+    @pytest.mark.parametrize("n", [MAX_EXCHANGE_N + 2, 2000000])
+    def test_n_beyond_recurrence_reach_rejected_at_once(self, capsys, n):
+        # an O(m^2) recurrence at m = 10^6 runs for minutes
+        args = list(self.SIN)
+        args[args.index("--n") + 1] = str(n)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *args)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: n: ") and str(MAX_EXCHANGE_N) in err
 
     def test_fidelity_table(self, capsys):
         code, out, _ = run(capsys, *self.SIN, "--fidelity-table")

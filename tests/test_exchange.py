@@ -2,6 +2,7 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from dickeqfi.exchange import (
     InvalidLadderError,
     LadderFamily,
-    RecurrenceState,
     exchange_integral,
     qfi_vs_n_sweep,
     _BATCH_CELLS,
@@ -18,9 +18,8 @@ from dickeqfi.exchange import (
     _corners,
     _dicke_groups,
     _ladder_vectors,
-    _recurrence,
+    _overlap,
     _reverse_pass,
-    _sweep_point,
     _worker_count,
 )
 from dickeqfi.ladder import (
@@ -31,11 +30,33 @@ from dickeqfi.ladder import (
     build_harmonic,
 )
 from dickeqfi.budget import mixed_rate_correction
+from dickeqfi.metrology import twin_qfi
 from dickeqfi.oracle import oracle_integral, oracle_integral_exact
 
 
 def twin(ladder):
     return TwinConfiguration(ladder, ladder)
+
+
+def _recurrence(a, b):
+    """The one-pair pass of arms a and b: its corner, and the overlap that
+    ``_overlap`` reads from it, as ``exchange_integral`` does."""
+    corner = _corners([(a, b)])[0]
+    return SimpleNamespace(corner=corner, value=_overlap(a.levels, corner))
+
+
+def point_row(family, n_total):
+    """The sweep row of one point computed alone, through
+    ``exchange_integral``: the reference for every sweep's rows."""
+    try:
+        arm = family.build_arm(n_total)
+        value = exchange_integral(twin(arm)).value
+    except Exception as exc:
+        return {"N": n_total, "error": f"{type(exc).__name__}: {exc}"}
+    qfi = twin_qfi(n_total, value)
+    return {"N": n_total, "I_N": value, "F_Q": qfi, "dphi2": 1.0 / qfi,
+            "dphi2_snl": 1.0 / n_total, "dphi2_hl": 1.0 / n_total**2,
+            "dphi2_fock": 2.0 / (n_total * (n_total + 2.0))}
 
 
 def split_recurrence(a, b):
@@ -249,6 +270,8 @@ class TestValues:
 
 
 class TestRecurrenceState:
+    """The one-pair pass: its tables, its corner and the overlap read from it."""
+
     def test_base_entry_is_exactly_one(self):
         f0, f1, f2 = full_tables(build_dicke(4, 1.0))
         assert f0[0, 0] == 1.0
@@ -328,19 +351,23 @@ class TestRecurrenceState:
         assert state.value == 1.0
 
     def test_overshoot_beyond_rounding_raises(self):
-        state = RecurrenceState(photons_per_arm=1, corner=1.0 + 1e-9)
-        with pytest.raises(InvalidLadderError):
-            state.value
+        with pytest.raises(InvalidLadderError, match="exceeds one beyond rounding"):
+            _overlap(1, 1.0 + 1e-9)
+        assert _overlap(2, 4.0 * (1.0 + 1e-13)) == 1.0
 
     def test_nonfinite_entries_raise(self):
         arm = build_dicke(5, 1e300)
-        with pytest.raises(InvalidLadderError, match="nonfinite"):
-            _recurrence(arm, arm)
+        with pytest.raises(InvalidLadderError, match="^recurrence produced nonfinite entries$"):
+            exchange_integral(twin(arm))
+        for corner in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidLadderError, match="nonfinite"):
+                _overlap(5, corner)
 
     @pytest.mark.parametrize("cross", [1.0, 0.0], ids=["inf", "nan"])
-    def test_a_nonfinite_f0_raises_on_its_own_antidiagonal(self, cross):
+    def test_a_nonfinite_f0_reaches_its_corner(self, cross):
         # f0(3, 0) and f0(0, 3) read the infinite numerator on antidiagonal 3;
-        # a zero cross factor there turns them into nan in f1 and f2
+        # a zero cross factor there turns them into nan in f1 and f2.  The
+        # pass runs on to the corner, which the overlap then rejects.
         def vectors(arm):
             v = _ladder_vectors(arm)
             v["n0"][3] = math.inf
@@ -348,12 +375,48 @@ class TestRecurrenceState:
             return v
 
         arm = build_dicke(6, 1.0)
-        finite = []
+        finite, corner = [], None
+        for lo, f0, f1, f2 in _antidiagonals([(arm, arm)], vectors):
+            finite.append(all(np.isfinite(f).all() for f in (f0, f1, f2)))
+            corner = f2[5 - lo, 0] if len(finite) == 11 else corner
+        assert finite == [True] * 3 + [False] * 8
+        assert not math.isfinite(corner)
         with pytest.raises(InvalidLadderError,
                            match="^recurrence produced nonfinite entries$"):
-            for _, f0, f1, f2 in _antidiagonals([(arm, arm)], vectors):
-                finite.append(all(np.isfinite(f).all() for f in (f0, f1, f2)))
-        assert finite == [True] * 3
+            _overlap(6, corner)
+
+    @given(
+        data=st.data(),
+        bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+        name=st.sampled_from(["n0", "n1", "n2"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_nonfinite_entry_reaches_only_its_own_corner(self, data, bad, name):
+        # one numerator of one arm of one column of a mixed Dicke/Kerr batch
+        batch = [(build_dicke(7, 1.0), build_dicke(7, 2.5)),
+                 (build_anharmonic(5, 1.0, 3.0),) * 2,
+                 (build_dicke(4, 1.0),) * 2,
+                 (build_anharmonic(7, 0.7, 15.0), build_dicke(7, 1.0))]
+        column = data.draw(st.integers(0, len(batch) - 1), label="column")
+        target = data.draw(st.sampled_from(batch[column]), label="arm")
+        row = data.draw(st.integers(0, target.levels - 1), label="row")
+
+        def vectors(arm):
+            v = _ladder_vectors(arm)
+            if arm is target:
+                v[name][row] = bad
+            return v
+
+        corners = {}
+        for k, (lo, _, _, f2) in enumerate(_antidiagonals(batch, vectors)):
+            for p, (a, _) in enumerate(batch):
+                if k == 2 * a.levels - 2:
+                    corners[p] = float(f2[k // 2 - lo, p])
+        for p, (a, b) in enumerate(batch):
+            if p == column:
+                assert not math.isfinite(corners[p])
+            else:
+                assert corners[p] == _corners([(a, b)])[0]
 
 
 class TestReversePass:
@@ -398,9 +461,13 @@ class TestReversePass:
         assert peak < 1e6
 
     def test_nonfinite_entries_raise(self):
+        # the one-photon sub-lattice stays finite; every larger one overflows
         arm = build_harmonic(5, 1e307)
-        with pytest.raises(InvalidLadderError, match="nonfinite"):
-            _reverse_pass(arm, arm)
+        corners = _reverse_pass(arm, arm)
+        assert _overlap(1, corners[4]) == 1.0
+        for d in range(4):
+            with pytest.raises(InvalidLadderError, match="nonfinite"):
+                _overlap(5 - d, corners[d])
 
 
 BATCHES = {
@@ -432,11 +499,11 @@ class TestBatchedPass:
 
     def test_a_nonfinite_column_flags_only_its_own_rows(self):
         # gamma = 1e300 overflows from two photons per arm on; one photon
-        # shares the failing pass and still gets its value
+        # shares the pass and still gets its value
         family = LadderFamily("dicke", gamma=1e300)
         rows = qfi_vs_n_sweep(family, [2, 4, 2, 6])
         assert [r["N"] for r in rows] == [2, 4, 2, 6]
-        assert rows[0] == rows[2] == _sweep_point(family, 2)
+        assert rows == [point_row(family, n) for n in (2, 4, 2, 6)]
         assert rows[0]["I_N"] == pytest.approx(1.0, rel=1e-15)
         for row in rows[1::2]:
             assert row["error"] == "InvalidLadderError: recurrence produced nonfinite entries"
@@ -464,15 +531,39 @@ class TestBatchedPass:
         family = LadderFamily("dicke", gamma=0.3)
         n_values = [40, 2, 18, 40, 6, 4, 100, 60]
         rows = qfi_vs_n_sweep(family, n_values)
-        assert rows == [_sweep_point(family, n) for n in n_values]
+        assert rows == [point_row(family, n) for n in n_values]
 
-    def test_a_failed_group_reruns_each_point_alone(self, monkeypatch):
+    def test_a_failed_pass_flags_its_own_group(self, monkeypatch):
         import dickeqfi.exchange as exchange_module
 
+        # photon numbers per arm 20 | 4, 2: the pass of the first group fails
         family = LadderFamily("dicke")
         expected = qfi_vs_n_sweep(family, [4, 8, 40])
-        monkeypatch.setattr(exchange_module, "_dicke_group", lambda family, ms: None)
-        assert qfi_vs_n_sweep(family, [4, 8, 40]) == expected
+        corners = exchange_module._corners
+
+        def fails_on_twenty(pairs):
+            if pairs[0][0].levels == 20:
+                raise MemoryError("synthetic failure")
+            return corners(pairs)
+
+        monkeypatch.setattr(exchange_module, "_corners", fails_on_twenty)
+        assert qfi_vs_n_sweep(family, [4, 8, 40]) == expected[:2] + [
+            {"N": 40, "error": "MemoryError: synthetic failure"}]
+
+    def test_a_failed_build_flags_its_own_point(self, monkeypatch):
+        # photon numbers per arm 4, 3, 2: one group
+        family = LadderFamily("dicke")
+        expected = qfi_vs_n_sweep(family, [4, 6, 8])
+        build = LadderFamily.build_arm
+
+        def fails_at_six(self, n_total):
+            if n_total == 6:
+                raise ValueError("synthetic failure")
+            return build(self, n_total)
+
+        monkeypatch.setattr(LadderFamily, "build_arm", fails_at_six)
+        assert qfi_vs_n_sweep(family, [4, 6, 8]) == [
+            expected[0], {"N": 6, "error": "ValueError: synthetic failure"}, expected[2]]
 
     def test_sweep_memory_stays_small(self):
         # the benchmark's Dicke grid: four columns of up to 980 photons
@@ -743,7 +834,7 @@ class TestSweep:
         def boom(pairs):
             raise RuntimeError("synthetic failure")
 
-        # the group's pass fails, and so does each point's pass alone
+        # the group's pass fails, and flags each of its points
         monkeypatch.setattr(exchange_module, "_corners", boom)
         rows = exchange_module.qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8])
         assert rows == [{"N": n, "error": "RuntimeError: synthetic failure"} for n in (4, 8)]
@@ -754,7 +845,7 @@ class TestSweep:
         rows = qfi_vs_n_sweep(family, n_values)
         assert [r["N"] for r in rows] == n_values
         for row in rows:
-            forward = _sweep_point(family, row["N"])
+            forward = point_row(family, row["N"])
             assert set(row) == set(forward)
             assert abs(row["I_N"] - forward["I_N"]) <= 1e-13 * forward["I_N"]
             assert row["dphi2_fock"] == forward["dphi2_fock"]
@@ -788,6 +879,17 @@ class TestSweep:
         low, high = qfi_vs_n_sweep(LadderFamily("harmonic"), [2, 4])
         assert low["I_N"] == 1.0 and "error" not in low
         assert high["error"].startswith("InvalidLadderError: overlap")
+
+    def test_an_overflow_flags_only_the_rows_it_reaches(self):
+        # gamma = 1e307 overflows every harmonic sub-lattice but the
+        # one-photon one, which the forward pass of its own arm confirms
+        family = LadderFamily("harmonic", gamma=1e307)
+        rows = qfi_vs_n_sweep(family, [2, 12, 4, 2])
+        assert rows[0] == rows[3] == point_row(family, 2)
+        assert rows[0]["I_N"] == 1.0
+        for row in rows[1:3]:
+            assert row == point_row(family, row["N"])
+            assert row["error"] == "InvalidLadderError: recurrence produced nonfinite entries"
 
     def test_failed_pass_flags_every_row(self, monkeypatch):
         import dickeqfi.exchange as exchange_module
@@ -853,22 +955,20 @@ class TestForkPool:
 
         family = LadderFamily("dicke")
         serial = qfi_vs_n_sweep(family, self.N_VALUES, jobs=1)
-        parent, group, point = os.getpid(), exchange_module._dicke_group, _sweep_point
-        reruns = []
+        parent, group = os.getpid(), exchange_module._dicke_group
+        in_parent = []
 
         def dies_in_a_child(family, ms):
-            if 40 in ms and os.getpid() != parent:
+            if os.getpid() == parent:
+                in_parent.append(ms)
+            elif 40 in ms:
                 os._exit(1)
             return group(family, ms)
 
-        def rerun(family, n_total):
-            reruns.append(n_total)
-            return point(family, n_total)
-
         monkeypatch.setattr(exchange_module, "_dicke_group", dies_in_a_child)
-        monkeypatch.setattr(exchange_module, "_sweep_point", rerun)
         assert qfi_vs_n_sweep(family, self.N_VALUES, jobs=2) == serial
-        assert forks["forks"] == 2 and reruns == [40, 80]
+        # the dead child's group reruns whole in the parent, the other not at all
+        assert forks["forks"] == 2 and in_parent == [[40, 20]]
         assert_no_children()
 
     def test_a_failed_group_in_a_child_reruns_its_points(self, forks, monkeypatch):
@@ -878,7 +978,15 @@ class TestForkPool:
         serial = qfi_vs_n_sweep(family, [2, 4, 40], jobs=1)
         assert [("error" in row) for row in serial] == [False, True, True]
         assert qfi_vs_n_sweep(family, [2, 4, 40], jobs=2) == serial
-        monkeypatch.setattr(exchange_module, "_dicke_group", lambda family, ms: None)
+        # a group that raises in its child sends no result and reruns in the parent
+        parent, group = os.getpid(), exchange_module._dicke_group
+
+        def raises_in_a_child(family, ms):
+            if os.getpid() != parent:
+                raise RuntimeError("synthetic failure")
+            return group(family, ms)
+
+        monkeypatch.setattr(exchange_module, "_dicke_group", raises_in_a_child)
         assert qfi_vs_n_sweep(family, [2, 4, 40], jobs=2) == serial
         assert forks["forks"] == 4
         assert_no_children()

@@ -215,6 +215,46 @@ class TestParity:
         with pytest.raises(ValueError):
             parity_expectation(3, [1.0, 0.9], 0.1)
 
+    @given(m=st.integers(1, 80), phi=st.floats(-math.pi / 2, math.pi / 2))
+    @settings(max_examples=300, deadline=None)
+    def test_a_value_is_legendre_or_an_arithmetic_error(self, m, phi):
+        # the terms reach 2^m / m and cancel to at most 1: a returned value
+        # is within the 1e-9 rounding bound, or the cancellation is reported
+        try:
+            value = parity_expectation(m, [1.0] * (m + 1), phi)
+        except ArithmeticError as exc:
+            assert "rounding bound" in str(exc)
+            return
+        assert abs(value - float(eval_legendre(m, math.cos(2 * phi)))) <= 1e-9
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 18])
+    def test_the_whole_fringe_passes_up_to_eighteen_photons(self, m):
+        ones = [1.0] * (m + 1)
+        for phi in np.linspace(-math.pi / 2, math.pi / 2, 181):
+            assert parity_expectation(m, ones, phi) == pytest.approx(
+                float(eval_legendre(m, math.cos(2 * phi))), rel=0.0, abs=1e-11
+            )
+
+    @pytest.mark.parametrize("m", [30, 60, 200])
+    def test_cancellation_past_the_bound_raises(self, m):
+        # at m = 60 the sum printed values from -4.95 to 5.86, at m = 200 -6.8e41
+        with pytest.raises(ArithmeticError, match="rounding bound"):
+            parity_expectation(m, [1.0] * (m + 1), math.pi / 4)
+        # near zero phase the terms fall off fast and the sum stays exact
+        assert parity_expectation(m, [1.0] * (m + 1), 1e-3) == pytest.approx(
+            float(eval_legendre(m, math.cos(2e-3))), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_small_fringes_keep_their_bits(self, m):
+        # the unguarded sum, term for term, at every m the oracle families reach
+        arm = build_dicke(m, 1.0)
+        integrals = [oracle_integral(arm, arm, l=l).value for l in range(m + 1)]
+        for phi in np.linspace(-math.pi / 2, math.pi / 2, 181):
+            s2, c2, total = math.sin(phi) ** 2, math.cos(phi) ** 2, 0.0
+            for l, val in enumerate(integrals):
+                total += (-1.0) ** l * s2**l * c2 ** (m - l) * math.comb(m, l) ** 2 * val
+            assert parity_expectation(m, integrals, phi) == total
+
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_numeric_curvature_single_mode(self, m):
         h = 1e-4

@@ -29,7 +29,6 @@ SAMPLES = {
     "ExchangeIntegral": dict(value=0.1, total_photons=4, method="oracle", exchanged_count=2,
                              imag_residual=1e-17),
     "DelayCheck": dict(exact=0.9, bound=0.7, reference=1.0),
-    "RecurrenceState": dict(photons_per_arm=3, corner=8.2),
     "LadderFamily": dict(kind="anharmonic", gamma=2.0, u=0.5),
     "QfiReport": dict(qfi=12.0, phase_variance=1 / 12, n_total=4, snl_ratio=3.0, hl_ratio=0.75,
                       input_kind="twin", repetitions=2),
@@ -126,7 +125,6 @@ REPRS = {
     "ExchangeIntegral": "ExchangeIntegral(value=0.1, total_photons=4, method='oracle', "
                         "exchanged_count=2, imag_residual=1e-17)",
     "DelayCheck": "DelayCheck(exact=0.9, bound=0.7, reference=1.0)",
-    "RecurrenceState": "RecurrenceState(photons_per_arm=3, corner=8.2)",
     "LadderFamily": "LadderFamily(kind='anharmonic', gamma=2.0, u=0.5)",
     "QfiReport": "QfiReport(qfi=12.0, phase_variance=0.08333333333333333, n_total=4, "
                  "snl_ratio=3.0, hl_ratio=0.75, input_kind='twin', repetitions=2)",
