@@ -396,10 +396,9 @@ def cmd_parity(cfg: RunConfig) -> int:
     if opts["single_mode"]:
         integrals = [1.0] * (m + 1)
     else:
-        family = _family(opts)
-        arm = family.build_arm(2 * m)
         guard = opts["oracle_max"]
         _oracle_guard("m", m, guard, "rerun with --single-mode or raise --oracle-max")
+        arm = _family(opts).build_arm(2 * m)
         integrals = [
             oracle_integral(arm, arm, l=l, max_total_photons=guard).value
             for l in range(m + 1)

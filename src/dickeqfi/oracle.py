@@ -26,9 +26,10 @@ running exponent sums telescope to a positive real part, so every step
 divides by a well-conditioned accumulator.  The float, rational and
 delayed evaluations share that walk: each folds its partial value down
 the common prefix, and the leaves are visited in lexicographic order and
-summed in that order.  A delayed call also memoizes its window densities
-and cross integrals, which repeat across orderings, for the length of
-the call.
+summed in that order.  The rational path folds integer products of
+scaled accumulators.  A delayed call keeps one term per (power, rate)
+pair and memoizes its window densities, their products and the cross
+integrals, which repeat across orderings, for the length of the call.
 """
 from __future__ import annotations
 
@@ -110,9 +111,9 @@ def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
 
     The interleavings are the distinct orderings of group labels with
     multiplicities ``counts``, visited in lexicographic order, each read
-    latest time first.  A slot of group g fires the next pending
-    transition of every correlation function in ``memberships[g]``,
-    adding its exponent increment to the running accumulator.
+    latest time first.  A slot of group g fires the next pending transition
+    of the one or two correlation functions in ``memberships[g]``, adding
+    each exponent increment to the running accumulator.
     ``fold(state, g, rates, acc)`` extends a path's partial value by one
     slot, given the rates fired and the accumulator after it, or returns
     None to prune the branch; ``leaf(state)`` turns a complete path into
@@ -124,19 +125,24 @@ def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
     remaining = list(counts)
     fired = [0, 0, 0, 0]
     values = []
+    # each group's first and last correlation function (the same one when it
+    # has only one), and whether it has two
+    groups = [(g, corrs[0], corrs[-1], len(corrs) > 1) for g, corrs in enumerate(memberships)]
 
     def descend(state, acc, left):
         left -= 1
-        for g, corrs in enumerate(memberships):
+        for g, a, b, pair in groups:
             c = remaining[g]
             if not c:
                 continue
-            rates = ()
-            child_acc = acc
-            for corr in corrs:
-                gam, inc = steps[corr][fired[corr]]
-                child_acc += inc
-                rates += (gam,)
+            gam, inc = steps[a][fired[a]]
+            if pair:
+                gam_b, inc_b = steps[b][fired[b]]
+                rates = (gam, gam_b)
+                child_acc = acc + inc + inc_b
+            else:
+                rates = (gam,)
+                child_acc = acc + inc
             child = fold(state, g, rates, child_acc)
             if child is None:
                 continue
@@ -151,11 +157,11 @@ def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
                 values.append(leaf(child))
                 continue
             remaining[g] = c - 1
-            for corr in corrs:
-                fired[corr] += 1
+            fired[a] += 1
+            fired[b] += pair
             descend(child, child_acc, left)
-            for corr in corrs:
-                fired[corr] -= 1
+            fired[a] -= 1
+            fired[b] -= pair
             remaining[g] = c
 
     descend(root, 0, sum(counts))
@@ -241,7 +247,7 @@ def oracle_integral_exact(
     ladder_b: DecayLadder | None = None,
     l: int = 1,
     *,
-    max_total_photons: int = 6,
+    max_total_photons: int = DEFAULT_MAX_TOTAL_PHOTONS,
 ) -> Fraction:
     """Second-tier oracle in exact rational arithmetic.
 
@@ -249,7 +255,9 @@ def oracle_integral_exact(
     accumulators are then rational in the rates).  The global numerator,
     the product of every transition rate of both arms, factors out of
     the ordering sum, so each interleaving contributes a pure product of
-    rational reciprocals.
+    rational reciprocals.  Scaled by the common denominator of the exponent
+    increments (a power of two for float rates), the accumulators are
+    integers, and the reciprocals of the walk's integer products are summed once.
     """
     if ladder_b is None:
         ladder_b = ladder_a
@@ -264,14 +272,17 @@ def oracle_integral_exact(
         tuple(Fraction(r) for r in ladder_b.rates),
     )
     steps = _transition_steps(rates, None)
+    scale = math.lcm(*(inc.denominator for row in steps for _, inc in row))
+    steps = [[(gam, int(inc * scale)) for gam, inc in row] for row in steps]
     counts = _group_counts(m, n, l)
     weight = math.prod(math.factorial(c) for c in counts)
     numerator = math.prod(rates[0] + rates[1])
 
-    total = sum(_walk(counts, _GROUP_CORRS, steps,
-                      lambda denom, _g, _rates, acc: denom * acc, Fraction(1),
-                      lambda denom: 1 / denom))
-    return numerator * weight * total / (
+    products = _walk(counts, _GROUP_CORRS, steps,
+                     lambda denom, _g, _rates, acc: denom * acc, 1, lambda denom: denom)
+    common = math.lcm(*set(products))
+    total = Fraction(sum(common // denom for denom in products), common)
+    return numerator * weight * scale ** (m + n) * total / (
         math.factorial(m) * math.factorial(n)
     )
 
@@ -320,6 +331,14 @@ def _polyexp_eval(terms, s: float):
     return sum(c * s**p * cmath.exp(-r * s) for (c, p, r) in terms)
 
 
+def _merged(terms):
+    """One term per (power, rate) key, repeated keys' coefficients summed in order."""
+    coefs = {}
+    for c, p, r in terms:
+        coefs[p, r] = coefs[p, r] + c if (p, r) in coefs else c
+    return [(c, p, r) for (p, r), c in coefs.items()]
+
+
 def _polyexp_convolve(terms, rate, tau: float):
     """Convolution of a poly-exponential with exp(-rate*s) on [0, s],
     accurate for s in [0, tau]."""
@@ -343,7 +362,7 @@ def _polyexp_convolve(terms, rate, tau: float):
             out.append((c * fact / beta ** (p + 1), 0, rate))
             for i in range(p + 1):
                 out.append((-c * fact / math.factorial(i) / beta ** (p - i + 1), i, r))
-    return out
+    return _merged(out)
 
 
 def _hypoexp_density(rate_list, tau: float):
@@ -387,6 +406,9 @@ def _polyexp_cross_integral(f_terms, g_terms, tau: float, power_exp):
         for (c2, p2, r2) in g_terms:
             pref = c * c2 * cmath.exp(-r2 * tau)
             beta = r - r2
+            if not p2:  # most terms: (tau - v)^0 needs no binomial expansion
+                total += pref * power_exp(p, beta)
+                continue
             for q in range(p2 + 1):
                 coef = math.comb(p2, q) * (-1.0) ** q * tau ** (p2 - q)
                 total += pref * coef * power_exp(p + q, beta)
@@ -394,11 +416,11 @@ def _polyexp_cross_integral(f_terms, g_terms, tau: float, power_exp):
 
 
 def _polyexp_product(f_terms, g_terms):
-    return [
+    return _merged(
         (c * c2, p + p2, r + r2)
         for (c, p, r) in f_terms
         for (c2, p2, r2) in g_terms
-    ]
+    )
 
 
 # Slot kinds for the delayed walk: the four special events plus the two
@@ -459,9 +481,8 @@ def _fold_delayed(state, g, rates, acc):
 
 
 def _delayed_integral(ladder_a, ladder_b, tau):
-    """Delayed l = 1 overlap from the admissible orderings, whose window
-    densities and cross integrals repeat across orderings and are
-    memoized for the length of the call."""
+    """Delayed l = 1 overlap from the admissible orderings; the window
+    algebra they repeat is memoized for the length of the call."""
     m, n = ladder_a.levels, ladder_b.levels
     rates = (ladder_a.rates, ladder_b.rates)
     steps = _transition_steps(rates, (ladder_a.frequencies, ladder_b.frequencies))
@@ -471,6 +492,9 @@ def _delayed_integral(ladder_a, ladder_b, tau):
 
     @functools.cache
     def density(window):
+        # _hypoexp_density's fold, resumed from the density of the window's prefix
+        if len(window) > 1:
+            return _polyexp_convolve(density(window[:-1]), window[-1], tau)
         return _hypoexp_density(window, tau)
 
     @functools.cache
@@ -482,11 +506,12 @@ def _delayed_integral(ladder_a, ladder_b, tau):
         return _int_power_exp(a, beta, tau)
 
     @functools.cache
+    def product(left, right):
+        return _polyexp_product(density(left), density(right))
+
+    @functools.cache
     def cross(mid, left, right):
-        return _polyexp_cross_integral(
-            density(mid), _polyexp_product(density(left), density(right)),
-            tau, power_exp,
-        )
+        return _polyexp_cross_integral(density(mid), product(left, right), tau, power_exp)
 
     def leaf(state):
         if state is _NESTED:

@@ -311,6 +311,18 @@ class TestParityCommand:
         assert code == EXIT_USAGE
         assert "--single-mode" in err
 
+    def test_oracle_guard_runs_before_the_arm_is_built(self, capsys, monkeypatch):
+        # the guard used to follow a build whose cost grows linearly with m
+        from dickeqfi.exchange import LadderFamily
+
+        def refuse(self, n):
+            raise AssertionError("the arm was built")
+
+        monkeypatch.setattr(LadderFamily, "build_arm", refuse)
+        code, out, err = run(capsys, "parity", "--family", "dicke", "--m", "5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: m: 5 photons per arm exceeds the oracle guard (8 total)")
+
     def test_guard_override(self, capsys):
         code, _, err = run(
             capsys, "parity", "--family", "dicke", "--m", "5", "--points", "3",

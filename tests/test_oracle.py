@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dickeqfi.exchange import TwinConfiguration, exchange_integral
 from dickeqfi.ladder import DecayLadder, build_anharmonic, build_dicke, build_harmonic
 from dickeqfi.oracle import (
     _DELAYED_ROOT,
@@ -36,8 +38,13 @@ from dickeqfi.oracle import (
 # summing all 24 time orderings by hand and reproduced independently by
 # the table recurrence.
 X4 = Fraction(11, 12)
-# Six-photon value from the exact-rational oracle, pinned as regression.
+# Six- to twelve-photon values from the exact-rational oracle, pinned as
+# regressions; the table recurrence is within 4e-16 relative of each.
 X6 = Fraction(68183, 77175)
+X8 = Fraction(12833427, 14822500)
+X10 = Fraction(4000969107213809, 4679766136670625)
+X12 = Fraction(85791274019163509, 101206767012009120)
+EXACT_TWINS = {2: X4, 3: X6, 4: X8, 5: X10, 6: X12}
 
 
 # -- Test-side reference: enumerate every interleaving, then walk each ------
@@ -221,6 +228,19 @@ class TestReferenceValues:
     def test_exact_rational_six_photons(self):
         assert oracle_integral_exact(build_dicke(3, 1.0)) == X6
 
+    @pytest.mark.parametrize("m", sorted(EXACT_TWINS))
+    def test_recurrence_meets_the_exact_values(self, m):
+        arm = build_dicke(m, 1.0)
+        value = Fraction(exchange_integral(TwinConfiguration(arm, arm)).value)
+        assert abs(value - EXACT_TWINS[m]) <= EXACT_TWINS[m] / 10**15
+
+    @pytest.mark.parametrize("m", sorted(EXACT_TWINS))
+    def test_exact_values_up_to_twelve_photons_at_any_rate_scale(self, m):
+        # the rate scale cancels exactly, not just to rounding
+        for gamma in (1.0, 1.375):
+            arm = build_dicke(m, gamma)
+            assert oracle_integral_exact(arm, arm, max_total_photons=12) == EXACT_TWINS[m]
+
     def test_full_swap_of_twins_is_unity(self):
         for arm in (build_dicke(2, 1.0), build_anharmonic(2, 1.0, 5.0)):
             assert oracle_integral(arm, arm, l=2).value == pytest.approx(
@@ -329,7 +349,7 @@ class TestWalkerEquivalence:
         for l in range(min(a.levels, b.levels) + 1):
             assert _same_bits(oracle_integral(a, b, l=l), reference_float(a, b, l))
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_rational_path(self, m):
         arm = build_dicke(m, 1.0)
         for l in range(m + 1):
@@ -395,6 +415,11 @@ class TestGuards:
             oracle_integral(arm, arm, l=3)
         with pytest.raises(ValueError):
             oracle_integral(arm, arm, l=-1)
+
+    def test_exact_mode_shares_the_size_guard(self):
+        assert oracle_integral_exact(build_dicke(4, 1.0)) == X8
+        with pytest.raises(OracleTooLargeError, match="8"):
+            oracle_integral_exact(build_dicke(5, 1.0))
 
     def test_exact_mode_needs_flat_spectrum(self):
         shifted = build_anharmonic(2, 1.0, 3.0)
@@ -514,6 +539,97 @@ class TestDelay:
         arm = build_dicke(2, 1.0)
         exact = oracle_integral(arm, arm, l=1, delay=tau).value
         assert exact == pytest.approx(4.0 * value, abs=1e-10)
+
+
+def _delayed_windows(arm):
+    """The window rate tuples a delayed twin walk memoizes, grouped as the
+    leaves use them, in walk order: one tuple per window, or (overlap,
+    first, second)."""
+    leaves = _walk((1, 1, 1, 1, arm.levels - 1, arm.levels - 1), _SLOT_EVENTS,
+                   _float_steps(arm, arm), _fold_delayed, _DELAYED_ROOT,
+                   lambda state: state, dead=_NESTED)
+    singles, triples = {}, {}
+    for state in leaves:
+        if state is _NESTED:
+            continue
+        _, x_only, w_only, both, _, _, x_first = state
+        if both:
+            triples[(both, x_only, w_only) if x_first else (both, w_only, x_only)] = None
+        else:
+            singles.update(dict.fromkeys((x_only, w_only)))
+    return list(singles), list(triples)
+
+
+# Dicke accumulators repeat; the Kerr ones are complex.
+WINDOW_ARMS = {"dicke3": build_dicke(3, 1.0), "kerr3": build_anharmonic(3, 1.0, 3.0)}
+EXTRA_RATE_LISTS = [
+    (1.5, 1.5, 1.5, 2.5, 2.5),
+    (2.0, 2.0 * (1 + 1e-10), 3.0, 3.0 * (1 + 1e-10), 3.0 * (1 - 1e-10)),
+    (1 + 2j, 1 + 2j + 1e-10, 3 - 1j),
+]
+
+
+def _magnitude(terms, s):
+    """Sum of the magnitudes of the terms at s: the scale of their rounding."""
+    return sum(abs(c * s**p * cmath.exp(-r * s)) for c, p, r in terms)
+
+
+class TestTermAlgebra:
+    """The poly-exp term algebra of the delayed path against scipy, which
+    shares no code with it.  The terms of a short window cancel to a far
+    smaller density, so agreement is measured against the size of the
+    terms, the scale of their rounding, rather than the value."""
+
+    @pytest.mark.parametrize("tau", [0.05, 0.4])
+    @pytest.mark.parametrize("arm", WINDOW_ARMS.values(), ids=WINDOW_ARMS.keys())
+    def test_density_is_the_bidiagonal_exponential(self, arm, tau):
+        # exp(Q tau) for Q with -r_i on the diagonal and 1 above it holds
+        # the convolution of the exp(-r_i s) at entry (0, k-1)
+        import numpy as np
+        from scipy.linalg import expm
+
+        singles, triples = _delayed_windows(arm)
+        windows = dict.fromkeys([*singles, *(w for triple in triples for w in triple)])
+        for rates in [*windows, *EXTRA_RATE_LISTS]:
+            k = len(rates)
+            generator = np.diag(-np.asarray(rates, dtype=complex)) + np.diag(np.ones(k - 1), 1)
+            expected = expm(generator * tau)[0, k - 1]
+            terms = _hypoexp_density(rates, tau)
+            assert abs(_polyexp_eval(terms, tau) - expected) <= 1e-14 * _magnitude(terms, tau)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.4])
+    @pytest.mark.parametrize("arm", WINDOW_ARMS.values(), ids=WINDOW_ARMS.keys())
+    def test_merged_terms_have_distinct_keys(self, arm, tau):
+        singles, triples = _delayed_windows(arm)
+        term_lists = [_hypoexp_density(rates, tau) for rates in singles + EXTRA_RATE_LISTS]
+        term_lists += [
+            _polyexp_product(_hypoexp_density(first, tau), _hypoexp_density(second, tau))
+            for _, first, second in triples
+        ]
+        for terms in term_lists:
+            keys = [(p, r) for _, p, r in terms]
+            assert len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("tau", [0.05, 0.4])
+    @pytest.mark.parametrize("arm", WINDOW_ARMS.values(), ids=WINDOW_ARMS.keys())
+    def test_cross_integral_matches_quadrature(self, arm, tau):
+        from scipy.integrate import quad
+
+        _, triples = _delayed_windows(arm)
+        for mid, first, second in triples[::10]:
+            f = _hypoexp_density(mid, tau)
+            g = _polyexp_product(_hypoexp_density(first, tau), _hypoexp_density(second, tau))
+            value = _polyexp_cross_integral(f, g, tau, lambda a, beta: _int_power_exp(a, beta, tau))
+
+            def integrand(v):
+                return _polyexp_eval(f, v) * _polyexp_eval(g, tau - v)
+
+            expected = complex(
+                quad(lambda v: integrand(v).real, 0.0, tau, epsabs=1e-17, epsrel=1e-12)[0],
+                quad(lambda v: integrand(v).imag, 0.0, tau, epsabs=1e-17, epsrel=1e-12)[0],
+            )
+            scale = quad(lambda v: _magnitude(f, v) * _magnitude(g, tau - v), 0.0, tau)[0]
+            assert abs(value - expected) <= 1e-13 * scale
 
 
 @given(
