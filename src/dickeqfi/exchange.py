@@ -51,12 +51,31 @@ one zero accumulator of a pair, c2 at its corner, is reset to 1 once the
 corner is computed, so the pad entries beyond it divide by 1, not 0.  A
 Dicke sweep groups photon numbers within a factor of two of each other,
 so the pads cost little.  The groups of a sweep run in forked children,
-at most ``jobs`` at a time; the parent imports numpy before it forks, so
-no child imports it again, and a group whose child dies reruns in the
-parent.  No step of a pass checks its entries: ``_overlap`` reads every
-overlap (of one pair, a Dicke group or a cavity sub-lattice) from its
-corner, which a nonfinite entry anywhere in the pair's tables makes
-nonfinite, and no other pair's: an overflow flags its own rows only.
+at most ``jobs`` at a time; when some group takes the array pass, the
+parent imports numpy before it forks, so no child imports it again, and a
+group whose child dies reruns in the parent.  No step of a pass checks its
+entries: ``_overlap`` reads every overlap (of one pair, a Dicke group or a
+cavity sub-lattice) from its corner, which a nonfinite entry anywhere in
+the pair's tables makes nonfinite, and no other pair's: an overflow flags
+its own rows only.
+
+Small passes of real ladders skip numpy.  When no arm has a level
+frequency and the pairs hold at most ``_PLAIN_CELLS`` cells in all,
+``_plain_corner`` fills each pair's tables in Python floats, each cell with
+the array pass's operations in their order, so both passes give the same
+bits; ``report`` up to N = 128 and small Dicke sweeps then never import
+numpy.  Ladders with level frequencies (Kerr) stay on arrays: numpy's
+vectorised complex multiply may fuse a multiply and an add, which Python's
+complex product cannot repeat without ``math.fma`` (Python 3.13), so a
+plain Kerr pass would move bits.  The adjoint pass stays on arrays too.
+
+Both passes build a pair's coefficient vectors at one scale: each rate and
+frequency of its two arms is multiplied by the power of four that brings
+the pair's largest rate into [1/2, 2) (``_rate_shift``).  A power of four
+has an exact square root, so every vector and every table entry keeps its
+bits; the scale only stops products such as sqrt(g g') from underflowing
+or overflowing, which read a wrong overlap at gamma below about 1e-154 and
+a nonfinite one above about 1e154 when the rates entered as given.
 """
 from __future__ import annotations
 
@@ -71,7 +90,8 @@ from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
 # numpy is imported by the functions that build arrays: the command
-# line imports this module for every subcommand, and parity never needs it.
+# line imports this module for every subcommand, and parity and the plain
+# pass never need it.
 
 # Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
 _OVERSHOOT_TOL = 1e-12
@@ -81,41 +101,59 @@ _OVERSHOOT_TOL = 1e-12
 # memory than the saved numpy calls are worth.
 _BATCH_CELLS = 4096
 
+# Most cells (m^2 summed over its pairs) in a pass of real ladders that runs
+# in Python floats rather than numpy (``_plain_corner``).  With numpy loaded,
+# one pair is faster plain up to about m = 80; a pass within the limit needs
+# no numpy import, which costs about 0.1 s.
+_PLAIN_CELLS = 4096
+
 
 class InvalidLadderError(ValueError):
-    """Ladder cannot be integrated (nonpositive rates, or an overlap that is
+    """Ladder cannot be integrated (nonpositive rates, rates or frequencies
+    beyond the float range at the pair's scale, or an overlap that is
     nonfinite or exceeds one)."""
 
 
-def _ladder_vectors(arm: DecayLadder) -> dict[str, np.ndarray]:
-    """The length-m coefficient vectors that every table entry is built from.
+def _rate_shift(a: DecayLadder, b: DecayLadder) -> int:
+    """The even exponent 2k for which 2^(2k) times the pair's largest rate
+    lies in [1/2, 2): the scale that the coefficient vectors of the pair
+    are built at (see ``_ladder_vectors``)."""
+    return -2 * (math.frexp(max(*a.rates, *b.rates))[1] // 2)
+
+
+def _ladder_vectors(arm: DecayLadder, shift: int) -> dict[str, list[float]]:
+    """The length-m coefficient vectors that every table entry is built from,
+    with the arm's rates and frequencies multiplied by 2^shift.
 
     Entry (i, j) has the exponent accumulators c0 = gr0[i] + gr0[j],
     c2 = gr2[i] + gr2[j] and c1 = (c0 + c2)/2 + 1j (dw[i] - dw[j]), the
     cross numerator sq[i] sq[j], and steps down in i with numerators
     n0[i], n1[i], n2[i] for the zero-, one- and two-pending tables.
+    An even shift multiplies every vector by an exact power of two, the
+    square roots included, so each table entry keeps its bits.  A rate
+    that the shift takes to zero lies 2^1074 or more below the pair's
+    largest, and is rejected with the nonpositive ones; so is a frequency
+    that it takes past the float range, some 1e308 times the largest rate.
     """
-    import numpy as np
-
     m = arm.levels
-    g = np.concatenate(([0.0], np.asarray(arm.rates, dtype=float)))
-    w = np.concatenate(([0.0], np.asarray(arm.frequencies, dtype=float)))
-    if np.any(g[1:] <= 0.0):
-        raise InvalidLadderError("all ladder rates must be positive")
-    idx = np.arange(m)
+    g = [0.0, *(math.ldexp(rate, shift) for rate in arm.rates)]
+    if not all(rate > 0.0 for rate in g[1:]):
+        raise InvalidLadderError("all ladder rates must be positive, within a factor "
+                                 "2^1074 of the pair's largest")
+    try:
+        w = [0.0, *(math.ldexp(freq, shift) for freq in arm.frequencies)]
+    except OverflowError:
+        raise InvalidLadderError("level frequencies overflow at the pair's rate scale") from None
+    gr0 = g[m:0:-1]  # accumulator rate with i swapped-pending: g[m - i]
     # index 0 never steps down: its unit numerators meet only pads and the seed
-    n0 = np.ones(m)
-    n1 = np.ones(m)
-    n0[1:] = g[m - idx[1:] + 1]
-    n1[1:] = np.sqrt(g[m - idx[1:]] * g[m - idx[1:] + 1])
     return {
-        "gr0": g[m - idx],  # accumulator rate with i swapped-pending
-        "gr2": g[m - 1 - idx],
-        "dw": w[m - idx] - w[m - 1 - idx],
-        "sq": np.sqrt(g[m - idx]),
-        "n0": n0,
-        "n1": n1,
-        "n2": g[m - idx],
+        "gr0": gr0,
+        "gr2": g[m - 1::-1],
+        "dw": [w[k] - w[k - 1] for k in range(m, 0, -1)],
+        "sq": [math.sqrt(rate) for rate in gr0],
+        "n0": [1.0, *g[m:1:-1]],
+        "n1": [1.0, *(math.sqrt(g[k] * g[k + 1]) for k in range(m - 1, 0, -1))],
+        "n2": list(gr0),
     }
 
 
@@ -136,9 +174,10 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
     vectors stored reversed.  The yielded arrays are views into buffers
     that the next steps overwrite.
 
-    ``vectors`` maps an arm to its coefficient vectors: ``_ladder_vectors``
-    for the forward recurrence, ``_adjoint_vectors`` for its adjoint.  On
-    antidiagonal 0, once c1 is formed, a zero c0 reads as 1: the adjoint
+    ``vectors`` maps an arm and its pair's ``_rate_shift`` to its
+    coefficient vectors: ``_ladder_vectors`` for the forward recurrence,
+    ``_adjoint_vectors`` for its adjoint.  On antidiagonal 0, once c1 is
+    formed, a zero c0 reads as 1: the adjoint
     seeds at the forward corner, where c2 = 0, and its seed enters table 1
     undivided.  A forward pass has c0(0, 0) > 0, so this leaves it as is.
 
@@ -160,17 +199,17 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
     corners = _corner_steps(pairs)
     with np.errstate(all="ignore"):
         for p, (a, b) in enumerate(pairs):
-            m = a.levels
-            for name, v in vectors(a).items():
+            m, shift = a.levels, _rate_shift(a, b)
+            for name, v in vectors(a, shift).items():
                 vec[name][:m, p] = v
-            for name, v in vectors(b).items():
+            for name, v in vectors(b, shift).items():
                 rev[name][size - m:, p] = v[::-1]
         # Accumulators of the previous antidiagonal, with pads of 1: a pad
         # neighbour then adds numerator / 1 * 0 = 0.  The base entry
         # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
         # -1, whose numerator n0[0] and accumulator pad are both 1.  Buffer
         # 1 holds reciprocals, and its pads read 1 / 1 = 1 as well.
-        real = not any(any(a.frequencies) or any(b.frequencies) for a, b in pairs)
+        real = _real(pairs)
         shape, types = (size + 1, width), (float, float if real else complex, float)
         c_prev = [np.ones(shape, dtype=t) for t in types]
         c_next = [np.ones(shape, dtype=t) for t in types]
@@ -228,15 +267,67 @@ def _corner_steps(pairs) -> dict[int, list[int]]:
     return steps
 
 
-def _corners(pairs) -> list[float]:
-    """The corner f2(m_p - 1, m_p - 1) of each pair's tables, which is
-    m_p^2 times its overlap, from one batched pass."""
+def _real(pairs) -> bool:
+    """Whether every level frequency of the pairs is zero, so that table 1
+    and its accumulators are real."""
+    return not any(any(a.frequencies) or any(b.frequencies) for a, b in pairs)
+
+
+def _array_corners(pairs) -> list[float]:
+    """The corner of each pair from one batched array pass."""
     steps = _corner_steps(pairs)
     corners = [0.0] * len(pairs)
     for k, (lo, _, _, f2) in enumerate(_antidiagonals(pairs)):
         for p in steps.get(k, ()):
             corners[p] = float(f2[k // 2 - lo, p])
     return corners
+
+
+def _plain_corner(a: DecayLadder, b: DecayLadder) -> float:
+    """The corner of one pair of real ladders from a pass in Python floats.
+
+    Each cell repeats ``_antidiagonals``' operations in its order, on the
+    same coefficient vectors, so the corner has the array pass's bits: an
+    entry depends only on its neighbours, so filling row by row instead of
+    by antidiagonals changes no value.  The row above (i = -1) and the
+    column left of j = 0 are the edge, read as f = 0 with accumulators 1,
+    and the base f0 = 1 enters as the up neighbour of (0, 0).  A float
+    overflows to inf or nan without raising, and no divisor is zero: every
+    accumulator but the corner's c2, which divides nothing, is a sum of
+    positive rates.
+    """
+    m, shift = a.levels, _rate_shift(a, b)
+    va, vb = _ladder_vectors(a, shift), _ladder_vectors(b, shift)
+    names = ("gr0", "gr2", "sq", "n0", "n1", "n2")
+    rows, cols = zip(*(va[name] for name in names)), list(zip(*(vb[name] for name in names)))
+    # per cell of the row above: its c0, 1 / c1 and c2, then f0, f1 and f2
+    edge = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    above = [(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)] + [edge] * (m - 1)
+    for ga0, ga2, sa, na0, na1, na2 in rows:
+        row = []
+        l0, l1, l2, p0, p1, p2 = edge
+        for (u0, u1, u2, q0, q1, q2), (gb0, gb2, sb, nb0, nb1, nb2) in zip(above, cols):
+            c0 = ga0 + gb0
+            c2 = ga2 + gb2
+            r1 = 1.0 / ((c0 + c2) / 2.0)
+            s = sa * sb
+            f0 = na0 / u0 * q0 + nb0 / l0 * p0
+            f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1
+            f2 = 2.0 * s * (f1 * r1) + na2 / u2 * q2 + nb2 / l2 * p2
+            l0, l1, l2, p0, p1, p2 = cell = (c0, r1, c2, f0, f1, f2)
+            row.append(cell)
+        above = row
+    return f2
+
+
+def _corners(pairs) -> list[float]:
+    """The corner f2(m_p - 1, m_p - 1) of each pair's tables, which is
+    m_p^2 times its overlap: from the plain pass when every pair is real
+    and the pairs hold at most ``_PLAIN_CELLS`` cells in all, else from
+    one batched array pass.  Both give the same bits."""
+    if sum(a.levels**2 for a, _ in pairs) <= _PLAIN_CELLS and _real(pairs):
+        return [_plain_corner(a, b) for a, b in pairs]
+    return _array_corners(pairs)
 
 
 def _overlap(m: int, corner: float) -> float:
@@ -259,19 +350,17 @@ def _overlap(m: int, corner: float) -> float:
     return min(value, 1.0)
 
 
-def _adjoint_vectors(arm: DecayLadder) -> dict[str, np.ndarray]:
+def _adjoint_vectors(arm: DecayLadder, shift: int) -> dict[str, list[float]]:
     """The coefficient vectors of the adjoint recurrence, which is a forward
     pass over the reversed lattice: the vectors reversed, the zero- and
     two-pending roles swapped, and each numerator of the step into row
     i + 1 moved to row i of the reversed arm, with 1 at index 0 to seed
     the pass."""
-    import numpy as np
-
-    v = _ladder_vectors(arm)
+    v = _ladder_vectors(arm, shift)
     swap = {"gr0": "gr2", "gr2": "gr0", "n0": "n2", "n2": "n0"}
     adjoint = {name: v[swap.get(name, name)][::-1] for name in v}
     for name in ("n0", "n1", "n2"):
-        adjoint[name] = np.concatenate(([1.0], adjoint[name][:-1]))
+        adjoint[name] = [1.0, *adjoint[name][:-1]]
     return adjoint
 
 
@@ -287,16 +376,18 @@ def _reverse_pass(a: DecayLadder, b: DecayLadder):
     I(m-d) for a nested family.  The kernel runs the adjoint on the
     reversed lattice (``_adjoint_vectors``), where table 2 at node
     (d', d'), d' = m-1-d, holds l0(d, d) times the forward c0(d, d), which
-    is rates_a[d'] + rates_b[d'].  Returns l0(d, d), indexed by d.
+    is rates_a[d'] + rates_b[d'] at the pair's scale.  Returns l0(d, d),
+    indexed by d.
     """
     import numpy as np
 
-    m = a.levels
+    m, shift = a.levels, _rate_shift(a, b)
     corners = np.empty(m)
     for k, (lo, _, _, f2) in enumerate(_antidiagonals([(a, b)], _adjoint_vectors)):
         if k % 2 == 0:
             d = k // 2
-            corners[m - 1 - d] = f2[d - lo, 0] / (a.rates[d] + b.rates[d])
+            c0 = math.ldexp(a.rates[d], shift) + math.ldexp(b.rates[d], shift)
+            corners[m - 1 - d] = f2[d - lo, 0] / c0
     return corners
 
 
@@ -416,8 +507,9 @@ def _fork_map(func, tasks: list, workers: int) -> list:
     at most ``workers`` children alive at a time.
 
     A forked child starts with the parent's modules, so what the parent has
-    imported (numpy) is paid for once; the children run elementwise numpy
-    only, so they never need the BLAS threads that a forked child lacks.
+    imported (numpy, when some group takes the array pass) is paid for
+    once; the children run elementwise numpy only, so they never need the
+    BLAS threads that a forked child lacks.
     Each child sends its result back through a pipe with ``marshal`` and
     leaves with ``os._exit``, so it runs no cleanup of the parent's and
     flushes no inherited stdout buffer.  A child that dies without a result
@@ -479,7 +571,8 @@ def _dicke_sweep(family: LadderFamily, n_values: list[int], jobs: int | None) ->
     workers = _worker_count(jobs, len(groups)) if hasattr(os, "fork") else 1
     found = [None] * len(groups)
     if workers > 1:
-        import numpy  # noqa: F401  (imported once, here, not in every child)
+        if any(sum(m * m for m in ms) > _PLAIN_CELLS for ms in groups):
+            import numpy  # noqa: F401  (imported once, here, not in every child)
 
         found = _fork_map(partial(_dicke_group, family), groups, workers)
     # a group whose child died, or that no child ran, runs in the parent

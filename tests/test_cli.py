@@ -73,14 +73,39 @@ class TestExchangeCommand:
         assert outputs[0][0] == EXIT_OK
 
     def test_failed_points_print_no_numpy_warnings(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "dickeqfi.cli", "exchange", "--family", "dicke",
-             "--gamma", "1e300", "--n", "4,6", "--jobs", "1", "--no-header"],
-            capture_output=True, env=_subprocess_env(), timeout=120,
-        )
-        assert proc.returncode == EXIT_NUMERIC
-        assert proc.stderr == b"2 sweep points failed\n"
-        assert proc.stdout.count(b"InvalidLadderError") == 2
+        # Every arm's lowest rung is made 1e310 times slower, which overflows
+        # 1 / c1 at the corner; the two points run the plain pass at N = 4, 6
+        # and the array pass at N = 200, 202.
+        spread = ("import sys\n"
+                  "from dickeqfi import cli, exchange, ladder\n"
+                  "build = exchange.LadderFamily.build_arm\n"
+                  "def spread(family, n_total):\n"
+                  "    arm = build(family, n_total)\n"
+                  "    return ladder.DecayLadder(levels=arm.levels, frequencies=arm.frequencies,\n"
+                  "                              rates=(arm.rates[0] * 1e-310, *arm.rates[1:]))\n"
+                  "exchange.LadderFamily.build_arm = spread\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        for n_values in ("4,6", "200,202"):
+            proc = subprocess.run(
+                [sys.executable, "-c", spread, "exchange", "--family", "dicke",
+                 "--n", n_values, "--jobs", "1", "--no-header"],
+                capture_output=True, env=_subprocess_env(), timeout=120,
+            )
+            assert proc.returncode == EXIT_NUMERIC
+            assert proc.stderr == b"2 sweep points failed\n"
+            assert proc.stdout.count(b"InvalidLadderError") == 2
+
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e200", "1e-320"])
+    def test_extreme_gamma_gives_the_unit_rate_overlap(self, capsys, gamma):
+        # the overlap does not depend on gamma; 1e-200 read 0.0794 once
+        rows = []
+        for g in ("1", gamma):
+            code, out, err = run(capsys, "exchange", "--family", "dicke", "--gamma", g,
+                                 "--n", "20", "--no-header")
+            assert (code, err) == (EXIT_OK, "")
+            rows.append(out.splitlines()[1].split(","))
+        assert float(rows[0][1]) == pytest.approx(0.8334949381419142, rel=1e-15)
+        assert float(rows[1][1]) == pytest.approx(float(rows[0][1]), rel=5e-15)
 
     def test_jobs_do_not_change_nested_sweep_bytes(self, capsys):
         base = ["exchange", "--family", "anharmonic", "--u-over-gamma", "3",
@@ -711,6 +736,37 @@ def test_parity_loads_no_numpy():
                   "    code = cli.main(['parity', '--m', '4', '--family', 'dicke',"
                   " '--no-header'])\n"
                   "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
+
+
+@pytest.mark.parametrize("argv", [
+    _SIN_REPORT[:-1] + ["100"],
+    _SIN_REPORT[:-1] + ["100", "--json"],
+    _SIN_REPORT[:-1] + ["100", "--delta-gamma", "0.1"],
+    # m = 64: one pair of _PLAIN_CELLS cells
+    _SIN_REPORT[:-1] + ["128", "--delta-gamma", "0.1", "--json"],
+    # m = 10..2 in two groups, forked to two children
+    ["exchange", "--family", "dicke", "--n", "4..20", "--jobs", "2"],
+], ids=["report", "report-json", "report-delta-gamma", "report-n128", "exchange-jobs2"])
+def test_small_real_runs_load_no_numpy(argv):
+    # pairs of real ladders with at most _PLAIN_CELLS cells run in plain floats
+    assert _probe("from dickeqfi import cli\n" + _QUIET +
+                  f"    code = cli.main({argv + ['--no-header']!r})\n"
+                  "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
+
+
+def test_a_larger_sweep_imports_numpy_once_before_forking():
+    # m = 100 takes the array pass: the parent imports numpy for its children
+    assert _probe("import os\n"
+                  "from dickeqfi import cli\n"
+                  "os.cpu_count = lambda: 2\n"
+                  "fork = os.fork\n"
+                  "def checked_fork():\n"
+                  "    import sys; assert 'numpy' in sys.modules\n"
+                  "    return fork()\n"
+                  "os.fork = checked_fork\n" + _QUIET +
+                  "    code = cli.main(['exchange', '--family', 'dicke', '--n', '4,200',"
+                  " '--jobs', '2', '--no-header'])\n"
+                  "print(code)\n" + _NUMPY_LOADED) == ["0", "True"]
 
 
 def test_oracle_driver_loads_no_numpy():

@@ -14,11 +14,14 @@ from dickeqfi.exchange import (
     exchange_integral,
     qfi_vs_n_sweep,
     _BATCH_CELLS,
+    _PLAIN_CELLS,
     _antidiagonals,
+    _array_corners,
     _corners,
     _dicke_groups,
     _ladder_vectors,
     _overlap,
+    _plain_corner,
     _reverse_pass,
     _worker_count,
 )
@@ -43,6 +46,20 @@ def _recurrence(a, b):
     ``_overlap`` reads from it, as ``exchange_integral`` does."""
     corner = _corners([(a, b)])[0]
     return SimpleNamespace(corner=corner, value=_overlap(a.levels, corner))
+
+
+def spread(arm):
+    """``arm`` with its lowest rung 1e310 times slower than before.  At the
+    corner c1 is that rung's rate, so 1 / c1 overflows to inf whatever the
+    pair's scale, and the corner with it, from two rungs on."""
+    rates = (arm.rates[0] * 1e-310, *arm.rates[1:]) if arm.levels > 1 else arm.rates
+    return DecayLadder(levels=arm.levels, rates=rates, frequencies=arm.frequencies)
+
+
+def spread_arms(monkeypatch):
+    """Make every family build its arms through ``spread``."""
+    build = LadderFamily.build_arm
+    monkeypatch.setattr(LadderFamily, "build_arm", lambda self, n: spread(build(self, n)))
 
 
 def point_row(family, n_total):
@@ -297,7 +314,7 @@ class TestRecurrenceState:
 
     def test_exponent_accumulators(self):
         arm = build_dicke(2, 1.0)
-        v = _ladder_vectors(arm)
+        v = _ladder_vectors(arm, 0)
         # with two levels of rate 2: c0 = 4 everywhere, c2(0,0) = 4
         c0 = v["gr0"][0] + v["gr0"][0]
         c2 = v["gr2"][0] + v["gr2"][0]
@@ -356,7 +373,7 @@ class TestRecurrenceState:
         assert _overlap(2, 4.0 * (1.0 + 1e-13)) == 1.0
 
     def test_nonfinite_entries_raise(self):
-        arm = build_dicke(5, 1e300)
+        arm = spread(build_dicke(5, 1.0))
         with pytest.raises(InvalidLadderError, match="^recurrence produced nonfinite entries$"):
             exchange_integral(twin(arm))
         for corner in (math.inf, -math.inf, math.nan):
@@ -368,8 +385,8 @@ class TestRecurrenceState:
         # f0(3, 0) and f0(0, 3) read the infinite numerator on antidiagonal 3;
         # a zero cross factor there turns them into nan in f1 and f2.  The
         # pass runs on to the corner, which the overlap then rejects.
-        def vectors(arm):
-            v = _ladder_vectors(arm)
+        def vectors(arm, shift):
+            v = _ladder_vectors(arm, shift)
             v["n0"][3] = math.inf
             v["sq"][3] *= cross
             return v
@@ -401,8 +418,8 @@ class TestRecurrenceState:
         target = data.draw(st.sampled_from(batch[column]), label="arm")
         row = data.draw(st.integers(0, target.levels - 1), label="row")
 
-        def vectors(arm):
-            v = _ladder_vectors(arm)
+        def vectors(arm, shift):
+            v = _ladder_vectors(arm, shift)
             if arm is target:
                 v[name][row] = bad
             return v
@@ -417,6 +434,21 @@ class TestRecurrenceState:
                 assert not math.isfinite(corners[p])
             else:
                 assert corners[p] == _corners([(a, b)])[0]
+
+
+def last_step_overflows(monkeypatch):
+    """Give every arm of two or more rungs an infinite n0 on the step into
+    its last row (its lowest rung), which every sub-lattice but the
+    one-photon one reaches: an overflow without extreme rates."""
+    import dickeqfi.exchange as exchange_module
+
+    def vectors(arm, shift):
+        v = _ladder_vectors(arm, shift)
+        if arm.levels > 1:
+            v["n0"][-1] = math.inf
+        return v
+
+    monkeypatch.setattr(exchange_module, "_ladder_vectors", vectors)
 
 
 class TestReversePass:
@@ -460,9 +492,10 @@ class TestReversePass:
             tracemalloc.stop()
         assert peak < 1e6
 
-    def test_nonfinite_entries_raise(self):
+    def test_nonfinite_entries_raise(self, monkeypatch):
         # the one-photon sub-lattice stays finite; every larger one overflows
-        arm = build_harmonic(5, 1e307)
+        arm = build_harmonic(5, 1.0)
+        last_step_overflows(monkeypatch)
         corners = _reverse_pass(arm, arm)
         assert _overlap(1, corners[4]) == 1.0
         for d in range(4):
@@ -497,10 +530,11 @@ class TestBatchedPass:
             assert batched[2].shape == (size, size)
         assert _corners(batch) == [_recurrence(a, b).corner for a, b in batch]
 
-    def test_a_nonfinite_column_flags_only_its_own_rows(self):
-        # gamma = 1e300 overflows from two photons per arm on; one photon
+    def test_a_nonfinite_column_flags_only_its_own_rows(self, monkeypatch):
+        # a spread ladder overflows from two photons per arm on; one photon
         # shares the pass and still gets its value
-        family = LadderFamily("dicke", gamma=1e300)
+        spread_arms(monkeypatch)
+        family = LadderFamily("dicke")
         rows = qfi_vs_n_sweep(family, [2, 4, 2, 6])
         assert [r["N"] for r in rows] == [2, 4, 2, 6]
         assert rows == [point_row(family, n) for n in (2, 4, 2, 6)]
@@ -646,6 +680,117 @@ class TestBitPins:
         assert _corners([(arm, arm) for arm in arms]) == [
             float.fromhex(c) for c in ("0x1.8168f4d791bbep+19", "0x1.450a26c8f3185p+19",
                                        "0x1.0dcf22c9fe982p+19", "0x1.b76fc9cdfec31p+18")]
+
+
+# m at the plain pass's limit, where one pair holds _PLAIN_CELLS cells, and
+# one above it
+EDGE = math.isqrt(_PLAIN_CELLS)
+
+PLAIN_PAIRS = {
+    "dicke-twin": lambda m: (build_dicke(m, 1.0),) * 2,
+    "dicke-1-1.3": lambda m: (build_dicke(m, 1.0), build_dicke(m, 1.3)),
+    "dicke-g3.7699e7": lambda m: (build_dicke(m, 3.7699e7),) * 2,
+    "harmonic-g1e-6": lambda m: (build_harmonic(m, 1e-6),) * 2,
+}
+
+
+class TestPlainPass:
+    """The plain-float pass against the array pass, bit for bit."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 20, EDGE, EDGE + 1])
+    @pytest.mark.parametrize("pair", PLAIN_PAIRS.values(), ids=PLAIN_PAIRS.keys())
+    def test_corner_bits_match_the_array_pass(self, pair, m):
+        a, b = pair(m)
+        assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
+
+    @given(
+        rates=st.lists(st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+                                min_size=70, max_size=70), min_size=2, max_size=2),
+        m=st.integers(1, 70),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_real_ladders_match_the_array_pass(self, rates, m):
+        a, b = (DecayLadder(levels=m, rates=tuple(r[:m]), frequencies=(0.0,) * m)
+                for r in rates)
+        assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
+
+    def test_an_overflow_raises_the_same_error_on_both_paths(self):
+        # both arms' lowest rungs are slow at the corner, whose c1 is their mean
+        a, b = spread(build_dicke(6, 1.0)), spread(build_dicke(6, 1.3))
+        for pair in ((a, a), (a, b), (b, a)):
+            corners = (_plain_corner(*pair), _array_corners([pair])[0])
+            messages = []
+            for corner in corners:
+                with pytest.raises(InvalidLadderError) as err:
+                    _overlap(6, corner)
+                messages.append(str(err.value))
+            assert messages == ["recurrence produced nonfinite entries"] * 2
+
+    def test_the_dispatch_counts_cells_and_frequencies(self, monkeypatch):
+        import dickeqfi.exchange as exchange_module
+
+        seen = []
+        monkeypatch.setattr(exchange_module, "_plain_corner",
+                            lambda a, b: seen.append("plain") or 1.0)
+        monkeypatch.setattr(exchange_module, "_array_corners",
+                            lambda pairs: seen.append("array") or [1.0] * len(pairs))
+        dicke, kerr = build_dicke(EDGE, 1.0), build_anharmonic(2, 1.0, 1.0)
+        _corners([(dicke, dicke)])
+        _corners([(build_dicke(EDGE + 1, 1.0),) * 2])
+        # _PLAIN_CELLS counts the cells of every pair of the pass
+        _corners([(dicke, dicke), (build_dicke(1, 1.0),) * 2])
+        # a complex (Kerr) pair takes the array pass however small
+        _corners([(kerr, kerr)])
+        assert seen == ["plain", "array", "array", "array"]
+
+
+class TestExtremeGamma:
+    """The pair's rates are scaled by a power of four before any product."""
+
+    @pytest.mark.parametrize("k", [-535, -300, -100, 100, 300, 500])
+    def test_power_of_four_rates_keep_every_bit(self, k):
+        # rates k(m - k + 1) 4^k gamma are exact, and so is the scale
+        scale = 4.0**k
+        for m in (1, 5, 50, 100):  # plain passes, then an array pass
+            unit = _corners([(build_dicke(m, 1.0),) * 2])
+            assert _corners([(build_dicke(m, scale),) * 2]) == unit
+        harmonic = _reverse_pass(*(build_harmonic(60, 1.0),) * 2)
+        assert np.array_equal(_reverse_pass(*(build_harmonic(60, scale),) * 2), harmonic)
+        if k > -500:  # the Kerr frequencies k(k - 1) u stay exact
+            kerr = [(build_anharmonic(40, 1.0, 3.0),) * 2]
+            assert _corners([(build_anharmonic(40, scale, 3.0 * scale),) * 2]) == _corners(kerr)
+
+    @pytest.mark.parametrize("gamma", [1e-320, 1e-300, 1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("m", [10, 100])
+    def test_dicke_overlaps_hold_at_any_gamma(self, gamma, m):
+        # the rates round differently at each gamma, so the values move by
+        # ulps; a subnormal gamma * 1.3 is another ratio, read back from it
+        for ratio in (1.0, 1.3):
+            pair = TwinConfiguration(build_dicke(m, gamma), build_dicke(m, gamma * ratio))
+            reference = TwinConfiguration(build_dicke(m, 1.0),
+                                          build_dicke(m, gamma * ratio / gamma))
+            assert exchange_integral(pair).value == pytest.approx(
+                exchange_integral(reference).value, rel=5e-15, abs=0.0)
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e200, 1e300])
+    @pytest.mark.parametrize("u", [0.0, 1.0, 10.0])
+    def test_cavity_sweeps_hold_at_any_gamma(self, gamma, u):
+        kind = "anharmonic" if u else "harmonic"
+        n_values = [4, 40, 200]
+        rows = qfi_vs_n_sweep(LadderFamily(kind, gamma=gamma, u=u * gamma), n_values)
+        reference = qfi_vs_n_sweep(LadderFamily(kind, u=u), n_values)
+        for row, expected in zip(rows, reference):
+            assert row["I_N"] == pytest.approx(expected["I_N"], rel=1e-14, abs=0.0)
+
+    def test_ladders_beyond_the_float_range_at_their_scale_are_rejected(self):
+        # the scale takes the slow arm's rates to zero
+        fast, slow = build_dicke(3, 1e300), build_dicke(3, 1e-300)
+        with pytest.raises(InvalidLadderError, match="within a factor 2\\^1074"):
+            exchange_integral(TwinConfiguration(fast, slow))
+        # level shifts 1e310 times the rates leave the float range at their scale
+        kerr = build_anharmonic(4, 1e-300, 1e10)
+        with pytest.raises(InvalidLadderError, match="frequencies overflow"):
+            exchange_integral(twin(kerr))
 
 
 class TestTrustAtScale:
@@ -880,10 +1025,11 @@ class TestSweep:
         assert low["I_N"] == 1.0 and "error" not in low
         assert high["error"].startswith("InvalidLadderError: overlap")
 
-    def test_an_overflow_flags_only_the_rows_it_reaches(self):
-        # gamma = 1e307 overflows every harmonic sub-lattice but the
-        # one-photon one, which the forward pass of its own arm confirms
-        family = LadderFamily("harmonic", gamma=1e307)
+    def test_an_overflow_flags_only_the_rows_it_reaches(self, monkeypatch):
+        # the overflow reaches every harmonic sub-lattice but the one-photon
+        # one, which the forward pass of its own arm confirms
+        last_step_overflows(monkeypatch)
+        family = LadderFamily("harmonic")
         rows = qfi_vs_n_sweep(family, [2, 12, 4, 2])
         assert rows[0] == rows[3] == point_row(family, 2)
         assert rows[0]["I_N"] == 1.0
@@ -974,7 +1120,8 @@ class TestForkPool:
     def test_a_failed_group_in_a_child_reruns_its_points(self, forks, monkeypatch):
         import dickeqfi.exchange as exchange_module
 
-        family = LadderFamily("dicke", gamma=1e300)
+        spread_arms(monkeypatch)
+        family = LadderFamily("dicke")
         serial = qfi_vs_n_sweep(family, [2, 4, 40], jobs=1)
         assert [("error" in row) for row in serial] == [False, True, True]
         assert qfi_vs_n_sweep(family, [2, 4, 40], jobs=2) == serial
