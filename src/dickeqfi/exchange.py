@@ -59,15 +59,15 @@ cavity sub-lattice) from its corner, which a nonfinite entry anywhere in
 the pair's tables makes nonfinite, and no other pair's: an overflow flags
 its own rows only.
 
-Small passes of real ladders skip numpy.  When no arm has a level
-frequency and the pairs hold at most ``_PLAIN_CELLS`` cells in all,
-``_plain_corner`` fills each pair's tables in Python floats, each cell with
-the array pass's operations in their order, so both passes give the same
-bits; ``report`` up to N = 128 and small Dicke sweeps then never import
-numpy.  Ladders with level frequencies (Kerr) stay on arrays: numpy's
-vectorised complex multiply may fuse a multiply and an add, which Python's
-complex product cannot repeat without ``math.fma`` (Python 3.13), so a
-plain Kerr pass would move bits.  The adjoint pass stays on arrays too.
+Small passes skip numpy.  When the pairs hold at most ``_PLAIN_CELLS``
+cells in all, ``_plain_corner`` fills each pair's tables in Python floats,
+each cell with the array pass's float operations in their order, so both
+passes give the same bits; ``report`` up to N = 128, ``verify`` and small
+sweeps then never import numpy.  Both passes carry a complex (Kerr) entry
+as its real and imaginary parts and spell every complex operation out in
+float operations (see ``_antidiagonals``), so real and Kerr pairs take the
+same plain pass, and no bit depends on the SIMD loops that numpy picks on
+the host.  The adjoint pass stays on arrays.
 
 Both passes build a pair's coefficient vectors at one scale: each rate and
 frequency of its two arms is multiplied by the power of four that brings
@@ -101,10 +101,11 @@ _OVERSHOOT_TOL = 1e-12
 # memory than the saved numpy calls are worth.
 _BATCH_CELLS = 4096
 
-# Most cells (m^2 summed over its pairs) in a pass of real ladders that runs
-# in Python floats rather than numpy (``_plain_corner``).  With numpy loaded,
-# one pair is faster plain up to about m = 80; a pass within the limit needs
-# no numpy import, which costs about 0.1 s.
+# Most cells (m^2 summed over its pairs) in a pass that runs in Python floats
+# rather than numpy (``_plain_corner``).  With numpy loaded, one Kerr pair at
+# m = 64 takes about 3.3 ms plain against 5 ms on arrays (they meet near
+# m = 90), and a real pair about 3.3 ms either way; a pass within the limit
+# needs no numpy import, which costs about 0.1 s.
 _PLAIN_CELLS = 4096
 
 
@@ -181,12 +182,28 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
     seeds at the forward corner, where c2 = 0, and its seed enters table 1
     undivided.  A forward pass has c0(0, 0) > 0, so this leaves it as is.
 
-    Table 1 and its accumulator buffer are complex only if some arm has a
-    nonzero level frequency, and the buffer holds 1 / c1, so each of its
-    three uses is a multiply.  numpy divides by a complex (c, 0) in
-    Smith's form, as x * (1 / c), so the float64 pass of real ladders
-    repeats the complex pass's bits; dividing by c in real arithmetic
-    would move values by an ulp or so.
+    Table 1 is complex only if some arm has a level frequency.  Its
+    accumulator buffer holds the reciprocal 1 / c1, so each use of it is a
+    multiply; a real batch runs in float64 throughout.  A complex batch
+    spells every complex operation out in float64 ufuncs on real and
+    imaginary parts, so IEEE float operations alone set each entry's bits
+    and ``_plain_corner`` can repeat them: numpy's complex loops may fuse a
+    multiply and an add, which Python floats cannot repeat, and their bits
+    depend on the SIMD path numpy picks on the host.  With c1 = x - iy,
+    the reciprocal is Smith's (1 / d, t / d), t = y / x and d = x + y t,
+    which is exactly the real pass's 1 / x when y = 0.  Where d overflows
+    (y^2 / x past the float range) the cell takes Smith's other branch,
+    t = x / y and d = y + x t, giving (t / d, 1 / d), so no overflow drops
+    a term silently; a pass whose frequencies cannot reach that far skips
+    the check.  With a1 and p1 a neighbour's 1 / c1 and f1, table 1's
+    update keeps the real pass's products (n1 Re a1) Re p1 and subtracts
+    n1 Im a1 Im p1 for each neighbour; its imaginary part sums
+    n1 Im(a1 p1).  Each entry stores Im(1 / c1) Im f1 and Im(f1 / c1) for
+    its two successors, in planes 2 and 3 of table 1's buffer, so each
+    product is formed once.  With zero imaginary parts
+    every added term is 0, so a real column of a complex batch keeps its
+    real pass's bits.  A complex batch yields f1 as its (2, len, P) real
+    and imaginary planes.
     """
     import numpy as np
 
@@ -204,18 +221,30 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
                 vec[name][:m, p] = v
             for name, v in vectors(b, shift).items():
                 rev[name][size - m:, p] = v[::-1]
+        # Table 1 is real when no arm has a level frequency, so every dw is 0.
+        reach = 2.0 * max(np.abs(v["dw"]).max() for v in (vec, rev))
+        real = not reach
+        if not real:
+            # Smith's d = x + y (y / x) overflows only where y^2 / x leaves the
+            # float range.  x is at least half the least gr0 + gr2, and |y| at
+            # most twice the largest |dw|, so most passes need no check.
+            least = min((v["gr0"] + v["gr2"]).min() for v in (vec, rev)) / 2.0
+            may_overflow = not reach / least * reach < 2.0**1000
         # Accumulators of the previous antidiagonal, with pads of 1: a pad
         # neighbour then adds numerator / 1 * 0 = 0.  The base entry
         # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
         # -1, whose numerator n0[0] and accumulator pad are both 1.  Buffer
-        # 1 holds reciprocals, and its pads read 1 / 1 = 1 as well.
-        real = _real(pairs)
-        shape, types = (size + 1, width), (float, float if real else complex, float)
-        c_prev = [np.ones(shape, dtype=t) for t in types]
-        c_next = [np.ones(shape, dtype=t) for t in types]
-        f_prev = [np.zeros(shape, dtype=t) for t in types]
-        f_next = [np.zeros(shape, dtype=t) for t in types]
+        # 1 holds reciprocals (their real parts, in a complex batch), and its
+        # pads read 1 / 1 = 1 as well.
+        shape = (size + 1, width)
+        split = shape if real else (4, *shape)  # see the complex branch below
+        c_prev = [np.ones(shape) for _ in range(3)]
+        c_next = [np.ones(shape) for _ in range(3)]
+        f_prev = [np.zeros(shape), np.zeros(split), np.zeros(shape)]
+        f_next = [np.zeros(shape), np.zeros(split), np.zeros(shape)]
         f_prev[0][0] = 1.0
+        for f in f_prev, f_next:  # the complex branch's planes, as views
+            f.append(() if real else tuple(f[1]))
         # arm a's coefficient columns (row i) and arm b's reversed ones (j)
         gr0_a, gr2_a, dw_a, sq_a, n0_a, n1_a, n2_a = (vec[name] for name in pads)
         gr0_b, gr2_b, dw_b, sq_b, n0_b, n1_b, n2_b = (rev[name] for name in pads)
@@ -225,27 +254,49 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
             i = up = slice(lo, hi + 1)
             j, left = slice(size - 1 - k + lo, size - k + hi), slice(lo + 1, hi + 2)
             (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
-            (p0, p1, p2), (q0, q1, q2) = f_prev, f_next
+            (p0, p1, p2, p_planes), (q0, q1, q2, q_planes) = f_prev, f_next
             c0 = np.add(gr0_a[i], gr0_b[j], out=b0[left])
             c2 = np.add(gr2_a[i], gr2_b[j], out=b2[left])
-            c1 = (c0 + c2) / 2.0
-            if not real:
-                c1 = c1 + 1j * (dw_a[i] - dw_b[j])
+            x = (c0 + c2) / 2.0  # c1 = x - iy, y = dw_b[j] - dw_a[i]
             if k == 0:
                 c0[c0 == 0.0] = 1.0  # an adjoint seed: see the docstring
-            # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
-            r1 = np.divide(1.0, c1, out=b1[left])
             s = sq_a[i] * sq_b[j]
             f0 = np.add(n0_a[i] / a0[up] * p0[up], n0_b[j] / a0[left] * p0[left], out=q0[left])
-            f1 = np.add(
-                s / c0 * f0 + n1_a[i] * a1[up] * p1[up],
-                n1_b[j] * a1[left] * p1[left],
-                out=q1[left],
-            )
+            if real:
+                # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
+                r1 = np.divide(1.0, x, out=b1[left])
+                f1 = np.add(
+                    s / c0 * f0 + n1_a[i] * a1[up] * p1[up],
+                    n1_b[j] * a1[left] * p1[left],
+                    out=q1[left],
+                )
+                coupled = f1 * r1
+            else:
+                # table 1's planes: Re f1, Im f1, Im r1 Im f1 and Im(r1 f1)
+                r1, f1 = b1[left], q1[:2, left]
+                (pr, _, ph, pg), (qr, qi, qh, qg) = p_planes, q_planes
+                fr, fi, fh, fg = qr[left], qi[left], qh[left], qg[left]
+                # 1 / c1 in Smith's form: see the docstring
+                y = dw_b[j] - dw_a[i]
+                t = y / x
+                d = x + y * t
+                np.divide(1.0, d, out=r1)
+                ri = t / d
+                if may_overflow and not r1.all():
+                    _smith_overflow(x, y, r1, ri)
+                na, nb = n1_a[i], n1_b[j]
+                # the real pass's sum, less each neighbour's n1 Im a1 Im p1
+                total = s / c0 * f0 + na * a1[up] * pr[up] + nb * a1[left] * pr[left]
+                np.subtract(total, na * ph[up] + nb * ph[left], out=fr)
+                np.add(na * pg[up], nb * pg[left], out=fi)
+                # Im r1 Im f1 and Im(r1 f1), which this entry's successors read
+                h = np.multiply(fi, ri, out=fh)
+                np.add(fr * ri, fi * r1, out=fg)
+                coupled = fr * r1 - h
             # the two swapped-time branches are complex conjugates, so their
-            # coupled contribution is twice the real part
+            # coupled contribution is twice the real part of f1 / c1
             f2 = np.add(
-                2.0 * s * (f1 * r1).real + n2_a[i] / a2[up] * p2[up],
+                2.0 * s * coupled + n2_a[i] / a2[up] * p2[up],
                 n2_b[j] / a2[left] * p2[left],
                 out=q2[left],
             )
@@ -259,18 +310,22 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
             f_prev, f_next = f_next, f_prev
 
 
+def _smith_overflow(x, y, rr, ri) -> None:
+    """Redo, in Smith's other branch, the cells of 1 / (x - iy) = rr + i ri
+    whose d = x + y (y / x) overflowed (see ``_antidiagonals``)."""
+    over = rr == 0.0
+    x, y = x[over], y[over]
+    t = x / y
+    d = y + x * t
+    rr[over], ri[over] = t / d, 1.0 / d
+
+
 def _corner_steps(pairs) -> dict[int, list[int]]:
     """The pairs whose corner (m_p - 1, m_p - 1) lies on antidiagonal k, by k."""
     steps: dict[int, list[int]] = {}
     for p, (a, _) in enumerate(pairs):
         steps.setdefault(2 * a.levels - 2, []).append(p)
     return steps
-
-
-def _real(pairs) -> bool:
-    """Whether every level frequency of the pairs is zero, so that table 1
-    and its accumulators are real."""
-    return not any(any(a.frequencies) or any(b.frequencies) for a, b in pairs)
 
 
 def _array_corners(pairs) -> list[float]:
@@ -284,37 +339,51 @@ def _array_corners(pairs) -> list[float]:
 
 
 def _plain_corner(a: DecayLadder, b: DecayLadder) -> float:
-    """The corner of one pair of real ladders from a pass in Python floats.
+    """The corner of one pair of ladders from a pass in Python floats.
 
-    Each cell repeats ``_antidiagonals``' operations in its order, on the
-    same coefficient vectors, so the corner has the array pass's bits: an
-    entry depends only on its neighbours, so filling row by row instead of
-    by antidiagonals changes no value.  The row above (i = -1) and the
+    Each cell repeats ``_antidiagonals``' float operations in its order, on
+    the same coefficient vectors, so the corner has the array pass's bits:
+    an entry depends only on its neighbours, so filling row by row instead
+    of by antidiagonals changes no value.  A cell keeps what its successors
+    read: c0, Re(1 / c1) and c2, then f0, Re f1, Im(1 / c1) Im f1,
+    Im(f1 / c1) and f2; a real pair carries zero imaginary parts, which
+    leave its real operations as they are.  The row above (i = -1) and the
     column left of j = 0 are the edge, read as f = 0 with accumulators 1,
     and the base f0 = 1 enters as the up neighbour of (0, 0).  A float
     overflows to inf or nan without raising, and no divisor is zero: every
     accumulator but the corner's c2, which divides nothing, is a sum of
-    positive rates.
+    positive rates, and Smith's d is at least x or |y| in size.
     """
     m, shift = a.levels, _rate_shift(a, b)
     va, vb = _ladder_vectors(a, shift), _ladder_vectors(b, shift)
-    names = ("gr0", "gr2", "sq", "n0", "n1", "n2")
+    names = ("gr0", "gr2", "dw", "sq", "n0", "n1", "n2")
     rows, cols = zip(*(va[name] for name in names)), list(zip(*(vb[name] for name in names)))
-    # per cell of the row above: its c0, 1 / c1 and c2, then f0, f1 and f2
-    edge = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
-    above = [(1.0, 1.0, 1.0, 1.0, 0.0, 0.0)] + [edge] * (m - 1)
-    for ga0, ga2, sa, na0, na1, na2 in rows:
+    # per cell of the row above, as the docstring lists them
+    edge = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    above = [(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)] + [edge] * (m - 1)
+    for ga0, ga2, wa, sa, na0, na1, na2 in rows:
         row = []
-        l0, l1, l2, p0, p1, p2 = edge
-        for (u0, u1, u2, q0, q1, q2), (gb0, gb2, sb, nb0, nb1, nb2) in zip(above, cols):
+        l0, l1, l2, p0, p1, ph, pg, p2 = edge
+        for (u0, u1, u2, q0, q1, qh, qg, q2), (gb0, gb2, wb, sb, nb0, nb1, nb2) in zip(above, cols):
             c0 = ga0 + gb0
             c2 = ga2 + gb2
-            r1 = 1.0 / ((c0 + c2) / 2.0)
+            x = (c0 + c2) / 2.0
+            y = wb - wa
+            t = y / x
+            d = x + y * t
+            r1, ri = 1.0 / d, t / d
+            if r1 == 0.0:  # d overflowed: Smith's other branch
+                t = x / y
+                d = y + x * t
+                r1, ri = t / d, 1.0 / d
             s = sa * sb
             f0 = na0 / u0 * q0 + nb0 / l0 * p0
-            f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1
-            f2 = 2.0 * s * (f1 * r1) + na2 / u2 * q2 + nb2 / l2 * p2
-            l0, l1, l2, p0, p1, p2 = cell = (c0, r1, c2, f0, f1, f2)
+            f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1 - (na1 * qh + nb1 * ph)
+            fi = na1 * qg + nb1 * pg
+            h = fi * ri
+            g = f1 * ri + fi * r1
+            f2 = 2.0 * s * (f1 * r1 - h) + na2 / u2 * q2 + nb2 / l2 * p2
+            l0, l1, l2, p0, p1, ph, pg, p2 = cell = (c0, r1, c2, f0, f1, h, g, f2)
             row.append(cell)
         above = row
     return f2
@@ -322,10 +391,10 @@ def _plain_corner(a: DecayLadder, b: DecayLadder) -> float:
 
 def _corners(pairs) -> list[float]:
     """The corner f2(m_p - 1, m_p - 1) of each pair's tables, which is
-    m_p^2 times its overlap: from the plain pass when every pair is real
-    and the pairs hold at most ``_PLAIN_CELLS`` cells in all, else from
-    one batched array pass.  Both give the same bits."""
-    if sum(a.levels**2 for a, _ in pairs) <= _PLAIN_CELLS and _real(pairs):
+    m_p^2 times its overlap: from the plain pass when the pairs hold at
+    most ``_PLAIN_CELLS`` cells in all, else from one batched array pass.
+    Both give the same bits."""
+    if sum(a.levels**2 for a, _ in pairs) <= _PLAIN_CELLS:
         return [_plain_corner(a, b) for a, b in pairs]
     return _array_corners(pairs)
 

@@ -754,6 +754,21 @@ def test_small_real_runs_load_no_numpy(argv):
                   "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
 
 
+def test_verify_loads_no_numpy():
+    # the default families include three Kerr ones; their pairs of m <= 4
+    # take the plain pass
+    assert _probe("from dickeqfi import cli\n" + _QUIET +
+                  "    code = cli.main(['verify', '--no-header'])\n"
+                  "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
+
+
+def test_a_small_kerr_recurrence_loads_no_numpy():
+    assert _probe("from dickeqfi import exchange, ladder\n"
+                  "arm = ladder.build_anharmonic(4, 1.0, 10.0)\n"
+                  "value = exchange.exchange_integral(ladder.TwinConfiguration(arm, arm)).value\n"
+                  "print(0.0 < value < 1.0)\n" + _NUMPY_LOADED) == ["True", "False"]
+
+
 def test_a_larger_sweep_imports_numpy_once_before_forking():
     # m = 100 takes the array pass: the parent imports numpy for its children
     assert _probe("import os\n"

@@ -162,13 +162,16 @@ def longdouble_corner(arm):
 def full_tables(arms, column=0):
     """The three M x M tables of one column of a batched pass, rebuilt from
     the library's antidiagonals; ``arms`` is a list of arm pairs or one
-    ladder (its twin pair), and M the largest photon number of the batch."""
+    ladder (its twin pair), and M the largest photon number of the batch.
+    Table 1 comes back complex, also from a complex batch's planes."""
     pairs = arms if isinstance(arms, list) else [(arms, arms)]
     m = max(a.levels for a, _ in pairs)
     tables = (np.zeros((m, m)), np.zeros((m, m), dtype=complex), np.zeros((m, m)))
     for k, (lo, *diagonals) in enumerate(_antidiagonals(pairs)):
         i = np.arange(lo, lo + len(diagonals[0]))
         for table, diagonal in zip(tables, diagonals):
+            if diagonal.ndim == 3:  # real and imaginary planes
+                diagonal = diagonal[0] + 1j * diagonal[1]
             table[i, k - i] = diagonal[:, column]
     return tables
 
@@ -612,7 +615,8 @@ class TestBatchedPass:
 
 
 class TestTableDtype:
-    """Table 1 is complex only when some level frequency is nonzero."""
+    """Table 1 is float64, with an imaginary plane beside its real one only
+    when some level frequency is nonzero."""
 
     @staticmethod
     def first_f1(pairs):
@@ -621,31 +625,33 @@ class TestTableDtype:
     def test_real_ladders_keep_table_one_real(self):
         pairs = [(build_dicke(5, 1.0), build_dicke(5, 2.5)),
                  (build_harmonic(3, 1.0), build_harmonic(3, 1.0))]
-        assert self.first_f1(pairs).dtype == np.float64
+        f1 = self.first_f1(pairs)
+        assert f1.dtype == np.float64 and f1.shape == (1, 2)
 
     def test_a_kerr_column_makes_the_batch_complex(self):
         # its first pair, two Dicke arms, runs in float64 on its own, and
         # TestBatchedPass checks that each column keeps its one-pair bits
         batch = BATCHES["distinct-arms"]
-        assert self.first_f1(batch).dtype == np.complex128
-        assert self.first_f1(batch[:1]).dtype == np.float64
+        f1 = self.first_f1(batch)
+        assert f1.dtype == np.float64 and f1.shape == (2, 1, 3)
+        assert self.first_f1(batch[:1]).shape == (1, 1)
 
-    @pytest.mark.parametrize("arm,dtype", [(build_harmonic(6, 1.0), np.float64),
-                                           (build_anharmonic(6, 1.0, 1.0), np.complex128)],
+    @pytest.mark.parametrize("arm,planes", [(build_harmonic(6, 1.0), 2),
+                                            (build_anharmonic(6, 1.0, 1.0), 3)],
                              ids=["harmonic", "kerr"])
-    def test_the_adjoint_pass_follows_the_same_rule(self, arm, dtype, monkeypatch):
+    def test_the_adjoint_pass_follows_the_same_rule(self, arm, planes, monkeypatch):
         import dickeqfi.exchange as exchange_module
 
         seen = set()
 
         def spy(pairs, vectors):
             for step in _antidiagonals(pairs, vectors):
-                seen.add(step[2].dtype)
+                seen.add((step[2].dtype, step[2].ndim))
                 yield step
 
         monkeypatch.setattr(exchange_module, "_antidiagonals", spy)
         _reverse_pass(arm, arm)
-        assert seen == {np.dtype(dtype)}
+        assert seen == {(np.dtype(np.float64), planes)}
 
 
 # Corners (m^2 I) of real ladders, as float.hex, from the pass that kept
@@ -666,6 +672,15 @@ BIT_PINS = {
 }
 
 
+# Corners of Kerr ladders.  Both passes spell complex operations out in
+# float64, so these bits hold on any host, whatever SIMD loops numpy picks.
+KERR_PINS = {
+    "kerr-4-u1": (build_anharmonic(4, 1.0, 1.0), "0x1.d0a1a663f7b22p+2"),
+    "kerr-50-u10": (build_anharmonic(50, 1.0, 10.0), "0x1.61e0f56fff144p+5"),
+    "kerr-400-u10": (build_anharmonic(400, 1.0, 10.0), "0x1.fb695109a2cd8p+9"),
+}
+
+
 class TestBitPins:
     @pytest.mark.parametrize("arm,corner", BIT_PINS.values(), ids=BIT_PINS.keys())
     def test_twin_corner(self, arm, corner):
@@ -681,6 +696,22 @@ class TestBitPins:
             float.fromhex(c) for c in ("0x1.8168f4d791bbep+19", "0x1.450a26c8f3185p+19",
                                        "0x1.0dcf22c9fe982p+19", "0x1.b76fc9cdfec31p+18")]
 
+    @pytest.mark.parametrize("arm,corner", KERR_PINS.values(), ids=KERR_PINS.keys())
+    def test_kerr_twin_corner(self, arm, corner):
+        assert _recurrence(arm, arm).corner == float.fromhex(corner)
+
+    def test_distinct_kerr_arms(self):
+        corner = _recurrence(build_anharmonic(30, 1.0, 2.0),
+                             build_anharmonic(30, 0.7, 15.0)).corner
+        assert corner == float.fromhex("0x1.8e918acc9ccdfp-2")
+
+    def test_kerr_reverse_pass_sub_corners(self):
+        # the whole m = 400 lattice, and its 200-photon sub-lattice
+        arm = build_anharmonic(400, 1.0, 10.0)
+        corners = _reverse_pass(arm, arm)
+        assert [corners[0], corners[200]] == [
+            float.fromhex("0x1.fb695109a2ce6p+9"), float.fromhex("0x1.6388c46124654p+8")]
+
 
 # m at the plain pass's limit, where one pair holds _PLAIN_CELLS cells, and
 # one above it
@@ -691,11 +722,15 @@ PLAIN_PAIRS = {
     "dicke-1-1.3": lambda m: (build_dicke(m, 1.0), build_dicke(m, 1.3)),
     "dicke-g3.7699e7": lambda m: (build_dicke(m, 3.7699e7),) * 2,
     "harmonic-g1e-6": lambda m: (build_harmonic(m, 1e-6),) * 2,
+    "kerr-u1": lambda m: (build_anharmonic(m, 1.0, 1.0),) * 2,
+    "kerr-u1e4-g1e-6": lambda m: (build_anharmonic(m, 1e-6, 1e-2),) * 2,
+    "kerr-distinct": lambda m: (build_anharmonic(m, 1.0, 2.0), build_anharmonic(m, 0.7, 15.0)),
 }
 
 
 class TestPlainPass:
-    """The plain-float pass against the array pass, bit for bit."""
+    """The plain-float pass against the array pass, bit for bit, for real
+    and Kerr ladders alike."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7, 20, EDGE, EDGE + 1])
     @pytest.mark.parametrize("pair", PLAIN_PAIRS.values(), ids=PLAIN_PAIRS.keys())
@@ -714,6 +749,20 @@ class TestPlainPass:
                 for r in rates)
         assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
 
+    @given(
+        rates=st.lists(st.lists(st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+                                min_size=20, max_size=20), min_size=2, max_size=2),
+        freqs=st.lists(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 8.0))
+                                .map(lambda p: p[0] * 10.0**p[1]),
+                                min_size=20, max_size=20), min_size=2, max_size=2),
+        m=st.integers(1, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_complex_ladders_match_the_array_pass(self, rates, freqs, m):
+        a, b = (DecayLadder(levels=m, rates=tuple(r[:m]), frequencies=tuple(w[:m]))
+                for r, w in zip(rates, freqs))
+        assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
+
     def test_an_overflow_raises_the_same_error_on_both_paths(self):
         # both arms' lowest rungs are slow at the corner, whose c1 is their mean
         a, b = spread(build_dicke(6, 1.0)), spread(build_dicke(6, 1.3))
@@ -726,7 +775,7 @@ class TestPlainPass:
                 messages.append(str(err.value))
             assert messages == ["recurrence produced nonfinite entries"] * 2
 
-    def test_the_dispatch_counts_cells_and_frequencies(self, monkeypatch):
+    def test_the_dispatch_counts_cells_only(self, monkeypatch):
         import dickeqfi.exchange as exchange_module
 
         seen = []
@@ -734,14 +783,16 @@ class TestPlainPass:
                             lambda a, b: seen.append("plain") or 1.0)
         monkeypatch.setattr(exchange_module, "_array_corners",
                             lambda pairs: seen.append("array") or [1.0] * len(pairs))
-        dicke, kerr = build_dicke(EDGE, 1.0), build_anharmonic(2, 1.0, 1.0)
+        dicke, kerr = build_dicke(EDGE, 1.0), build_anharmonic(EDGE, 1.0, 1.0)
         _corners([(dicke, dicke)])
         _corners([(build_dicke(EDGE + 1, 1.0),) * 2])
         # _PLAIN_CELLS counts the cells of every pair of the pass
         _corners([(dicke, dicke), (build_dicke(1, 1.0),) * 2])
-        # a complex (Kerr) pair takes the array pass however small
+        # a Kerr pair takes the plain pass as a real one does, up to the limit
         _corners([(kerr, kerr)])
-        assert seen == ["plain", "array", "array", "array"]
+        _corners([(build_anharmonic(EDGE + 1, 1.0, 1.0),) * 2])
+        _corners([(kerr, kerr), (build_anharmonic(1, 1.0, 1.0),) * 2])
+        assert seen == ["plain", "array", "array", "plain", "array", "array"]
 
 
 class TestExtremeGamma:
@@ -791,6 +842,35 @@ class TestExtremeGamma:
         kerr = build_anharmonic(4, 1e-300, 1e10)
         with pytest.raises(InvalidLadderError, match="frequencies overflow"):
             exchange_integral(twin(kerr))
+
+
+class TestSmithOverflow:
+    """Where Smith's d = x + y (y / x) overflows, the cell takes the other
+    branch, so 1 / c1 keeps its terms on every pass."""
+
+    @pytest.mark.parametrize("u", [1e100, 1e160, 1e200])
+    def test_huge_level_shifts_match_the_oracle(self, u):
+        # y^2 / x passes the float range from u / gamma ~ 1e154 on
+        arm = build_anharmonic(3, 1.0, u)
+        expected = oracle_integral(arm, arm, l=1).value
+        values = (_plain_corner(arm, arm) / 9, _array_corners([(arm, arm)])[0] / 9,
+                  _reverse_pass(arm, arm)[0] / 9)
+        for value in values:
+            assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("shift", [1e3, 1e10, 1e200])
+    def test_a_vanishing_accumulator_keeps_the_pass_finite(self, shift):
+        # the corner's x is the lowest rung's 1e-300, so from a shift of about
+        # 2e8 on y / x overflows, which one branch would turn into nan
+        a = DecayLadder(levels=2, rates=(1e-300, 1.0), frequencies=(0.0, 0.0))
+        b = DecayLadder(levels=2, rates=(1e-300, 1.0), frequencies=(shift, shift))
+        expected = oracle_integral(a, b, l=1).value
+        values = (_plain_corner(a, b) / 4, _array_corners([(a, b)])[0] / 4,
+                  _reverse_pass(a, b)[0] / 4)
+        for value in values:
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert values[0] == values[1]
 
 
 class TestTrustAtScale:
