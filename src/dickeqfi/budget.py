@@ -21,8 +21,11 @@ from __future__ import annotations
 import functools
 import math
 
-from .exchange import exchange_integral
-from .ladder import Record, TwinConfiguration, build_dicke
+# exchange_integral and build_dicke are looked up on their modules at call
+# time, so a wrapper or a patch there (the benchmark's tracer wraps both)
+# reaches the budget's recurrences whatever the import order.
+from . import exchange, ladder
+from .ladder import Record, TwinConfiguration
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
@@ -172,8 +175,8 @@ def matched_dicke_overlap(n_emitters: int) -> ExchangeIntegral:
     Memoised: the report's integral and the denominator of
     ``mixed_rate_correction`` are the same recurrence.
     """
-    arm = build_dicke(n_emitters, 1.0)
-    return exchange_integral(TwinConfiguration(arm, arm))
+    arm = ladder.build_dicke(n_emitters, 1.0)
+    return exchange.exchange_integral(TwinConfiguration(arm, arm))
 
 
 def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
@@ -196,8 +199,9 @@ def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
     if delta_gamma_rel == 0.0:
         return 1.0
     m = n_photons // 2
-    pair = TwinConfiguration(build_dicke(m, min(1.0, 1.0 / r)), build_dicke(m, min(r, 1.0)))
-    return exchange_integral(pair).value / matched_dicke_overlap(m).value
+    pair = TwinConfiguration(ladder.build_dicke(m, min(1.0, 1.0 / r)),
+                             ladder.build_dicke(m, min(r, 1.0)))
+    return exchange.exchange_integral(pair).value / matched_dicke_overlap(m).value
 
 
 def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrection:

@@ -25,12 +25,19 @@ early), 2 on validation errors, 1 on numeric failure.
 from __future__ import annotations
 
 import argparse
-import importlib
 import math
 import numbers
 import os
 import sys
 
+from .budget import PlatformParams, full_budget, matched_dicke_overlap
+from .dickesim import (
+    LossModel,
+    collection_loss_probability,
+    collection_probability_product,
+    dicke_collection_probability,
+    dicke_populations,
+)
 from .exchange import (
     SWEEP_COLUMNS,
     LadderFamily,
@@ -42,34 +49,10 @@ from .ladder import Record, TwinConfiguration, build_dicke  # noqa: F401
 from .metrology import parity_curve, qfi_twin
 from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
 
-# The modules above import no numpy, and their names are bound at import
-# as they are defined: perfbench's tracer wraps exchange_integral both here
-# and on the exchange module, so a later binding would take the wrapper and
-# record each call twice.  The names in _LATE are bound on first use
-# (PEP 562) from the module it maps them to: the cascade module's trace
-# needs numpy, and only report needs the budget.  A late binding is safe for
-# these names because the tracer wraps each of them here alone, so the hook
-# still takes the function itself.  The budget module binds exchange_integral
-# when it is first imported; under the tracer that is already the wrapper,
-# so the budget's recurrence is recorded, once.  Handlers reach the late
-# names through ``_self``, this module, at call time: a replaced attribute
-# (a tracer's wrapper, a test's patch) is what they call.
-_LATE = {
-    **dict.fromkeys(("LossModel", "collection_loss_probability",
-                     "collection_probability_product", "dicke_collection_probability",
-                     "dicke_populations"), ".dickesim"),
-    **dict.fromkeys(("PlatformParams", "full_budget", "matched_dicke_overlap"), ".budget"),
-}
-_self = sys.modules[__name__]
-
-
-def __getattr__(name):
-    if name not in _LATE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_LATE[name], __package__), name)
-    globals()[name] = value
-    return value
-
+# None of these modules imports numpy when it loads.  Handlers call the
+# names as this module's globals, so a replaced cli attribute (a tracer's
+# wrapper, a test's patch) is what they call; the budget looks its
+# recurrence up on the exchange and ladder modules instead (see budget).
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -313,7 +296,7 @@ def cmd_exchange(cfg: RunConfig) -> int:
 
 def _loss_model(purcell: float):
     """Cascade loss model of a guided-to-residual rate ratio; inf is lossless."""
-    return _self.LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
+    return LossModel(1.0, 0.0 if math.isinf(purcell) else 1.0 / purcell)
 
 
 _LOSS_COLUMNS = ("N", "purcell", "one_minus_p_exact", "one_minus_p_product",
@@ -334,7 +317,7 @@ def cmd_loss(cfg: RunConfig) -> int:
             raise UsageError("n", f"a trace takes N up to {MAX_TRACE_N}, got {n}")
         import numpy as np
 
-        trace = _self.dicke_populations(n, _loss_model(purcells[0]))
+        trace = dicke_populations(n, _loss_model(purcells[0]))
         levels = tuple(f"P_{m}" for m in range(n + 1))
         # JSON rows keep the key order t, sum, P_0..P_N; CSV columns put sum last
         keys = ("t", "sum") + levels
@@ -352,7 +335,7 @@ def cmd_loss(cfg: RunConfig) -> int:
     rows = []
     for n in n_values:
         for p1d in purcells:
-            one_minus_p = _self.collection_loss_probability(n, _loss_model(p1d))
+            one_minus_p = collection_loss_probability(n, _loss_model(p1d))
             rows.append({
                 "N": n,
                 "purcell": p1d,
@@ -425,18 +408,18 @@ def cmd_parity(cfg: RunConfig) -> int:
 
 def cmd_report(cfg: RunConfig) -> int:
     opts = cfg.options
-    params = _self.PlatformParams(
+    params = PlatformParams(
         quality_factor=opts["q"], group_index=opts["n_g"], wavelength=opts["lambda_a"],
         gamma_1d=opts["gamma_1d"], gamma_star=opts["gamma_star"], n_photons=opts["n"],
         pulse_error=opts["pulse_error"], delta_gamma=opts["delta_gamma"],
         delay=opts["delay"], interferometer_loss=opts["eta"],
     )
     n = params.n_photons
-    integral = _self.matched_dicke_overlap(n // 2)
+    integral = matched_dicke_overlap(n // 2)
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
     loss = _loss_model(purcell)
-    p = _self.dicke_collection_probability(n // 2, loss).exact
-    budget = _self.full_budget(params, integral, p, margin_factor=opts["margin_factor"])
+    p = dicke_collection_probability(n // 2, loss).exact
+    budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
         import json
@@ -465,7 +448,7 @@ def cmd_report(cfg: RunConfig) -> int:
         lines.append("    N      p")
         n_probe = 2
         while n_probe <= 2048:
-            p_probe = _self.collection_probability_product(n_probe // 2, loss)
+            p_probe = collection_probability_product(n_probe // 2, loss)
             lines.append(f"    {n_probe:<6d} {p_probe:.6f}")
             n_probe *= 2
     _write(cfg, [line + "\n" for line in lines])

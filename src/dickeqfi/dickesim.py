@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 
-from .ladder import Record
+from .ladder import Record, _dicke_rates
 
 _RESIDUAL_TOL = 1e-10
 
@@ -80,8 +80,7 @@ def collective_rates(n_emitters: int, gamma_1d: float) -> np.ndarray:
     """Collective rate of each rung, m = 1..N."""
     import numpy as np
 
-    m = np.arange(1, n_emitters + 1, dtype=float)
-    return m * (n_emitters - m + 1.0) * gamma_1d
+    return np.fromiter(_dicke_rates(n_emitters, gamma_1d), float, n_emitters)
 
 
 def superradiance_timescale(n_emitters: int, gamma_1d: float) -> SuperradianceTime:
@@ -241,11 +240,9 @@ def collection_loss_probability(n_emitters: int, loss: LossModel) -> float:
 
 
 def _rungs(n_emitters: int, loss: LossModel):
-    """Collective and residual rate of each rung, m = 1..N, as floats in
-    ``collective_rates``' operation order."""
-    for k in range(1, n_emitters + 1):
-        m = float(k)
-        yield m * (n_emitters - m + 1.0) * loss.gamma_1d, m * loss.gamma_star
+    """Collective and residual rate of each rung, m = 1..N."""
+    for m, rate in enumerate(_dicke_rates(n_emitters, loss.gamma_1d), start=1):
+        yield rate, m * loss.gamma_star
 
 
 def dicke_collection_probability(n_emitters: int, loss: LossModel) -> CollectionEstimate:

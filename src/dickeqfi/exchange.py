@@ -158,7 +158,7 @@ def _ladder_vectors(arm: DecayLadder, shift: int) -> dict[str, list[float]]:
     }
 
 
-def _antidiagonals(pairs, vectors=_ladder_vectors):
+def _antidiagonals(pairs, vectors=None):
     """Fill the three tables of every pair of arms in one pass, yielding
     ``(lo, f0, f1, f2)`` per antidiagonal.
 
@@ -176,11 +176,12 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
     that the next steps overwrite.
 
     ``vectors`` maps an arm and its pair's ``_rate_shift`` to its
-    coefficient vectors: ``_ladder_vectors`` for the forward recurrence,
-    ``_adjoint_vectors`` for its adjoint.  On antidiagonal 0, once c1 is
-    formed, a zero c0 reads as 1: the adjoint
-    seeds at the forward corner, where c2 = 0, and its seed enters table 1
-    undivided.  A forward pass has c0(0, 0) > 0, so this leaves it as is.
+    coefficient vectors: ``_adjoint_vectors`` for the adjoint, else
+    ``_ladder_vectors``, looked up on each call as the other passes look it
+    up.  On antidiagonal 0, once c1 is formed, a zero c0 reads as 1: the
+    adjoint seeds at the forward corner, where c2 = 0, and its seed enters
+    table 1 undivided.  A forward pass has c0(0, 0) > 0, so this leaves it
+    as is.
 
     Table 1 is complex only if some arm has a level frequency.  Its
     accumulator buffer holds the reciprocal 1 / c1, so each use of it is a
@@ -198,15 +199,18 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
     the check.  With a1 and p1 a neighbour's 1 / c1 and f1, table 1's
     update keeps the real pass's products (n1 Re a1) Re p1 and subtracts
     n1 Im a1 Im p1 for each neighbour; its imaginary part sums
-    n1 Im(a1 p1).  Each entry stores Im(1 / c1) Im f1 and Im(f1 / c1) for
-    its two successors, in planes 2 and 3 of table 1's buffer, so each
-    product is formed once.  With zero imaginary parts
-    every added term is 0, so a real column of a complex batch keeps its
-    real pass's bits.  A complex batch yields f1 as its (2, len, P) real
-    and imaginary planes.
+    n1 Im(a1 p1).  With zero imaginary parts every added term is 0, so a
+    real column of a complex batch keeps its real pass's bits.
+
+    Table 1's buffers have a leading plane axis.  Plane 0 holds Re f1, which
+    both kinds of batch write with one sum, and is a real batch's only one.
+    A complex batch adds Im f1, Im(1 / c1) Im f1 and Im(f1 / c1) in planes
+    1 to 3, the last two read by the entry's two successors, so each is
+    formed once; it yields f1 as its (2, len, P) planes 0 and 1.
     """
     import numpy as np
 
+    vectors = vectors or _ladder_vectors
     size, width = max(a.levels for a, _ in pairs), len(pairs)
     # Coefficient rows outside a pair's arm are pads: with sq = 0 and zero
     # numerators, every entry past the pair's table stays exactly 0.
@@ -237,14 +241,12 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
         # 1 holds reciprocals (their real parts, in a complex batch), and its
         # pads read 1 / 1 = 1 as well.
         shape = (size + 1, width)
-        split = shape if real else (4, *shape)  # see the complex branch below
+        planes = (1 if real else 4, *shape)  # table 1's: see the docstring
         c_prev = [np.ones(shape) for _ in range(3)]
         c_next = [np.ones(shape) for _ in range(3)]
-        f_prev = [np.zeros(shape), np.zeros(split), np.zeros(shape)]
-        f_next = [np.zeros(shape), np.zeros(split), np.zeros(shape)]
+        f_prev = [np.zeros(shape), np.zeros(planes), np.zeros(shape)]
+        f_next = [np.zeros(shape), np.zeros(planes), np.zeros(shape)]
         f_prev[0][0] = 1.0
-        for f in f_prev, f_next:  # the complex branch's planes, as views
-            f.append(() if real else tuple(f[1]))
         # arm a's coefficient columns (row i) and arm b's reversed ones (j)
         gr0_a, gr2_a, dw_a, sq_a, n0_a, n1_a, n2_a = (vec[name] for name in pads)
         gr0_b, gr2_b, dw_b, sq_b, n0_b, n1_b, n2_b = (rev[name] for name in pads)
@@ -254,7 +256,7 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
             i = up = slice(lo, hi + 1)
             j, left = slice(size - 1 - k + lo, size - k + hi), slice(lo + 1, hi + 2)
             (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
-            (p0, p1, p2, p_planes), (q0, q1, q2, q_planes) = f_prev, f_next
+            (p0, p1, p2), (q0, q1, q2) = f_prev, f_next
             c0 = np.add(gr0_a[i], gr0_b[j], out=b0[left])
             c2 = np.add(gr2_a[i], gr2_b[j], out=b2[left])
             x = (c0 + c2) / 2.0  # c1 = x - iy, y = dw_b[j] - dw_a[i]
@@ -262,20 +264,11 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
                 c0[c0 == 0.0] = 1.0  # an adjoint seed: see the docstring
             s = sq_a[i] * sq_b[j]
             f0 = np.add(n0_a[i] / a0[up] * p0[up], n0_b[j] / a0[left] * p0[left], out=q0[left])
+            # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
+            r1 = b1[left]
             if real:
-                # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
-                r1 = np.divide(1.0, x, out=b1[left])
-                f1 = np.add(
-                    s / c0 * f0 + n1_a[i] * a1[up] * p1[up],
-                    n1_b[j] * a1[left] * p1[left],
-                    out=q1[left],
-                )
-                coupled = f1 * r1
+                np.divide(1.0, x, out=r1)
             else:
-                # table 1's planes: Re f1, Im f1, Im r1 Im f1 and Im(r1 f1)
-                r1, f1 = b1[left], q1[:2, left]
-                (pr, _, ph, pg), (qr, qi, qh, qg) = p_planes, q_planes
-                fr, fi, fh, fg = qr[left], qi[left], qh[left], qg[left]
                 # 1 / c1 in Smith's form: see the docstring
                 y = dw_b[j] - dw_a[i]
                 t = y / x
@@ -284,15 +277,20 @@ def _antidiagonals(pairs, vectors=_ladder_vectors):
                 ri = t / d
                 if may_overflow and not r1.all():
                     _smith_overflow(x, y, r1, ri)
-                na, nb = n1_a[i], n1_b[j]
-                # the real pass's sum, less each neighbour's n1 Im a1 Im p1
-                total = s / c0 * f0 + na * a1[up] * pr[up] + nb * a1[left] * pr[left]
-                np.subtract(total, na * ph[up] + nb * ph[left], out=fr)
-                np.add(na * pg[up], nb * pg[left], out=fi)
-                # Im r1 Im f1 and Im(r1 f1), which this entry's successors read
-                h = np.multiply(fi, ri, out=fh)
-                np.add(fr * ri, fi * r1, out=fg)
-                coupled = fr * r1 - h
+            na, nb = n1_a[i], n1_b[j]
+            f1 = np.add(s / c0 * f0 + na * a1[up] * p1[0, up], nb * a1[left] * p1[0, left],
+                        out=q1[0, left])
+            if real:
+                coupled = f1 * r1
+            else:
+                # less each neighbour's n1 Im a1 Im p1, then Im f1 and the
+                # products Im r1 Im f1 and Im(r1 f1) that its successors read
+                np.subtract(f1, na * p1[2, up] + nb * p1[2, left], out=f1)
+                fi = np.add(na * p1[3, up], nb * p1[3, left], out=q1[1, left])
+                h = np.multiply(fi, ri, out=q1[2, left])
+                np.add(f1 * ri, fi * r1, out=q1[3, left])
+                coupled = f1 * r1 - h
+                f1 = q1[:2, left]
             # the two swapped-time branches are complex conjugates, so their
             # coupled contribution is twice the real part of f1 / c1
             f2 = np.add(

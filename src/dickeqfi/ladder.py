@@ -193,6 +193,13 @@ class TwinConfiguration(Record):
         return self.ladder_a.levels + self.ladder_b.levels
 
 
+def _dicke_rates(n_emitters: int, gamma_1d: float):
+    """Collective rate k(N-k+1) gamma_1d of each rung, k = 1..N, the one
+    source of Dicke rates; the count k(N-k+1) is an exact integer, so each
+    rate rounds once."""
+    return (k * (n_emitters - k + 1) * gamma_1d for k in range(1, n_emitters + 1))
+
+
 def build_dicke(n_emitters: int, gamma_1d: float) -> DecayLadder:
     """Ladder of N fully excited emitters decaying through a common mode.
 
@@ -205,8 +212,7 @@ def build_dicke(n_emitters: int, gamma_1d: float) -> DecayLadder:
         raise ValueError(f"need at least one emitter, got {n_emitters}")
     if not gamma_1d > 0.0:
         raise ValueError(f"gamma_1d must be positive, got {gamma_1d}")
-    rates = tuple(m * (n - m + 1) * gamma_1d for m in range(1, n + 1))
-    return DecayLadder(levels=n, rates=rates, frequencies=(0.0,) * n)
+    return DecayLadder(levels=n, rates=tuple(_dicke_rates(n, gamma_1d)), frequencies=(0.0,) * n)
 
 
 def build_anharmonic(n_photons: int, gamma_1: float, u: float) -> DecayLadder:

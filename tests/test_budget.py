@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import dickeqfi.budget
 import dickeqfi.cli
+import dickeqfi.exchange
 from dickeqfi.budget import (
     PlatformParams,
     SPEED_OF_LIGHT,
@@ -115,17 +115,17 @@ class TestMixedRateCorrection:
     @pytest.mark.parametrize("d,calls", [(0.0, 0), (0.1, 2)])
     def test_matched_couplings_run_no_recurrence(self, monkeypatch, d, calls):
         seen = []
-        monkeypatch.setattr(dickeqfi.budget, "exchange_integral",
+        monkeypatch.setattr(dickeqfi.exchange, "exchange_integral",
                             lambda config: seen.append(config) or exchange_integral(config))
         full_budget(_params(delta_gamma=d), 0.9, 1.0)
         assert len(seen) == calls
 
     def test_report_runs_the_matched_overlap_once(self, monkeypatch, capsys):
-        # the report's own I(gamma, gamma) is the ratio's denominator
+        # the report's own I(gamma, gamma) is the ratio's denominator; the
+        # budget calls the recurrence through the exchange module
         seen = []
-        for module in (dickeqfi.budget, dickeqfi.cli):
-            monkeypatch.setattr(module, "exchange_integral",
-                                lambda config: seen.append(config) or exchange_integral(config))
+        monkeypatch.setattr(dickeqfi.exchange, "exchange_integral",
+                            lambda config: seen.append(config) or exchange_integral(config))
         code = dickeqfi.cli.main([
             "report", "--q", "1e6", "--n-g", "10", "--lambda-a", "300e-9",
             "--gamma-1d", "3.7699e7", "--gamma-star", "6.2832e5", "--n", "100",

@@ -705,12 +705,14 @@ def test_dump_config_bytes_are_pinned(tmp_path, capsys):
     assert dump.read_bytes() == (_DATA / "exchange_dicke_4_6_config.json").read_bytes()
 
 
-def test_cli_import_loads_no_budget():
-    # only report needs the budget; its names bind on first use
+def test_cli_import_loads_the_seven_modules_and_no_numpy():
+    # every name cli calls is bound at import, and none of its modules
+    # imports numpy when it loads
     assert _probe("import sys, dickeqfi.cli\n"
-                  "print('dickeqfi.budget' in sys.modules)\n"
-                  "dickeqfi.cli.full_budget\n"
-                  "print('dickeqfi.budget' in sys.modules)\n") == ["False", "True"]
+                  "print(sorted(m for m in sys.modules if m.startswith('dickeqfi.')))\n"
+                  + _NUMPY_LOADED) == [
+        str([f"dickeqfi.{m}" for m in ("budget", "cli", "dickesim", "exchange", "ladder",
+                                       "metrology", "oracle")]), "False"]
 
 
 def test_loss_sweep_loads_no_numpy():
@@ -893,7 +895,7 @@ def test_purcell_grid_near_the_largest_float_names_the_key(capsys):
 ])
 def test_handlers_call_through_cli_attributes(monkeypatch, capsys, name, argv):
     # A replaced cli attribute (a tracer's wrapper, a test's patch) is
-    # what the handler calls, also for names bound on first use.
+    # what the handler calls.
     calls = []
     original = getattr(dickeqfi.cli, name)
     monkeypatch.setattr(dickeqfi.cli, name,
@@ -921,9 +923,10 @@ def test_traced_run_records_one_span_per_call():
 
 
 def test_traced_report_records_the_budget_recurrence():
-    # The budget module is imported after the tracer is installed, so it
-    # binds the wrapped exchange_integral and build_dicke: report's matched
-    # overlap leaves one span each.
+    # The budget module calls exchange_integral and build_dicke through
+    # their modules, so it reaches the tracer's wrappers although cli
+    # imported it before the tracer was installed: report's matched overlap
+    # leaves one span each.
     out = _probe("import collections, contextlib, io\n"
                  "import dickeqfi.cli\n"
                  "from perfbench.tracing import Tracer, install_all\n"

@@ -775,6 +775,15 @@ class TestPlainPass:
                 messages.append(str(err.value))
             assert messages == ["recurrence produced nonfinite entries"] * 2
 
+    @pytest.mark.parametrize("m", [EDGE, EDGE + 1], ids=["plain", "array"])
+    def test_both_passes_read_the_patched_vectors(self, monkeypatch, m):
+        # the forward passes look _ladder_vectors up on each call, as the
+        # adjoint does, so a patch on the module reaches them all
+        last_step_overflows(monkeypatch)
+        arm = build_dicke(m, 1.0)
+        with pytest.raises(InvalidLadderError, match="^recurrence produced nonfinite entries$"):
+            exchange_integral(twin(arm))
+
     def test_the_dispatch_counts_cells_only(self, monkeypatch):
         import dickeqfi.exchange as exchange_module
 
