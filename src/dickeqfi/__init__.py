@@ -14,7 +14,7 @@ import importlib
 
 # Public names by the module that defines them.  Each module is imported
 # on first access to one of its names (PEP 562), so a caller of the
-# oracle or the parity readout never loads numpy.
+# oracle never pays for importing the other modules.
 _EXPORTS = {
     "ladder": (
         "DecayLadder", "TwinConfiguration", "build_anharmonic", "build_dicke",

@@ -282,6 +282,9 @@ def full_budget(
     fraction enters squared, and the detection-loss correction is
     subtracted at first order.  The channels are derived separately, so
     the combined number is a first-order estimate, not a joint theorem.
+    The p^2 term weights the full-collection sector, whose state is the
+    post-selected one (see ``metrology.qfi_lossy_lower_bound``), but it
+    uses ``i_n`` as given: ``report`` passes the lossless overlap today.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")

@@ -59,15 +59,15 @@ cavity sub-lattice) from its corner, which a nonfinite entry anywhere in
 the pair's tables makes nonfinite, and no other pair's: an overflow flags
 its own rows only.
 
-Small passes skip numpy.  When the pairs hold at most ``_PLAIN_CELLS``
-cells in all, ``_plain_corner`` fills each pair's tables in Python floats,
+Every pass, forward or adjoint, is read through ``_diagonals`` as table
+2's diagonal f2(d, d): a forward pass's last entry is its corner, and the
+adjoint's entries are the sub-lattice corners.  A pass of at most
+``_PLAIN_CELLS`` cells in all runs in Python floats (``_plain_diagonal``),
 each cell with the array pass's float operations in their order, so both
-passes give the same bits; ``report`` up to N = 128, ``verify`` and small
-sweeps then never import numpy.  Both passes carry a complex (Kerr) entry
-as its real and imaginary parts and spell every complex operation out in
-float operations (see ``_antidiagonals``), so real and Kerr pairs take the
-same plain pass, and no bit depends on the SIMD loops that numpy picks on
-the host.  The adjoint pass stays on arrays.
+give the same bits and only the array pass imports numpy.  Both carry a
+complex (Kerr) entry as its real and imaginary parts, with every complex
+operation spelt out in float operations (see ``_antidiagonals``), so no
+bit depends on the SIMD loops that numpy picks on the host.
 
 Both passes build a pair's coefficient vectors at one scale: each rate and
 frequency of its two arms is multiplied by the power of four that brings
@@ -89,10 +89,6 @@ from .ladder import (
 from .metrology import twin_qfi
 from .oracle import ExchangeIntegral
 
-# numpy is imported by the functions that build arrays: the command
-# line imports this module for every subcommand, and parity and the plain
-# pass never need it.
-
 # Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
 _OVERSHOOT_TOL = 1e-12
 
@@ -101,11 +97,10 @@ _OVERSHOOT_TOL = 1e-12
 # memory than the saved numpy calls are worth.
 _BATCH_CELLS = 4096
 
-# Most cells (m^2 summed over its pairs) in a pass that runs in Python floats
-# rather than numpy (``_plain_corner``).  With numpy loaded, one Kerr pair at
-# m = 64 takes about 3.3 ms plain against 5 ms on arrays (they meet near
-# m = 90), and a real pair about 3.3 ms either way; a pass within the limit
-# needs no numpy import, which costs about 0.1 s.
+# Most cells (m^2 summed over its pairs) in a pass in Python floats.  With
+# numpy loaded, a Kerr pair at m = 64 takes about 3.3 ms plain against 5 ms on
+# arrays (they meet near m = 90), a real pair 3.3 ms either way; a pass within
+# the limit needs no numpy import, which costs about 0.1 s.
 _PLAIN_CELLS = 4096
 
 
@@ -177,18 +172,17 @@ def _antidiagonals(pairs, vectors=None):
 
     ``vectors`` maps an arm and its pair's ``_rate_shift`` to its
     coefficient vectors: ``_adjoint_vectors`` for the adjoint, else
-    ``_ladder_vectors``, looked up on each call as the other passes look it
-    up.  On antidiagonal 0, once c1 is formed, a zero c0 reads as 1: the
-    adjoint seeds at the forward corner, where c2 = 0, and its seed enters
-    table 1 undivided.  A forward pass has c0(0, 0) > 0, so this leaves it
-    as is.
+    ``_ladder_vectors``, looked up per call.  On antidiagonal 0, once c1 is
+    formed, a zero c0 reads as 1: the adjoint seeds at the forward corner,
+    where c2 = 0, and its seed enters table 1 undivided.  A forward pass
+    has c0(0, 0) > 0, so this leaves it as is.
 
     Table 1 is complex only if some arm has a level frequency.  Its
     accumulator buffer holds the reciprocal 1 / c1, so each use of it is a
     multiply; a real batch runs in float64 throughout.  A complex batch
     spells every complex operation out in float64 ufuncs on real and
     imaginary parts, so IEEE float operations alone set each entry's bits
-    and ``_plain_corner`` can repeat them: numpy's complex loops may fuse a
+    and ``_plain_diagonal`` can repeat them: numpy's complex loops may fuse a
     multiply and an add, which Python floats cannot repeat, and their bits
     depend on the SIMD path numpy picks on the host.  With c1 = x - iy,
     the reciprocal is Smith's (1 / d, t / d), t = y / x and d = x + y t,
@@ -217,7 +211,9 @@ def _antidiagonals(pairs, vectors=None):
     pads = {"gr0": 1.0, "gr2": 1.0, "dw": 0.0, "sq": 0.0, "n0": 0.0, "n1": 0.0, "n2": 0.0}
     vec = {name: np.full((size, width), pad) for name, pad in pads.items()}
     rev = {name: np.full((size, width), pad) for name, pad in pads.items()}
-    corners = _corner_steps(pairs)
+    corners = {}  # the pairs whose corner (m_p - 1, m_p - 1) is on antidiagonal k, by k
+    for p, (a, _) in enumerate(pairs):
+        corners.setdefault(2 * a.levels - 2, []).append(p)
     with np.errstate(all="ignore"):
         for p, (a, b) in enumerate(pairs):
             m, shift = a.levels, _rate_shift(a, b)
@@ -318,54 +314,48 @@ def _smith_overflow(x, y, rr, ri) -> None:
     rr[over], ri[over] = t / d, 1.0 / d
 
 
-def _corner_steps(pairs) -> dict[int, list[int]]:
-    """The pairs whose corner (m_p - 1, m_p - 1) lies on antidiagonal k, by k."""
-    steps: dict[int, list[int]] = {}
-    for p, (a, _) in enumerate(pairs):
-        steps.setdefault(2 * a.levels - 2, []).append(p)
-    return steps
+def _array_diagonals(pairs, vectors=None) -> list[list[float]]:
+    """Table 2's diagonal f2(d, d), d < m_p, of each pair from one batched
+    array pass: row d of antidiagonal 2d holds entry (d, d) of every pair."""
+    rows = [f2[k // 2 - lo].tolist()
+            for k, (lo, _, _, f2) in enumerate(_antidiagonals(pairs, vectors)) if k % 2 == 0]
+    return [[row[p] for row in rows[:a.levels]] for p, (a, _) in enumerate(pairs)]
 
 
-def _array_corners(pairs) -> list[float]:
-    """The corner of each pair from one batched array pass."""
-    steps = _corner_steps(pairs)
-    corners = [0.0] * len(pairs)
-    for k, (lo, _, _, f2) in enumerate(_antidiagonals(pairs)):
-        for p in steps.get(k, ()):
-            corners[p] = float(f2[k // 2 - lo, p])
-    return corners
+def _plain_diagonal(a: DecayLadder, b: DecayLadder, vectors=None) -> list[float]:
+    """Table 2's diagonal f2(d, d), d < m, of one pair from a pass in Python
+    floats, with ``_antidiagonals``' ``vectors``.
 
-
-def _plain_corner(a: DecayLadder, b: DecayLadder) -> float:
-    """The corner of one pair of ladders from a pass in Python floats.
-
-    Each cell repeats ``_antidiagonals``' float operations in its order, on
-    the same coefficient vectors, so the corner has the array pass's bits:
-    an entry depends only on its neighbours, so filling row by row instead
-    of by antidiagonals changes no value.  A cell keeps what its successors
-    read: c0, Re(1 / c1) and c2, then f0, Re f1, Im(1 / c1) Im f1,
-    Im(f1 / c1) and f2; a real pair carries zero imaginary parts, which
-    leave its real operations as they are.  The row above (i = -1) and the
-    column left of j = 0 are the edge, read as f = 0 with accumulators 1,
-    and the base f0 = 1 enters as the up neighbour of (0, 0).  A float
-    overflows to inf or nan without raising, and no divisor is zero: every
-    accumulator but the corner's c2, which divides nothing, is a sum of
-    positive rates, and Smith's d is at least x or |y| in size.
+    Each cell repeats that pass's float operations in their order, so every
+    entry has its bits: an entry depends only on its neighbours, so filling
+    row by row instead of by antidiagonals changes no value.  A cell keeps
+    what its successors read: c0, Re(1 / c1) and c2, then f0, Re f1,
+    Im(1 / c1) Im f1, Im(f1 / c1) and f2; a real pair carries zero
+    imaginary parts, which leave its real operations as they are.  The row
+    above (i = -1) and the column left of j = 0 are the edge, read as f = 0
+    with accumulators 1, and the base f0 = 1 enters as the up neighbour of
+    (0, 0).  A zero c0 (an adjoint's seed) reads as 1 once c1 is formed.  A
+    float overflows to inf or nan without raising, and no other divisor is
+    zero: every accumulator but the forward corner's c2, which divides
+    nothing, is a sum of positive rates, and Smith's d is at least x or |y|.
     """
     m, shift = a.levels, _rate_shift(a, b)
-    va, vb = _ladder_vectors(a, shift), _ladder_vectors(b, shift)
+    vectors = vectors or _ladder_vectors
+    va, vb = vectors(a, shift), vectors(b, shift)
     names = ("gr0", "gr2", "dw", "sq", "n0", "n1", "n2")
     rows, cols = zip(*(va[name] for name in names)), list(zip(*(vb[name] for name in names)))
     # per cell of the row above, as the docstring lists them
     edge = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     above = [(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)] + [edge] * (m - 1)
-    for ga0, ga2, wa, sa, na0, na1, na2 in rows:
+    diagonal = []
+    for i, (ga0, ga2, wa, sa, na0, na1, na2) in enumerate(rows):
         row = []
         l0, l1, l2, p0, p1, ph, pg, p2 = edge
         for (u0, u1, u2, q0, q1, qh, qg, q2), (gb0, gb2, wb, sb, nb0, nb1, nb2) in zip(above, cols):
             c0 = ga0 + gb0
             c2 = ga2 + gb2
             x = (c0 + c2) / 2.0
+            c0 = c0 or 1.0
             y = wb - wa
             t = y / x
             d = x + y * t
@@ -383,18 +373,24 @@ def _plain_corner(a: DecayLadder, b: DecayLadder) -> float:
             f2 = 2.0 * s * (f1 * r1 - h) + na2 / u2 * q2 + nb2 / l2 * p2
             l0, l1, l2, p0, p1, ph, pg, p2 = cell = (c0, r1, c2, f0, f1, h, g, f2)
             row.append(cell)
+        diagonal.append(row[i][-1])
         above = row
-    return f2
+    return diagonal
 
 
-def _corners(pairs) -> list[float]:
-    """The corner f2(m_p - 1, m_p - 1) of each pair's tables, which is
-    m_p^2 times its overlap: from the plain pass when the pairs hold at
-    most ``_PLAIN_CELLS`` cells in all, else from one batched array pass.
-    Both give the same bits."""
-    if sum(a.levels**2 for a, _ in pairs) <= _PLAIN_CELLS:
-        return [_plain_corner(a, b) for a, b in pairs]
-    return _array_corners(pairs)
+def _on_arrays(ms) -> bool:
+    """Whether a pass over pairs of ``ms`` photons per arm runs on arrays."""
+    return sum(m * m for m in ms) > _PLAIN_CELLS
+
+
+def _diagonals(pairs, vectors=None) -> list[list[float]]:
+    """Table 2's diagonal f2(d, d), d < m_p, of each pair, from the plain pass
+    or, ``_on_arrays``, the array pass, with the same bits: the one entry to
+    a pass in either direction (``vectors`` as in ``_antidiagonals``).  A
+    forward pass's last entry is its corner, m_p^2 times the overlap."""
+    if _on_arrays(a.levels for a, _ in pairs):
+        return _array_diagonals(pairs, vectors)
+    return [_plain_diagonal(a, b, vectors) for a, b in pairs]
 
 
 def _overlap(m: int, corner: float) -> float:
@@ -431,7 +427,7 @@ def _adjoint_vectors(arm: DecayLadder, shift: int) -> dict[str, list[float]]:
     return adjoint
 
 
-def _reverse_pass(a: DecayLadder, b: DecayLadder):
+def _reverse_pass(a: DecayLadder, b: DecayLadder) -> list[float]:
     """The adjoint of the forward pass: for every d = 0..m-1, the corner
     of the recurrence of the two arms' sub-lattice from (d, d).
 
@@ -443,19 +439,12 @@ def _reverse_pass(a: DecayLadder, b: DecayLadder):
     I(m-d) for a nested family.  The kernel runs the adjoint on the
     reversed lattice (``_adjoint_vectors``), where table 2 at node
     (d', d'), d' = m-1-d, holds l0(d, d) times the forward c0(d, d), which
-    is rates_a[d'] + rates_b[d'] at the pair's scale.  Returns l0(d, d),
-    indexed by d.
+    is rates_a[d'] + rates_b[d'] at the pair's scale.  Returns l0(d, d) by d.
     """
-    import numpy as np
-
-    m, shift = a.levels, _rate_shift(a, b)
-    corners = np.empty(m)
-    for k, (lo, _, _, f2) in enumerate(_antidiagonals([(a, b)], _adjoint_vectors)):
-        if k % 2 == 0:
-            d = k // 2
-            c0 = math.ldexp(a.rates[d], shift) + math.ldexp(b.rates[d], shift)
-            corners[m - 1 - d] = f2[d - lo, 0] / c0
-    return corners
+    shift = _rate_shift(a, b)
+    diagonal = _diagonals([(a, b)], _adjoint_vectors)[0]
+    return [f / (math.ldexp(rate_a, shift) + math.ldexp(rate_b, shift))
+            for f, rate_a, rate_b in zip(diagonal, a.rates, b.rates)][::-1]
 
 
 def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
@@ -470,7 +459,7 @@ def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
                          "exact delayed value or the budget bound")
     a, b = config.ladder_a, config.ladder_b
     return ExchangeIntegral(
-        value=_overlap(a.levels, _corners([(a, b)])[0]),
+        value=_overlap(a.levels, _diagonals([(a, b)])[0][-1]),
         total_photons=config.total_photons,
         method="recurrence",
         exchanged_count=1,
@@ -535,7 +524,7 @@ def _nested_sweep(family: LadderFamily, n_values: list[int]) -> list[dict]:
         corners = _reverse_pass(arm, arm)
     except Exception as exc:  # no point has an overlap: every row says why
         return [_sweep_row(n, _failure(exc)) for n in n_values]
-    return [_sweep_row(n, float(corners[arm.levels - n // 2])) for n in n_values]
+    return [_sweep_row(n, corners[arm.levels - n // 2]) for n in n_values]
 
 
 def _dicke_groups(ms) -> list[list[int]]:
@@ -563,7 +552,8 @@ def _dicke_group(family: LadderFamily, ms: list[int]) -> list[float | str]:
         except Exception as exc:
             outcomes[m] = _failure(exc)
     try:
-        outcomes.update(zip(arms, _corners([(arm, arm) for arm in arms.values()])))
+        diagonals = _diagonals([(arm, arm) for arm in arms.values()])
+        outcomes.update(zip(arms, (diagonal[-1] for diagonal in diagonals)))
     except Exception as exc:
         outcomes.update(dict.fromkeys(arms, _failure(exc)))
     return [outcomes[m] for m in ms]
@@ -638,7 +628,7 @@ def _dicke_sweep(family: LadderFamily, n_values: list[int], jobs: int | None) ->
     workers = _worker_count(jobs, len(groups)) if hasattr(os, "fork") else 1
     found = [None] * len(groups)
     if workers > 1:
-        if any(sum(m * m for m in ms) > _PLAIN_CELLS for ms in groups):
+        if any(_on_arrays(ms) for ms in groups):
             import numpy  # noqa: F401  (imported once, here, not in every child)
 
         found = _fork_map(partial(_dicke_group, family), groups, workers)

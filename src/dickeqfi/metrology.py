@@ -134,7 +134,10 @@ def qfi_lossy_lower_bound(p: float, pure_report: QfiReport) -> QfiReport:
     """Lower bound after preparing each arm with success probability p.
 
     The QFI is nonnegative and additive over orthogonal photon-number
-    sectors, so the pure-state value survives at least with weight p^2.
+    sectors, so the full-collection sector's value survives with weight
+    p^2.  That sector's state is the post-selected one (each arm given
+    that all its photons were collected), so ``pure_report`` must come
+    from that state's overlap, not from the lossless one.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")

@@ -756,6 +756,18 @@ def test_small_real_runs_load_no_numpy(argv):
                   "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["exchange", "--family", "harmonic", "--n", "4,8"],
+    # m = 64 at the top: one adjoint pass of _PLAIN_CELLS cells
+    ["exchange", "--family", "anharmonic", "--u-over-gamma", "10", "--n", "4..128"],
+], ids=["harmonic", "kerr"])
+def test_small_cavity_sweeps_load_no_numpy(argv):
+    # a cavity sweep's adjoint takes the plain pass as a forward pass does
+    assert _probe("from dickeqfi import cli\n" + _QUIET +
+                  f"    code = cli.main({argv + ['--no-header']!r})\n"
+                  "print(code)\n" + _NUMPY_LOADED) == ["0", "False"]
+
+
 def test_verify_loads_no_numpy():
     # the default families include three Kerr ones; their pairs of m <= 4
     # take the plain pass

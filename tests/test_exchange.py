@@ -2,12 +2,14 @@ import math
 import os
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dickeqfi.exchange as exchange_module
 from dickeqfi.exchange import (
     InvalidLadderError,
     LadderFamily,
@@ -15,13 +17,14 @@ from dickeqfi.exchange import (
     qfi_vs_n_sweep,
     _BATCH_CELLS,
     _PLAIN_CELLS,
+    _adjoint_vectors,
     _antidiagonals,
-    _array_corners,
-    _corners,
+    _array_diagonals,
+    _diagonals,
     _dicke_groups,
     _ladder_vectors,
     _overlap,
-    _plain_corner,
+    _plain_diagonal,
     _reverse_pass,
     _worker_count,
 )
@@ -41,10 +44,24 @@ def twin(ladder):
     return TwinConfiguration(ladder, ladder)
 
 
+def forward_corners(pairs):
+    """The corner f2(m_p - 1, m_p - 1) of each pair's pass: the last entry
+    of its diagonal."""
+    return [diagonal[-1] for diagonal in _diagonals(pairs)]
+
+
+def on_arrays(func, *args):
+    """``func(*args)`` with every pass it starts on the array backend,
+    whatever the pass's size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exchange_module, "_diagonals", _array_diagonals)
+        return func(*args)
+
+
 def _recurrence(a, b):
     """The one-pair pass of arms a and b: its corner, and the overlap that
     ``_overlap`` reads from it, as ``exchange_integral`` does."""
-    corner = _corners([(a, b)])[0]
+    corner = forward_corners([(a, b)])[0]
     return SimpleNamespace(corner=corner, value=_overlap(a.levels, corner))
 
 
@@ -436,15 +453,13 @@ class TestRecurrenceState:
             if p == column:
                 assert not math.isfinite(corners[p])
             else:
-                assert corners[p] == _corners([(a, b)])[0]
+                assert corners[p] == forward_corners([(a, b)])[0]
 
 
 def last_step_overflows(monkeypatch):
     """Give every arm of two or more rungs an infinite n0 on the step into
     its last row (its lowest rung), which every sub-lattice but the
     one-photon one reaches: an overflow without extreme rates."""
-    import dickeqfi.exchange as exchange_module
-
     def vectors(arm, shift):
         v = _ladder_vectors(arm, shift)
         if arm.levels > 1:
@@ -469,7 +484,7 @@ class TestReversePass:
         assert len(corners) == top
         # one batched forward pass: TestBatchedPass checks that each column
         # is bit-identical to its one-pair pass
-        forwards = _corners([(build(m), build(m)) for m in range(1, top + 1)])
+        forwards = forward_corners([(build(m), build(m)) for m in range(1, top + 1)])
         for m, forward in enumerate(forwards, start=1):
             assert abs(corners[top - m] - forward) <= 1e-13 * forward, m
 
@@ -531,7 +546,7 @@ class TestBatchedPass:
                 # the entries past the pair's table stay exactly zero
                 assert not table[m:].any() and not table[:, m:].any()
             assert batched[2].shape == (size, size)
-        assert _corners(batch) == [_recurrence(a, b).corner for a, b in batch]
+        assert forward_corners(batch) == [_recurrence(a, b).corner for a, b in batch]
 
     def test_a_nonfinite_column_flags_only_its_own_rows(self, monkeypatch):
         # a spread ladder overflows from two photons per arm on; one photon
@@ -571,19 +586,16 @@ class TestBatchedPass:
         assert rows == [point_row(family, n) for n in n_values]
 
     def test_a_failed_pass_flags_its_own_group(self, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         # photon numbers per arm 20 | 4, 2: the pass of the first group fails
         family = LadderFamily("dicke")
         expected = qfi_vs_n_sweep(family, [4, 8, 40])
-        corners = exchange_module._corners
 
         def fails_on_twenty(pairs):
             if pairs[0][0].levels == 20:
                 raise MemoryError("synthetic failure")
-            return corners(pairs)
+            return _diagonals(pairs)
 
-        monkeypatch.setattr(exchange_module, "_corners", fails_on_twenty)
+        monkeypatch.setattr(exchange_module, "_diagonals", fails_on_twenty)
         assert qfi_vs_n_sweep(family, [4, 8, 40]) == expected[:2] + [
             {"N": 40, "error": "MemoryError: synthetic failure"}]
 
@@ -640,8 +652,6 @@ class TestTableDtype:
                                             (build_anharmonic(6, 1.0, 1.0), 3)],
                              ids=["harmonic", "kerr"])
     def test_the_adjoint_pass_follows_the_same_rule(self, arm, planes, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         seen = set()
 
         def spy(pairs, vectors):
@@ -650,7 +660,7 @@ class TestTableDtype:
                 yield step
 
         monkeypatch.setattr(exchange_module, "_antidiagonals", spy)
-        _reverse_pass(arm, arm)
+        _array_diagonals([(arm, arm)], _adjoint_vectors)
         assert seen == {(np.dtype(np.float64), planes)}
 
 
@@ -692,7 +702,7 @@ class TestBitPins:
 
     def test_first_bench_grid_group(self):
         arms = [build_dicke(m, 1.0) for m in (980, 900, 820, 740)]
-        assert _corners([(arm, arm) for arm in arms]) == [
+        assert forward_corners([(arm, arm) for arm in arms]) == [
             float.fromhex(c) for c in ("0x1.8168f4d791bbep+19", "0x1.450a26c8f3185p+19",
                                        "0x1.0dcf22c9fe982p+19", "0x1.b76fc9cdfec31p+18")]
 
@@ -736,7 +746,7 @@ class TestPlainPass:
     @pytest.mark.parametrize("pair", PLAIN_PAIRS.values(), ids=PLAIN_PAIRS.keys())
     def test_corner_bits_match_the_array_pass(self, pair, m):
         a, b = pair(m)
-        assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
+        assert _plain_diagonal(a, b)[-1].hex() == _array_diagonals([(a, b)])[0][-1].hex()
 
     @given(
         rates=st.lists(st.lists(st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
@@ -747,7 +757,7 @@ class TestPlainPass:
     def test_random_real_ladders_match_the_array_pass(self, rates, m):
         a, b = (DecayLadder(levels=m, rates=tuple(r[:m]), frequencies=(0.0,) * m)
                 for r in rates)
-        assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
+        assert _plain_diagonal(a, b)[-1].hex() == _array_diagonals([(a, b)])[0][-1].hex()
 
     @given(
         rates=st.lists(st.lists(st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
@@ -761,15 +771,33 @@ class TestPlainPass:
     def test_random_complex_ladders_match_the_array_pass(self, rates, freqs, m):
         a, b = (DecayLadder(levels=m, rates=tuple(r[:m]), frequencies=tuple(w[:m]))
                 for r, w in zip(rates, freqs))
-        assert _plain_corner(a, b).hex() == _array_corners([(a, b)])[0].hex()
+        assert _plain_diagonal(a, b)[-1].hex() == _array_diagonals([(a, b)])[0][-1].hex()
+
+    @given(
+        rates=st.lists(st.lists(st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+                                min_size=20, max_size=20), min_size=2, max_size=2),
+        # level shifts up to 1e8, or past 1e154 where Smith's d overflows
+        freqs=st.lists(st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                          st.floats(-6.0, 8.0) | st.floats(150.0, 200.0))
+                                .map(lambda p: p[0] * 10.0**p[1]),
+                                min_size=20, max_size=20), min_size=2, max_size=2),
+        m=st.integers(1, 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_diagonals_match_the_array_pass_both_ways(self, rates, freqs, m):
+        a, b = (DecayLadder(levels=m, rates=tuple(r[:m]), frequencies=tuple(w[:m]))
+                for r, w in zip(rates, freqs))
+        for vectors in (None, _adjoint_vectors):
+            plain = _plain_diagonal(a, b, vectors)
+            array = _array_diagonals([(a, b)], vectors)[0]
+            assert [v.hex() for v in plain] == [v.hex() for v in array]
 
     def test_an_overflow_raises_the_same_error_on_both_paths(self):
         # both arms' lowest rungs are slow at the corner, whose c1 is their mean
         a, b = spread(build_dicke(6, 1.0)), spread(build_dicke(6, 1.3))
         for pair in ((a, a), (a, b), (b, a)):
-            corners = (_plain_corner(*pair), _array_corners([pair])[0])
             messages = []
-            for corner in corners:
+            for corner in (_plain_diagonal(*pair)[-1], _array_diagonals([pair])[0][-1]):
                 with pytest.raises(InvalidLadderError) as err:
                     _overlap(6, corner)
                 messages.append(str(err.value))
@@ -785,23 +813,27 @@ class TestPlainPass:
             exchange_integral(twin(arm))
 
     def test_the_dispatch_counts_cells_only(self, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         seen = []
-        monkeypatch.setattr(exchange_module, "_plain_corner",
-                            lambda a, b: seen.append("plain") or 1.0)
-        monkeypatch.setattr(exchange_module, "_array_corners",
-                            lambda pairs: seen.append("array") or [1.0] * len(pairs))
+        monkeypatch.setattr(exchange_module, "_plain_diagonal", lambda a, b, vectors=None:
+                            seen.append(("plain", vectors)) or [1.0] * a.levels)
+        monkeypatch.setattr(exchange_module, "_array_diagonals", lambda pairs, vectors=None:
+                            seen.append(("array", vectors)) or [[1.0] * a.levels
+                                                                for a, _ in pairs])
         dicke, kerr = build_dicke(EDGE, 1.0), build_anharmonic(EDGE, 1.0, 1.0)
-        _corners([(dicke, dicke)])
-        _corners([(build_dicke(EDGE + 1, 1.0),) * 2])
+        _diagonals([(dicke, dicke)])
+        _diagonals([(build_dicke(EDGE + 1, 1.0),) * 2])
         # _PLAIN_CELLS counts the cells of every pair of the pass
-        _corners([(dicke, dicke), (build_dicke(1, 1.0),) * 2])
+        _diagonals([(dicke, dicke), (build_dicke(1, 1.0),) * 2])
         # a Kerr pair takes the plain pass as a real one does, up to the limit
-        _corners([(kerr, kerr)])
-        _corners([(build_anharmonic(EDGE + 1, 1.0, 1.0),) * 2])
-        _corners([(kerr, kerr), (build_anharmonic(1, 1.0, 1.0),) * 2])
-        assert seen == ["plain", "array", "array", "plain", "array", "array"]
+        _diagonals([(kerr, kerr)])
+        _diagonals([(build_anharmonic(EDGE + 1, 1.0, 1.0),) * 2])
+        _diagonals([(kerr, kerr), (build_anharmonic(1, 1.0, 1.0),) * 2])
+        # and the adjoint as the forward pass does
+        _reverse_pass(kerr, kerr)
+        _reverse_pass(*(build_harmonic(EDGE + 1, 1.0),) * 2)
+        forward = ["plain", "array", "array", "plain", "array", "array"]
+        assert seen == ([(backend, None) for backend in forward]
+                        + [("plain", _adjoint_vectors), ("array", _adjoint_vectors)])
 
 
 class TestExtremeGamma:
@@ -812,13 +844,16 @@ class TestExtremeGamma:
         # rates k(m - k + 1) 4^k gamma are exact, and so is the scale
         scale = 4.0**k
         for m in (1, 5, 50, 100):  # plain passes, then an array pass
-            unit = _corners([(build_dicke(m, 1.0),) * 2])
-            assert _corners([(build_dicke(m, scale),) * 2]) == unit
-        harmonic = _reverse_pass(*(build_harmonic(60, 1.0),) * 2)
-        assert np.array_equal(_reverse_pass(*(build_harmonic(60, scale),) * 2), harmonic)
+            unit = forward_corners([(build_dicke(m, 1.0),) * 2])
+            assert forward_corners([(build_dicke(m, scale),) * 2]) == unit
+        # the adjoint at m = 60 on either backend
+        for reverse_pass in (_reverse_pass, partial(on_arrays, _reverse_pass)):
+            harmonic = reverse_pass(*(build_harmonic(60, 1.0),) * 2)
+            assert np.array_equal(reverse_pass(*(build_harmonic(60, scale),) * 2), harmonic)
         if k > -500:  # the Kerr frequencies k(k - 1) u stay exact
             kerr = [(build_anharmonic(40, 1.0, 3.0),) * 2]
-            assert _corners([(build_anharmonic(40, scale, 3.0 * scale),) * 2]) == _corners(kerr)
+            scaled = [(build_anharmonic(40, scale, 3.0 * scale),) * 2]
+            assert forward_corners(scaled) == forward_corners(kerr)
 
     @pytest.mark.parametrize("gamma", [1e-320, 1e-300, 1e-200, 1e200, 1e300])
     @pytest.mark.parametrize("m", [10, 100])
@@ -862,11 +897,11 @@ class TestSmithOverflow:
         # y^2 / x passes the float range from u / gamma ~ 1e154 on
         arm = build_anharmonic(3, 1.0, u)
         expected = oracle_integral(arm, arm, l=1).value
-        values = (_plain_corner(arm, arm) / 9, _array_corners([(arm, arm)])[0] / 9,
-                  _reverse_pass(arm, arm)[0] / 9)
+        values = (_plain_diagonal(arm, arm)[-1] / 9, _array_diagonals([(arm, arm)])[0][-1] / 9,
+                  _reverse_pass(arm, arm)[0] / 9, on_arrays(_reverse_pass, arm, arm)[0] / 9)
         for value in values:
             assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
-        assert values[0] == values[1]
+        assert values[0] == values[1] and values[2] == values[3]
 
     @pytest.mark.parametrize("shift", [1e3, 1e10, 1e200])
     def test_a_vanishing_accumulator_keeps_the_pass_finite(self, shift):
@@ -875,11 +910,11 @@ class TestSmithOverflow:
         a = DecayLadder(levels=2, rates=(1e-300, 1.0), frequencies=(0.0, 0.0))
         b = DecayLadder(levels=2, rates=(1e-300, 1.0), frequencies=(shift, shift))
         expected = oracle_integral(a, b, l=1).value
-        values = (_plain_corner(a, b) / 4, _array_corners([(a, b)])[0] / 4,
-                  _reverse_pass(a, b)[0] / 4)
+        values = (_plain_diagonal(a, b)[-1] / 4, _array_diagonals([(a, b)])[0][-1] / 4,
+                  _reverse_pass(a, b)[0] / 4, on_arrays(_reverse_pass, a, b)[0] / 4)
         for value in values:
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0)
-        assert values[0] == values[1]
+        assert values[0] == values[1] and values[2] == values[3]
 
 
 class TestTrustAtScale:
@@ -894,6 +929,21 @@ class TestTrustAtScale:
         exact = longdouble_corner(kerr)
         assert abs(_recurrence(kerr, kerr).corner - exact) <= 1e-13 * abs(exact)
         assert abs(_reverse_pass(kerr, kerr)[0] - exact) <= 1e-13 * abs(exact)
+
+
+class TestHeisenbergConstant:
+    """Dicke twins approach I = pi^2 / 12, so F_Q -> (pi^2 / 24) N^2."""
+
+    def test_the_dicke_limit_is_pi_squared_over_twelve(self):
+        ms = (1000, 2000, 4000)
+        values = [exchange_integral(twin(build_dicke(m, 1.0))).value for m in ms]
+        # the three-point fit of I = I_inf + (a ln m + b) / m
+        limit = np.linalg.solve([[1.0, math.log(m) / m, 1.0 / m] for m in ms], values)[0]
+        assert abs(limit - math.pi**2 / 12) <= 1e-6
+        # m (pi^2 / 12 - I) is -(a ln m + b), which rises by -a ln 2 per doubling
+        gaps = [m * (math.pi**2 / 12 - value) for m, value in zip(ms, values)]
+        for low, high in zip(gaps, gaps[1:]):
+            assert 0.120 <= high - low <= 0.125
 
 
 class TestErrors:
@@ -1063,13 +1113,11 @@ class TestSweep:
         assert first == second
 
     def test_per_point_errors_flag_rows(self, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         def boom(pairs):
             raise RuntimeError("synthetic failure")
 
         # the group's pass fails, and flags each of its points
-        monkeypatch.setattr(exchange_module, "_corners", boom)
+        monkeypatch.setattr(exchange_module, "_diagonals", boom)
         rows = exchange_module.qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8])
         assert rows == [{"N": n, "error": "RuntimeError: synthetic failure"} for n in (4, 8)]
 
@@ -1105,8 +1153,6 @@ class TestSweep:
         assert qfi_vs_n_sweep(LadderFamily("dicke"), [4, 8], jobs=2)
 
     def test_nested_overshoot_flags_its_row_only(self, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         # diagonal entry d holds (2 - d)^2 I; the two-photon arm's reads high
         monkeypatch.setattr(exchange_module, "_reverse_pass",
                             lambda a, b: np.array([4.0 * (1.0 + 1e-9), 1.0]))
@@ -1127,8 +1173,6 @@ class TestSweep:
             assert row["error"] == "InvalidLadderError: recurrence produced nonfinite entries"
 
     def test_failed_pass_flags_every_row(self, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         def boom(a, b):
             raise InvalidLadderError("synthetic failure")
 
@@ -1186,8 +1230,6 @@ class TestForkPool:
     N_VALUES = [4, 40, 8, 80]
 
     def test_a_killed_child_reruns_its_points(self, forks, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         family = LadderFamily("dicke")
         serial = qfi_vs_n_sweep(family, self.N_VALUES, jobs=1)
         parent, group = os.getpid(), exchange_module._dicke_group
@@ -1207,8 +1249,6 @@ class TestForkPool:
         assert_no_children()
 
     def test_a_failed_group_in_a_child_reruns_its_points(self, forks, monkeypatch):
-        import dickeqfi.exchange as exchange_module
-
         spread_arms(monkeypatch)
         family = LadderFamily("dicke")
         serial = qfi_vs_n_sweep(family, [2, 4, 40], jobs=1)
