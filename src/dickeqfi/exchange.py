@@ -61,13 +61,12 @@ its own rows only.
 
 Every pass, forward or adjoint, is read through ``_diagonals`` as table
 2's diagonal f2(d, d): a forward pass's last entry is its corner, and the
-adjoint's entries are the sub-lattice corners.  A pass of at most
-``_PLAIN_CELLS`` cells in all runs in Python floats (``_plain_diagonal``),
-each cell with the array pass's float operations in their order, so both
-give the same bits and only the array pass imports numpy.  Both carry a
-complex (Kerr) entry as its real and imaginary parts, with every complex
-operation spelt out in float operations (see ``_antidiagonals``), so no
-bit depends on the SIMD loops that numpy picks on the host.
+adjoint's entries are the sub-lattice corners.  One cell rule, written
+once (``_real_cell``, and ``_complex_cell`` for Kerr pairs, whose complex
+operations it spells out in real ones), fills a cell in Python floats or a
+whole antidiagonal in arrays with the same bits, so a pass of at most
+``_PLAIN_CELLS`` cells in all runs in floats (``_plain_diagonal``) and
+only the array pass imports numpy.
 
 Both passes build a pair's coefficient vectors at one scale: each rate and
 frequency of its two arms is multiplied by the power of four that brings
@@ -98,8 +97,8 @@ _OVERSHOOT_TOL = 1e-12
 _BATCH_CELLS = 4096
 
 # Most cells (m^2 summed over its pairs) in a pass in Python floats.  With
-# numpy loaded, a Kerr pair at m = 64 takes about 3.3 ms plain against 5 ms on
-# arrays (they meet near m = 90), a real pair 3.3 ms either way; a pass within
+# numpy loaded, one pair at m = 64 (real or Kerr) takes about 0.7 times its
+# array time plain, four real pairs at m = 32 about 1.2 times; a pass within
 # the limit needs no numpy import, which costs about 0.1 s.
 _PLAIN_CELLS = 4096
 
@@ -153,6 +152,61 @@ def _ladder_vectors(arm: DecayLadder, shift: int) -> dict[str, list[float]]:
     }
 
 
+def _real_cell(c0, r1, c2, s, na, nb, up, left):
+    """Entry (i, j) of the three tables: the cell rule of both passes, on
+    Python floats for one cell or on antidiagonal slices (a column per
+    pair) for a whole antidiagonal, whose elementwise operators round each
+    IEEE operation as floats do, so both passes give the same bits.
+
+    c0, c2 and r1 = 1 / c1 are the entry's accumulators, s its cross
+    numerator (see ``_ladder_vectors``), and na and nb the numerators
+    (n0, n1, n2) of its steps down arm a (row i) and arm b (column j).
+    ``up`` and ``left``, the neighbours (i - 1, j) and (i, j - 1), hold the
+    state that this returns: (c0, 1 / c1, c2, f0, f1, f2).  Each table sums
+    n f / c over the two neighbours (n1 f1 / c1 for table 1); f1 adds
+    (s / c0) f0, and f2 adds 2 s Re(f1 / c1), the coupled contribution of
+    the two swapped-time branches, which are complex conjugates.
+    """
+    (na0, na1, na2), (nb0, nb1, nb2) = na, nb
+    (u0, u1, u2, q0, q1, q2), (l0, l1, l2, p0, p1, p2) = up, left
+    f0 = na0 / u0 * q0 + nb0 / l0 * p0
+    f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1
+    f2 = 2.0 * s * (f1 * r1) + na2 / u2 * q2 + nb2 / l2 * p2
+    return c0, r1, c2, f0, f1, f2
+
+
+def _complex_cell(c0, r, c2, s, na, nb, up, left):
+    """``_real_cell`` for a complex table 1 (a Kerr pair), with r = 1 / c1 as
+    (Re, Im) and the state (c0, Re 1 / c1, c2, f0, Re f1, Im f1,
+    Im(1 / c1) Im f1, Im(f1 / c1), f2), whose last two the two successors read.
+
+    Complex operations are spelt out in float ones, so IEEE operations
+    alone set each bit: numpy's complex loops may fuse a multiply and an
+    add, which floats cannot repeat, and their bits depend on the host's
+    SIMD path.  Re f1 keeps the real rule's (n1 Re a1) Re p1 of each
+    neighbour's a1 = 1 / c1 and p1 = f1, less its n1 Im a1 Im p1; Im f1
+    sums their n1 Im(a1 p1).  Zero imaginary parts add terms of 0, so a
+    real column of a complex batch keeps its real pass's bits.
+    """
+    (r1, ri), (na0, na1, na2), (nb0, nb1, nb2) = r, na, nb
+    (u0, u1, u2, q0, q1, _, qh, qg, q2), (l0, l1, l2, p0, p1, _, ph, pg, p2) = up, left
+    f0 = na0 / u0 * q0 + nb0 / l0 * p0
+    f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1 - (na1 * qh + nb1 * ph)
+    fi = na1 * qg + nb1 * pg
+    h = fi * ri
+    f2 = 2.0 * s * (f1 * r1 - h) + na2 / u2 * q2 + nb2 / l2 * p2
+    return c0, r1, c2, f0, f1, fi, h, f1 * ri + fi * r1, f2
+
+
+def _smith(x, y):
+    """1 / (x - iy) as (Re, Im) in Smith's form (1 / d, t / d), t = y / x and
+    d = x + y t, so 1 / x exactly at y = 0.  Where d overflows, Re reads 0 and
+    both passes take Smith's other branch: x and y swapped, parts reversed."""
+    t = y / x
+    d = x + y * t
+    return 1.0 / d, t / d
+
+
 def _antidiagonals(pairs, vectors=None):
     """Fill the three tables of every pair of arms in one pass, yielding
     ``(lo, f0, f1, f2)`` per antidiagonal.
@@ -162,45 +216,21 @@ def _antidiagonals(pairs, vectors=None):
     arm b's, and the two arms have the same photon number m_p.  With M the
     largest m_p, antidiagonal k holds the entries (i, k - i) for
     i = lo..lo + len - 1 of the M x M lattice, whose top-left m_p x m_p
-    block is pair p's tables.  Each table's previous antidiagonal sits in
-    an (M + 1, P) buffer with entry i in row i + 1, so the neighbours
-    (i - 1, j) and (i, j - 1) are the contiguous row blocks [lo:hi + 1]
-    and [lo + 1:hi + 2], and the missing neighbours on the lattice's edges
-    read a zero pad.  The j-indexed coefficients are row blocks of arm b's
-    vectors stored reversed.  The yielded arrays are views into buffers
-    that the next steps overwrite.
+    block is pair p's tables.  The cell state (see ``_real_cell``) of the
+    previous antidiagonal sits in a (pieces, M + 1, P) buffer with entry i
+    in row i + 1, so the neighbours (i - 1, j) and (i, j - 1) are the
+    contiguous row blocks [lo:hi + 1] and [lo + 1:hi + 2], and the missing
+    neighbours on the lattice's edges read a pad: f = 0, accumulators 1.
+    Arm b's coefficients are stored reversed, so its rows are blocks too.
+    The yielded arrays are views into buffers that the next steps
+    overwrite; a complex batch's f1 is its (2, len, P) planes Re and Im.
 
     ``vectors`` maps an arm and its pair's ``_rate_shift`` to its
     coefficient vectors: ``_adjoint_vectors`` for the adjoint, else
     ``_ladder_vectors``, looked up per call.  On antidiagonal 0, once c1 is
     formed, a zero c0 reads as 1: the adjoint seeds at the forward corner,
-    where c2 = 0, and its seed enters table 1 undivided.  A forward pass
-    has c0(0, 0) > 0, so this leaves it as is.
-
-    Table 1 is complex only if some arm has a level frequency.  Its
-    accumulator buffer holds the reciprocal 1 / c1, so each use of it is a
-    multiply; a real batch runs in float64 throughout.  A complex batch
-    spells every complex operation out in float64 ufuncs on real and
-    imaginary parts, so IEEE float operations alone set each entry's bits
-    and ``_plain_diagonal`` can repeat them: numpy's complex loops may fuse a
-    multiply and an add, which Python floats cannot repeat, and their bits
-    depend on the SIMD path numpy picks on the host.  With c1 = x - iy,
-    the reciprocal is Smith's (1 / d, t / d), t = y / x and d = x + y t,
-    which is exactly the real pass's 1 / x when y = 0.  Where d overflows
-    (y^2 / x past the float range) the cell takes Smith's other branch,
-    t = x / y and d = y + x t, giving (t / d, 1 / d), so no overflow drops
-    a term silently; a pass whose frequencies cannot reach that far skips
-    the check.  With a1 and p1 a neighbour's 1 / c1 and f1, table 1's
-    update keeps the real pass's products (n1 Re a1) Re p1 and subtracts
-    n1 Im a1 Im p1 for each neighbour; its imaginary part sums
-    n1 Im(a1 p1).  With zero imaginary parts every added term is 0, so a
-    real column of a complex batch keeps its real pass's bits.
-
-    Table 1's buffers have a leading plane axis.  Plane 0 holds Re f1, which
-    both kinds of batch write with one sum, and is a real batch's only one.
-    A complex batch adds Im f1, Im(1 / c1) Im f1 and Im(f1 / c1) in planes
-    1 to 3, the last two read by the entry's two successors, so each is
-    formed once; it yields f1 as its (2, len, P) planes 0 and 1.
+    where c2 = 0, and its seed enters table 1 undivided (a forward c0 is
+    positive).  Table 1 is complex only if some arm has a level frequency.
     """
     import numpy as np
 
@@ -209,109 +239,66 @@ def _antidiagonals(pairs, vectors=None):
     # Coefficient rows outside a pair's arm are pads: with sq = 0 and zero
     # numerators, every entry past the pair's table stays exactly 0.
     pads = {"gr0": 1.0, "gr2": 1.0, "dw": 0.0, "sq": 0.0, "n0": 0.0, "n1": 0.0, "n2": 0.0}
-    vec = {name: np.full((size, width), pad) for name, pad in pads.items()}
-    rev = {name: np.full((size, width), pad) for name, pad in pads.items()}
+    column = np.array([*pads.values()])[:, None, None]
+    vec, rev = (np.broadcast_to(column, (len(pads), size, width)).copy() for _ in "ab")
     corners = {}  # the pairs whose corner (m_p - 1, m_p - 1) is on antidiagonal k, by k
     for p, (a, _) in enumerate(pairs):
         corners.setdefault(2 * a.levels - 2, []).append(p)
     with np.errstate(all="ignore"):
         for p, (a, b) in enumerate(pairs):
             m, shift = a.levels, _rate_shift(a, b)
-            for name, v in vectors(a, shift).items():
-                vec[name][:m, p] = v
-            for name, v in vectors(b, shift).items():
-                rev[name][size - m:, p] = v[::-1]
+            va, vb = vectors(a, shift), vectors(b, shift)
+            for row, name in enumerate(pads):
+                vec[row, :m, p] = va[name]
+                rev[row, size - m:, p] = vb[name][::-1]
+        (gr0_a, gr2_a, dw_a, sq_a), n_a = vec[:4], vec[4:]
+        (gr0_b, gr2_b, dw_b, sq_b), n_b = rev[:4], rev[4:]
         # Table 1 is real when no arm has a level frequency, so every dw is 0.
-        reach = 2.0 * max(np.abs(v["dw"]).max() for v in (vec, rev))
+        reach = 2.0 * max(np.abs(dw_a).max(), np.abs(dw_b).max())
         real = not reach
-        if not real:
-            # Smith's d = x + y (y / x) overflows only where y^2 / x leaves the
-            # float range.  x is at least half the least gr0 + gr2, and |y| at
-            # most twice the largest |dw|, so most passes need no check.
-            least = min((v["gr0"] + v["gr2"]).min() for v in (vec, rev)) / 2.0
-            may_overflow = not reach / least * reach < 2.0**1000
-        # Accumulators of the previous antidiagonal, with pads of 1: a pad
-        # neighbour then adds numerator / 1 * 0 = 0.  The base entry
-        # f0(0, 0) = 1 enters as the up neighbour of (0, 0) on antidiagonal
-        # -1, whose numerator n0[0] and accumulator pad are both 1.  Buffer
-        # 1 holds reciprocals (their real parts, in a complex batch), and its
-        # pads read 1 / 1 = 1 as well.
-        shape = (size + 1, width)
-        planes = (1 if real else 4, *shape)  # table 1's: see the docstring
-        c_prev = [np.ones(shape) for _ in range(3)]
-        c_next = [np.ones(shape) for _ in range(3)]
-        f_prev = [np.zeros(shape), np.zeros(planes), np.zeros(shape)]
-        f_next = [np.zeros(shape), np.zeros(planes), np.zeros(shape)]
-        f_prev[0][0] = 1.0
-        # arm a's coefficient columns (row i) and arm b's reversed ones (j)
-        gr0_a, gr2_a, dw_a, sq_a, n0_a, n1_a, n2_a = (vec[name] for name in pads)
-        gr0_b, gr2_b, dw_b, sq_b, n0_b, n1_b, n2_b = (rev[name] for name in pads)
+        cell = _real_cell if real else _complex_cell
+        # Smith's d = x + y (y / x) overflows only where y^2 / x leaves the
+        # float range.  x is at least half the least gr0 + gr2, and |y| at
+        # most twice the largest |dw|, so most passes need no check.
+        least = min((gr0_a + gr2_a).min(), (gr0_b + gr2_b).min()) / 2.0
+        may_overflow = not reach / least * reach < 2.0**1000
+        # The cell state of the previous antidiagonal, then of this one: pads
+        # of 1 for the accumulators and 0 for the rest, but for the base entry
+        # f0(0, 0) = 1, the up neighbour of (0, 0) on antidiagonal -1, whose
+        # numerator n0[0] and accumulator pad are both 1.
+        both = [np.zeros((6 if real else 9, size + 1, width)) for _ in "ab"]
+        both[0][:3] = both[1][:3] = 1.0
+        both[0][3, 0] = 1.0
         for k in range(2 * size - 1):
+            prev, state = both
             lo, hi = max(0, k - size + 1), min(size - 1, k)
             # i-indexed coefficients and up neighbours share one slice
             i = up = slice(lo, hi + 1)
             j, left = slice(size - 1 - k + lo, size - k + hi), slice(lo + 1, hi + 2)
-            (a0, a1, a2), (b0, b1, b2) = c_prev, c_next
-            (p0, p1, p2), (q0, q1, q2) = f_prev, f_next
-            c0 = np.add(gr0_a[i], gr0_b[j], out=b0[left])
-            c2 = np.add(gr2_a[i], gr2_b[j], out=b2[left])
-            x = (c0 + c2) / 2.0  # c1 = x - iy, y = dw_b[j] - dw_a[i]
+            # the accumulators go straight into the state, the table entries by copy
+            c0 = np.add(gr0_a[i], gr0_b[j], out=state[0, left])
+            c2 = np.add(gr2_a[i], gr2_b[j], out=state[2, left])
+            x = (c0 + c2) / 2.0
             if k == 0:
                 c0[c0 == 0.0] = 1.0  # an adjoint seed: see the docstring
-            s = sq_a[i] * sq_b[j]
-            f0 = np.add(n0_a[i] / a0[up] * p0[up], n0_b[j] / a0[left] * p0[left], out=q0[left])
-            # buffer 1 holds 1 / c1, so a1 is the previous reciprocal
-            r1 = b1[left]
             if real:
-                np.divide(1.0, x, out=r1)
+                r = np.divide(1.0, x, out=state[1, left])
             else:
-                # 1 / c1 in Smith's form: see the docstring
                 y = dw_b[j] - dw_a[i]
-                t = y / x
-                d = x + y * t
-                np.divide(1.0, d, out=r1)
-                ri = t / d
-                if may_overflow and not r1.all():
-                    _smith_overflow(x, y, r1, ri)
-            na, nb = n1_a[i], n1_b[j]
-            f1 = np.add(s / c0 * f0 + na * a1[up] * p1[0, up], nb * a1[left] * p1[0, left],
-                        out=q1[0, left])
-            if real:
-                coupled = f1 * r1
-            else:
-                # less each neighbour's n1 Im a1 Im p1, then Im f1 and the
-                # products Im r1 Im f1 and Im(r1 f1) that its successors read
-                np.subtract(f1, na * p1[2, up] + nb * p1[2, left], out=f1)
-                fi = np.add(na * p1[3, up], nb * p1[3, left], out=q1[1, left])
-                h = np.multiply(fi, ri, out=q1[2, left])
-                np.add(f1 * ri, fi * r1, out=q1[3, left])
-                coupled = f1 * r1 - h
-                f1 = q1[:2, left]
-            # the two swapped-time branches are complex conjugates, so their
-            # coupled contribution is twice the real part of f1 / c1
-            f2 = np.add(
-                2.0 * s * coupled + n2_a[i] / a2[up] * p2[up],
-                n2_b[j] / a2[left] * p2[left],
-                out=q2[left],
-            )
+                r = _smith(x, y)
+                if may_overflow and not r[0].all():
+                    over = r[0] == 0.0
+                    r[1][over], r[0][over] = _smith(y[over], x[over])
+                state[1, left] = r[0]
+            state[3:, left] = cell(c0, r, c2, sq_a[i] * sq_b[j], n_a[:, i], n_b[:, j],
+                                   prev[:, up], prev[:, left])[3:]
             # a corner has no successor in its own table; past it, c2 = 1
             # keeps the pair's pad entries at 0 / 1 * 0 instead of 0 / 0
             for p in corners.get(k, ()):
-                b2[k // 2 + 1, p] = 1.0
-            yield lo, f0, f1, f2
-            p0[0] = 0.0  # the base entry is read on antidiagonal 0 only
-            c_prev, c_next = c_next, c_prev
-            f_prev, f_next = f_next, f_prev
-
-
-def _smith_overflow(x, y, rr, ri) -> None:
-    """Redo, in Smith's other branch, the cells of 1 / (x - iy) = rr + i ri
-    whose d = x + y (y / x) overflowed (see ``_antidiagonals``)."""
-    over = rr == 0.0
-    x, y = x[over], y[over]
-    t = x / y
-    d = y + x * t
-    rr[over], ri[over] = t / d, 1.0 / d
+                state[2, k // 2 + 1, p] = 1.0
+            yield lo, state[3, left], state[4, left] if real else state[4:6, left], state[-1, left]
+            prev[3, 0] = 0.0  # the base entry is read on antidiagonal 0 only
+            both.reverse()
 
 
 def _array_diagonals(pairs, vectors=None) -> list[list[float]]:
@@ -324,55 +311,33 @@ def _array_diagonals(pairs, vectors=None) -> list[list[float]]:
 
 def _plain_diagonal(a: DecayLadder, b: DecayLadder, vectors=None) -> list[float]:
     """Table 2's diagonal f2(d, d), d < m, of one pair from a pass in Python
-    floats, with ``_antidiagonals``' ``vectors``.
-
-    Each cell repeats that pass's float operations in their order, so every
-    entry has its bits: an entry depends only on its neighbours, so filling
-    row by row instead of by antidiagonals changes no value.  A cell keeps
-    what its successors read: c0, Re(1 / c1) and c2, then f0, Re f1,
-    Im(1 / c1) Im f1, Im(f1 / c1) and f2; a real pair carries zero
-    imaginary parts, which leave its real operations as they are.  The row
-    above (i = -1) and the column left of j = 0 are the edge, read as f = 0
-    with accumulators 1, and the base f0 = 1 enters as the up neighbour of
-    (0, 0).  A zero c0 (an adjoint's seed) reads as 1 once c1 is formed.  A
-    float overflows to inf or nan without raising, and no other divisor is
-    zero: every accumulator but the forward corner's c2, which divides
-    nothing, is a sum of positive rates, and Smith's d is at least x or |y|.
+    floats, row by row, with ``_antidiagonals``' ``vectors``, edge, seed and
+    cell rule: an entry depends only on its neighbours, so it has that
+    pass's bits.  A float overflows to inf or nan without raising, and no
+    other divisor is zero: every accumulator but the forward corner's c2,
+    which divides nothing, is a sum of positive rates, and Smith's d is at
+    least x or |y|.
     """
     m, shift = a.levels, _rate_shift(a, b)
     vectors = vectors or _ladder_vectors
     va, vb = vectors(a, shift), vectors(b, shift)
-    names = ("gr0", "gr2", "dw", "sq", "n0", "n1", "n2")
-    rows, cols = zip(*(va[name] for name in names)), list(zip(*(vb[name] for name in names)))
-    # per cell of the row above, as the docstring lists them
-    edge = (1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    above = [(1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)] + [edge] * (m - 1)
+    real = not any(va["dw"]) and not any(vb["dw"])
+    cell = _real_cell if real else _complex_cell
+    rows, cols = (list(zip(v["gr0"], v["gr2"], v["dw"], v["sq"], zip(v["n0"], v["n1"], v["n2"])))
+                  for v in (va, vb))
+    edge = (1.0, 1.0, 1.0, *(0.0,) * (3 if real else 6))  # f = 0, accumulators 1
+    above = [(1.0, 1.0, 1.0, 1.0, *edge[4:])] + [edge] * (m - 1)
     diagonal = []
-    for i, (ga0, ga2, wa, sa, na0, na1, na2) in enumerate(rows):
-        row = []
-        l0, l1, l2, p0, p1, ph, pg, p2 = edge
-        for (u0, u1, u2, q0, q1, qh, qg, q2), (gb0, gb2, wb, sb, nb0, nb1, nb2) in zip(above, cols):
-            c0 = ga0 + gb0
-            c2 = ga2 + gb2
+    for i, (ga0, ga2, wa, sa, na) in enumerate(rows):
+        row, left = [], edge
+        for up, (gb0, gb2, wb, sb, nb) in zip(above, cols):
+            c0, c2 = ga0 + gb0, ga2 + gb2
             x = (c0 + c2) / 2.0
-            c0 = c0 or 1.0
-            y = wb - wa
-            t = y / x
-            d = x + y * t
-            r1, ri = 1.0 / d, t / d
-            if r1 == 0.0:  # d overflowed: Smith's other branch
-                t = x / y
-                d = y + x * t
-                r1, ri = t / d, 1.0 / d
-            s = sa * sb
-            f0 = na0 / u0 * q0 + nb0 / l0 * p0
-            f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1 - (na1 * qh + nb1 * ph)
-            fi = na1 * qg + nb1 * pg
-            h = fi * ri
-            g = f1 * ri + fi * r1
-            f2 = 2.0 * s * (f1 * r1 - h) + na2 / u2 * q2 + nb2 / l2 * p2
-            l0, l1, l2, p0, p1, ph, pg, p2 = cell = (c0, r1, c2, f0, f1, h, g, f2)
-            row.append(cell)
+            r = 1.0 / x if real else _smith(x, wb - wa)
+            if not real and r[0] == 0.0:  # d overflowed: Smith's other branch
+                r = _smith(wb - wa, x)[::-1]
+            left = cell(c0 or 1.0, r, c2, sa * sb, na, nb, up, left)  # c0 = 0: a seed
+            row.append(left)
         diagonal.append(row[i][-1])
         above = row
     return diagonal

@@ -163,11 +163,13 @@ def _check_integrals(m: int, integrals) -> tuple[float, ...]:
 def parity_expectation(m: int, integrals, phi: float) -> float:
     """Expectation of photon-number parity in one output port.
 
-    ``integrals`` holds the exchange overlaps with 0..m swapped pairs
-    (all ones for a single-mode input).  The value is a binomial-weighted
-    trigonometric polynomial within [-1, 1], whose alternating terms reach
-    2^m / m near phi = pi/4: an ArithmeticError reports a sum that cancels
-    past its rounding bound.
+    ``integrals`` holds the exchange overlaps with 0..m swapped pairs.  The
+    value is a binomial-weighted trigonometric polynomial within [-1, 1],
+    whose alternating terms reach 2^m / m near phi = pi/4: an
+    ArithmeticError reports a sum that cancels past its rounding bound,
+    unless the overlaps are all one (a single-mode input).  That fringe is
+    the Legendre polynomial P_m(cos 2 phi), which Bonnet's recurrence then
+    gives without cancelling.
     """
     vals = _check_integrals(m, integrals)
     s2 = math.sin(phi) ** 2
@@ -185,6 +187,11 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
     # (7m + 8) u size to first order, and higher orders add (7m + 8) u of that.
     bound = (7 * m + 8) * 2.0**-53 * size
     if bound > 1e-9:
+        if all(val == 1.0 for val in vals):  # Bonnet's recurrence for P_m(cos 2 phi)
+            x, low, high = c2 - s2, 0.0, 1.0
+            for n in range(m):
+                low, high = high, ((2 * n + 1) * x * high - n * low) / (n + 1)
+            return high
         raise ArithmeticError(f"parity expectation at m={m}, phi={phi!r} cancels too far: "
                               f"rounding bound {bound:.3g} exceeds 1e-9")
     return total

@@ -325,11 +325,18 @@ class TestParityCommand:
         assert "saturation=1" in err
 
     @pytest.mark.parametrize("extra", [[], ["--check-derivative"]], ids=["plain", "derivative"])
-    def test_a_fringe_past_the_rounding_bound_exits_numeric(self, capsys, extra):
-        code, out, err = run(capsys, "parity", "--single-mode", "--m", "60", "--no-header",
-                             *extra)
-        assert code == EXIT_NUMERIC and out == ""
-        assert err.startswith("numeric failure: parity expectation at m=60")
+    def test_a_long_single_mode_fringe_is_legendre(self, capsys, extra):
+        # its alternating sum cancels past the rounding bound from m = 19 on
+        from scipy.special import eval_legendre
+
+        code, out, _ = run(capsys, "parity", "--single-mode", "--m", "60", "--no-header",
+                           *extra)
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 181
+        for phi, value in rows:
+            expected = float(eval_legendre(60, math.cos(2.0 * float(phi))))
+            assert abs(float(value) - expected) <= 1e-12
 
     def test_oracle_guard_guides_user(self, capsys):
         code, _, err = run(capsys, "parity", "--family", "dicke", "--m", "6")

@@ -20,12 +20,15 @@ from dickeqfi.exchange import (
     _adjoint_vectors,
     _antidiagonals,
     _array_diagonals,
+    _complex_cell,
     _diagonals,
     _dicke_groups,
     _ladder_vectors,
     _overlap,
     _plain_diagonal,
+    _real_cell,
     _reverse_pass,
+    _smith,
     _worker_count,
 )
 from dickeqfi.ladder import (
@@ -791,6 +794,37 @@ class TestPlainPass:
             plain = _plain_diagonal(a, b, vectors)
             array = _array_diagonals([(a, b)], vectors)[0]
             assert [v.hex() for v in plain] == [v.hex() for v in array]
+
+    @given(data=st.data(), kerr=st.booleans(), width=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_one_cell_rule_on_floats_and_on_arrays(self, data, kerr, width):
+        # cells drawn one by one, then stacked into length-width arrays: the
+        # shared rule gives each cell's float bits in its array element
+        positive = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+        # level shifts past 1e154 overflow Smith's d
+        signed = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 8.0)
+                           | st.floats(150.0, 200.0)).map(lambda p: p[0] * 10.0**p[1])
+        pad = (1.0, 1.0, 1.0) + (0.0,) * (6 if kerr else 3)  # the lattice's edge
+        state = st.tuples(*[positive] * 3, *[positive | signed] * (len(pad) - 3))
+        neighbour = st.just(pad) | state
+        numerators = st.tuples(*[st.just(0.0) | positive] * 3)  # 0 on a pad row
+        cells = []
+        for _ in range(width):
+            c0, c2 = data.draw(st.just(0.0) | positive), data.draw(positive)  # c0 = 0: a seed
+            x, y = (c0 + c2) / 2.0, data.draw(signed)
+            if kerr:
+                r = _smith(x, y)
+                if r[0] == 0.0:  # d overflowed: Smith's other branch
+                    r = _smith(y, x)[::-1]
+            cells.append((c0 or 1.0, r if kerr else 1.0 / x, c2, data.draw(positive),
+                          data.draw(numerators), data.draw(numerators),
+                          data.draw(neighbour), data.draw(neighbour)))
+        cell = _complex_cell if kerr else _real_cell
+        floats = [cell(*args) for args in cells]
+        # tuples of pieces stack to one array per piece
+        arrays = cell(*(np.array(column).T for column in zip(*cells)))
+        for piece, values in zip(arrays, zip(*floats)):
+            assert [float(v).hex() for v in piece] == [v.hex() for v in values]
 
     def test_an_overflow_raises_the_same_error_on_both_paths(self):
         # both arms' lowest rungs are slow at the corner, whose c1 is their mean

@@ -237,9 +237,13 @@ class TestParity:
 
     @pytest.mark.parametrize("m", [30, 60, 200])
     def test_cancellation_past_the_bound_raises(self, m):
-        # at m = 60 the sum printed values from -4.95 to 5.86, at m = 200 -6.8e41
+        # at m = 60 the sum printed values from -4.95 to 5.86, at m = 200
+        # -6.8e41; overlaps below one keep the sum (all ones take Legendre's)
+        vals = [0.9] * (m + 1)
         with pytest.raises(ArithmeticError, match="rounding bound"):
-            parity_expectation(m, [1.0] * (m + 1), math.pi / 4)
+            parity_expectation(m, vals, math.pi / 4)
+        assert parity_expectation(m, [1.0] * (m + 1), math.pi / 4) == pytest.approx(
+            float(eval_legendre(m, 0.0)), rel=0.0, abs=1e-12)
         # near zero phase the terms fall off fast and the sum stays exact
         assert parity_expectation(m, [1.0] * (m + 1), 1e-3) == pytest.approx(
             float(eval_legendre(m, math.cos(2e-3))), rel=0.0, abs=1e-12)
