@@ -10,56 +10,36 @@ emission, and an error-budget layer turns platform parameters into
 feasibility verdicts.
 """
 
-import importlib
+from types import ModuleType as _ModuleType
 
-# Public names by the module that defines them.  Each module is imported
-# on first access to one of its names (PEP 562), so a caller of the
-# oracle never pays for importing the other modules.
-_EXPORTS = {
-    "ladder": (
-        "DecayLadder", "TwinConfiguration", "build_anharmonic", "build_dicke",
-        "build_harmonic",
-    ),
-    "oracle": (
-        "DelayCheck", "ExchangeIntegral", "OracleTooLargeError", "oracle_delay_check",
-        "oracle_integral", "oracle_integral_exact",
-    ),
-    "exchange": (
-        "InvalidLadderError", "LadderFamily", "SWEEP_COLUMNS",
-        "exchange_integral", "qfi_vs_n_sweep",
-    ),
-    "metrology": (
-        "ParityCurve", "QfiReport", "parity_curve", "parity_expectation",
-        "parity_phase_variance", "qfi_general", "qfi_lossy_lower_bound",
-        "qfi_mixed_number", "qfi_twin",
-    ),
-    "dickesim": (
-        "CollectionEstimate", "LossModel", "PopulationTrace", "SuperradianceTime",
-        "collection_loss_probability", "collection_probability_product",
-        "collective_rates", "dicke_collection_probability", "dicke_populations",
-        "superradiance_timescale",
-    ),
-    "budget": (
-        "BudgetEntry", "DelayCorrection", "ErrorBudget", "LossCorrection",
-        "PlatformParams", "PropagationCheck", "PulseErrorEstimate", "RetardationCheck",
-        "SPEED_OF_LIGHT", "delay_correction", "full_budget",
-        "interferometer_loss_correction", "mixed_rate_correction",
-        "propagation_length_check", "pulse_error", "retardation_check",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+from .ladder import (
+    DecayLadder, TwinConfiguration, build_anharmonic, build_dicke, build_harmonic,
+)
+from .oracle import (
+    DelayCheck, ExchangeIntegral, OracleTooLargeError, oracle_delay_check, oracle_integral,
+    oracle_integral_exact,
+)
+from .exchange import (
+    InvalidLadderError, LadderFamily, SWEEP_COLUMNS, exchange_integral, qfi_vs_n_sweep,
+)
+from .metrology import (
+    ParityCurve, QfiReport, parity_curve, parity_expectation, parity_phase_variance,
+    qfi_general, qfi_lossy_lower_bound, qfi_mixed_number, qfi_twin,
+)
+from .dickesim import (
+    CollectionEstimate, LossModel, PopulationTrace, SuperradianceTime,
+    collection_loss_probability, collection_probability_product, collective_rates,
+    dicke_collection_probability, dicke_populations, superradiance_timescale,
+)
+from .budget import (
+    BudgetEntry, DelayCorrection, ErrorBudget, LossCorrection, PlatformParams,
+    PropagationCheck, PulseErrorEstimate, RetardationCheck, SPEED_OF_LIGHT,
+    delay_correction, full_budget, interferometer_loss_correction, mixed_rate_correction,
+    propagation_length_check, pulse_error, retardation_check,
+)
 
-__all__ = sorted(_HOME)
+# The public names are those imported above; the imports also bind the six
+# submodules, which stay out of __all__.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    if name not in _HOME:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

@@ -229,9 +229,12 @@ def interferometer_loss_correction(
 ) -> LossCorrection:
     """First-order Fisher-information penalty for photon loss of rate eta.
 
-    The no-loss component survives with probability 1 - N eta / 2 and its
-    information drops by N^2 eta I / 4; Heisenberg scaling demands that
-    the drop stays below one information unit, i.e. eta below 4/(I N^2).
+    Loss model: each of the N/2 photons of one arm is lost independently
+    with probability eta and the other arm is lossless, so no photon is
+    lost with probability (1 - eta)^(N/2); ``p_no_loss`` is its first
+    order, 1 - N eta / 2.  The information is taken to drop by
+    N^2 eta I / 4; Heisenberg scaling demands that the drop stays below
+    one information unit, i.e. eta below 4/(I N^2).
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"loss probability must lie in [0, 1], got {eta}")
@@ -264,11 +267,6 @@ class ErrorBudget(Record):
     _defaults = {"entries": (), "ideal_qfi": 0.0, "combined_qfi_lower_bound": 0.0,
                  "effective_exchange_integral": 0.0, "collection_probability": 1.0}
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict())
-
 
 def full_budget(
     params: PlatformParams,
@@ -285,6 +283,9 @@ def full_budget(
     The p^2 term weights the full-collection sector, whose state is the
     post-selected one (see ``metrology.qfi_lossy_lower_bound``), but it
     uses ``i_n`` as given: ``report`` passes the lossless overlap today.
+    ``params.interferometer_loss`` is the eta of
+    ``interferometer_loss_correction``: each photon of one arm is lost
+    with that probability, and the other arm is lossless.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
@@ -329,7 +330,7 @@ def full_budget(
         BudgetEntry(
             "pulse_area",
             "probability",
-            1.0 - pulse.infidelity,
+            max(0.0, 1.0 - pulse.infidelity),
             pulse.in_regime,
             "preparation fidelity estimate; flag drops once the error is nonperturbative",
         ),

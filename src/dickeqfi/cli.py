@@ -75,14 +75,6 @@ class RunConfig(Record):
     __slots__ = ("subcommand", "options")
     _defaults = {"options": {}}
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(
-            {"subcommand": self.subcommand, "options": self.options},
-            sort_keys=True,
-        )
-
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         import json
@@ -548,7 +540,8 @@ _SUBCOMMANDS = {
                   "(exact overlap penalty)"}),
         ("--delay", 0.0, _NONNEGATIVE, {"help": "wavepacket arrival delay [s]"}),
         ("--eta", 0.0, _rule("a probability in [0, 1]", float, lambda x: 0 <= x <= 1),
-         {"help": "interferometer photon-loss probability"}),
+         {"help": "interferometer loss probability of each photon of one arm "
+                  "(the other arm is lossless)"}),
         ("--margin-factor", 10.0, _POSITIVE, {}),
         ("--json", False, _flag, {"action": "store_true"}),
         ("--fidelity-table", False, _flag, {"action": "store_true"}),

@@ -80,6 +80,12 @@ class Record:
         converted recursively, as ``asdict`` converts a dataclass."""
         return _plain(self)
 
+    def to_json(self) -> str:
+        """``to_dict`` as JSON, keys sorted."""
+        import json
+
+        return json.dumps(self.to_dict(), sort_keys=True)
+
 
 def _plain(value):
     if isinstance(value, Record):
@@ -143,11 +149,6 @@ class DecayLadder(Record):
             "rates": list(self.rates),
             "frequencies": list(self.frequencies),
         }
-
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecayLadder":

@@ -32,11 +32,6 @@ class QfiReport(Record):
         if self.input_kind not in _INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.input_kind!r}")
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps(self.to_dict())
-
 
 def _report(qfi: float, n_total: int, kind: str, repetitions: int = 1) -> QfiReport:
     if qfi < 0.0:

@@ -61,6 +61,8 @@ class ExchangeIntegral(Record):
     ``value`` is the (real) integral; ``imag_residual`` records the
     magnitude of the imaginary part discarded on extraction, a cheap
     confidence check since the integral is real for every valid input.
+    The recurrence always reports 0: it reads the integral from its
+    table 2, which is real by construction.
     """
 
     __slots__ = ("value", "total_photons", "method", "exchanged_count", "imag_residual")

@@ -198,6 +198,16 @@ class TestInterferometerLoss:
         with pytest.raises(ValueError):
             interferometer_loss_correction(10.0, 4, 1.0, 1.5)
 
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    @pytest.mark.parametrize("eta", [1e-3, 1e-4])
+    def test_no_loss_weight_is_one_arm_loss_at_first_order(self, n, eta):
+        # each of the N/2 photons of one arm is lost with probability eta:
+        # (1 - eta)^(N/2) differs from 1 - N eta / 2 by its second-order term
+        k = n // 2
+        corr = interferometer_loss_correction(10.0, n, 0.82, eta)
+        gap = (1.0 - eta) ** k - corr.p_no_loss
+        assert -1e-15 <= gap <= math.comb(k, 2) * eta**2 + 1e-15
+
 
 def _params(**overrides):
     values = dict(SIN_WAVEGUIDE, gamma_star=0.0, n_photons=10)
@@ -239,6 +249,19 @@ class TestFullBudget:
             "collection",
             "interferometer_loss",
         }
+
+    def test_pulse_area_entry_is_a_probability(self):
+        # 1 - d^2 N, clamped at zero where the first-order infidelity passes one
+        for n in (2, 10, 100, 1000, 10000):
+            for d in (0.0, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0):
+                budget = full_budget(_params(n_photons=n, pulse_error=d), 0.82, 1.0)
+                entry = next(e for e in budget.entries if e.channel == "pulse_area")
+                assert 0.0 <= entry.value <= 1.0
+                assert entry.value == max(0.0, 1.0 - d**2 * n)
+        # d^2 N = 2.5, where 1 - d^2 N reads -1.5
+        budget = full_budget(_params(n_photons=1000, pulse_error=0.05), 0.82, 1.0)
+        entry = next(e for e in budget.entries if e.channel == "pulse_area")
+        assert (entry.value, entry.feasible) == (0.0, False)
 
     def test_multiplicative_entries_in_unit_interval(self):
         budget = full_budget(
