@@ -25,6 +25,7 @@ early), 2 on validation errors, 1 on numeric failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import numbers
 import os
@@ -597,7 +598,13 @@ def main(argv=None) -> int:
 
 
 def console_entry():
-    sys.exit(main())
+    code = main()
+    # Freezing moves every live object to the collector's permanent
+    # generation, so the interpreter's exit skips a full collection over
+    # them; main() has flushed stdout and closed its files, so that
+    # collection would finalize nothing the run needs.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -166,12 +166,37 @@ def _real_cell(c0, r1, c2, s, na, nb, up, left):
     n f / c over the two neighbours (n1 f1 / c1 for table 1); f1 adds
     (s / c0) f0, and f2 adds 2 s Re(f1 / c1), the coupled contribution of
     the two swapped-time branches, which are complex conjugates.
+
+    Every product and sum is formed in place, with augmented operators, on
+    an array that the rule itself made (f0, f1, f2 and the term t), never on
+    an argument: on arrays the arguments are views into the pass's
+    coefficient and state buffers, and an antidiagonal allocates only the
+    rule's own temporaries.  On floats the same statements round the same
+    IEEE operations in the same order.
     """
     (na0, na1, na2), (nb0, nb1, nb2) = na, nb
     (u0, u1, u2, q0, q1, q2), (l0, l1, l2, p0, p1, p2) = up, left
-    f0 = na0 / u0 * q0 + nb0 / l0 * p0
-    f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1
-    f2 = 2.0 * s * (f1 * r1) + na2 / u2 * q2 + nb2 / l2 * p2
+    f0 = na0 / u0
+    f0 *= q0
+    t = nb0 / l0
+    t *= p0
+    f0 += t
+    f1 = s / c0
+    f1 *= f0
+    t = na1 * u1
+    t *= q1
+    f1 += t
+    t = nb1 * l1
+    t *= p1
+    f1 += t
+    f2 = f1 * r1
+    f2 *= 2.0 * s
+    t = na2 / u2
+    t *= q2
+    f2 += t
+    t = nb2 / l2
+    t *= p2
+    f2 += t
     return c0, r1, c2, f0, f1, f2
 
 
@@ -190,12 +215,37 @@ def _complex_cell(c0, r, c2, s, na, nb, up, left):
     """
     (r1, ri), (na0, na1, na2), (nb0, nb1, nb2) = r, na, nb
     (u0, u1, u2, q0, q1, _, qh, qg, q2), (l0, l1, l2, p0, p1, _, ph, pg, p2) = up, left
-    f0 = na0 / u0 * q0 + nb0 / l0 * p0
-    f1 = s / c0 * f0 + na1 * u1 * q1 + nb1 * l1 * p1 - (na1 * qh + nb1 * ph)
-    fi = na1 * qg + nb1 * pg
+    f0 = na0 / u0
+    f0 *= q0
+    t = nb0 / l0
+    t *= p0
+    f0 += t
+    f1 = s / c0
+    f1 *= f0
+    t = na1 * u1
+    t *= q1
+    f1 += t
+    t = nb1 * l1
+    t *= p1
+    f1 += t
+    t = na1 * qh
+    t += nb1 * ph
+    f1 -= t
+    fi = na1 * qg
+    fi += nb1 * pg
     h = fi * ri
-    f2 = 2.0 * s * (f1 * r1 - h) + na2 / u2 * q2 + nb2 / l2 * p2
-    return c0, r1, c2, f0, f1, fi, h, f1 * ri + fi * r1, f2
+    g = f1 * ri
+    g += fi * r1
+    f2 = f1 * r1
+    f2 -= h
+    f2 *= 2.0 * s
+    t = na2 / u2
+    t *= q2
+    f2 += t
+    t = nb2 / l2
+    t *= p2
+    f2 += t
+    return c0, r1, c2, f0, f1, fi, h, g, f2
 
 
 def _smith(x, y):
@@ -247,7 +297,8 @@ def _antidiagonals(pairs, vectors=None):
     with np.errstate(all="ignore"):
         for p, (a, b) in enumerate(pairs):
             m, shift = a.levels, _rate_shift(a, b)
-            va, vb = vectors(a, shift), vectors(b, shift)
+            va = vectors(a, shift)
+            vb = va if b is a else vectors(b, shift)
             for row, name in enumerate(pads):
                 vec[row, :m, p] = va[name]
                 rev[row, size - m:, p] = vb[name][::-1]
@@ -278,7 +329,8 @@ def _antidiagonals(pairs, vectors=None):
             # the accumulators go straight into the state, the table entries by copy
             c0 = np.add(gr0_a[i], gr0_b[j], out=state[0, left])
             c2 = np.add(gr2_a[i], gr2_b[j], out=state[2, left])
-            x = (c0 + c2) / 2.0
+            x = c0 + c2
+            x /= 2.0
             if k == 0:
                 c0[c0 == 0.0] = 1.0  # an adjoint seed: see the docstring
             if real:
@@ -320,7 +372,8 @@ def _plain_diagonal(a: DecayLadder, b: DecayLadder, vectors=None) -> list[float]
     """
     m, shift = a.levels, _rate_shift(a, b)
     vectors = vectors or _ladder_vectors
-    va, vb = vectors(a, shift), vectors(b, shift)
+    va = vectors(a, shift)
+    vb = va if b is a else vectors(b, shift)
     real = not any(va["dw"]) and not any(vb["dw"])
     cell = _real_cell if real else _complex_cell
     rows, cols = (list(zip(v["gr0"], v["gr2"], v["dw"], v["sq"], zip(v["n0"], v["n1"], v["n2"])))

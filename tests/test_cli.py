@@ -1,3 +1,4 @@
+import gc
 import importlib
 import itertools
 import json
@@ -636,6 +637,51 @@ def test_closed_stdout_exits_cleanly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_OK
     assert err == b""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["exchange", "--family", "dicke", "--n", "4,200", "--no-header"], EXIT_OK),  # arrays
+    (["verify", "--m-max", "2", "--tol", "1e-30", "--no-header"], EXIT_NUMERIC),
+    (["exchange", "--family", "dicke", "--no-header"], EXIT_USAGE),  # the handler's
+    (["frobnicate"], EXIT_USAGE),  # argparse's, raised inside main
+], ids=["ok", "numeric", "usage", "argparse"])
+def test_the_command_line_exits_as_main_returns(capsys, argv, code):
+    # console_entry freezes the collector before sys.exit, so the interpreter
+    # skips its final collection: the bytes and the code stay main()'s own
+    proc = subprocess.run([sys.executable, "-m", "dickeqfi.cli", *argv], capture_output=True,
+                          text=True, env=_subprocess_env(), timeout=120)
+    try:
+        returned = main(argv)
+    except SystemExit as exc:
+        returned = exc.code
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert returned == code
+
+
+def test_the_command_line_writes_the_out_bytes_of_main(tmp_path):
+    argv = ["exchange", "--family", "anharmonic", "--u-over-gamma", "10", "--n", "8..200",
+            "--step", "64", "--no-header", "--out"]
+    proc = subprocess.run([sys.executable, "-m", "dickeqfi.cli", *argv, str(tmp_path / "cli")],
+                          capture_output=True, env=_subprocess_env(), timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, b"", b"")
+    assert main(argv + [str(tmp_path / "main")]) == EXIT_OK
+    assert (tmp_path / "cli").read_bytes() == (tmp_path / "main").read_bytes()
+
+
+def test_only_console_entry_freezes_the_collector(capsys):
+    # main() and the library leave the collector as they found it, so a
+    # caller in the same process keeps collecting what it frees
+    assert main(["exchange", "--family", "dicke", "--n", "4,200", "--no-header"]) == EXIT_OK
+    capsys.readouterr()
+    assert gc.get_freeze_count() == 0 and gc.isenabled()
+    assert _probe("import gc, sys\n"
+                  "from dickeqfi import cli\n"
+                  "sys.argv = ['dickeqfi', 'verify', '--m-max', '1', '--no-header']\n"
+                  "try:\n"
+                  "    cli.console_entry()\n"
+                  "except SystemExit as exc:\n"
+                  "    print(exc.code, gc.get_freeze_count() > 0)\n")[-1] == "0 True"
 
 
 def test_import_loads_no_solver_or_sparse_scipy():

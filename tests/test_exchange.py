@@ -551,6 +551,28 @@ class TestBatchedPass:
             assert batched[2].shape == (size, size)
         assert forward_corners(batch) == [_recurrence(a, b).corner for a, b in batch]
 
+    @pytest.mark.parametrize("vectors", [None, _adjoint_vectors], ids=["forward", "adjoint"])
+    @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
+    def test_the_cell_rule_writes_to_none_of_its_arguments(self, monkeypatch, batch, vectors):
+        # On arrays every argument (c0, r, c2, s, na, nb, up, left) is a view
+        # into the pass's coefficient or state buffers, so an augmented
+        # operator that hit one would corrupt them: each call keeps their bits.
+        kept = []
+
+        def guarded(cell):
+            def run(*args):
+                before = [np.array(arg).tobytes() for arg in args]  # a Kerr r is a tuple
+                pieces = cell(*args)
+                kept.append([np.array(arg).tobytes() for arg in args] == before)
+                return pieces
+            return run
+
+        expected = _array_diagonals(batch, vectors)
+        for name in ("_real_cell", "_complex_cell"):
+            monkeypatch.setattr(exchange_module, name, guarded(getattr(exchange_module, name)))
+        assert _array_diagonals(batch, vectors) == expected
+        assert kept and all(kept)
+
     def test_a_nonfinite_column_flags_only_its_own_rows(self, monkeypatch):
         # a spread ladder overflows from two photons per arm on; one photon
         # shares the pass and still gets its value
