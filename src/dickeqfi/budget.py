@@ -212,6 +212,8 @@ def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrec
     single-mode comparison exp(-N gamma tau / 2) is reported alongside;
     multimode wavepackets pay at most twice the single-mode exponent.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"delay must be finite, got {tau}")
     if tau < 0.0:
         raise ValueError(f"delay must be nonnegative, got {tau}")
     if not gamma_1d > 0.0:
@@ -235,6 +237,12 @@ def interferometer_loss_correction(
     order, 1 - N eta / 2.  The information is taken to drop by
     N^2 eta I / 4; Heisenberg scaling demands that the drop stays below
     one information unit, i.e. eta below 4/(I N^2).
+
+    That drop does not follow from the loss model above: its no-loss
+    weight (1 - eta)^(N/2) gives F >= (1 - eta)^(N/2) F_twin, a first-order
+    drop of (N eta / 2) F_twin = N^2 eta (I N + 2) / 4, about N times the
+    coded one (211 against 2.06 at N = 100, eta = 1e-3, I = 0.8234).  So
+    ``corrected_qfi`` is not a bound the model implies.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"loss probability must lie in [0, 1], got {eta}")
@@ -274,7 +282,7 @@ def full_budget(
     p: float,
     margin_factor: float = DEFAULT_MARGIN_FACTOR,
 ) -> ErrorBudget:
-    """Compose every channel into one Fisher-information lower bound.
+    """Compose every channel into one first-order Fisher-information estimate.
 
     Overlap penalties multiply onto the exchange integral, the collected
     fraction enters squared, and the detection-loss correction is

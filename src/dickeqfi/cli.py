@@ -150,7 +150,11 @@ _EVEN = _rule("an even integer >= 2", int, lambda n: n >= 2 and n % 2 == 0)
 _FINITE = _rule("a finite number", float, math.isfinite)
 _POSITIVE = _rule("a finite number > 0", float, lambda x: 0.0 < x < math.inf)
 _NONNEGATIVE = _rule("a finite number >= 0", float, lambda x: 0.0 <= x < math.inf)
-_RATIO = _rule("a number > 0, or inf for no loss", float, lambda x: x > 0.0)
+# The loss model divides by a rate ratio, so its reciprocal must be finite too.
+_RATIO = _rule("a number > 0 with a finite reciprocal, or inf for no loss", float,
+               lambda x: x > 0.0 and 1.0 / x < math.inf)
+_RATIO_END = _rule("a finite number > 0 with a finite reciprocal", float,
+                   lambda x: 0.0 < x < math.inf and 1.0 / x < math.inf)
 
 
 def _flag(value) -> bool:
@@ -195,7 +199,7 @@ def _ratios(spec: str, points: int = 2) -> list[float]:
     for tok in filter(None, spec.split(",")):
         lo, sep, hi = tok.partition("..")
         if sep:
-            lo, hi = _POSITIVE(lo), _POSITIVE(hi)
+            lo, hi = _RATIO_END(lo), _RATIO_END(hi)
             if not lo < hi:
                 raise ValueError(f"a geometric range needs low < high, got {tok!r}")
             ratios.extend(_geomspace(lo, hi, points))

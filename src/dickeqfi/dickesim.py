@@ -27,6 +27,7 @@ import math
 from .ladder import Record, _dicke_rates
 
 _RESIDUAL_TOL = 1e-10
+_MAX_EXTENSIONS = 12
 
 
 class LossModel(Record):
@@ -36,6 +37,9 @@ class LossModel(Record):
     _defaults = {"gamma_star": 0.0}
 
     def __post_init__(self):
+        for name, value in self.to_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not self.gamma_1d > 0.0:
             raise ValueError(f"gamma_1d must be positive, got {self.gamma_1d}")
         if self.gamma_star < 0.0:
@@ -156,18 +160,16 @@ def dicke_populations(
     n_emitters: int,
     loss: LossModel,
     t_grid=None,
-    *,
-    residual_tol: float = _RESIDUAL_TOL,
-    max_extensions: int = 12,
 ) -> PopulationTrace:
     """Ladder populations on a time grid, from the fully inverted state.
 
     The default grid spans twenty cascade durations in 400 steps.  The
     residual is the excited population at the end of the grid; while it
-    exceeds ``residual_tol`` the horizon doubles, and the trace is
-    flagged unconverged if the extension budget runs out.  Residence
-    times and the collection probability are closed forms; the ground
-    level's residence is infinite, since it absorbs the collected weight.
+    exceeds ``_RESIDUAL_TOL`` the horizon doubles, and the trace is flagged
+    unconverged if it still does after ``_MAX_EXTENSIONS`` doublings.
+    Residence times and the collection probability are closed forms; the
+    ground level's residence is infinite, since it absorbs the collected
+    weight.
     """
     if n_emitters < 1:
         raise ValueError(f"need at least one emitter, got {n_emitters}")
@@ -194,7 +196,7 @@ def dicke_populations(
     y_end = populations[:, -1]
     residual = float(np.sum(y_end[1:]))
     extensions = 0
-    while residual > residual_tol and extensions < max_extensions:
+    while residual > _RESIDUAL_TOL and extensions < _MAX_EXTENSIONS:
         y_end = _propagate(generator, y_end, np.array([0.0, horizon]))[:, -1]
         horizon *= 2.0
         extensions += 1
@@ -210,7 +212,7 @@ def dicke_populations(
         residence=np.concatenate(([math.inf], reach / out_rates)),
         collection_probability=collection_probability_product(n_emitters, loss),
         sum_deficit=1.0 - populations.sum(axis=0),
-        converged=residual <= residual_tol,
+        converged=residual <= _RESIDUAL_TOL,
         residual=residual,
         horizon=horizon,
     )
@@ -232,9 +234,12 @@ def collection_loss_probability(n_emitters: int, loss: LossModel) -> float:
     The same branching product as ``collection_probability_product``,
     summed in logarithms so that no 1 - p cancellation loses digits at
     large Purcell factors (1.0 - p is 7e-5 off at N = 10, P = 1e12).
-    ``fsum`` makes the sum independent of the rungs' order.
+    ``fsum`` makes the sum independent of the rungs' order.  A rung whose
+    lost share rounds to 1, or whose loss rate overflows, keeps nothing and
+    adds log 0 = -inf, so 1 - p reads exactly 1, as the product's p = 0.
     """
-    total = math.fsum(math.log1p(-lost / (g + lost)) for g, lost in _rungs(n_emitters, loss))
+    shares = (lost / (g + lost) for g, lost in _rungs(n_emitters, loss))
+    total = math.fsum(math.log1p(-q) if q < 1.0 else -math.inf for q in shares)
     # 0.0 - x, not -x: a lossless chain reads 0.0, not -0.0
     return 0.0 - math.expm1(total)
 

@@ -182,6 +182,8 @@ class TwinConfiguration(Record):
                 "twin configuration requires equal photon numbers per arm; "
                 f"got {self.ladder_a.levels} and {self.ladder_b.levels}"
             )
+        if not math.isfinite(self.delay):
+            raise ValueError(f"delay must be finite, got {self.delay}")
         if self.delay < 0.0:
             raise ValueError(f"delay must be nonnegative, got {self.delay}")
 

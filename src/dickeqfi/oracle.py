@@ -25,11 +25,12 @@ contributing a sqrt(rate) numerator and an exponent increment; the
 running exponent sums telescope to a positive real part, so every step
 divides by a well-conditioned accumulator.  The float, rational and
 delayed evaluations share that walk: each folds its partial value down
-the common prefix, and the leaves are visited in lexicographic order and
-summed in that order.  The rational path folds integer products of
-scaled accumulators.  A delayed call keeps one term per (power, rate)
-pair and memoizes its window densities, their products and the cross
-integrals, which repeat across orderings, for the length of the call.
+the common prefix or prunes a branch whose orderings all contribute
+zero, and the leaves are visited in lexicographic order and summed in
+that order.  The rational path folds integer products of scaled
+accumulators.  A delayed call keeps one term per (power, rate) pair and
+memoizes its window densities, their products and the cross integrals,
+which repeat across orderings, for the length of the call.
 """
 from __future__ import annotations
 
@@ -108,7 +109,7 @@ def _transition_steps(rates, freqs):
     return steps
 
 
-def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
+def _walk(counts, memberships, steps, fold, root, leaf):
     """Leaf values of a depth-first walk over all interleavings.
 
     The interleavings are the distinct orderings of group labels with
@@ -120,9 +121,6 @@ def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
     slot, given the rates fired and the accumulator after it, or returns
     None to prune the branch; ``leaf(state)`` turns a complete path into
     its value.  Two interleavings share the fold of their common prefix.
-    A fold that returns ``dead`` marks a prefix all of whose completions
-    have the value ``leaf(dead)``: that value is recorded once per
-    completion, in place, without walking the subtree.
     """
     remaining = list(counts)
     fired = [0, 0, 0, 0]
@@ -147,13 +145,6 @@ def _walk(counts, memberships, steps, fold, root, leaf, dead=None):
                 child_acc = acc + inc
             child = fold(state, g, rates, child_acc)
             if child is None:
-                continue
-            if child is dead:
-                remaining[g] = c - 1
-                completions = math.factorial(left) // math.prod(
-                    math.factorial(k) for k in remaining)
-                values.extend([leaf(child)] * completions)
-                remaining[g] = c
                 continue
             if not left:
                 values.append(leaf(child))
@@ -217,6 +208,8 @@ def oracle_integral(
         ladder_b = ladder_a
     m, n = ladder_a.levels, ladder_b.levels
     _guard(m, n, l, max_total_photons)
+    if not math.isfinite(delay):
+        raise ValueError(f"delay must be finite, got {delay}")
     if delay < 0.0:
         raise ValueError(f"delay must be nonnegative, got {delay}")
     if delay > 0.0 and l > 1:
@@ -301,6 +294,8 @@ def oracle_delay_check(
     with gamma_top the rate of the ladder's highest rung; it is tight at
     tau = 0 and stays below the exact value for tau > 0.
     """
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau < 0.0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     reference = oracle_integral(
@@ -446,30 +441,24 @@ _SLOT_EVENTS = (
 # the rates of the gaps in window x only, in w only and in both, each
 # window's stage (0 pending, 1 open, 2 closed) and whether x opened first.
 _DELAYED_ROOT = (1.0 + 0.0j, (), (), (), 0, 0, False)
-# Nested windows force x == w, an empty ordering region whose value is 0,
-# and so is every completion of it.
-_NESTED = "nested"
 
 
 def _fold_delayed(state, g, rates, acc):
-    """Extend a delayed path by one slot; None prunes the orderings in
-    which a rigid pair's low event precedes its high one."""
+    """Extend a delayed path by one slot; None prunes the orderings whose
+    value is zero: a rigid pair's low event precedes its high one, or one
+    window nests inside the other, which forces x == w on an empty region."""
     value, x_only, w_only, both, x, w, x_first = state
     if g == _XH:
         x, x_first = 1, w == 0
     elif g == _XL:
-        if x == 0:
+        if x == 0 or (w == 1 and not x_first):
             return None
-        if w == 1 and not x_first:
-            return _NESTED
         x = 2
     elif g == _WH:
         w = 1
     elif g == _WL:
-        if w == 0:
+        if w == 0 or (x == 1 and x_first):
             return None
-        if x == 1 and x_first:
-            return _NESTED
         w = 2
     if x == 1 and w == 1:
         both += (acc,)
@@ -516,8 +505,6 @@ def _delayed_integral(ladder_a, ladder_b, tau):
         return _polyexp_cross_integral(density(mid), product(left, right), tau, power_exp)
 
     def leaf(state):
-        if state is _NESTED:
-            return 0j
         value, x_only, w_only, both, _, _, x_first = state
         if not both:
             # windows are never empty: a rigid pair occupies two distinct
@@ -532,7 +519,6 @@ def _delayed_integral(ladder_a, ladder_b, tau):
 
     counts = (1, 1, 1, 1, m - 1, n - 1)
     total = _compensated_sum(
-        _walk(counts, _SLOT_EVENTS, steps, _fold_delayed, _DELAYED_ROOT, leaf,
-              dead=_NESTED)
+        _walk(counts, _SLOT_EVENTS, steps, _fold_delayed, _DELAYED_ROOT, leaf)
     )
     return numerator * total / (math.factorial(m) * math.factorial(n))

@@ -148,6 +148,14 @@ class TestDelayCorrection:
         assert corr.bound_factor == pytest.approx(math.exp(-0.01))
         assert corr.single_mode_factor == pytest.approx(math.exp(-0.005))
 
+    @pytest.mark.parametrize("tau, rule", [
+        (-1.0, "nonnegative"), (math.nan, "finite"), (math.inf, "finite"),
+    ])
+    def test_delay_must_be_finite_and_nonnegative(self, tau, rule):
+        with pytest.raises(ValueError) as info:
+            delay_correction(10, 1.0, tau)
+        assert str(info.value) == f"delay must be {rule}, got {tau}"
+
     def test_expansion_envelope_is_stable(self):
         # the quadratic envelope constant |exact - first_order| / x^2
         # barely moves over two decades of delay

@@ -232,6 +232,14 @@ class TestLossCommand:
         assert float(row[2]) == pytest.approx(math.fsum(terms), rel=1e-12, abs=0.0)
         assert row[3] == row[2]
 
+    def test_tiny_purcell_loses_every_photon(self, capsys):
+        # every rung's lost share rounds to 1, where log1p(-1) would raise
+        # a math domain error
+        code, out, err = run(capsys, "loss", "--n", "10", "--purcell", "1e-17", "--no-header")
+        assert (code, err) == (EXIT_OK, "")
+        row = out.strip().splitlines()[1].split(",")
+        assert float(row[2]) == float(row[3]) == 1.0
+
     def test_infinite_purcell(self, capsys):
         code, out, _ = run(
             capsys, "loss", "--n", "3", "--purcell", "inf", "--no-header"
@@ -256,15 +264,16 @@ class TestLossCommand:
 
         # a grid of 0.2 cascade times and one doubling leaves excited population
         populations = dickeqfi.cli.dicke_populations
+        monkeypatch.setattr("dickeqfi.dickesim._MAX_EXTENSIONS", 1)
         monkeypatch.setattr(dickeqfi.cli, "dicke_populations", lambda n, loss: populations(
-            n, loss, t_grid=np.linspace(0.0, 0.2, 5), max_extensions=1))
+            n, loss, t_grid=np.linspace(0.0, 0.2, 5)))
         code, out, err = run(
             capsys, "loss", "--n", "2", "--purcell", "inf", "--trace", "--no-header",
         )
         assert code == EXIT_NUMERIC
         assert out.splitlines()[0] == "t,P_0,P_1,P_2,sum" and len(out.splitlines()) == 6
         residual = populations(2, dickeqfi.cli._loss_model(math.inf),
-                               t_grid=np.linspace(0.0, 0.2, 5), max_extensions=1).residual
+                               t_grid=np.linspace(0.0, 0.2, 5)).residual
         assert residual > 1e-10
         assert err == (f"population trace not converged: excited population {residual:.3e}"
                        " left at the horizon t=0.4\n")
@@ -596,11 +605,13 @@ _SIN_REPORT = ["report", "--q", "1e6", "--n-g", "10", "--lambda-a", "300e-9",
         (["loss", "--n", "10", "--purcell", "nan"], "purcell"),
         (["loss", "--n", "10", "--purcell", "0"], "purcell"),
         (["loss", "--n", "10", "--purcell", "nan..1e3", "--points", "2"], "purcell"),
+        (["loss", "--n", "10", "--purcell", "1e-320"], "purcell"),
+        (["loss", "--n", "10", "--purcell", "1e-320..1e3", "--points", "2"], "purcell"),
     ],
     ids=[
         "pulse-nan", "delay-nan", "delta-gamma-nan", "delta-gamma-1.5", "margin-0",
         "margin-nan", "margin-inf", "gamma-star-inf", "purcell-nan", "purcell-0",
-        "purcell-range-nan",
+        "purcell-range-nan", "purcell-reciprocal-overflows", "purcell-range-end-overflows",
     ],
 )
 def test_nonfinite_physical_inputs_name_the_key(capsys, argv, key):

@@ -200,6 +200,14 @@ class TestCollectionProbability:
         q = collection_loss_probability(7, LOSSLESS)
         assert q == 0.0 and math.copysign(1.0, q) == 1.0
 
+    @pytest.mark.parametrize("gamma_star", [1e17, 1e300, 1e308])
+    def test_a_rung_that_keeps_nothing_loses_everything(self, gamma_star):
+        # lost shares that round to 1 (1e17, 1e300) or loss rates m * gamma_star
+        # that overflow (1e308): log1p(-1) raises and inf / inf is nan
+        loss = LossModel(1.0, gamma_star)
+        assert collection_loss_probability(10, loss) == 1.0
+        assert 1.0 - collection_probability_product(10, loss) == 1.0
+
     def test_hundred_emitters_kilopurcell(self):
         est = dicke_collection_probability(100, LossModel(1.0, 1e-3))
         assert 1.0 - est.exact == pytest.approx(4.6e-3, rel=0.15)
@@ -342,12 +350,22 @@ class TestGuards:
         with pytest.raises(ValueError):
             dicke_populations(2, LOSSLESS, t_grid=[0.0, 0.0, 1.0])
 
-    def test_unconverged_horizon_is_flagged(self):
-        trace = dicke_populations(
-            1, LOSSLESS, t_grid=np.linspace(0.0, 0.2, 5), max_extensions=0
-        )
+    def test_unconverged_horizon_is_flagged(self, monkeypatch):
+        monkeypatch.setattr("dickeqfi.dickesim._MAX_EXTENSIONS", 0)
+        trace = dicke_populations(1, LOSSLESS, t_grid=np.linspace(0.0, 0.2, 5))
         assert not trace.converged
         assert trace.residual > 1e-10
+
+    def test_default_grid_extends_only_a_single_emitter(self):
+        # twenty cascade durations leave exp(-20 (1 + 1/P)) excited at N = 1,
+        # above the tolerance once P > 6.6: the horizon doubles once there
+        # and never at N >= 2, and every trace converges
+        for n in (1, 2, 3, 5, 10, 30, 100):
+            for purcell in (math.inf, 1e3, 10.0, 6.0, 1.0):
+                trace = dicke_populations(n, LossModel(1.0, 1.0 / purcell))
+                doublings = 1 if n == 1 and purcell >= 10.0 else 0
+                assert trace.horizon == trace.times[-1] * 2**doublings, (n, purcell)
+                assert trace.converged
 
     def test_horizon_extension_converges(self):
         trace = dicke_populations(1, LOSSLESS, t_grid=np.linspace(0.0, 0.2, 5))

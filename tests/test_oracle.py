@@ -12,7 +12,6 @@ from dickeqfi.ladder import DecayLadder, build_anharmonic, build_dicke, build_ha
 from dickeqfi.oracle import (
     _DELAYED_ROOT,
     _GROUP_CORRS,
-    _NESTED,
     _SLOT_EVENTS,
     _XH,
     _XL,
@@ -363,21 +362,23 @@ class TestWalkerEquivalence:
 
     @pytest.mark.parametrize("m, n", [(1, 1), (2, 2), (1, 3), (3, 2), (2, 4), (4, 4)])
     def test_delayed_walk_visits_admissible_orderings_only(self, m, n):
-        # orderings of m+n+2 slots with the two rigid pairs' high events
-        # first: a quarter of the (m+n+2)! / ((m-1)! (n-1)!) sequences
+        # orderings of m+n+2 slots with each rigid pair's high event first
+        # and windows that do not nest: 4 of the 24 orders of the four
+        # window events, so a sixth of the (m+n+2)! / ((m-1)! (n-1)!)
+        # sequences
         a, b = build_dicke(m, 1.0), build_dicke(n, 1.0)
         leaves = _walk((1, 1, 1, 1, m - 1, n - 1), _SLOT_EVENTS, _float_steps(a, b),
-                       _fold_delayed, _DELAYED_ROOT, lambda state: state, dead=_NESTED)
+                       _fold_delayed, _DELAYED_ROOT, lambda state: state)
         expected = math.factorial(m + n + 2) // (
-            2 * 2 * math.factorial(m - 1) * math.factorial(n - 1)
+            6 * math.factorial(m - 1) * math.factorial(n - 1)
         )
         assert len(leaves) == expected
 
     def test_nested_windows_are_not_walked(self, monkeypatch):
-        # Once the windows nest, every completion is zero: the walk records
-        # those zeros by count instead of folding through the subtree, which
-        # at m = 4 skips 20,498 of the 78,828 folds.  The zeros keep their
-        # places in the sum, so the value keeps its bits.
+        # Once the windows nest, every completion is zero: the fold prunes
+        # the branch instead of folding through the subtree, which at m = 4
+        # skips 20,498 of the 78,828 folds.  The reference still sums those
+        # zeros, and the value keeps its bits.
         folds = []
 
         def counting(state, *args):
@@ -388,8 +389,42 @@ class TestWalkerEquivalence:
         arm = build_dicke(4, 1.0)
         result = oracle_integral(arm, arm, l=1, delay=0.15, max_total_photons=8)
         assert len(folds) == 78_828 - 20_498
-        assert _NESTED not in folds
         assert _same_bits(result, reference_delayed(arm, arm, 0.15))
+
+    def test_random_distinct_arms(self):
+        # Seeded pairs of distinct Dicke, Kerr and random-rate arms (the
+        # latter with random level shifts in 60% of arms) at m + n <= 7 and
+        # delays log-uniform in 1e-3..3.  The reference sums the zeros of
+        # the nested orderings the walk prunes, and the value keeps its
+        # bits.  The imaginary residual cancels to far below its terms, so
+        # the Kahan compensation can exceed half an ulp of the running sum,
+        # and a zero term then folds it in early: the residual may move, by
+        # less than one ulp of the value.
+        rng = random.Random(29)
+
+        def arm(k):
+            gamma = 10.0 ** rng.uniform(-1.0, 1.0)
+            kind = rng.randrange(3)
+            if kind == 0:
+                return build_dicke(k, gamma)
+            if kind == 1:
+                return build_anharmonic(k, gamma, gamma * 10.0 ** rng.uniform(-1.0, 1.5))
+            shifted = rng.random() < 0.6
+            return DecayLadder(
+                levels=k,
+                rates=tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(k)),
+                frequencies=tuple(rng.uniform(-10.0, 10.0) if shifted else 0.0
+                                  for _ in range(k)),
+            )
+
+        for _ in range(40):
+            m = rng.randint(1, 6)
+            a, b = arm(m), arm(rng.randint(1, 7 - m))
+            tau = 10.0 ** rng.uniform(-3.0, math.log10(3.0))
+            result = oracle_integral(a, b, l=1, delay=tau)
+            reference = reference_delayed(a, b, tau)
+            assert result.value == reference.real
+            assert abs(result.imag_residual - abs(reference.imag)) < math.ulp(result.value)
 
     def test_no_memo_survives_a_call(self):
         arm = build_anharmonic(2, 1.0, 13.0)
@@ -430,6 +465,32 @@ class TestGuards:
         arm = build_dicke(2, 1.0)
         with pytest.raises(ValueError):
             oracle_integral(arm, arm, l=2, delay=0.1)
+
+    @pytest.mark.parametrize("delay, rule", [
+        (-0.5, "nonnegative"), (math.nan, "finite"), (math.inf, "finite"), (-math.inf, "finite"),
+    ])
+    def test_delay_must_be_finite_and_nonnegative(self, delay, rule):
+        # nan fails every comparison, so only a finiteness check stops it
+        # from reading as zero delay
+        arm = build_dicke(2, 1.0)
+        with pytest.raises(ValueError) as info:
+            oracle_integral(arm, arm, l=1, delay=delay)
+        assert str(info.value) == f"delay must be {rule}, got {delay}"
+        with pytest.raises(ValueError) as info:
+            oracle_delay_check(arm, delay)
+        assert str(info.value) == f"tau must be {rule}, got {delay}"
+
+
+DELAY_PINS = [
+    ["0x1.6fe8fbfd2e445p-1", "0x1.0b08e4af8b245p-2", "0x1.bb4b1450a1150p-1"],
+    ["0x1.6fe8fbfd2e312p-1", "0x1.0b08e4af8b245p-2", "0x1.bb4b1450a1150p-1"],
+    ["0x1.6fe8fbfd2e38ep-1", "0x1.0b08e4af8b24bp-2", "0x1.bb4b1450a115ap-1"],
+    ["0x1.6fe8fbfd2e218p-1", "0x1.0b08e4af8b249p-2", "0x1.bb4b1450a1156p-1"],
+    ["0x1.6fe8fbfd2e3acp-1", "0x1.0b08e4af8b244p-2", "0x1.bb4b1450a114fp-1"],
+    ["0x1.6fe8fbfd2e1cep-1", "0x1.0b08e4af8b246p-2", "0x1.bb4b1450a1152p-1"],
+    ["0x1.6fe8fbfd2e234p-1", "0x1.0b08e4af8b24cp-2", "0x1.bb4b1450a115bp-1"],
+    ["0x1.6fe8fbfd2e18ap-1", "0x1.0b08e4af8b24ap-2", "0x1.bb4b1450a1159p-1"],
+]
 
 
 class TestDelay:
@@ -514,6 +575,15 @@ class TestDelay:
             assert abs(check.exact - plain) <= 0.5 * eps + 1e-12
             assert check.bound <= check.exact <= check.reference
 
+    @pytest.mark.parametrize("v", range(8))
+    def test_benchmark_delay_checks_keep_their_bits(self, v):
+        # the benchmark's oracle driver at gamma = 1 + v/8, gamma tau = 0.15:
+        # exact, bound and reference, pinned from a walk that summed the
+        # nested windows' zeros, so pruning them has to keep these bits
+        gamma = 1.0 + v / 8.0
+        check = oracle_delay_check(build_dicke(4, gamma), 0.15 / gamma)
+        assert [check.exact.hex(), check.bound.hex(), check.reference.hex()] == DELAY_PINS[v]
+
     @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0])
     def test_independent_quadrature_cross_check(self, tau):
         # two-emitter twin: the amplitude is 2 exp(-max(u1, u2)), so after
@@ -547,11 +617,9 @@ def _delayed_windows(arm):
     first, second)."""
     leaves = _walk((1, 1, 1, 1, arm.levels - 1, arm.levels - 1), _SLOT_EVENTS,
                    _float_steps(arm, arm), _fold_delayed, _DELAYED_ROOT,
-                   lambda state: state, dead=_NESTED)
+                   lambda state: state)
     singles, triples = {}, {}
     for state in leaves:
-        if state is _NESTED:
-            continue
         _, x_only, w_only, both, _, _, x_first = state
         if both:
             triples[(both, x_only, w_only) if x_first else (both, w_only, x_only)] = None

@@ -113,6 +113,15 @@ INVALID = [
     ("PlatformParams", dict(_PLATFORM, delta_gamma=1),
      "delta_gamma must be below 1 (a positive second coupling), got 1"),
     ("PlatformParams", dict(_PLATFORM, n_photons=3), "n_photons must be an even total >= 2, got 3"),
+    ("TwinConfiguration", dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM),
+                               delay=math.nan),
+     "delay must be finite, got nan"),
+    ("TwinConfiguration", dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM),
+                               delay=math.inf),
+     "delay must be finite, got inf"),
+    ("LossModel", dict(gamma_1d=1.0, gamma_star=math.inf), "gamma_star must be finite, got inf"),
+    ("LossModel", dict(gamma_1d=1.0, gamma_star=math.nan), "gamma_star must be finite, got nan"),
+    ("LossModel", dict(gamma_1d=math.inf, gamma_star=0.1), "gamma_1d must be finite, got inf"),
 ]
 
 # -- recorded from the dataclass records: repr(record) and dataclasses.asdict(record)
