@@ -301,6 +301,9 @@ _LOSS_COLUMNS = ("N", "purcell", "one_minus_p_exact", "one_minus_p_product",
 
 
 def cmd_loss(cfg: RunConfig) -> int:
+    """1 - p per N and Purcell factor P, or one cascade's populations with
+    ``--trace``.  ``log_estimate`` is the expansion ln(N)/P, which holds
+    only for P >> H_N; it is capped at 1, the largest loss."""
     opts = cfg.options
     n_values = _int_list(opts["n"])
     # the option's converter checked the range's ends; its points may still overflow
@@ -338,7 +341,7 @@ def cmd_loss(cfg: RunConfig) -> int:
                 "purcell": p1d,
                 "one_minus_p_exact": one_minus_p,
                 "one_minus_p_product": one_minus_p,
-                "log_estimate": 0.0 if math.isinf(p1d) else math.log(n) / p1d,
+                "log_estimate": 0.0 if math.isinf(p1d) else min(1.0, math.log(n) / p1d),
             })
     _write(cfg, _table(rows, _LOSS_COLUMNS, cfg))
     return EXIT_OK

@@ -258,14 +258,15 @@ def dicke_collection_probability(n_emitters: int, loss: LossModel) -> Collection
     order in 1/P the product is 1 - H_N/P, and ln(N) is only the large-N
     form of the harmonic number H_N, so at small N the error 1 - p
     exceeds ln(N)/P for any P: by 27% at N = 10 (H_10/ln(10) = 1.27) and
-    13% at N = 100.
+    13% at N = 100.  The expansion holds only for P >> H_N; below that
+    ``log_estimate`` is clamped at 0, the least probability.
     """
     if n_emitters < 1:
         raise ValueError(f"need at least one emitter, got {n_emitters}")
     if loss.gamma_star == 0.0:
         log_estimate = 1.0
     else:
-        log_estimate = 1.0 - math.log(n_emitters) / loss.purcell
+        log_estimate = max(0.0, 1.0 - math.log(n_emitters) / loss.purcell)
     return CollectionEstimate(
         exact=collection_probability_product(n_emitters, loss),
         log_estimate=log_estimate,

@@ -39,18 +39,19 @@ cost of one recurrence.  Dicke arms do not nest: rung k of m emitters
 decays at k(m-k+1) gamma, so each Dicke point needs its own forward pass.
 
 The forward pass fills the tables of several pairs at once, one pair per
-column, so one numpy call per antidiagonal serves them all; up to
-m ~ 1000 that call's fixed cost, not its cells, dominates a pass.  With M
-the largest photon number of the batch, pair p's tables are the top-left
-m_p x m_p block of the M x M lattice.  Its coefficient rows past its own
-arms are pads (accumulator rates 1, every numerator and the cross factor
-0), so each entry outside its tables is 0 / positive * finite = 0
-exactly, and an entry inside reads only its own neighbours or the edge
-pads: every column computes its one-pair pass's values bit for bit.  The
-one zero accumulator of a pair, c2 at its corner, is reset to 1 once the
-corner is computed, so the pad entries beyond it divide by 1, not 0.  A
-Dicke sweep groups photon numbers within a factor of two of each other,
-so the pads cost little.  The groups of a sweep run in forked children,
+column, so one numpy call per antidiagonal serves them all.  For one pair
+up to m ~ 1000 that call's fixed cost, not its cells, dominates a pass;
+the width-4 and width-5 batches of a Dicke sweep at m ~ 300-1000 spend
+about half their time in cells.  With M the largest photon number of the
+batch, pair p's tables are the top-left m_p x m_p block of the M x M
+lattice.  Its coefficient rows past its own arms are pads (accumulator
+rates 1, every numerator and the cross factor 0), so each entry outside
+its tables is 0 / positive * finite = 0 exactly, and an entry inside
+reads only its own neighbours or the edge pads: every column computes its
+one-pair pass's values bit for bit.  The one zero accumulator of a pair,
+c2 at its corner, is reset to 1 once the corner is computed, so the pad
+entries beyond it divide by 1, not 0.  A Dicke sweep groups photon
+numbers within a factor of two of each other, so the pads cost little.  The groups of a sweep run in forked children,
 at most ``jobs`` at a time; when some group takes the array pass, the
 parent imports numpy before it forks, so no child imports it again, and a
 group whose child dies reruns in the parent.  No step of a pass checks its
@@ -58,6 +59,20 @@ entries: ``_overlap`` reads every overlap (of one pair, a Dicke group or a
 cavity sub-lattice) from its corner, which a nonfinite entry anywhere in
 the pair's tables makes nonfinite, and no other pair's: an overflow flags
 its own rows only.
+
+A real twin pair, whose arms have equal coefficient vectors (compared by
+value) and no level frequency, has symmetric tables, f(i, j) = f(j, i),
+so a pass whose pairs are all real twins computes the entries i <= j
+only: rows lo..k // 2 of antidiagonal k.  The one lower entry that they
+read is the diagonal's left neighbour (k/2, k/2 - 1), and before each
+even antidiagonal the pass copies its mirror (k/2 - 1, k/2) into its
+slot.  That halves the cells of Dicke batches, twin overlaps and harmonic
+adjoints at every size, with the same numpy calls.  A full pass would sum
+a mirrored entry's three terms the other way round, so the two differ in
+the last bits; a pass with some Kerr pair (table 1 is only
+conjugate-symmetric) or distinct arms computes the full lattice, but
+still copies the mirror into each real twin column, so that column keeps
+its one-pair bits.
 
 Every pass, forward or adjoint, is read through ``_diagonals`` as table
 2's diagonal f2(d, d): a forward pass's last entry is its corner, and the
@@ -92,14 +107,17 @@ from .oracle import ExchangeIntegral
 _OVERSHOOT_TOL = 1e-12
 
 # Most cells per antidiagonal in one batched Dicke pass (P pairs of at most
-# M photons per arm hold P M cells): past it, the wider buffers cost more
+# M photons per arm hold P M cells, counted over the full lattice: a twin
+# pass computes about half of them): past it, the wider buffers cost more
 # memory than the saved numpy calls are worth.
 _BATCH_CELLS = 4096
 
-# Most cells (m^2 summed over its pairs) in a pass in Python floats.  With
-# numpy loaded, one pair at m = 64 (real or Kerr) takes about 0.7 times its
-# array time plain, four real pairs at m = 32 about 1.2 times; a pass within
-# the limit needs no numpy import, which costs about 0.1 s.
+# Most cells (m^2 summed over its pairs, counted over the full lattice: a
+# twin pair's half pass computes m(m + 1)/2 of them) in a pass in Python
+# floats.  With numpy loaded, one real twin pair at m = 64 takes about 0.55
+# times its array time plain, a Kerr pair about 0.95 times and four real
+# twins at m = 32 about 1.0 times; a pass within the limit needs no numpy
+# import, which costs about 0.1 s.
 _PLAIN_CELLS = 4096
 
 
@@ -150,6 +168,12 @@ def _ladder_vectors(arm: DecayLadder, shift: int) -> dict[str, list[float]]:
         "n1": [1.0, *(math.sqrt(g[k] * g[k + 1]) for k in range(m - 1, 0, -1))],
         "n2": list(gr0),
     }
+
+
+def _real_twin(va: dict, vb: dict) -> bool:
+    """Whether a pair's coefficient vectors are equal and real (no level
+    frequency): then each of its tables is symmetric, f(i, j) = f(j, i)."""
+    return va == vb and not any(va["dw"])
 
 
 def _real_cell(c0, r1, c2, s, na, nb, up, left):
@@ -275,6 +299,11 @@ def _antidiagonals(pairs, vectors=None):
     The yielded arrays are views into buffers that the next steps
     overwrite; a complex batch's f1 is its (2, len, P) planes Re and Im.
 
+    A pass whose pairs are all real twins (``_real_twin``) yields rows
+    lo..k // 2 only, the entries i <= j; in any pass, the state of a real
+    twin column's entry (k/2, k/2 - 1) is overwritten with its mirror's
+    before antidiagonal k, as the module docstring explains.
+
     ``vectors`` maps an arm and its pair's ``_rate_shift`` to its
     coefficient vectors: ``_adjoint_vectors`` for the adjoint, else
     ``_ladder_vectors``, looked up per call.  On antidiagonal 0, once c1 is
@@ -294,11 +323,14 @@ def _antidiagonals(pairs, vectors=None):
     corners = {}  # the pairs whose corner (m_p - 1, m_p - 1) is on antidiagonal k, by k
     for p, (a, _) in enumerate(pairs):
         corners.setdefault(2 * a.levels - 2, []).append(p)
+    twins = []  # the real twin pairs, whose tables are symmetric
     with np.errstate(all="ignore"):
         for p, (a, b) in enumerate(pairs):
             m, shift = a.levels, _rate_shift(a, b)
             va = vectors(a, shift)
             vb = va if b is a else vectors(b, shift)
+            if _real_twin(va, vb):
+                twins.append(p)
             for row, name in enumerate(pads):
                 vec[row, :m, p] = va[name]
                 rev[row, size - m:, p] = vb[name][::-1]
@@ -320,9 +352,14 @@ def _antidiagonals(pairs, vectors=None):
         both = [np.zeros((6 if real else 9, size + 1, width)) for _ in "ab"]
         both[0][:3] = both[1][:3] = 1.0
         both[0][3, 0] = 1.0
+        half = len(twins) == width
+        mirror = slice(None) if half else twins
         for k in range(2 * size - 1):
             prev, state = both
-            lo, hi = max(0, k - size + 1), min(size - 1, k)
+            lo, hi = max(0, k - size + 1), k // 2 if half else min(size - 1, k)
+            if twins and k and k % 2 == 0:
+                # the diagonal's left neighbour (k/2, k/2 - 1) reads as its mirror
+                prev[:, k // 2 + 1, mirror] = prev[:, k // 2, mirror]
             # i-indexed coefficients and up neighbours share one slice
             i = up = slice(lo, hi + 1)
             j, left = slice(size - 1 - k + lo, size - k + hi), slice(lo + 1, hi + 2)
@@ -363,18 +400,19 @@ def _array_diagonals(pairs, vectors=None) -> list[list[float]]:
 
 def _plain_diagonal(a: DecayLadder, b: DecayLadder, vectors=None) -> list[float]:
     """Table 2's diagonal f2(d, d), d < m, of one pair from a pass in Python
-    floats, row by row, with ``_antidiagonals``' ``vectors``, edge, seed and
-    cell rule: an entry depends only on its neighbours, so it has that
-    pass's bits.  A float overflows to inf or nan without raising, and no
-    other divisor is zero: every accumulator but the forward corner's c2,
-    which divides nothing, is a sum of positive rates, and Smith's d is at
-    least x or |y|.
+    floats, row by row, with ``_antidiagonals``' ``vectors``, edge, seed,
+    cell rule and, for a real twin pair, half lattice: an entry depends
+    only on its neighbours, so it has that pass's bits.  A float overflows
+    to inf or nan without raising, and no other divisor is zero: every
+    accumulator but the forward corner's c2, which divides nothing, is a
+    sum of positive rates, and Smith's d is at least x or |y|.
     """
     m, shift = a.levels, _rate_shift(a, b)
     vectors = vectors or _ladder_vectors
     va = vectors(a, shift)
     vb = va if b is a else vectors(b, shift)
     real = not any(va["dw"]) and not any(vb["dw"])
+    half = _real_twin(va, vb)
     cell = _real_cell if real else _complex_cell
     rows, cols = (list(zip(v["gr0"], v["gr2"], v["dw"], v["sq"], zip(v["n0"], v["n1"], v["n2"])))
                   for v in (va, vb))
@@ -382,8 +420,10 @@ def _plain_diagonal(a: DecayLadder, b: DecayLadder, vectors=None) -> list[float]
     above = [(1.0, 1.0, 1.0, 1.0, *edge[4:])] + [edge] * (m - 1)
     diagonal = []
     for i, (ga0, ga2, wa, sa, na) in enumerate(rows):
-        row, left = [], edge
-        for up, (gb0, gb2, wb, sb, nb) in zip(above, cols):
+        # a half pass runs row i from j = i, whose left neighbour mirrors its up one
+        start = i if half else 0
+        row, left = [], above[0] if start else edge
+        for up, (gb0, gb2, wb, sb, nb) in zip(above, cols[start:]):
             c0, c2 = ga0 + gb0, ga2 + gb2
             x = (c0 + c2) / 2.0
             r = 1.0 / x if real else _smith(x, wb - wa)
@@ -391,8 +431,8 @@ def _plain_diagonal(a: DecayLadder, b: DecayLadder, vectors=None) -> list[float]
                 r = _smith(wb - wa, x)[::-1]
             left = cell(c0 or 1.0, r, c2, sa * sb, na, nb, up, left)  # c0 = 0: a seed
             row.append(left)
-        diagonal.append(row[i][-1])
-        above = row
+        diagonal.append(row[i - start][-1])
+        above = row[1:] if half else row
     return diagonal
 
 

@@ -240,6 +240,16 @@ class TestLossCommand:
         row = out.strip().splitlines()[1].split(",")
         assert float(row[2]) == float(row[3]) == 1.0
 
+    def test_log_estimate_is_capped_at_total_loss(self, capsys):
+        # ln(10) / 1e-17 would read 2.3e17 beside an exact 1 - p of 1; the
+        # bench's grid (P >= 1e2) keeps its bytes
+        code, out, _ = run(capsys, "loss", "--n", "10,1000", "--purcell", "1e-17,1e2",
+                           "--no-header")
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(row[4]) for row in rows] == [1.0, math.log(10) / 1e2, 1.0,
+                                                   math.log(1000) / 1e2]
+
     def test_infinite_purcell(self, capsys):
         code, out, _ = run(
             capsys, "loss", "--n", "3", "--purcell", "inf", "--no-header"

@@ -208,6 +208,12 @@ class TestCollectionProbability:
         assert collection_loss_probability(10, loss) == 1.0
         assert 1.0 - collection_probability_product(10, loss) == 1.0
 
+    def test_log_estimate_is_clamped_at_zero(self):
+        # 1 - ln(10) / 1e-17 would read -2.3e17; the expansion needs P >> H_N
+        assert dicke_collection_probability(10, LossModel(1.0, 1e17)).log_estimate == 0.0
+        est = dicke_collection_probability(10, LossModel(1.0, 1e-2))
+        assert est.log_estimate == 1.0 - math.log(10) / 1e2
+
     def test_hundred_emitters_kilopurcell(self):
         est = dicke_collection_probability(100, LossModel(1.0, 1e-3))
         assert 1.0 - est.exact == pytest.approx(4.6e-3, rel=0.15)

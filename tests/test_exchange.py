@@ -26,7 +26,9 @@ from dickeqfi.exchange import (
     _ladder_vectors,
     _overlap,
     _plain_diagonal,
+    _rate_shift,
     _real_cell,
+    _real_twin,
     _reverse_pass,
     _smith,
     _worker_count,
@@ -96,10 +98,10 @@ def point_row(family, n_total):
             "dphi2_fock": 2.0 / (n_total * (n_total + 2.0))}
 
 
-def split_recurrence(a, b):
+def split_tables(a, b):
     """Recurrence of arms a (rows) and b (columns), written as a plain
     double loop over the three full tables: the reference for the fused
-    antidiagonal pass."""
+    antidiagonal pass.  Returns the tables f0, f1 (complex) and f2."""
     m = a.levels
     ga, gb = [0.0, *a.rates], [0.0, *b.rates]
     wa, wb = [0.0, *a.frequencies], [0.0, *b.frequencies]
@@ -141,7 +143,13 @@ def split_recurrence(a, b):
             f0[i, j] = a0
             f1[i, j] = a1 + s_cross / c0(i, j) * a0
             f2[i, j] = a2 + 2.0 * s_cross * (f1[i, j] / c1(i, j)).real
-    return f2[m - 1, m - 1] / m**2
+    return f0, f1, f2
+
+
+def split_recurrence(a, b):
+    """The overlap of arms a and b from ``split_tables``' corner."""
+    m = a.levels
+    return split_tables(a, b)[2][m - 1, m - 1] / m**2
 
 
 def longdouble_corner(arm):
@@ -179,11 +187,21 @@ def longdouble_corner(arm):
         h0[left], h1[left], h2[left] = f0 / c0, f1 / c1, f2 / c2
 
 
+def real_twin(a, b):
+    """Whether arms a and b make a real twin pair, whose pass stores the
+    upper triangle i <= j of its tables only."""
+    shift = _rate_shift(a, b)
+    return _real_twin(_ladder_vectors(a, shift), _ladder_vectors(b, shift))
+
+
 def full_tables(arms, column=0):
     """The three M x M tables of one column of a batched pass, rebuilt from
     the library's antidiagonals; ``arms`` is a list of arm pairs or one
     ladder (its twin pair), and M the largest photon number of the batch.
-    Table 1 comes back complex, also from a complex batch's planes."""
+    Table 1 comes back complex, also from a complex batch's planes.  A real
+    twin pair's lower triangle comes back as the mirror of its upper one,
+    which its pass stores and reads, also where a batch that it shares
+    computes the lower entries too."""
     pairs = arms if isinstance(arms, list) else [(arms, arms)]
     m = max(a.levels for a, _ in pairs)
     tables = (np.zeros((m, m)), np.zeros((m, m), dtype=complex), np.zeros((m, m)))
@@ -193,6 +211,10 @@ def full_tables(arms, column=0):
             if diagonal.ndim == 3:  # real and imaginary planes
                 diagonal = diagonal[0] + 1j * diagonal[1]
             table[i, k - i] = diagonal[:, column]
+    if real_twin(*pairs[column]):
+        lower = np.tril_indices(m, -1)
+        for table in tables:
+            table[lower] = table.T[lower]
     return tables
 
 
@@ -319,14 +341,21 @@ class TestRecurrenceState:
         assert np.all(np.isfinite(f2))
         assert np.all(np.isfinite(np.abs(f1)))
 
-    @pytest.mark.parametrize(
-        "arm",
-        [build_dicke(30, 1.0), build_anharmonic(30, 1.0, 10.0)],
-        ids=["dicke", "kerr"],
-    )
+    # A real twin pass stores i <= j only, so its tables are symmetric by
+    # construction (test_a_twin_pass_stores_the_upper_triangle checks that
+    # triangle); a Kerr pair runs the full pass, whose f0 sums the same two
+    # terms in either triangle.
+    @pytest.mark.parametrize("arm", [build_anharmonic(30, 1.0, 10.0)], ids=["kerr"])
     def test_zero_pending_table_is_exactly_symmetric(self, arm):
         f0, _, _ = full_tables(arm)
         assert np.array_equal(f0, f0.T)
+
+    @pytest.mark.parametrize("arm", [build_dicke(30, 1.0), build_harmonic(30, 1.0)],
+                             ids=["dicke", "harmonic"])
+    def test_a_twin_pass_stores_the_upper_triangle(self, arm):
+        # the stored triangle, mirrored, against the full double loop's tables
+        for table, reference in zip(full_tables(arm), split_tables(arm, arm)):
+            assert np.allclose(table, reference, rtol=1e-13, atol=0.0)
 
     def test_value_assembly(self):
         arm = build_dicke(3, 1.0)
@@ -689,21 +718,25 @@ class TestTableDtype:
         assert seen == {(np.dtype(np.float64), planes)}
 
 
-# Corners (m^2 I) of real ladders, as float.hex, from the pass that kept
-# table 1 in complex128: buffer 1's reciprocal repeats numpy's complex
-# division by (c1, 0), so every bit must stay.
+# Corners (m^2 I) of real twin ladders, as float.hex: the half pass's,
+# then the full pass's that came before it.  The half pass reads each
+# entry (i, j > i) in place of its mirror, whose three-term sums the full
+# pass associated the other way, so the two lie within 1e-15 relative.
 BIT_PINS = {
-    "dicke-1": (build_dicke(1, 1.0), "0x1.0000000000000p+0"),
-    "dicke-2": (build_dicke(2, 1.0), "0x1.d555555555558p+1"),
-    "dicke-4": (build_dicke(4, 1.0), "0x1.bb4b1450a1154p+3"),
-    "dicke-50": (build_dicke(50, 1.0), "0x1.00726a2d04b0ap+11"),
-    "dicke-400": (build_dicke(400, 1.0), "0x1.00aeb5a4c2610p+17"),
-    "dicke-980": (build_dicke(980, 1.0), "0x1.8168f4d791bbep+19"),
-    "dicke-5-g1e-6": (build_dicke(5, 1e-6), "0x1.55faf25b88feep+4"),
-    "dicke-5-g3.7699e7": (build_dicke(5, 3.7699e7), "0x1.55faf25b88ff0p+4"),
-    "harmonic-2": (build_harmonic(2, 1.0), "0x1.0000000000001p+2"),
-    "harmonic-2-g1e-6": (build_harmonic(2, 1e-6), "0x1.0000000000000p+2"),
-    "harmonic-200-g1e-6": (build_harmonic(200, 1e-6), "0x1.3880000000008p+15"),
+    "dicke-1": (build_dicke(1, 1.0), "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    "dicke-2": (build_dicke(2, 1.0), "0x1.d555555555558p+1", "0x1.d555555555558p+1"),
+    "dicke-4": (build_dicke(4, 1.0), "0x1.bb4b1450a1154p+3", "0x1.bb4b1450a1154p+3"),
+    "dicke-50": (build_dicke(50, 1.0), "0x1.00726a2d04b0bp+11", "0x1.00726a2d04b0ap+11"),
+    "dicke-400": (build_dicke(400, 1.0), "0x1.00aeb5a4c2610p+17", "0x1.00aeb5a4c2610p+17"),
+    "dicke-980": (build_dicke(980, 1.0), "0x1.8168f4d791bbcp+19", "0x1.8168f4d791bbep+19"),
+    "dicke-5-g1e-6": (build_dicke(5, 1e-6), "0x1.55faf25b88fefp+4", "0x1.55faf25b88feep+4"),
+    "dicke-5-g3.7699e7": (build_dicke(5, 3.7699e7), "0x1.55faf25b88ff0p+4",
+                          "0x1.55faf25b88ff0p+4"),
+    "harmonic-2": (build_harmonic(2, 1.0), "0x1.0000000000001p+2", "0x1.0000000000001p+2"),
+    "harmonic-2-g1e-6": (build_harmonic(2, 1e-6), "0x1.0000000000000p+2",
+                         "0x1.0000000000000p+2"),
+    "harmonic-200-g1e-6": (build_harmonic(200, 1e-6), "0x1.388000000000ap+15",
+                           "0x1.3880000000008p+15"),
 }
 
 
@@ -716,10 +749,17 @@ KERR_PINS = {
 }
 
 
+def near_full_pass(corners, full_pass):
+    """Whether each corner lies within 1e-15 relative of the full pass's."""
+    return all(abs(c - float.fromhex(f)) <= 1e-15 * c for c, f in zip(corners, full_pass))
+
+
 class TestBitPins:
-    @pytest.mark.parametrize("arm,corner", BIT_PINS.values(), ids=BIT_PINS.keys())
-    def test_twin_corner(self, arm, corner):
-        assert _recurrence(arm, arm).corner == float.fromhex(corner)
+    @pytest.mark.parametrize("arm,corner,full_pass", BIT_PINS.values(), ids=BIT_PINS.keys())
+    def test_twin_corner(self, arm, corner, full_pass):
+        got = _recurrence(arm, arm).corner
+        assert got == float.fromhex(corner)
+        assert near_full_pass([got], [full_pass])
 
     def test_distinct_dicke_arms(self):
         corner = _recurrence(build_dicke(30, 1.0), build_dicke(30, 1.3)).corner
@@ -727,9 +767,12 @@ class TestBitPins:
 
     def test_first_bench_grid_group(self):
         arms = [build_dicke(m, 1.0) for m in (980, 900, 820, 740)]
-        assert forward_corners([(arm, arm) for arm in arms]) == [
-            float.fromhex(c) for c in ("0x1.8168f4d791bbep+19", "0x1.450a26c8f3185p+19",
-                                       "0x1.0dcf22c9fe982p+19", "0x1.b76fc9cdfec31p+18")]
+        corners = forward_corners([(arm, arm) for arm in arms])
+        assert corners == [
+            float.fromhex(c) for c in ("0x1.8168f4d791bbcp+19", "0x1.450a26c8f3183p+19",
+                                       "0x1.0dcf22c9fe981p+19", "0x1.b76fc9cdfec32p+18")]
+        assert near_full_pass(corners, ("0x1.8168f4d791bbep+19", "0x1.450a26c8f3185p+19",
+                                        "0x1.0dcf22c9fe982p+19", "0x1.b76fc9cdfec31p+18"))
 
     @pytest.mark.parametrize("arm,corner", KERR_PINS.values(), ids=KERR_PINS.keys())
     def test_kerr_twin_corner(self, arm, corner):
@@ -890,6 +933,53 @@ class TestPlainPass:
         forward = ["plain", "array", "array", "plain", "array", "array"]
         assert seen == ([(backend, None) for backend in forward]
                         + [("plain", _adjoint_vectors), ("array", _adjoint_vectors)])
+
+
+HALF_PAIRS = {
+    "dicke-twin": ((build_dicke(7, 1.0),) * 2, True),
+    "dicke-equal-arms": ((build_dicke(7, 1.0), build_dicke(7, 1.0)), True),
+    "harmonic-twin": ((build_harmonic(7, 1.0),) * 2, True),
+    "dicke-1-1.3": ((build_dicke(7, 1.0), build_dicke(7, 1.3)), False),
+    "kerr-twin": ((build_anharmonic(7, 1.0, 1.0),) * 2, False),
+}
+
+
+class TestHalfPass:
+    """A real twin pair, whose arms have equal coefficient vectors and no
+    level frequency, runs its pass over i <= j only, on both backends."""
+
+    @pytest.mark.parametrize("vectors", [None, _adjoint_vectors], ids=["forward", "adjoint"])
+    @pytest.mark.parametrize("pair,half", HALF_PAIRS.values(), ids=HALF_PAIRS.keys())
+    def test_a_real_twin_pass_computes_the_upper_triangle(self, monkeypatch, pair, half,
+                                                          vectors):
+        m = pair[0].levels
+        cells = m * (m + 1) // 2 if half else m * m
+        assert sum(len(f0) for _, f0, _, _ in _antidiagonals([pair], vectors)) == cells
+        calls = []
+        for name in ("_real_cell", "_complex_cell"):
+            cell = getattr(exchange_module, name)
+            monkeypatch.setattr(exchange_module, name,
+                                lambda *args, cell=cell: calls.append(1) or cell(*args))
+        _plain_diagonal(*pair, vectors)
+        assert len(calls) == cells
+
+    @pytest.mark.parametrize("vectors", [None, _adjoint_vectors], ids=["forward", "adjoint"])
+    @pytest.mark.parametrize("m", [1, 2, 7, EDGE, EDGE + 1])
+    @pytest.mark.parametrize("build", [lambda m: build_dicke(m, 1.0),
+                                       lambda m: build_harmonic(m, 1.0)],
+                             ids=["dicke", "harmonic"])
+    def test_equal_arms_are_twins_by_value(self, build, m, vectors):
+        arm, other = build(m), build(m)
+        expected = [v.hex() for v in _plain_diagonal(arm, arm, vectors)]
+        # a batch of real twins takes the half pass; one with a distinct
+        # pair takes the full pass, and mirrors the one lower entry per
+        # antidiagonal that a twin column's diagonal reads
+        batches = ([(arm, arm)], [(arm, other)], [(build(max(1, m // 2)),) * 2, (arm, other)],
+                   [(build_dicke(m, 1.0), build_dicke(m, 1.3)), (arm, other)])
+        diagonals = [_plain_diagonal(arm, other, vectors)]
+        diagonals += [_array_diagonals(batch, vectors)[-1] for batch in batches]
+        for diagonal in diagonals:
+            assert [v.hex() for v in diagonal] == expected
 
 
 class TestExtremeGamma:
