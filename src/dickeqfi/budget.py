@@ -226,6 +226,13 @@ def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrec
     )
 
 
+def _overlap_value(i_n: ExchangeIntegral | float) -> float:
+    value = i_n.value if isinstance(i_n, ExchangeIntegral) else float(i_n)
+    if not math.isfinite(value):
+        raise ValueError(f"exchange integral must be finite, got {value}")
+    return value
+
+
 def interferometer_loss_correction(
     qfi: float, n_photons: int, i_n: ExchangeIntegral | float, eta: float
 ) -> LossCorrection:
@@ -246,7 +253,9 @@ def interferometer_loss_correction(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"loss probability must lie in [0, 1], got {eta}")
-    value = i_n.value if isinstance(i_n, ExchangeIntegral) else float(i_n)
+    if not math.isfinite(qfi):
+        raise ValueError(f"qfi must be finite, got {qfi}")
+    value = _overlap_value(i_n)
     decrease = n_photons**2 * eta * value / 4.0
     threshold = 4.0 / (value * n_photons**2) if value > 0.0 else math.inf
     return LossCorrection(
@@ -300,7 +309,7 @@ def full_budget(
     if not 0.0 < margin_factor < math.inf:
         raise ValueError(f"margin_factor must be positive and finite, got {margin_factor}")
     n = params.n_photons
-    value = i_n.value if isinstance(i_n, ExchangeIntegral) else float(i_n)
+    value = _overlap_value(i_n)
 
     prop = propagation_length_check(
         params.quality_factor, params.group_index, n, margin_factor

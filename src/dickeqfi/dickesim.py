@@ -89,8 +89,6 @@ def collective_rates(n_emitters: int, gamma_1d: float) -> np.ndarray:
 
 def superradiance_timescale(n_emitters: int, gamma_1d: float) -> SuperradianceTime:
     """Total cascade duration as the sum of per-rung lifetimes."""
-    if n_emitters < 1:
-        raise ValueError(f"need at least one emitter, got {n_emitters}")
     import numpy as np
 
     gammas = collective_rates(n_emitters, gamma_1d)
@@ -136,78 +134,48 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return x
 
 
-def _propagate(generator: np.ndarray, y0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """State at every grid time, stepped with ``expm(generator * dt)``.
+def dicke_populations(n_emitters: int, loss: LossModel) -> PopulationTrace:
+    """Ladder populations from the fully inverted state, on the trace's grid.
 
-    The exponential is ``_expm``, Higham's (2005) Pade scaling and
-    squaring.  The propagator is recomputed only where the step changes
-    by more than rounding, so a uniform grid costs one matrix exponential.
+    The grid spans twenty cascade durations in 400 equal steps, each
+    advanced by one ``_expm`` propagator.  The residual is the excited
+    population at the end of the grid; while it exceeds ``_RESIDUAL_TOL``
+    the horizon doubles, up to ``_MAX_EXTENSIONS`` times, and the trace is
+    flagged unconverged if it still does.  Residence times and the
+    collection probability are closed forms; the ground level's residence
+    is infinite, since it absorbs the collected weight.
     """
     import numpy as np
 
-    out = np.empty((len(y0), len(times)))
-    out[:, 0] = y = y0
-    step = math.nan
-    for k, dt in enumerate(np.diff(times), start=1):
-        if not abs(dt - step) <= 1e-12 * dt:
-            step, propagator = dt, _expm(generator * dt)
-        y = propagator @ y
-        out[:, k] = y
-    return out
-
-
-def dicke_populations(
-    n_emitters: int,
-    loss: LossModel,
-    t_grid=None,
-) -> PopulationTrace:
-    """Ladder populations on a time grid, from the fully inverted state.
-
-    The default grid spans twenty cascade durations in 400 steps.  The
-    residual is the excited population at the end of the grid; while it
-    exceeds ``_RESIDUAL_TOL`` the horizon doubles, and the trace is flagged
-    unconverged if it still does after ``_MAX_EXTENSIONS`` doublings.
-    Residence times and the collection probability are closed forms; the
-    ground level's residence is infinite, since it absorbs the collected
-    weight.
-    """
-    if n_emitters < 1:
-        raise ValueError(f"need at least one emitter, got {n_emitters}")
-    import numpy as np
-
-    if t_grid is None:
-        t_max = 20.0 * superradiance_timescale(n_emitters, loss.gamma_1d).exact
-        t_grid = np.linspace(0.0, t_max, 401)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if t_grid.ndim != 1 or len(t_grid) < 2:
-            raise ValueError("time grid needs at least two points")
-        if t_grid[0] != 0.0 or np.any(np.diff(t_grid) <= 0.0):
-            raise ValueError("time grid must ascend from 0")
-
+    t_max = 20.0 * superradiance_timescale(n_emitters, loss.gamma_1d).exact
+    times = np.linspace(0.0, t_max, 401)
     gammas = collective_rates(n_emitters, loss.gamma_1d)
     out_rates = gammas + np.arange(1, n_emitters + 1) * loss.gamma_star  # m = 1..N
     generator = np.diag(np.concatenate(([0.0], -out_rates))) + np.diag(gammas, k=1)
-    y0 = np.zeros(n_emitters + 1)
-    y0[n_emitters] = 1.0
-    populations = _propagate(generator, y0, t_grid)
+    propagator = _expm(generator * times[1])
+    populations = np.empty((n_emitters + 1, len(times)))
+    y = np.zeros(n_emitters + 1)
+    y[n_emitters] = 1.0
+    populations[:, 0] = y
+    for k in range(1, len(times)):
+        y = propagator @ y
+        populations[:, k] = y
 
-    horizon = float(t_grid[-1])
-    y_end = populations[:, -1]
-    residual = float(np.sum(y_end[1:]))
+    horizon = t_max
+    residual = float(np.sum(y[1:]))
     extensions = 0
     while residual > _RESIDUAL_TOL and extensions < _MAX_EXTENSIONS:
-        y_end = _propagate(generator, y_end, np.array([0.0, horizon]))[:, -1]
+        y = _expm(generator * horizon) @ y
         horizon *= 2.0
         extensions += 1
-        residual = float(np.sum(y_end[1:]))
+        residual = float(np.sum(y[1:]))
 
     # weight reaching level m is the product of the shares passed on above it
     shares = gammas / out_rates
     reach = np.append(np.cumprod(shares[:0:-1])[::-1], 1.0)
     populations = np.clip(populations, 0.0, 1.0)
     return PopulationTrace(
-        times=t_grid,
+        times=times,
         populations=populations,
         residence=np.concatenate(([math.inf], reach / out_rates)),
         collection_probability=collection_probability_product(n_emitters, loss),
@@ -261,13 +229,9 @@ def dicke_collection_probability(n_emitters: int, loss: LossModel) -> Collection
     13% at N = 100.  The expansion holds only for P >> H_N; below that
     ``log_estimate`` is clamped at 0, the least probability.
     """
-    if n_emitters < 1:
-        raise ValueError(f"need at least one emitter, got {n_emitters}")
+    exact = collection_probability_product(n_emitters, loss)
     if loss.gamma_star == 0.0:
         log_estimate = 1.0
     else:
         log_estimate = max(0.0, 1.0 - math.log(n_emitters) / loss.purcell)
-    return CollectionEstimate(
-        exact=collection_probability_product(n_emitters, loss),
-        log_estimate=log_estimate,
-    )
+    return CollectionEstimate(exact=exact, log_estimate=log_estimate)

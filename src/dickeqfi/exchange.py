@@ -506,15 +506,12 @@ def _reverse_pass(a: DecayLadder, b: DecayLadder) -> list[float]:
 
 
 def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
-    """Exchange integral of a zero-delay configuration via the table recurrence.
+    """Exchange integral of a configuration via the table recurrence.
 
-    The two arms may be any ladders with the same photon number; delayed
-    arrival is exact-oracle territory (the analytic delay bound lives in
-    the error-budget module).
+    The two arms may be any ladders with the same photon number, arriving
+    together; the exact delayed overlap is the oracle's ``delay`` and the
+    analytic delay bound is ``budget.delay_correction``.
     """
-    if config.delay != 0.0:
-        raise ValueError("recurrence handles zero delay only; use the oracle for the "
-                         "exact delayed value or the budget bound")
     a, b = config.ladder_a, config.ladder_b
     return ExchangeIntegral(
         value=_overlap(a.levels, _diagonals([(a, b)])[0][-1]),

@@ -166,26 +166,20 @@ class DecayLadder(Record):
 
 
 class TwinConfiguration(Record):
-    """Pair of input-arm wavepackets entering the interferometer.
+    """Pair of input-arm wavepackets entering the interferometer together.
 
-    ``delay`` is the relative arrival delay of the two wavefronts in
-    units of one over the reference rate; 0 is the ideal case.
+    The two wavefronts arrive at once; a delayed pair is the oracle's
+    ``delay`` and the error budget's ``delay_correction``.
     """
 
-    __slots__ = ("ladder_a", "ladder_b", "delay")
-    _defaults = {"delay": 0.0}
+    __slots__ = ("ladder_a", "ladder_b")
 
     def __post_init__(self):
-        object.__setattr__(self, "delay", float(self.delay))
         if self.ladder_a.levels != self.ladder_b.levels:
             raise ValueError(
                 "twin configuration requires equal photon numbers per arm; "
                 f"got {self.ladder_a.levels} and {self.ladder_b.levels}"
             )
-        if not math.isfinite(self.delay):
-            raise ValueError(f"delay must be finite, got {self.delay}")
-        if self.delay < 0.0:
-            raise ValueError(f"delay must be nonnegative, got {self.delay}")
 
     @property
     def photons_per_arm(self) -> int:
@@ -199,7 +193,9 @@ class TwinConfiguration(Record):
 def _dicke_rates(n_emitters: int, gamma_1d: float):
     """Collective rate k(N-k+1) gamma_1d of each rung, k = 1..N, the one
     source of Dicke rates; the count k(N-k+1) is an exact integer, so each
-    rate rounds once."""
+    rate rounds once.  N below one is rejected here, before any rate."""
+    if n_emitters < 1:
+        raise ValueError(f"need at least one emitter, got {n_emitters}")
     return (k * (n_emitters - k + 1) * gamma_1d for k in range(1, n_emitters + 1))
 
 
@@ -211,11 +207,10 @@ def build_dicke(n_emitters: int, gamma_1d: float) -> DecayLadder:
     so all frequencies vanish in the rotating frame.
     """
     n = _count(n_emitters, "n_emitters")
-    if n < 1:
-        raise ValueError(f"need at least one emitter, got {n_emitters}")
+    rates = tuple(_dicke_rates(n, gamma_1d))
     if not gamma_1d > 0.0:
         raise ValueError(f"gamma_1d must be positive, got {gamma_1d}")
-    return DecayLadder(levels=n, rates=tuple(_dicke_rates(n, gamma_1d)), frequencies=(0.0,) * n)
+    return DecayLadder(levels=n, rates=rates, frequencies=(0.0,) * n)
 
 
 def build_anharmonic(n_photons: int, gamma_1: float, u: float) -> DecayLadder:

@@ -19,33 +19,29 @@ _INPUT_KINDS = ("twin", "general", "mixed_number", "lossy_lower_bound")
 class QfiReport(Record):
     """Quantum Fisher information and the derived sensitivity ratios.
 
-    ``phase_variance`` is the per-shot Cramer-Rao bound 1/(nu * qfi);
+    ``phase_variance`` is the per-shot Cramer-Rao bound 1/qfi;
     ``snl_ratio`` and ``hl_ratio`` compare against the shot-noise and
     Heisenberg references F = N and F = N^2.
     """
 
-    __slots__ = ("qfi", "phase_variance", "n_total", "snl_ratio", "hl_ratio", "input_kind",
-                 "repetitions")
-    _defaults = {"repetitions": 1}
+    __slots__ = ("qfi", "phase_variance", "n_total", "snl_ratio", "hl_ratio", "input_kind")
 
     def __post_init__(self):
         if self.input_kind not in _INPUT_KINDS:
             raise ValueError(f"unknown input kind {self.input_kind!r}")
 
 
-def _report(qfi: float, n_total: int, kind: str, repetitions: int = 1) -> QfiReport:
-    if qfi < 0.0:
-        raise ValueError(f"quantum Fisher information must be nonnegative, got {qfi}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be a positive integer")
+def _report(qfi: float, n_total: int, kind: str) -> QfiReport:
+    if not 0.0 <= qfi < math.inf:
+        raise ValueError(f"quantum Fisher information must be finite and nonnegative, "
+                         f"got {qfi}")
     return QfiReport(
         qfi=qfi,
-        phase_variance=math.inf if qfi == 0.0 else 1.0 / (repetitions * qfi),
+        phase_variance=math.inf if qfi == 0.0 else 1.0 / qfi,
         n_total=n_total,
         snl_ratio=qfi / n_total if n_total else 0.0,
         hl_ratio=qfi / n_total**2 if n_total else 0.0,
         input_kind=kind,
-        repetitions=repetitions,
     )
 
 
@@ -63,11 +59,11 @@ def _require_single_exchange(integral: ExchangeIntegral):
             "QFI formulas take the single-pair exchange integral, got "
             f"exchanged_count={integral.exchanged_count}"
         )
+    if not math.isfinite(integral.value):
+        raise ValueError(f"exchange integral must be finite, got {integral.value}")
 
 
-def qfi_general(
-    m: int, n: int, i_ab: ExchangeIntegral, repetitions: int = 1
-) -> QfiReport:
+def qfi_general(m: int, n: int, i_ab: ExchangeIntegral) -> QfiReport:
     """QFI for fixed photon numbers m and n in the two input ports.
 
     F = 2 m n I + m + n.  A vacuum port contributes nothing through the
@@ -76,7 +72,7 @@ def qfi_general(
     m, n = _photon_number(m), _photon_number(n)
     _require_single_exchange(i_ab)
     qfi = 2.0 * m * n * i_ab.value + m + n
-    return _report(qfi, m + n, "general", repetitions)
+    return _report(qfi, m + n, "general")
 
 
 def twin_qfi(n_total: int, i: float) -> float:
@@ -84,19 +80,15 @@ def twin_qfi(n_total: int, i: float) -> float:
     return n_total * (i * n_total + 2.0) / 2.0
 
 
-def qfi_twin(n_total: int, i_n: ExchangeIntegral, repetitions: int = 1) -> QfiReport:
+def qfi_twin(n_total: int, i_n: ExchangeIntegral) -> QfiReport:
     """Twin-pair QFI report (``twin_qfi``) from the single-pair overlap."""
     if n_total < 2 or n_total % 2:
         raise ValueError(f"twin input needs an even total photon number, got {n_total}")
     _require_single_exchange(i_n)
-    return _report(twin_qfi(n_total, i_n.value), n_total, "twin", repetitions)
+    return _report(twin_qfi(n_total, i_n.value), n_total, "twin")
 
 
-def qfi_mixed_number(
-    m: int,
-    components,
-    repetitions: int = 1,
-) -> QfiReport:
+def qfi_mixed_number(m: int, components) -> QfiReport:
     """QFI with a fixed m-photon arm against a photon-number superposition.
 
     ``components`` lists (weight, n, integral) with weights summing to
@@ -108,7 +100,7 @@ def qfi_mixed_number(
     weights = [float(w) for (w, _, _) in components]
     if any(w < 0 for w in weights):
         raise ValueError("component weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-12:
+    if not abs(sum(weights) - 1.0) <= 1e-12:
         raise ValueError(f"component weights must sum to 1, got {sum(weights)}")
     cross = 0.0
     n_mean = 0.0
@@ -122,7 +114,7 @@ def qfi_mixed_number(
         _require_single_exchange(integral)
         cross += w * n * integral.value
     qfi = 2.0 * m * cross + m + n_mean
-    return _report(qfi, m + round(n_mean), "mixed_number", repetitions)
+    return _report(qfi, m + round(n_mean), "mixed_number")
 
 
 def qfi_lossy_lower_bound(p: float, pure_report: QfiReport) -> QfiReport:
@@ -137,7 +129,7 @@ def qfi_lossy_lower_bound(p: float, pure_report: QfiReport) -> QfiReport:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
     qfi = p * p * pure_report.qfi
-    return _report(qfi, pure_report.n_total, "lossy_lower_bound", pure_report.repetitions)
+    return _report(qfi, pure_report.n_total, "lossy_lower_bound")
 
 
 # --------------------------------------------------------------------------
@@ -152,6 +144,9 @@ def _check_integrals(m: int, integrals) -> tuple[float, ...]:
             f"parity expectation needs the full overlap set I^(0..{m}); "
             f"got {len(vals)} values"
         )
+    for l, val in enumerate(vals):
+        if not math.isfinite(val):
+            raise ValueError(f"overlap I^({l}) must be finite, got {val}")
     return vals
 
 

@@ -162,14 +162,10 @@ def _walk(counts, memberships, steps, fold, root, leaf):
 
 
 def _compensated_sum(terms):
-    """Kahan sum of complex terms, nearly independent of their order."""
-    total = comp = 0j
-    for term in terms:
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    """Sum of complex terms, each part correctly rounded by ``math.fsum``, so
+    neither the order of the terms nor zero terms can move it."""
+    terms = list(terms)
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 def _fold_float(val, g, rates, acc):

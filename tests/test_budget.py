@@ -18,7 +18,7 @@ from dickeqfi.budget import (
 )
 from dickeqfi.exchange import exchange_integral
 from dickeqfi.ladder import TwinConfiguration, build_dicke
-from dickeqfi.oracle import oracle_delay_check, oracle_integral
+from dickeqfi.oracle import ExchangeIntegral, oracle_delay_check, oracle_integral
 
 SIN_WAVEGUIDE = dict(
     quality_factor=1e6,
@@ -206,6 +206,16 @@ class TestInterferometerLoss:
         with pytest.raises(ValueError):
             interferometer_loss_correction(10.0, 4, 1.0, 1.5)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_inputs_are_rejected(self, value):
+        with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
+            interferometer_loss_correction(10.0, 4, value, 0.1)
+        with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
+            interferometer_loss_correction(
+                10.0, 4, ExchangeIntegral(value, 4, "oracle"), 0.1)
+        with pytest.raises(ValueError, match=f"qfi must be finite, got {value}"):
+            interferometer_loss_correction(value, 4, 0.8, 0.1)
+
     @pytest.mark.parametrize("n", [2, 10, 100])
     @pytest.mark.parametrize("eta", [1e-3, 1e-4])
     def test_no_loss_weight_is_one_arm_loss_at_first_order(self, n, eta):
@@ -240,6 +250,11 @@ class TestPlatformParams:
 
 
 class TestFullBudget:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_overlap_is_rejected(self, value):
+        with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
+            full_budget(_params(), value, 0.9)
+
     def test_ideal_platform_reproduces_twin_qfi(self):
         budget = full_budget(_params(), 11.0 / 12.0, 1.0)
         assert budget.combined_qfi_lower_bound == pytest.approx(budget.ideal_qfi)

@@ -270,23 +270,17 @@ class TestLossCommand:
         assert float(first[3]) == 1.0  # fully inverted start
 
     def test_unconverged_trace_exits_numeric(self, capsys, monkeypatch):
-        import numpy as np
-
-        # a grid of 0.2 cascade times and one doubling leaves excited population
-        populations = dickeqfi.cli.dicke_populations
-        monkeypatch.setattr("dickeqfi.dickesim._MAX_EXTENSIONS", 1)
-        monkeypatch.setattr(dickeqfi.cli, "dicke_populations", lambda n, loss: populations(
-            n, loss, t_grid=np.linspace(0.0, 0.2, 5)))
+        # one emitter leaves exp(-20) excited at the grid's end, and no doubling
+        monkeypatch.setattr("dickeqfi.dickesim._MAX_EXTENSIONS", 0)
         code, out, err = run(
-            capsys, "loss", "--n", "2", "--purcell", "inf", "--trace", "--no-header",
+            capsys, "loss", "--n", "1", "--purcell", "inf", "--trace", "--no-header",
         )
         assert code == EXIT_NUMERIC
-        assert out.splitlines()[0] == "t,P_0,P_1,P_2,sum" and len(out.splitlines()) == 6
-        residual = populations(2, dickeqfi.cli._loss_model(math.inf),
-                               t_grid=np.linspace(0.0, 0.2, 5)).residual
+        assert out.splitlines()[0] == "t,P_0,P_1,sum" and len(out.splitlines()) == 402
+        residual = dickeqfi.cli.dicke_populations(1, dickeqfi.cli._loss_model(math.inf)).residual
         assert residual > 1e-10
         assert err == (f"population trace not converged: excited population {residual:.3e}"
-                       " left at the horizon t=0.4\n")
+                       " left at the horizon t=20\n")
 
     def test_trace_needs_single_point(self, capsys):
         code, _, err = run(

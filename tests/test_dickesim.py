@@ -65,27 +65,26 @@ class TestLossModel:
 
 class TestAnalyticSeeds:
     def test_top_level_exponential_lossless(self):
-        grid = np.linspace(0.0, 2.0, 41)
-        trace = dicke_populations(2, LOSSLESS, t_grid=grid)
+        trace = dicke_populations(2, LOSSLESS)
+        grid = trace.times
         np.testing.assert_allclose(
             trace.populations[2], np.exp(-2.0 * grid), atol=1e-9
         )
         # the documented spot check: at t = 1/(2 gamma) the top level holds 1/e
         idx = np.argmin(np.abs(grid - 0.5))
+        assert grid[idx] == 0.5
         assert trace.populations[2][idx] == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_top_level_exponential_with_loss(self):
-        loss = LossModel(1.0, 0.3)
-        grid = np.linspace(0.0, 1.0, 21)
-        trace = dicke_populations(5, loss, t_grid=grid)
+        trace = dicke_populations(5, LossModel(1.0, 0.3))
         np.testing.assert_allclose(
-            trace.populations[5], np.exp(-5.0 * 1.3 * grid), atol=1e-9
+            trace.populations[5], np.exp(-5.0 * 1.3 * trace.times), atol=1e-9
         )
 
     def test_two_emitter_closed_forms(self):
         # degenerate rates (both rungs decay at 2): P_1 = 2t exp(-2t)
-        grid = np.linspace(0.0, 6.0, 61)
-        trace = dicke_populations(2, LOSSLESS, t_grid=grid)
+        trace = dicke_populations(2, LOSSLESS)
+        grid = trace.times
         np.testing.assert_allclose(
             trace.populations[1], 2.0 * grid * np.exp(-2.0 * grid), atol=1e-9
         )
@@ -95,14 +94,11 @@ class TestAnalyticSeeds:
             atol=1e-9,
         )
 
-    def test_nonuniform_grid(self):
-        # every change of step size needs its own propagator
-        grid = np.array([0.0, 0.1, 0.3, 0.35, 1.0, 3.0])
-        trace = dicke_populations(2, LOSSLESS, t_grid=grid)
-        np.testing.assert_allclose(trace.populations[2], np.exp(-2.0 * grid), atol=1e-12)
-        np.testing.assert_allclose(
-            trace.populations[1], 2.0 * grid * np.exp(-2.0 * grid), atol=1e-12
-        )
+    def test_grid_is_twenty_cascade_durations_in_400_steps(self):
+        for n in (1, 2, 7):
+            trace = dicke_populations(n, LOSSLESS)
+            t_max = 20.0 * superradiance_timescale(n, 1.0).exact
+            assert np.array_equal(trace.times, np.linspace(0.0, t_max, 401))
 
     def test_initial_condition(self):
         trace = dicke_populations(6, LOSSLESS)
@@ -350,17 +346,28 @@ class TestGuards:
         with pytest.raises(ValueError):
             dicke_populations(0, LOSSLESS)
 
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ValueError):
-            dicke_populations(2, LOSSLESS, t_grid=[0.5, 1.0])
-        with pytest.raises(ValueError):
-            dicke_populations(2, LOSSLESS, t_grid=[0.0, 0.0, 1.0])
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("call", [
+        lambda n: collection_probability_product(n, LossModel(1.0, 0.1)),
+        lambda n: collection_loss_probability(n, LossModel(1.0, 0.1)),
+        lambda n: collective_rates(n, 1.0),
+        lambda n: dicke_collection_probability(n, LossModel(1.0, 0.1)),
+        lambda n: dicke_collection_probability(n, LOSSLESS),
+        lambda n: superradiance_timescale(n, 1.0),
+        lambda n: dicke_populations(n, LOSSLESS),
+    ], ids=["product", "loss_probability", "rates", "collection", "collection_lossless",
+            "timescale", "populations"])
+    def test_every_cascade_function_needs_an_emitter(self, call, n):
+        with pytest.raises(ValueError, match=f"need at least one emitter, got {n}$"):
+            call(n)
 
     def test_unconverged_horizon_is_flagged(self, monkeypatch):
+        # one emitter keeps exp(-20) = 2.1e-9 excited at the grid's end
         monkeypatch.setattr("dickeqfi.dickesim._MAX_EXTENSIONS", 0)
-        trace = dicke_populations(1, LOSSLESS, t_grid=np.linspace(0.0, 0.2, 5))
+        trace = dicke_populations(1, LOSSLESS)
         assert not trace.converged
         assert trace.residual > 1e-10
+        assert trace.horizon == trace.times[-1] == 20.0
 
     def test_default_grid_extends_only_a_single_emitter(self):
         # twenty cascade durations leave exp(-20 (1 + 1/P)) excited at N = 1,
@@ -374,6 +381,7 @@ class TestGuards:
                 assert trace.converged
 
     def test_horizon_extension_converges(self):
-        trace = dicke_populations(1, LOSSLESS, t_grid=np.linspace(0.0, 0.2, 5))
+        trace = dicke_populations(1, LOSSLESS)
         assert trace.converged
+        assert trace.horizon == 40.0
         assert trace.collection_probability == pytest.approx(1.0, abs=1e-9)

@@ -1094,8 +1094,10 @@ class TestHeisenbergConstant:
 
 class TestErrors:
     def test_rejects_delay(self):
+        # a configuration has no delay: the exact delayed overlap is the
+        # oracle's, the bound the budget's
         arm = build_dicke(2, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="TwinConfiguration takes the fields"):
             exchange_integral(TwinConfiguration(arm, arm, delay=0.1))
 
 

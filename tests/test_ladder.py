@@ -167,9 +167,11 @@ class TestTwinConfiguration:
             TwinConfiguration(build_dicke(2, 1.0), build_dicke(3, 1.0))
 
     def test_rejects_negative_delay(self):
+        # the arms arrive together: no delay, of either sign, is a field
         arm = build_dicke(2, 1.0)
-        with pytest.raises(ValueError):
-            TwinConfiguration(arm, arm, delay=-0.1)
+        for delay in (-0.1, 0.1):
+            with pytest.raises(TypeError, match="TwinConfiguration takes the fields"):
+                TwinConfiguration(arm, arm, delay=delay)
 
     def test_photon_counts(self):
         config = TwinConfiguration(build_dicke(3, 1.0), build_dicke(3, 1.0))

@@ -8,6 +8,7 @@ from scipy.special import eval_legendre
 
 from dickeqfi.ladder import build_dicke
 from dickeqfi.metrology import (
+    QfiReport,
     parity_curve,
     parity_expectation,
     parity_phase_variance,
@@ -178,10 +179,25 @@ class TestLossyLowerBound:
 
 class TestReports:
     def test_variance_identity(self):
-        report = qfi_twin(6, integral(0.5, 6), repetitions=7)
-        assert report.phase_variance * report.qfi * report.repetitions == pytest.approx(
-            1.0, rel=1e-14
-        )
+        report = qfi_twin(6, integral(0.5, 6))
+        assert report.phase_variance * report.qfi == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_overlap_is_rejected(self, value):
+        message = f"exchange integral must be finite, got {value}"
+        for qfi in (lambda i: qfi_twin(4, i), lambda i: qfi_general(2, 2, i),
+                    lambda i: qfi_mixed_number(2, [(1.0, 2, i)]),
+                    lambda i: parity_phase_variance(2, i)):
+            with pytest.raises(ValueError, match=message):
+                qfi(integral(value))
+
+    def test_nonfinite_weight_or_qfi_is_rejected(self):
+        with pytest.raises(ValueError, match="component weights must sum to 1, got nan"):
+            qfi_mixed_number(2, [(math.nan, 2, integral(0.5))])
+        pure = QfiReport(qfi=math.inf, phase_variance=0.0, n_total=4, snl_ratio=math.inf,
+                         hl_ratio=math.inf, input_kind="twin")
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got inf"):
+            qfi_lossy_lower_bound(1.0, pure)
 
     def test_serialisation_round_trip(self):
         report = qfi_twin(4, integral(X4))
@@ -319,6 +335,13 @@ class TestParityVariance:
 
 
 class TestParityCurve:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_overlap_is_rejected(self, value):
+        with pytest.raises(ValueError, match=rf"overlap I\^\(1\) must be finite, got {value}"):
+            parity_curve(2, [1.0, value, 0.5], [0.0, 0.1])
+        with pytest.raises(ValueError, match=rf"I\^\(2\) must be finite, got {value}"):
+            parity_expectation(2, [1.0, 0.5, value], 0.1)
+
     def test_curve_summary(self):
         arm = build_dicke(2, 1.0)
         integrals = [oracle_integral(arm, arm, l=l).value for l in range(3)]

@@ -395,11 +395,8 @@ class TestWalkerEquivalence:
         # Seeded pairs of distinct Dicke, Kerr and random-rate arms (the
         # latter with random level shifts in 60% of arms) at m + n <= 7 and
         # delays log-uniform in 1e-3..3.  The reference sums the zeros of
-        # the nested orderings the walk prunes, and the value keeps its
-        # bits.  The imaginary residual cancels to far below its terms, so
-        # the Kahan compensation can exceed half an ulp of the running sum,
-        # and a zero term then folds it in early: the residual may move, by
-        # less than one ulp of the value.
+        # the nested orderings the walk prunes, and each part of the sum is
+        # correctly rounded, so the value and the residual keep their bits.
         rng = random.Random(29)
 
         def arm(k):
@@ -422,9 +419,28 @@ class TestWalkerEquivalence:
             a, b = arm(m), arm(rng.randint(1, 7 - m))
             tau = 10.0 ** rng.uniform(-3.0, math.log10(3.0))
             result = oracle_integral(a, b, l=1, delay=tau)
-            reference = reference_delayed(a, b, tau)
-            assert result.value == reference.real
-            assert abs(result.imag_residual - abs(reference.imag)) < math.ulp(result.value)
+            assert _same_bits(result, reference_delayed(a, b, tau))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.05, 0.15])
+    def test_zero_and_permuted_leaves_move_nothing(self, monkeypatch, tau):
+        # The imaginary part cancels far below its terms; an order-dependent
+        # sum would move the residual when zero leaves join or the leaves
+        # are permuted.
+        walk = _walk
+        arms = [build_anharmonic(3, 1.0, 1.0), build_anharmonic(3, 1.0, 10.0),
+                build_anharmonic(4, 1.0, 13.0)]
+        plain = [oracle_integral(a, a, l=1, delay=tau) for a in arms]
+        for seed in range(4):
+            rng = random.Random(seed)
+
+            def padded(*args):
+                leaves = walk(*args) + [0j] * 50
+                rng.shuffle(leaves)
+                return leaves
+
+            monkeypatch.setattr("dickeqfi.oracle._walk", padded)
+            for arm, expected in zip(arms, plain):
+                assert oracle_integral(arm, arm, l=1, delay=tau) == expected
 
     def test_no_memo_survives_a_call(self):
         arm = build_anharmonic(2, 1.0, 13.0)

@@ -24,14 +24,13 @@ _PLATFORM = dict(quality_factor=1e6, group_index=10.0, wavelength=3e-7, gamma_1d
 # Fields of one instance of each record, every field given.
 SAMPLES = {
     "DecayLadder": _ARM,
-    "TwinConfiguration": dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM),
-                              delay=0.25),
+    "TwinConfiguration": dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM)),
     "ExchangeIntegral": dict(value=0.1, total_photons=4, method="oracle", exchanged_count=2,
                              imag_residual=1e-17),
     "DelayCheck": dict(exact=0.9, bound=0.7, reference=1.0),
     "LadderFamily": dict(kind="anharmonic", gamma=2.0, u=0.5),
     "QfiReport": dict(qfi=12.0, phase_variance=1 / 12, n_total=4, snl_ratio=3.0, hl_ratio=0.75,
-                      input_kind="twin", repetitions=2),
+                      input_kind="twin"),
     "ParityCurve": dict(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0,
                         integrals=(1.0, 0.9, 1.0)),
     "LossModel": dict(gamma_1d=1.0, gamma_star=0.01),
@@ -60,11 +59,8 @@ SAMPLES = {
 
 # Fields of the records that have defaults, only the required ones given.
 REQUIRED_ONLY = {
-    "TwinConfiguration": dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM)),
     "ExchangeIntegral": dict(value=0.5, total_photons=2, method="recurrence"),
     "LadderFamily": dict(kind="dicke"),
-    "QfiReport": dict(qfi=4.0, phase_variance=0.25, n_total=2, snl_ratio=2.0, hl_ratio=1.0,
-                      input_kind="general"),
     "LossModel": dict(gamma_1d=2.0),
     "PlatformParams": _PLATFORM,
     "BudgetEntry": dict(channel="collection", kind="probability", value=0.5, feasible=False),
@@ -89,9 +85,8 @@ INVALID = [
     ("TwinConfiguration", dict(ladder_a=DecayLadder(**_ARM),
                                ladder_b=DecayLadder(1, (1.0,), (0.0,))),
      "twin configuration requires equal photon numbers per arm; got 2 and 1"),
-    ("TwinConfiguration", dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM),
-                               delay=-1),
-     "delay must be nonnegative, got -1.0"),
+    ("DecayLadder", dict(levels=1.5, rates=(1.0,), frequencies=(0.0,)),
+     "the number of levels must be an integer, got 1.5"),
     ("ExchangeIntegral", dict(value=0.5, total_photons=2, method="exact"),
      "unknown method 'exact'"),
     ("ExchangeIntegral", dict(value=0.5, total_photons=2, method="oracle", exchanged_count=-1),
@@ -113,12 +108,8 @@ INVALID = [
     ("PlatformParams", dict(_PLATFORM, delta_gamma=1),
      "delta_gamma must be below 1 (a positive second coupling), got 1"),
     ("PlatformParams", dict(_PLATFORM, n_photons=3), "n_photons must be an even total >= 2, got 3"),
-    ("TwinConfiguration", dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM),
-                               delay=math.nan),
-     "delay must be finite, got nan"),
-    ("TwinConfiguration", dict(ladder_a=DecayLadder(**_ARM), ladder_b=DecayLadder(**_ARM),
-                               delay=math.inf),
-     "delay must be finite, got inf"),
+    ("PlatformParams", dict(_PLATFORM, wavelength=0.0), "wavelength must be positive, got 0.0"),
+    ("LossModel", dict(gamma_1d=math.nan), "gamma_1d must be finite, got nan"),
     ("LossModel", dict(gamma_1d=1.0, gamma_star=math.inf), "gamma_star must be finite, got inf"),
     ("LossModel", dict(gamma_1d=1.0, gamma_star=math.nan), "gamma_star must be finite, got nan"),
     ("LossModel", dict(gamma_1d=math.inf, gamma_star=0.1), "gamma_1d must be finite, got inf"),
@@ -130,13 +121,13 @@ REPRS = {
     "DecayLadder": "DecayLadder(levels=2, rates=(0.1, 2.0), frequencies=(0.0, -0.3))",
     "TwinConfiguration": "TwinConfiguration(ladder_a=DecayLadder(levels=2, rates=(0.1, 2.0), "
                          "frequencies=(0.0, -0.3)), ladder_b=DecayLadder(levels=2, rates=(0.1, "
-                         "2.0), frequencies=(0.0, -0.3)), delay=0.25)",
+                         "2.0), frequencies=(0.0, -0.3)))",
     "ExchangeIntegral": "ExchangeIntegral(value=0.1, total_photons=4, method='oracle', "
                         "exchanged_count=2, imag_residual=1e-17)",
     "DelayCheck": "DelayCheck(exact=0.9, bound=0.7, reference=1.0)",
     "LadderFamily": "LadderFamily(kind='anharmonic', gamma=2.0, u=0.5)",
     "QfiReport": "QfiReport(qfi=12.0, phase_variance=0.08333333333333333, n_total=4, "
-                 "snl_ratio=3.0, hl_ratio=0.75, input_kind='twin', repetitions=2)",
+                 "snl_ratio=3.0, hl_ratio=0.75, input_kind='twin')",
     "ParityCurve": "ParityCurve(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0, "
                    "integrals=(1.0, 0.9, 1.0))",
     "LossModel": "LossModel(gamma_1d=1.0, gamma_star=0.01)",
@@ -167,14 +158,9 @@ REPRS = {
 }
 
 REQUIRED_ONLY_REPRS = {
-    "TwinConfiguration": "TwinConfiguration(ladder_a=DecayLadder(levels=2, rates=(0.1, 2.0), "
-                         "frequencies=(0.0, -0.3)), ladder_b=DecayLadder(levels=2, rates=(0.1, "
-                         "2.0), frequencies=(0.0, -0.3)), delay=0.0)",
     "ExchangeIntegral": "ExchangeIntegral(value=0.5, total_photons=2, method='recurrence', "
                         "exchanged_count=1, imag_residual=0.0)",
     "LadderFamily": "LadderFamily(kind='dicke', gamma=1.0, u=0.0)",
-    "QfiReport": "QfiReport(qfi=4.0, phase_variance=0.25, n_total=2, snl_ratio=2.0, hl_ratio=1.0, "
-                 "input_kind='general', repetitions=1)",
     "LossModel": "LossModel(gamma_1d=2.0, gamma_star=0.0)",
     "PlatformParams": "PlatformParams(quality_factor=1000000.0, group_index=10.0, "
                       "wavelength=3e-07, gamma_1d=37699000.0, gamma_star=628320.0, n_photons=10, "
@@ -191,7 +177,7 @@ REQUIRED_ONLY_REPRS = {
 _ARM_DICT = {"levels": 2, "rates": (0.1, 2.0), "frequencies": (0.0, -0.3)}
 DICTS = {
     "DecayLadder": {"levels": 2, "rates": [0.1, 2.0], "frequencies": [0.0, -0.3]},
-    "TwinConfiguration": {"ladder_a": _ARM_DICT, "ladder_b": _ARM_DICT, "delay": 0.25},
+    "TwinConfiguration": {"ladder_a": _ARM_DICT, "ladder_b": _ARM_DICT},
     "ErrorBudget": {
         "entries": ({"channel": "pulse_area", "kind": "probability", "value": 1.0,
                      "feasible": True, "note": ""},
