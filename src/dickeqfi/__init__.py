@@ -24,7 +24,7 @@ from .exchange import (
 )
 from .metrology import (
     ParityCurve, QfiReport, parity_curve, parity_expectation, parity_phase_variance,
-    qfi_general, qfi_lossy_lower_bound, qfi_mixed_number, qfi_twin,
+    qfi_general, qfi_mixed_number, qfi_twin,
 )
 from .dickesim import (
     CollectionEstimate, LossModel, PopulationTrace, SuperradianceTime,

@@ -7,10 +7,10 @@ additive correction to the Fisher information (detection-arm photon
 loss), or a preparation-fidelity estimate (pulse-area error, emission
 into unguided modes).  The unequal-coupling penalty is exact: the
 recurrence's overlap of the two mismatched Dicke arms over the matched
-one.  ``full_budget`` composes the channels into a single lower bound;
-the composition multiplies the overlap penalties and applies the loss
-correction at first order, which is a heuristic estimate rather than a
-joint theorem, and is labelled as such.
+one.  ``full_budget`` composes the channels into a single first-order
+estimate: it multiplies the overlap penalties and applies the loss
+correction at first order, which is a heuristic rather than a joint
+theorem, and is labelled as such.
 
 Hard "much greater than" requirements are operationalised with a
 default margin factor of ten; raw ratios are always reported next to
@@ -92,18 +92,16 @@ class RetardationCheck(Record):
 
 
 class PulseErrorEstimate(Record):
-    # in_regime: perturbative treatment valid
+    # in_regime: d sqrt(N) below one, where the small-d estimate holds
     __slots__ = ("infidelity", "in_regime")
 
 
 class DelayCorrection(Record):
-    __slots__ = ("bound_factor", "first_order", "single_mode_factor")
+    __slots__ = ("bound_factor", "first_order")
 
 
 class LossCorrection(Record):
-    # perturbative: flag is False once eta > 0.1
-    __slots__ = ("corrected_qfi", "qfi_decrease", "p_no_loss", "eta_threshold",
-                 "heisenberg_ok", "perturbative")
+    __slots__ = ("qfi_decrease", "eta_threshold", "heisenberg_ok")
 
 
 def propagation_length_check(
@@ -118,8 +116,12 @@ def propagation_length_check(
     quality factor over twice the group index; it must exceed the photon
     number by the margin factor.
     """
-    if not quality_factor > 0.0 or not group_index > 0.0:
-        raise ValueError("quality factor and group index must be positive")
+    if not 0.0 < quality_factor < math.inf:
+        raise ValueError(f"quality factor must be positive and finite, got {quality_factor}")
+    if not group_index > 0.0:
+        raise ValueError(f"group index must be positive, got {group_index}")
+    if n_photons < 1:
+        raise ValueError(f"n_photons must be positive, got {n_photons}")
     ratio = quality_factor / (2.0 * group_index)
     margin = ratio / n_photons
     return PropagationCheck(
@@ -157,11 +159,11 @@ def pulse_error(delta_omega_t: float, n_photons: int) -> PulseErrorEstimate:
     """Preparation infidelity from an imperfect inversion pulse.
 
     A relative pulse-area error d leaves an admixture of one collective
-    flip whose weight scales as d^2 N; the estimate is perturbative and
+    flip whose weight scales as d^2 N; the estimate holds for small d and
     is flagged out of regime once d sqrt(N) reaches one.
     """
-    if delta_omega_t < 0.0:
-        raise ValueError("pulse error must be nonnegative")
+    if not 0.0 <= delta_omega_t < math.inf:
+        raise ValueError(f"pulse error must be nonnegative and finite, got {delta_omega_t}")
     return PulseErrorEstimate(
         infidelity=delta_omega_t**2 * n_photons,
         in_regime=delta_omega_t * math.sqrt(n_photons) < 1.0,
@@ -208,9 +210,9 @@ def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrec
     """Lower bound on the overlap when one wavepacket arrives late.
 
     The bound multiplies the overlap by exp(-N gamma tau): twice the
-    top-rung rate of the half-array ladder acting over the delay.  The
-    single-mode comparison exp(-N gamma tau / 2) is reported alongside;
-    multimode wavepackets pay at most twice the single-mode exponent.
+    top-rung rate of the half-array ladder acting over the delay;
+    multimode wavepackets pay at most twice the single-mode exponent
+    N gamma tau / 2.
     """
     if not math.isfinite(tau):
         raise ValueError(f"delay must be finite, got {tau}")
@@ -222,7 +224,6 @@ def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrec
     return DelayCorrection(
         bound_factor=math.exp(-x),
         first_order=1.0 - x,
-        single_mode_factor=math.exp(-x / 2.0),
     )
 
 
@@ -234,37 +235,32 @@ def _overlap_value(i_n: ExchangeIntegral | float) -> float:
 
 
 def interferometer_loss_correction(
-    qfi: float, n_photons: int, i_n: ExchangeIntegral | float, eta: float
+    n_photons: int, i_n: ExchangeIntegral | float, eta: float
 ) -> LossCorrection:
     """First-order Fisher-information penalty for photon loss of rate eta.
 
     Loss model: each of the N/2 photons of one arm is lost independently
-    with probability eta and the other arm is lossless, so no photon is
-    lost with probability (1 - eta)^(N/2); ``p_no_loss`` is its first
-    order, 1 - N eta / 2.  The information is taken to drop by
-    N^2 eta I / 4; Heisenberg scaling demands that the drop stays below
-    one information unit, i.e. eta below 4/(I N^2).
+    with probability eta and the other arm is lossless.  The information
+    is taken to drop by N^2 eta I / 4; Heisenberg scaling demands that the
+    drop stays below one information unit, i.e. eta below 4/(I N^2).
 
     That drop does not follow from the loss model above: its no-loss
     weight (1 - eta)^(N/2) gives F >= (1 - eta)^(N/2) F_twin, a first-order
     drop of (N eta / 2) F_twin = N^2 eta (I N + 2) / 4, about N times the
     coded one (211 against 2.06 at N = 100, eta = 1e-3, I = 0.8234).  So
-    ``corrected_qfi`` is not a bound the model implies.
+    F_twin minus ``qfi_decrease`` is not a bound the model implies.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"loss probability must lie in [0, 1], got {eta}")
-    if not math.isfinite(qfi):
-        raise ValueError(f"qfi must be finite, got {qfi}")
+    if n_photons < 1:
+        raise ValueError(f"n_photons must be positive, got {n_photons}")
     value = _overlap_value(i_n)
     decrease = n_photons**2 * eta * value / 4.0
     threshold = 4.0 / (value * n_photons**2) if value > 0.0 else math.inf
     return LossCorrection(
-        corrected_qfi=qfi - decrease,
         qfi_decrease=decrease,
-        p_no_loss=1.0 - n_photons * eta / 2.0,
         eta_threshold=threshold,
         heisenberg_ok=eta <= threshold,
-        perturbative=eta <= 0.1,
     )
 
 
@@ -273,16 +269,14 @@ class BudgetEntry(Record):
     feasibility, multiplicative, additive or probability."""
 
     __slots__ = ("channel", "kind", "value", "feasible", "note")
-    _defaults = {"note": ""}
 
 
 class ErrorBudget(Record):
-    """Itemised corrections and the combined Fisher-information bound."""
+    """Itemised corrections and the combined first-order Fisher-information
+    estimate, which ``combined_qfi_lower_bound`` holds under its old name."""
 
     __slots__ = ("entries", "ideal_qfi", "combined_qfi_lower_bound",
                  "effective_exchange_integral", "collection_probability")
-    _defaults = {"entries": (), "ideal_qfi": 0.0, "combined_qfi_lower_bound": 0.0,
-                 "effective_exchange_integral": 0.0, "collection_probability": 1.0}
 
 
 def full_budget(
@@ -298,8 +292,9 @@ def full_budget(
     subtracted at first order.  The channels are derived separately, so
     the combined number is a first-order estimate, not a joint theorem.
     The p^2 term weights the full-collection sector, whose state is the
-    post-selected one (see ``metrology.qfi_lossy_lower_bound``), but it
-    uses ``i_n`` as given: ``report`` passes the lossless overlap today.
+    post-selected one (each arm given that all its photons were
+    collected), but it uses ``i_n`` as given: ``report`` passes the
+    lossless overlap today.
     ``params.interferometer_loss`` is the eta of
     ``interferometer_loss_correction``: each photon of one arm is lost
     with that probability, and the other arm is lossless.
@@ -324,9 +319,7 @@ def full_budget(
     i_eff = value * mixed * delayed.bound_factor
     ideal = twin_qfi(n, value)
     degraded = twin_qfi(n, i_eff)
-    loss = interferometer_loss_correction(
-        degraded, n, i_eff, params.interferometer_loss
-    )
+    loss = interferometer_loss_correction(n, i_eff, params.interferometer_loss)
     combined = p * p * degraded - loss.qfi_decrease
 
     entries = (

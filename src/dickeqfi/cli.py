@@ -74,14 +74,6 @@ class RunConfig(Record):
     """Fully resolved invocation: subcommand plus its option mapping."""
 
     __slots__ = ("subcommand", "options")
-    _defaults = {"options": {}}
-
-    @classmethod
-    def from_json(cls, text: str) -> "RunConfig":
-        import json
-
-        data = json.loads(text)
-        return cls(subcommand=data["subcommand"], options=dict(data["options"]))
 
 
 def _fmt(value) -> str:

@@ -21,12 +21,12 @@ class Record:
     """Immutable record, the package's replacement for a frozen dataclass.
 
     A subclass names its fields in ``__slots__`` and the defaults of
-    trailing ones in ``_defaults`` (a dict default is copied for each
-    instance); ``__post_init__`` checks the fields and may normalise one
-    through ``object.__setattr__``.  No code is generated per class, so
-    defining a record costs what a plain class does: the command line
-    imports this module on every run.  Equality, hash, repr, pickling and
-    ``to_dict`` work field by field, as they do for a frozen dataclass.
+    trailing ones in ``_defaults``; ``__post_init__`` checks the fields
+    and may normalise one through ``object.__setattr__``.  No code is
+    generated per class, so defining a record costs what a plain class
+    does: the command line imports this module on every run.  Equality,
+    hash, repr, pickling and ``to_dict`` work field by field, as they do
+    for a frozen dataclass.
     """
 
     __slots__ = ()
@@ -42,7 +42,6 @@ class Record:
                 value = kwargs[name]
             elif name in self._defaults:
                 value = self._defaults[name]
-                value = dict(value) if isinstance(value, dict) else value
             else:
                 raise TypeError(f"{type(self).__name__} is missing the field {name!r}")
             object.__setattr__(self, name, value)
@@ -143,27 +142,6 @@ class DecayLadder(Record):
             if not math.isfinite(freq):
                 raise ValueError(f"frequency of level {j} must be finite, got {freq}")
 
-    def to_dict(self) -> dict:
-        return {
-            "levels": self.levels,
-            "rates": list(self.rates),
-            "frequencies": list(self.frequencies),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DecayLadder":
-        return cls(
-            levels=data["levels"],
-            rates=tuple(data["rates"]),
-            frequencies=tuple(data["frequencies"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecayLadder":
-        import json
-
-        return cls.from_dict(json.loads(text))
-
 
 class TwinConfiguration(Record):
     """Pair of input-arm wavepackets entering the interferometer together.
@@ -182,10 +160,6 @@ class TwinConfiguration(Record):
             )
 
     @property
-    def photons_per_arm(self) -> int:
-        return self.ladder_a.levels
-
-    @property
     def total_photons(self) -> int:
         return self.ladder_a.levels + self.ladder_b.levels
 
@@ -193,9 +167,12 @@ class TwinConfiguration(Record):
 def _dicke_rates(n_emitters: int, gamma_1d: float):
     """Collective rate k(N-k+1) gamma_1d of each rung, k = 1..N, the one
     source of Dicke rates; the count k(N-k+1) is an exact integer, so each
-    rate rounds once.  N below one is rejected here, before any rate."""
+    rate rounds once.  N below one and a gamma_1d that is not positive
+    (nan included) are rejected here, before any rate."""
     if n_emitters < 1:
         raise ValueError(f"need at least one emitter, got {n_emitters}")
+    if not gamma_1d > 0.0:
+        raise ValueError(f"gamma_1d must be positive, got {gamma_1d}")
     return (k * (n_emitters - k + 1) * gamma_1d for k in range(1, n_emitters + 1))
 
 
@@ -208,8 +185,6 @@ def build_dicke(n_emitters: int, gamma_1d: float) -> DecayLadder:
     """
     n = _count(n_emitters, "n_emitters")
     rates = tuple(_dicke_rates(n, gamma_1d))
-    if not gamma_1d > 0.0:
-        raise ValueError(f"gamma_1d must be positive, got {gamma_1d}")
     return DecayLadder(levels=n, rates=rates, frequencies=(0.0,) * n)
 
 

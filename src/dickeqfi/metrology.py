@@ -13,7 +13,7 @@ import math
 from .ladder import Record
 from .oracle import ExchangeIntegral
 
-_INPUT_KINDS = ("twin", "general", "mixed_number", "lossy_lower_bound")
+_INPUT_KINDS = ("twin", "general", "mixed_number")
 
 
 class QfiReport(Record):
@@ -117,21 +117,6 @@ def qfi_mixed_number(m: int, components) -> QfiReport:
     return _report(qfi, m + round(n_mean), "mixed_number")
 
 
-def qfi_lossy_lower_bound(p: float, pure_report: QfiReport) -> QfiReport:
-    """Lower bound after preparing each arm with success probability p.
-
-    The QFI is nonnegative and additive over orthogonal photon-number
-    sectors, so the full-collection sector's value survives with weight
-    p^2.  That sector's state is the post-selected one (each arm given
-    that all its photons were collected), so ``pure_report`` must come
-    from that state's overlap, not from the lossless one.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"collection probability must lie in [0, 1], got {p}")
-    qfi = p * p * pure_report.qfi
-    return _report(qfi, pure_report.n_total, "lossy_lower_bound")
-
-
 # --------------------------------------------------------------------------
 # Parity readout
 # --------------------------------------------------------------------------
@@ -162,6 +147,8 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
     gives without cancelling.
     """
     vals = _check_integrals(m, integrals)
+    if not math.isfinite(phi):
+        raise ValueError(f"phase phi must be finite, got {phi}")
     s2 = math.sin(phi) ** 2
     c2 = math.cos(phi) ** 2
     total = size = 0.0

@@ -298,7 +298,7 @@ def test_criterion_9_error_formula_identities():
         delay_ok = delay_ok and bound == pytest.approx(check.bound, rel=1e-12)
         delay_ok = delay_ok and check.bound <= check.exact + 1e-12
 
-    corr = interferometer_loss_correction(4200.0, 100, 0.82, 1e-5)
+    corr = interferometer_loss_correction(100, 0.82, 1e-5)
     eta_ok = corr.qfi_decrease == 100**2 * 1e-5 * 0.82 / 4.0
     eta_ok = eta_ok and corr.eta_threshold == 4.0 / (0.82 * 100**2)
     eta_ok = eta_ok and abs(corr.eta_threshold - 4.9e-4) / 4.9e-4 <= 0.01

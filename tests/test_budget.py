@@ -46,6 +46,19 @@ class TestPropagationLength:
         with pytest.raises(ValueError):
             propagation_length_check(0.0, 10.0, 10)
 
+    @pytest.mark.parametrize("q, n, message", [
+        (math.inf, 10, "quality factor must be positive and finite, got inf"),
+        (math.nan, 10, "quality factor must be positive and finite, got nan"),
+        (1e6, 0, "n_photons must be positive, got 0"),
+        (1e6, -4, "n_photons must be positive, got -4"),
+    ])
+    def test_unusable_inputs_are_named(self, q, n, message):
+        # an infinite Q read as feasible with an infinite margin, and N = 0
+        # raised ZeroDivisionError
+        with pytest.raises(ValueError) as info:
+            propagation_length_check(q, 1.0, n)
+        assert str(info.value) == message
+
 
 class TestRetardation:
     def test_sin_reference_ceiling(self):
@@ -81,6 +94,12 @@ class TestPulseError:
     def test_nonperturbative_flag(self):
         est = pulse_error(0.5, 100)
         assert not est.in_regime
+
+    @pytest.mark.parametrize("d", [-0.1, math.nan, math.inf])
+    def test_negative_or_nonfinite_error_is_rejected(self, d):
+        with pytest.raises(ValueError) as info:
+            pulse_error(d, 10)
+        assert str(info.value) == f"pulse error must be nonnegative and finite, got {d}"
 
 
 class TestMixedRateCorrection:
@@ -140,13 +159,11 @@ class TestDelayCorrection:
         corr = delay_correction(10, 1.0, 0.0)
         assert corr.bound_factor == 1.0
         assert corr.first_order == 1.0
-        assert corr.single_mode_factor == 1.0
 
     def test_first_order_percent(self):
         corr = delay_correction(10, 1.0, 1e-3)  # N gamma tau = 0.01
         assert corr.first_order == pytest.approx(0.99)
         assert corr.bound_factor == pytest.approx(math.exp(-0.01))
-        assert corr.single_mode_factor == pytest.approx(math.exp(-0.005))
 
     @pytest.mark.parametrize("tau, rule", [
         (-1.0, "nonnegative"), (math.nan, "finite"), (math.inf, "finite"),
@@ -179,52 +196,39 @@ class TestDelayCorrection:
 
 class TestInterferometerLoss:
     def test_lossless(self):
-        corr = interferometer_loss_correction(100.0, 10, 0.82, 0.0)
-        assert corr.corrected_qfi == 100.0
+        corr = interferometer_loss_correction(10, 0.82, 0.0)
         assert corr.qfi_decrease == 0.0
-        assert corr.p_no_loss == 1.0
 
     def test_documented_decrease(self):
-        corr = interferometer_loss_correction(50.0, 10, 0.82, 0.01)
+        corr = interferometer_loss_correction(10, 0.82, 0.01)
         assert corr.qfi_decrease == pytest.approx(100 * 0.01 * 0.82 / 4.0)
-        assert corr.corrected_qfi == pytest.approx(50.0 - 0.205)
 
     def test_heisenberg_threshold(self):
-        corr = interferometer_loss_correction(4200.0, 100, 0.82, 1e-5)
+        corr = interferometer_loss_correction(100, 0.82, 1e-5)
         assert corr.eta_threshold == pytest.approx(4.0 / (0.82 * 1e4), rel=1e-12)
         assert corr.eta_threshold == pytest.approx(4.9e-4, rel=0.01)
         assert corr.heisenberg_ok
 
     def test_threshold_violated(self):
-        corr = interferometer_loss_correction(4200.0, 100, 0.82, 1e-2)
+        corr = interferometer_loss_correction(100, 0.82, 1e-2)
         assert not corr.heisenberg_ok
-
-    def test_perturbative_flag(self):
-        assert not interferometer_loss_correction(10.0, 4, 1.0, 0.2).perturbative
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            interferometer_loss_correction(10.0, 4, 1.0, 1.5)
+            interferometer_loss_correction(4, 1.0, 1.5)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_photon_number_below_one_is_rejected(self, n):
+        with pytest.raises(ValueError) as info:
+            interferometer_loss_correction(n, 0.8, 0.1)
+        assert str(info.value) == f"n_photons must be positive, got {n}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_inputs_are_rejected(self, value):
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
-            interferometer_loss_correction(10.0, 4, value, 0.1)
+            interferometer_loss_correction(4, value, 0.1)
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
-            interferometer_loss_correction(
-                10.0, 4, ExchangeIntegral(value, 4, "oracle"), 0.1)
-        with pytest.raises(ValueError, match=f"qfi must be finite, got {value}"):
-            interferometer_loss_correction(value, 4, 0.8, 0.1)
-
-    @pytest.mark.parametrize("n", [2, 10, 100])
-    @pytest.mark.parametrize("eta", [1e-3, 1e-4])
-    def test_no_loss_weight_is_one_arm_loss_at_first_order(self, n, eta):
-        # each of the N/2 photons of one arm is lost with probability eta:
-        # (1 - eta)^(N/2) differs from 1 - N eta / 2 by its second-order term
-        k = n // 2
-        corr = interferometer_loss_correction(10.0, n, 0.82, eta)
-        gap = (1.0 - eta) ** k - corr.p_no_loss
-        assert -1e-15 <= gap <= math.comb(k, 2) * eta**2 + 1e-15
+            interferometer_loss_correction(4, ExchangeIntegral(value, 4, "oracle"), 0.1)
 
 
 def _params(**overrides):
@@ -259,6 +263,12 @@ class TestFullBudget:
         budget = full_budget(_params(), 11.0 / 12.0, 1.0)
         assert budget.combined_qfi_lower_bound == pytest.approx(budget.ideal_qfi)
         assert budget.ideal_qfi == pytest.approx(10 * (11.0 / 12.0 * 10 + 2) / 2.0)
+
+    def test_combined_estimate_is_quadratic_in_collection(self):
+        # the full-collection sector carries weight p^2
+        full = full_budget(_params(), 0.82, 1.0).combined_qfi_lower_bound
+        assert full_budget(_params(), 0.82, 0.9).combined_qfi_lower_bound == pytest.approx(
+            0.81 * full, rel=1e-15)
 
     def test_channels_are_itemised(self):
         budget = full_budget(_params(), 0.9, 0.95)

@@ -514,13 +514,13 @@ class TestConfigHandling:
         ) == EXIT_OK
         capsys.readouterr()
         assert dump1.read_bytes() == dump2.read_bytes()
-        cfg = RunConfig.from_json(dump1.read_text())
+        cfg = RunConfig(**json.loads(dump1.read_text()))
         assert cfg.subcommand == "exchange"
         assert cfg.options["family"] == "dicke"
 
     def test_run_config_json_round_trip(self):
         cfg = RunConfig("loss", {"n": "10", "purcell": "inf", "format": "csv"})
-        assert RunConfig.from_json(cfg.to_json()) == cfg
+        assert RunConfig(**json.loads(cfg.to_json())) == cfg
 
     def test_jobs_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("DICKEQFI_JOBS", "1")
@@ -530,7 +530,7 @@ class TestConfigHandling:
             "--no-header", "--dump-config", str(dump),
         )
         assert code == EXIT_OK
-        assert RunConfig.from_json(dump.read_text()).options["jobs"] == 1
+        assert json.loads(dump.read_text())["options"]["jobs"] == 1
 
     @pytest.mark.parametrize("jobs", ["abc", "-3", "0", "2.5"])
     def test_invalid_jobs_flag_names_key(self, capsys, jobs):
@@ -899,6 +899,25 @@ def test_package_import_binds_every_name():
                   + _NUMPY_LOADED) == [
         "[]", str([f"dickeqfi.{m}" for m in ("budget", "dickesim", "exchange", "ladder",
                                               "metrology", "oracle")]), "False"]
+
+
+def test_public_surface_is_pinned():
+    # an addition to or a removal from the package's names is a deliberate edit here
+    assert dickeqfi.__all__ == [
+        "BudgetEntry", "CollectionEstimate", "DecayLadder", "DelayCheck", "DelayCorrection",
+        "ErrorBudget", "ExchangeIntegral", "InvalidLadderError", "LadderFamily",
+        "LossCorrection", "LossModel", "OracleTooLargeError", "ParityCurve", "PlatformParams",
+        "PopulationTrace", "PropagationCheck", "PulseErrorEstimate", "QfiReport",
+        "RetardationCheck", "SPEED_OF_LIGHT", "SWEEP_COLUMNS", "SuperradianceTime",
+        "TwinConfiguration", "build_anharmonic", "build_dicke", "build_harmonic",
+        "collection_loss_probability", "collection_probability_product", "collective_rates",
+        "delay_correction", "dicke_collection_probability", "dicke_populations",
+        "exchange_integral", "full_budget", "interferometer_loss_correction",
+        "mixed_rate_correction", "oracle_delay_check", "oracle_integral",
+        "oracle_integral_exact", "parity_curve", "parity_expectation", "parity_phase_variance",
+        "propagation_length_check", "pulse_error", "qfi_general", "qfi_mixed_number",
+        "qfi_twin", "qfi_vs_n_sweep", "retardation_check", "superradiance_timescale",
+    ]
 
 
 def test_package_namespace():

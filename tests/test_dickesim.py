@@ -16,6 +16,7 @@ from dickeqfi.dickesim import (
     dicke_populations,
     superradiance_timescale,
 )
+from dickeqfi.ladder import build_dicke
 
 LOSSLESS = LossModel(1.0, 0.0)
 
@@ -360,6 +361,15 @@ class TestGuards:
     def test_every_cascade_function_needs_an_emitter(self, call, n):
         with pytest.raises(ValueError, match=f"need at least one emitter, got {n}$"):
             call(n)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("call", [collective_rates, superradiance_timescale, build_dicke],
+                             ids=["rates", "timescale", "build_dicke"])
+    def test_dicke_rates_need_a_positive_gamma(self, call, gamma):
+        # -1 gave negative rates and a negative duration, nan gave nan, and
+        # 0 a ZeroDivisionError from the timescale's log estimate
+        with pytest.raises(ValueError, match=f"^gamma_1d must be positive, got {gamma}$"):
+            call(3, gamma)
 
     def test_unconverged_horizon_is_flagged(self, monkeypatch):
         # one emitter keeps exp(-20) = 2.1e-9 excited at the grid's end

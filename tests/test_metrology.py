@@ -8,12 +8,10 @@ from scipy.special import eval_legendre
 
 from dickeqfi.ladder import build_dicke
 from dickeqfi.metrology import (
-    QfiReport,
     parity_curve,
     parity_expectation,
     parity_phase_variance,
     qfi_general,
-    qfi_lossy_lower_bound,
     qfi_mixed_number,
     qfi_twin,
 )
@@ -144,39 +142,6 @@ class TestMixedNumberQfi:
         ) == expected
 
 
-class TestLossyLowerBound:
-    def test_unit_collection(self):
-        pure = qfi_twin(4, integral(X4))
-        assert qfi_lossy_lower_bound(1.0, pure).qfi == pure.qfi
-
-    def test_zero_collection(self):
-        pure = qfi_twin(4, integral(X4))
-        report = qfi_lossy_lower_bound(0.0, pure)
-        assert report.qfi == 0.0
-        assert report.input_kind == "lossy_lower_bound"
-
-    def test_quadratic_in_collection(self):
-        pure = qfi_twin(100, integral(0.82, 100))
-        assert qfi_lossy_lower_bound(0.9, pure).qfi == pytest.approx(
-            0.81 * pure.qfi
-        )
-
-    def test_rejects_bad_probability(self):
-        pure = qfi_twin(4, integral(X4))
-        with pytest.raises(ValueError):
-            qfi_lossy_lower_bound(1.2, pure)
-
-    def test_composition_with_cascade_collection(self):
-        # hundred collective photons against a rate ratio of a thousand
-        from dickeqfi.dickesim import LossModel, dicke_collection_probability
-
-        p = dicke_collection_probability(100, LossModel(1.0, 1e-3)).exact
-        assert 1.0 - p == pytest.approx(4.6e-3, rel=0.15)
-        pure = qfi_twin(100, integral(0.82, 100))
-        bound = qfi_lossy_lower_bound(p, pure)
-        assert bound.qfi == pytest.approx(p * p * (0.41 * 100**2 + 100))
-
-
 class TestReports:
     def test_variance_identity(self):
         report = qfi_twin(6, integral(0.5, 6))
@@ -194,10 +159,9 @@ class TestReports:
     def test_nonfinite_weight_or_qfi_is_rejected(self):
         with pytest.raises(ValueError, match="component weights must sum to 1, got nan"):
             qfi_mixed_number(2, [(math.nan, 2, integral(0.5))])
-        pure = QfiReport(qfi=math.inf, phase_variance=0.0, n_total=4, snl_ratio=math.inf,
-                         hl_ratio=math.inf, input_kind="twin")
+        # 2 m n I overflows to inf at m = n = 1e200
         with pytest.raises(ValueError, match="must be finite and nonnegative, got inf"):
-            qfi_lossy_lower_bound(1.0, pure)
+            qfi_general(1e200, 1e200, integral(0.5))
 
     def test_serialisation_round_trip(self):
         report = qfi_twin(4, integral(X4))
@@ -341,6 +305,15 @@ class TestParityCurve:
             parity_curve(2, [1.0, value, 0.5], [0.0, 0.1])
         with pytest.raises(ValueError, match=rf"I\^\(2\) must be finite, got {value}"):
             parity_expectation(2, [1.0, 0.5, value], 0.1)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_phase_is_rejected(self, phi):
+        # nan gave a nan fringe and inf an unnamed "math domain error"
+        message = f"^phase phi must be finite, got {phi}$"
+        with pytest.raises(ValueError, match=message):
+            parity_expectation(2, [1.0, 0.9, 0.5], phi)
+        with pytest.raises(ValueError, match=message):
+            parity_curve(2, [1.0, 0.9, 0.5], [0.0, phi])
 
     def test_curve_summary(self):
         arm = build_dicke(2, 1.0)

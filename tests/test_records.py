@@ -45,12 +45,11 @@ SAMPLES = {
     "PropagationCheck": dict(l_prop_over_lambda=5e4, feasible=True, margin=5e3),
     "RetardationCheck": dict(n_max=101, feasible=False, n_cubed_bound=1.06e7),
     "PulseErrorEstimate": dict(infidelity=0.01, in_regime=True),
-    "DelayCorrection": dict(bound_factor=0.9, first_order=0.95, single_mode_factor=0.99),
-    "LossCorrection": dict(corrected_qfi=50.0, qfi_decrease=2.0, p_no_loss=0.9,
-                           eta_threshold=0.05, heisenberg_ok=True, perturbative=False),
+    "DelayCorrection": dict(bound_factor=0.9, first_order=0.95),
+    "LossCorrection": dict(qfi_decrease=2.0, eta_threshold=0.05, heisenberg_ok=True),
     "BudgetEntry": dict(channel="collection", kind="probability", value=0.96, feasible=True,
                         note="squared"),
-    "ErrorBudget": dict(entries=(BudgetEntry("pulse_area", "probability", 1.0, True),
+    "ErrorBudget": dict(entries=(BudgetEntry("pulse_area", "probability", 1.0, True, ""),
                                  BudgetEntry("retardation", "feasibility", 101.0, False, "N")),
                         ideal_qfi=52.7, combined_qfi_lower_bound=48.9,
                         effective_exchange_integral=0.85, collection_probability=0.96),
@@ -63,9 +62,6 @@ REQUIRED_ONLY = {
     "LadderFamily": dict(kind="dicke"),
     "LossModel": dict(gamma_1d=2.0),
     "PlatformParams": _PLATFORM,
-    "BudgetEntry": dict(channel="collection", kind="probability", value=0.5, feasible=False),
-    "ErrorBudget": {},
-    "RunConfig": dict(subcommand="verify"),
 }
 
 # Each check of a record's __post_init__: class, fields, ValueError message.
@@ -143,10 +139,9 @@ REPRS = {
                         "margin=5000.0)",
     "RetardationCheck": "RetardationCheck(n_max=101, feasible=False, n_cubed_bound=10600000.0)",
     "PulseErrorEstimate": "PulseErrorEstimate(infidelity=0.01, in_regime=True)",
-    "DelayCorrection": "DelayCorrection(bound_factor=0.9, first_order=0.95, "
-                       "single_mode_factor=0.99)",
-    "LossCorrection": "LossCorrection(corrected_qfi=50.0, qfi_decrease=2.0, p_no_loss=0.9, "
-                      "eta_threshold=0.05, heisenberg_ok=True, perturbative=False)",
+    "DelayCorrection": "DelayCorrection(bound_factor=0.9, first_order=0.95)",
+    "LossCorrection": "LossCorrection(qfi_decrease=2.0, eta_threshold=0.05, "
+                      "heisenberg_ok=True)",
     "BudgetEntry": "BudgetEntry(channel='collection', kind='probability', value=0.96, "
                    "feasible=True, note='squared')",
     "ErrorBudget": "ErrorBudget(entries=(BudgetEntry(channel='pulse_area', kind='probability', "
@@ -165,18 +160,12 @@ REQUIRED_ONLY_REPRS = {
     "PlatformParams": "PlatformParams(quality_factor=1000000.0, group_index=10.0, "
                       "wavelength=3e-07, gamma_1d=37699000.0, gamma_star=628320.0, n_photons=10, "
                       "pulse_error=0.0, delta_gamma=0.0, delay=0.0, interferometer_loss=0.0)",
-    "BudgetEntry": "BudgetEntry(channel='collection', kind='probability', value=0.5, "
-                   "feasible=False, note='')",
-    "ErrorBudget": "ErrorBudget(entries=(), ideal_qfi=0.0, combined_qfi_lower_bound=0.0, "
-                   "effective_exchange_integral=0.0, collection_probability=1.0)",
-    "RunConfig": "RunConfig(subcommand='verify', options={})",
 }
 
-# to_dict of the records whose dict is not their SAMPLES fields: DecayLadder
-# has its own (lists), and nested records become dicts.
+# to_dict of the records whose dict is not their SAMPLES fields: nested
+# records become dicts.
 _ARM_DICT = {"levels": 2, "rates": (0.1, 2.0), "frequencies": (0.0, -0.3)}
 DICTS = {
-    "DecayLadder": {"levels": 2, "rates": [0.1, 2.0], "frequencies": [0.0, -0.3]},
     "TwinConfiguration": {"ladder_a": _ARM_DICT, "ladder_b": _ARM_DICT},
     "ErrorBudget": {
         "entries": ({"channel": "pulse_area", "kind": "probability", "value": 1.0,
@@ -262,12 +251,6 @@ def test_records_of_different_classes_differ():
     estimate = dickeqfi.CollectionEstimate(exact=1.0, log_estimate=2.0)
     assert estimate != dickeqfi.SuperradianceTime(exact=1.0, log_estimate=2.0)
     assert estimate != (1.0, 2.0)
-
-
-def test_dict_default_is_fresh_per_instance():
-    first, second = RunConfig("verify"), RunConfig("verify")
-    first.options["jobs"] = 2
-    assert second.options == {} and RunConfig._defaults["options"] == {}
 
 
 def test_to_dict_copies_containers():
