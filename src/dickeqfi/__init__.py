@@ -31,12 +31,7 @@ from .dickesim import (
     collection_loss_probability, collection_probability_product, collective_rates,
     dicke_collection_probability, dicke_populations, superradiance_timescale,
 )
-from .budget import (
-    BudgetEntry, DelayCorrection, ErrorBudget, LossCorrection, PlatformParams,
-    PropagationCheck, PulseErrorEstimate, RetardationCheck, SPEED_OF_LIGHT,
-    delay_correction, full_budget, interferometer_loss_correction, mixed_rate_correction,
-    propagation_length_check, pulse_error, retardation_check,
-)
+from .budget import BudgetEntry, ErrorBudget, PlatformParams, SPEED_OF_LIGHT, full_budget
 
 # The public names are those imported above; the imports also bind the six
 # submodules, which stay out of __all__.

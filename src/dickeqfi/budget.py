@@ -13,8 +13,10 @@ correction at first order, which is a heuristic rather than a joint
 theorem, and is labelled as such.
 
 Hard "much greater than" requirements are operationalised with a
-default margin factor of ten; raw ratios are always reported next to
-the verdicts so a different threshold can be applied downstream.
+default margin factor of ten.  Each channel is one ``BudgetEntry``: the
+raw ratio is its ``value``, next to the verdict, and the secondary
+numbers are in its ``note``, so a different threshold can be applied
+downstream.
 """
 from __future__ import annotations
 
@@ -81,189 +83,6 @@ class PlatformParams(Record):
             )
 
 
-class PropagationCheck(Record):
-    # margin: propagation length in units of the system size
-    __slots__ = ("l_prop_over_lambda", "feasible", "margin")
-
-
-class RetardationCheck(Record):
-    # n_cubed_bound: raw bound on N^3 before the margin factor
-    __slots__ = ("n_max", "feasible", "n_cubed_bound")
-
-
-class PulseErrorEstimate(Record):
-    # in_regime: d sqrt(N) below one, where the small-d estimate holds
-    __slots__ = ("infidelity", "in_regime")
-
-
-class DelayCorrection(Record):
-    __slots__ = ("bound_factor", "first_order")
-
-
-class LossCorrection(Record):
-    __slots__ = ("qfi_decrease", "eta_threshold", "heisenberg_ok")
-
-
-def propagation_length_check(
-    quality_factor: float,
-    group_index: float,
-    n_photons: int,
-    margin_factor: float = DEFAULT_MARGIN_FACTOR,
-) -> PropagationCheck:
-    """Collective coupling needs the guided modes to outlive the array.
-
-    The propagation length in units of the emitter wavelength is the
-    quality factor over twice the group index; it must exceed the photon
-    number by the margin factor.
-    """
-    if not 0.0 < quality_factor < math.inf:
-        raise ValueError(f"quality factor must be positive and finite, got {quality_factor}")
-    if not group_index > 0.0:
-        raise ValueError(f"group index must be positive, got {group_index}")
-    if n_photons < 1:
-        raise ValueError(f"n_photons must be positive, got {n_photons}")
-    ratio = quality_factor / (2.0 * group_index)
-    margin = ratio / n_photons
-    return PropagationCheck(
-        l_prop_over_lambda=ratio,
-        feasible=margin >= margin_factor,
-        margin=margin,
-    )
-
-
-def retardation_check(
-    group_index: float,
-    wavelength: float,
-    gamma_1d: float,
-    n_photons: int,
-    margin_factor: float = DEFAULT_MARGIN_FACTOR,
-) -> RetardationCheck:
-    """Photon transit across the array must beat the superradiant burst.
-
-    The fastest collective rate grows as N^2/4 while the transit time
-    grows as N, capping N^3 at 4c/(n_g lambda gamma); the usable ceiling
-    divides that bound by the margin factor before the cube root.
-    """
-    if not group_index > 0.0 or not wavelength > 0.0 or not gamma_1d > 0.0:
-        raise ValueError("group index, wavelength and gamma_1d must be positive")
-    bound = 4.0 * SPEED_OF_LIGHT / (group_index * wavelength * gamma_1d)
-    n_max = int(math.floor((bound / margin_factor) ** (1.0 / 3.0)))
-    return RetardationCheck(
-        n_max=n_max,
-        feasible=n_photons <= n_max,
-        n_cubed_bound=bound,
-    )
-
-
-def pulse_error(delta_omega_t: float, n_photons: int) -> PulseErrorEstimate:
-    """Preparation infidelity from an imperfect inversion pulse.
-
-    A relative pulse-area error d leaves an admixture of one collective
-    flip whose weight scales as d^2 N; the estimate holds for small d and
-    is flagged out of regime once d sqrt(N) reaches one.
-    """
-    if not 0.0 <= delta_omega_t < math.inf:
-        raise ValueError(f"pulse error must be nonnegative and finite, got {delta_omega_t}")
-    return PulseErrorEstimate(
-        infidelity=delta_omega_t**2 * n_photons,
-        in_regime=delta_omega_t * math.sqrt(n_photons) < 1.0,
-    )
-
-
-@functools.lru_cache(maxsize=8)
-def matched_dicke_overlap(n_emitters: int) -> ExchangeIntegral:
-    """Overlap of two matched unit-rate Dicke arms of ``n_emitters`` each.
-
-    Memoised: the report's integral and the denominator of
-    ``mixed_rate_correction`` are the same recurrence.
-    """
-    arm = ladder.build_dicke(n_emitters, 1.0)
-    return exchange.exchange_integral(TwinConfiguration(arm, arm))
-
-
-def mixed_rate_correction(delta_gamma_rel: float, n_photons: int) -> float:
-    """Overlap penalty when the two ensembles couple unequally.
-
-    ``delta_gamma_rel`` is the relative coupling mismatch d (gamma minus
-    gamma-prime over gamma).  The penalty is the exact ratio
-    I(gamma, (1 - d) gamma) / I(gamma, gamma) of the Dicke arms with
-    N/2 photons each.  Its shortfall from one grows as d^2 and only
-    slowly with N: the ratio is 0.971 at N = 1000, d = 0.1.  The stronger
-    arm is built at rate one, by the scale invariance I(1, r) = I(1/r, 1),
-    so no rate overflows at a large negative d; at d = 0 the ratio is
-    exactly one and no recurrence runs.
-    """
-    r = 1.0 - delta_gamma_rel
-    if not r > 0.0:
-        raise ValueError(
-            f"relative mismatch {delta_gamma_rel} implies a nonpositive coupling"
-        )
-    if delta_gamma_rel == 0.0:
-        return 1.0
-    m = n_photons // 2
-    pair = TwinConfiguration(ladder.build_dicke(m, min(1.0, 1.0 / r)),
-                             ladder.build_dicke(m, min(r, 1.0)))
-    return exchange.exchange_integral(pair).value / matched_dicke_overlap(m).value
-
-
-def delay_correction(n_photons: int, gamma_1d: float, tau: float) -> DelayCorrection:
-    """Lower bound on the overlap when one wavepacket arrives late.
-
-    The bound multiplies the overlap by exp(-N gamma tau): twice the
-    top-rung rate of the half-array ladder acting over the delay;
-    multimode wavepackets pay at most twice the single-mode exponent
-    N gamma tau / 2.
-    """
-    if not math.isfinite(tau):
-        raise ValueError(f"delay must be finite, got {tau}")
-    if tau < 0.0:
-        raise ValueError(f"delay must be nonnegative, got {tau}")
-    if not gamma_1d > 0.0:
-        raise ValueError(f"gamma_1d must be positive, got {gamma_1d}")
-    x = n_photons * gamma_1d * tau
-    return DelayCorrection(
-        bound_factor=math.exp(-x),
-        first_order=1.0 - x,
-    )
-
-
-def _overlap_value(i_n: ExchangeIntegral | float) -> float:
-    value = i_n.value if isinstance(i_n, ExchangeIntegral) else float(i_n)
-    if not math.isfinite(value):
-        raise ValueError(f"exchange integral must be finite, got {value}")
-    return value
-
-
-def interferometer_loss_correction(
-    n_photons: int, i_n: ExchangeIntegral | float, eta: float
-) -> LossCorrection:
-    """First-order Fisher-information penalty for photon loss of rate eta.
-
-    Loss model: each of the N/2 photons of one arm is lost independently
-    with probability eta and the other arm is lossless.  The information
-    is taken to drop by N^2 eta I / 4; Heisenberg scaling demands that the
-    drop stays below one information unit, i.e. eta below 4/(I N^2).
-
-    That drop does not follow from the loss model above: its no-loss
-    weight (1 - eta)^(N/2) gives F >= (1 - eta)^(N/2) F_twin, a first-order
-    drop of (N eta / 2) F_twin = N^2 eta (I N + 2) / 4, about N times the
-    coded one (211 against 2.06 at N = 100, eta = 1e-3, I = 0.8234).  So
-    F_twin minus ``qfi_decrease`` is not a bound the model implies.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"loss probability must lie in [0, 1], got {eta}")
-    if n_photons < 1:
-        raise ValueError(f"n_photons must be positive, got {n_photons}")
-    value = _overlap_value(i_n)
-    decrease = n_photons**2 * eta * value / 4.0
-    threshold = 4.0 / (value * n_photons**2) if value > 0.0 else math.inf
-    return LossCorrection(
-        qfi_decrease=decrease,
-        eta_threshold=threshold,
-        heisenberg_ok=eta <= threshold,
-    )
-
-
 class BudgetEntry(Record):
     """One imperfection channel of the consolidated budget; ``kind`` is
     feasibility, multiplicative, additive or probability."""
@@ -279,6 +98,138 @@ class ErrorBudget(Record):
                  "effective_exchange_integral", "collection_probability")
 
 
+# Each channel below takes the validated PlatformParams and returns its
+# entry; only full_budget calls them, after its own checks.
+
+def _propagation_length(params: PlatformParams, margin_factor: float) -> BudgetEntry:
+    """Collective coupling needs the guided modes to outlive the array.
+
+    The propagation length in units of the emitter wavelength is the
+    quality factor over twice the group index; it must exceed the photon
+    number by the margin factor.
+    """
+    ratio = params.quality_factor / (2.0 * params.group_index)
+    margin = ratio / params.n_photons
+    return BudgetEntry(
+        "propagation_length", "feasibility", ratio, margin >= margin_factor,
+        f"length covers {margin:.3g} array sizes (margin factor {margin_factor:g})",
+    )
+
+
+def _retardation(params: PlatformParams, margin_factor: float) -> BudgetEntry:
+    """Photon transit across the array must beat the superradiant burst.
+
+    The fastest collective rate grows as N^2/4 while the transit time
+    grows as N, capping N^3 at 4c/(n_g lambda gamma); the usable ceiling
+    divides that bound by the margin factor before the cube root.
+    """
+    bound = 4.0 * SPEED_OF_LIGHT / (params.group_index * params.wavelength * params.gamma_1d)
+    n_max = int(math.floor((bound / margin_factor) ** (1.0 / 3.0)))
+    return BudgetEntry(
+        "retardation", "feasibility", float(n_max), params.n_photons <= n_max,
+        f"photon-number ceiling from transit time (raw N^3 bound {bound:.3g})",
+    )
+
+
+def _pulse_area(params: PlatformParams) -> BudgetEntry:
+    """Preparation fidelity under an imperfect inversion pulse.
+
+    A relative pulse-area error d leaves an admixture of one collective
+    flip whose weight scales as d^2 N; the fidelity 1 - d^2 N is clamped
+    at zero, and the estimate holds for small d, so the entry is flagged
+    once d sqrt(N) reaches one.
+    """
+    d, n = params.pulse_error, params.n_photons
+    return BudgetEntry(
+        "pulse_area", "probability", max(0.0, 1.0 - d**2 * n), d * math.sqrt(n) < 1.0,
+        "preparation fidelity estimate; flag drops once the error is nonperturbative",
+    )
+
+
+@functools.lru_cache(maxsize=8)
+def matched_dicke_overlap(n_emitters: int) -> ExchangeIntegral:
+    """Overlap of two matched unit-rate Dicke arms of ``n_emitters`` each.
+
+    Memoised: the report's integral and the denominator of the
+    mixed-coupling penalty are the same recurrence.
+    """
+    arm = ladder.build_dicke(n_emitters, 1.0)
+    return exchange.exchange_integral(TwinConfiguration(arm, arm))
+
+
+def _mixed_coupling(params: PlatformParams) -> BudgetEntry:
+    """Overlap penalty when the two ensembles couple unequally.
+
+    ``delta_gamma`` is the relative coupling mismatch d (gamma minus
+    gamma-prime over gamma).  The penalty is the exact ratio
+    I(gamma, (1 - d) gamma) / I(gamma, gamma) of the Dicke arms with
+    N/2 photons each.  Its shortfall from one grows as d^2 and only
+    slowly with N: the ratio is 0.971 at N = 1000, d = 0.1.  The stronger
+    arm is built at rate one, by the scale invariance I(1, r) = I(1/r, 1),
+    so no rate overflows at a large negative d; at d = 0 the ratio is
+    exactly one and no recurrence runs.
+    """
+    d = params.delta_gamma
+    ratio = 1.0
+    if d != 0.0:
+        r, m = 1.0 - d, params.n_photons // 2
+        pair = TwinConfiguration(ladder.build_dicke(m, min(1.0, 1.0 / r)),
+                                 ladder.build_dicke(m, min(r, 1.0)))
+        ratio = exchange.exchange_integral(pair).value / matched_dicke_overlap(m).value
+    return BudgetEntry(
+        "mixed_coupling", "multiplicative", ratio, True,
+        "exact overlap ratio of the mismatched arms to the matched ones",
+    )
+
+
+def _arrival_delay(params: PlatformParams) -> BudgetEntry:
+    """Lower bound on the overlap when one wavepacket arrives late.
+
+    The bound multiplies the overlap by exp(-N gamma tau): twice the
+    top-rung rate of the half-array ladder acting over the delay;
+    multimode wavepackets pay at most twice the single-mode exponent
+    N gamma tau / 2.  The note gives the first order, 1 - N gamma tau.
+    """
+    x = params.n_photons * params.gamma_1d * params.delay
+    return BudgetEntry(
+        "arrival_delay", "multiplicative", math.exp(-x), True,
+        f"lower-bound overlap penalty; first order {1.0 - x:.6g}",
+    )
+
+
+def _interferometer_loss(params: PlatformParams, i_eff: float) -> BudgetEntry:
+    """First-order Fisher-information penalty for photon loss of rate eta.
+
+    Loss model: each of the N/2 photons of one arm is lost independently
+    with probability eta and the other arm is lossless.  The information
+    is taken to drop by N^2 eta I / 4, the entry's value with its sign
+    flipped; Heisenberg scaling demands that the drop stays below one
+    information unit, i.e. eta below 4/(I N^2), the threshold in the note.
+
+    That drop does not follow from the loss model above: its no-loss
+    weight (1 - eta)^(N/2) gives F >= (1 - eta)^(N/2) F_twin, a first-order
+    drop of (N eta / 2) F_twin = N^2 eta (I N + 2) / 4, about N times the
+    coded one (211 against 2.06 at N = 100, eta = 1e-3, I = 0.8234).  So
+    F_twin minus this drop is not a bound the model implies.
+    """
+    n, eta = params.n_photons, params.interferometer_loss
+    decrease = n**2 * eta * i_eff / 4.0
+    threshold = 4.0 / (i_eff * n**2) if i_eff > 0.0 else math.inf
+    return BudgetEntry(
+        "interferometer_loss", "additive", -decrease, eta <= threshold,
+        f"first-order correction; Heisenberg scaling needs eta below {threshold:.3g}",
+    )
+
+
+def _overlap_value(i_n: ExchangeIntegral | float) -> float:
+    value = i_n.value if isinstance(i_n, ExchangeIntegral) else float(i_n)
+    if not math.isfinite(value):
+        raise ValueError(f"exchange integral must be finite, got {value}")
+    if not 0.0 <= value <= 1.0 + exchange._OVERSHOOT_TOL:
+        raise ValueError(f"exchange integral must lie in [0, 1], got {value}")
+    return value
+
+
 def full_budget(
     params: PlatformParams,
     i_n: ExchangeIntegral | float,
@@ -288,95 +239,43 @@ def full_budget(
     """Compose every channel into one first-order Fisher-information estimate.
 
     Overlap penalties multiply onto the exchange integral, the collected
-    fraction enters squared, and the detection-loss correction is
-    subtracted at first order.  The channels are derived separately, so
+    fraction enters squared, and the detection-loss correction, a negative
+    entry, is added at first order.  The channels are derived separately, so
     the combined number is a first-order estimate, not a joint theorem.
     The p^2 term weights the full-collection sector, whose state is the
     post-selected one (each arm given that all its photons were
     collected), but it uses ``i_n`` as given: ``report`` passes the
     lossless overlap today.
-    ``params.interferometer_loss`` is the eta of
-    ``interferometer_loss_correction``: each photon of one arm is lost
-    with that probability, and the other arm is lossless.
+    ``params.interferometer_loss`` is the eta of the loss channel: each
+    photon of one arm is lost with that probability, and the other arm
+    is lossless.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
     if not 0.0 < margin_factor < math.inf:
         raise ValueError(f"margin_factor must be positive and finite, got {margin_factor}")
-    n = params.n_photons
     value = _overlap_value(i_n)
 
-    prop = propagation_length_check(
-        params.quality_factor, params.group_index, n, margin_factor
-    )
-    ret = retardation_check(
-        params.group_index, params.wavelength, params.gamma_1d, n, margin_factor
-    )
-    pulse = pulse_error(params.pulse_error, n)
-    mixed = mixed_rate_correction(params.delta_gamma, n)
-    delayed = delay_correction(n, params.gamma_1d, params.delay)
-
-    i_eff = value * mixed * delayed.bound_factor
-    ideal = twin_qfi(n, value)
-    degraded = twin_qfi(n, i_eff)
-    loss = interferometer_loss_correction(n, i_eff, params.interferometer_loss)
-    combined = p * p * degraded - loss.qfi_decrease
-
+    mixed = _mixed_coupling(params)
+    delayed = _arrival_delay(params)
+    i_eff = value * mixed.value * delayed.value
+    loss = _interferometer_loss(params, i_eff)
     entries = (
+        _propagation_length(params, margin_factor),
+        _retardation(params, margin_factor),
+        _pulse_area(params),
+        mixed,
+        delayed,
         BudgetEntry(
-            "propagation_length",
-            "feasibility",
-            prop.l_prop_over_lambda,
-            prop.feasible,
-            f"length covers {prop.margin:.3g} array sizes (margin factor {margin_factor:g})",
-        ),
-        BudgetEntry(
-            "retardation",
-            "feasibility",
-            float(ret.n_max),
-            ret.feasible,
-            f"photon-number ceiling from transit time (raw N^3 bound {ret.n_cubed_bound:.3g})",
-        ),
-        BudgetEntry(
-            "pulse_area",
-            "probability",
-            max(0.0, 1.0 - pulse.infidelity),
-            pulse.in_regime,
-            "preparation fidelity estimate; flag drops once the error is nonperturbative",
-        ),
-        BudgetEntry(
-            "mixed_coupling",
-            "multiplicative",
-            mixed,
-            True,
-            "exact overlap ratio of the mismatched arms to the matched ones",
-        ),
-        BudgetEntry(
-            "arrival_delay",
-            "multiplicative",
-            delayed.bound_factor,
-            True,
-            f"lower-bound overlap penalty; first order {delayed.first_order:.6g}",
-        ),
-        BudgetEntry(
-            "collection",
-            "probability",
-            p,
-            p >= 0.9,
+            "collection", "probability", p, p >= 0.9,
             "guided-mode collection probability; enters the bound squared",
         ),
-        BudgetEntry(
-            "interferometer_loss",
-            "additive",
-            -loss.qfi_decrease,
-            loss.heisenberg_ok,
-            f"first-order correction; Heisenberg scaling needs eta below {loss.eta_threshold:.3g}",
-        ),
+        loss,
     )
     return ErrorBudget(
         entries=entries,
-        ideal_qfi=ideal,
-        combined_qfi_lower_bound=combined,
+        ideal_qfi=twin_qfi(params.n_photons, value),
+        combined_qfi_lower_bound=p * p * twin_qfi(params.n_photons, i_eff) + loss.value,
         effective_exchange_integral=i_eff,
         collection_probability=p,
     )

@@ -31,7 +31,7 @@ import numbers
 import os
 import sys
 
-from .budget import PlatformParams, full_budget, matched_dicke_overlap
+from .budget import DEFAULT_MARGIN_FACTOR, PlatformParams, full_budget, matched_dicke_overlap
 from .dickesim import (
     LossModel,
     collection_loss_probability,
@@ -542,7 +542,7 @@ _SUBCOMMANDS = {
         ("--eta", 0.0, _rule("a probability in [0, 1]", float, lambda x: 0 <= x <= 1),
          {"help": "interferometer loss probability of each photon of one arm "
                   "(the other arm is lossless)"}),
-        ("--margin-factor", 10.0, _POSITIVE, {}),
+        ("--margin-factor", DEFAULT_MARGIN_FACTOR, _POSITIVE, {}),
         ("--json", False, _flag, {"action": "store_true"}),
         ("--fidelity-table", False, _flag, {"action": "store_true"}),
         _OUT, _JOBS, _NO_HEADER,

@@ -510,7 +510,7 @@ def exchange_integral(config: TwinConfiguration) -> ExchangeIntegral:
 
     The two arms may be any ladders with the same photon number, arriving
     together; the exact delayed overlap is the oracle's ``delay`` and the
-    analytic delay bound is ``budget.delay_correction``.
+    analytic delay bound is the budget's ``arrival_delay`` entry.
     """
     a, b = config.ladder_a, config.ladder_b
     return ExchangeIntegral(

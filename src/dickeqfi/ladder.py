@@ -147,7 +147,7 @@ class TwinConfiguration(Record):
     """Pair of input-arm wavepackets entering the interferometer together.
 
     The two wavefronts arrive at once; a delayed pair is the oracle's
-    ``delay`` and the error budget's ``delay_correction``.
+    ``delay`` and the error budget's ``arrival_delay`` entry.
     """
 
     __slots__ = ("ladder_a", "ladder_b")

@@ -27,12 +27,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from dickeqfi.budget import (
-    delay_correction,
-    interferometer_loss_correction,
-    propagation_length_check,
-    retardation_check,
-)
+from dickeqfi.budget import PlatformParams, full_budget
 from dickeqfi.dickesim import (
     LossModel,
     collective_rates,
@@ -280,6 +275,15 @@ def test_criterion_8_conservation_and_residence():
     )
 
 
+def _budget_entries(**platform):
+    # the SiN waveguide of criterion 10 with overlap 0.82 and full collection
+    values = dict(quality_factor=1e6, group_index=10.0, wavelength=300e-9,
+                  gamma_1d=2 * math.pi * 6e6, gamma_star=0.0)
+    values.update(platform)
+    budget = full_budget(PlatformParams(**values), 0.82, 1.0)
+    return {entry.channel: entry for entry in budget.entries}
+
+
 def test_criterion_9_error_formula_identities():
     # unequal couplings: the recurrence on the two distinct arms equals
     # the exact oracle's overlap of the same arms
@@ -294,14 +298,19 @@ def test_criterion_9_error_formula_identities():
     delay_ok = True
     for tau in (1e-3, 1e-2, 1e-1):
         check = oracle_delay_check(arm, tau)
-        bound = delay_correction(4, 1.0, tau).bound_factor * check.reference
+        factor = _budget_entries(n_photons=4, gamma_1d=1.0, delay=tau)["arrival_delay"].value
+        bound = factor * check.reference
         delay_ok = delay_ok and bound == pytest.approx(check.bound, rel=1e-12)
         delay_ok = delay_ok and check.bound <= check.exact + 1e-12
 
-    corr = interferometer_loss_correction(100, 0.82, 1e-5)
-    eta_ok = corr.qfi_decrease == 100**2 * 1e-5 * 0.82 / 4.0
-    eta_ok = eta_ok and corr.eta_threshold == 4.0 / (0.82 * 100**2)
-    eta_ok = eta_ok and abs(corr.eta_threshold - 4.9e-4) / 4.9e-4 <= 0.01
+    # the eta threshold is pinned by the Heisenberg flag on either side of it
+    threshold = 4.0 / (0.82 * 100**2)
+    loss = {eta: _budget_entries(n_photons=100, interferometer_loss=eta)["interferometer_loss"]
+            for eta in (1e-5, threshold, math.nextafter(threshold, math.inf))}
+    eta_ok = loss[1e-5].value == -(100**2 * 1e-5 * 0.82 / 4.0)
+    eta_ok = eta_ok and loss[threshold].feasible
+    eta_ok = eta_ok and not loss[math.nextafter(threshold, math.inf)].feasible
+    eta_ok = eta_ok and abs(threshold - 4.9e-4) / 4.9e-4 <= 0.01
 
     ok = worst_mixed <= 1e-12 and delay_ok and eta_ok
     assert _verdict(
@@ -314,13 +323,12 @@ def test_criterion_9_error_formula_identities():
 
 
 def test_criterion_10_waveguide_feasibility_regression():
-    gamma = 2 * math.pi * 6e6
-    prop = propagation_length_check(1e6, 10.0, 100)
-    ret = retardation_check(10.0, 300e-9, gamma, 100)
-    ok = prop.l_prop_over_lambda == 5e4 and 100 <= ret.n_max <= 400
+    entries = _budget_entries(n_photons=100)
+    l_prop, n_max = entries["propagation_length"].value, entries["retardation"].value
+    ok = l_prop == 5e4 and 100 <= n_max <= 400
     assert _verdict(
         10,
         ok,
-        f"L_prop/lambda = {prop.l_prop_over_lambda:.0f} (expect 50000); "
-        f"retardation ceiling N <= {ret.n_max} (expect within [100, 400])",
+        f"L_prop/lambda = {l_prop:.0f} (expect 50000); "
+        f"retardation ceiling N <= {n_max:.0f} (expect within [100, 400])",
     )

@@ -8,16 +8,16 @@ import dickeqfi.exchange
 from dickeqfi.budget import (
     PlatformParams,
     SPEED_OF_LIGHT,
-    delay_correction,
+    _arrival_delay,
+    _interferometer_loss,
+    _mixed_coupling,
+    _propagation_length,
+    _pulse_area,
+    _retardation,
     full_budget,
-    interferometer_loss_correction,
-    mixed_rate_correction,
-    propagation_length_check,
-    pulse_error,
-    retardation_check,
 )
 from dickeqfi.exchange import exchange_integral
-from dickeqfi.ladder import TwinConfiguration, build_dicke
+from dickeqfi.ladder import TwinConfiguration, build_dicke, build_harmonic
 from dickeqfi.oracle import ExchangeIntegral, oracle_delay_check, oracle_integral
 
 SIN_WAVEGUIDE = dict(
@@ -28,53 +28,82 @@ SIN_WAVEGUIDE = dict(
 )
 
 
+def _params(**overrides):
+    values = dict(SIN_WAVEGUIDE, gamma_star=0.0, n_photons=10)
+    values.update(overrides)
+    return PlatformParams(**values)
+
+
+def _entry(budget, channel):
+    return next(e for e in budget.entries if e.channel == channel)
+
+
+def _note_number(entry):
+    # the secondary number that ends an entry's note
+    return float(entry.note.rstrip(")").rsplit(" ", 1)[-1])
+
+
 class TestPropagationLength:
     def test_sin_reference_ratio(self):
-        check = propagation_length_check(1e6, 10.0, 10)
-        assert check.l_prop_over_lambda == 5e4
+        entry = _entry(full_budget(_params(), 0.9, 1.0), "propagation_length")
+        assert entry.value == 5e4
 
     def test_margin_example(self):
-        check = propagation_length_check(2e5, 10.0, 10)  # ratio 1e4
-        assert check.feasible
-        assert check.margin == pytest.approx(1e3)
+        # ratio 1e4 over N = 10: a margin of exactly 1e3 array sizes
+        params = _params(quality_factor=2e5)
+        assert _propagation_length(params, 10.0).feasible
+        assert _propagation_length(params, 1e3).feasible
+        assert not _propagation_length(params, math.nextafter(1e3, math.inf)).feasible
+        assert _propagation_length(params, 10.0).note == (
+            "length covers 1e+03 array sizes (margin factor 10)")
 
     def test_infeasible_when_array_outgrows_length(self):
-        check = propagation_length_check(100.0, 10.0, 50)  # ratio 5 < N
-        assert not check.feasible
+        budget = full_budget(_params(quality_factor=100.0, n_photons=50), 0.9, 1.0)
+        assert not _entry(budget, "propagation_length").feasible  # ratio 5 < N
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            propagation_length_check(0.0, 10.0, 10)
+            _params(quality_factor=0.0)
 
-    @pytest.mark.parametrize("q, n, message", [
-        (math.inf, 10, "quality factor must be positive and finite, got inf"),
-        (math.nan, 10, "quality factor must be positive and finite, got nan"),
-        (1e6, 0, "n_photons must be positive, got 0"),
-        (1e6, -4, "n_photons must be positive, got -4"),
+    @pytest.mark.parametrize("field, value, message", [
+        ("quality_factor", math.inf, "quality_factor must be finite, got inf"),
+        ("quality_factor", math.nan, "quality_factor must be finite, got nan"),
+        ("n_photons", 0, "n_photons must be an even total >= 2, got 0"),
+        ("n_photons", -4, "n_photons must be an even total >= 2, got -4"),
     ])
-    def test_unusable_inputs_are_named(self, q, n, message):
-        # an infinite Q read as feasible with an infinite margin, and N = 0
-        # raised ZeroDivisionError
+    def test_unusable_inputs_are_named(self, field, value, message):
+        # an infinite Q would read as feasible with an infinite margin, and
+        # N = 0 would divide by zero
         with pytest.raises(ValueError) as info:
-            propagation_length_check(q, 1.0, n)
+            _params(**{field: value})
         assert str(info.value) == message
 
 
 class TestRetardation:
     def test_sin_reference_ceiling(self):
-        check = retardation_check(10.0, 300e-9, 2 * math.pi * 6e6, 100)
-        assert check.n_cubed_bound == pytest.approx(1.06e7, rel=0.01)
-        assert 100 <= check.n_max <= 400
-        assert check.feasible
+        entry = _entry(full_budget(_params(n_photons=100), 0.9, 1.0), "retardation")
+        assert _note_number(entry) == pytest.approx(1.06e7, rel=0.01)
+        assert 100 <= entry.value <= 400
+        assert entry.feasible
 
-    def test_single_photon_always_fits(self):
-        check = retardation_check(10.0, 300e-9, 2 * math.pi * 6e6, 1)
-        assert check.feasible
+    def test_ceiling_is_the_cube_root_of_the_bound_over_the_margin(self):
+        gamma = SIN_WAVEGUIDE["gamma_1d"]
+        bound = 4.0 * SPEED_OF_LIGHT / (10.0 * 300e-9 * gamma)
+        for margin in (1.0, 3.0, 10.0):
+            entry = _retardation(_params(), margin)
+            assert entry.value == math.floor((bound / margin) ** (1.0 / 3.0))
+
+    def test_smallest_array_always_fits(self):
+        entry = _entry(full_budget(_params(n_photons=2), 0.9, 1.0), "retardation")
+        assert entry.feasible
 
     def test_bound_inverse_in_group_index(self):
-        slow = retardation_check(20.0, 300e-9, 1e7, 10)
-        fast = retardation_check(10.0, 300e-9, 1e7, 10)
-        assert slow.n_cubed_bound == fast.n_cubed_bound / 2.0
+        # doubling n_g halves the bound exactly, which doubling the margin
+        # does to the ceiling's argument
+        slow = _retardation(_params(group_index=20.0, gamma_1d=1e7), 10.0)
+        fast = _retardation(_params(group_index=10.0, gamma_1d=1e7), 10.0)
+        assert slow.value == _retardation(_params(group_index=10.0, gamma_1d=1e7), 20.0).value
+        assert _note_number(slow) == pytest.approx(_note_number(fast) / 2.0, rel=1e-2)
 
     def test_uses_exact_light_speed(self):
         assert SPEED_OF_LIGHT == 299792458.0
@@ -82,29 +111,33 @@ class TestRetardation:
 
 class TestPulseError:
     def test_perfect_pulse(self):
-        est = pulse_error(0.0, 100)
-        assert est.infidelity == 0.0
-        assert est.in_regime
+        entry = _pulse_area(_params(n_photons=100, pulse_error=0.0))
+        assert entry.value == 1.0
+        assert entry.feasible
 
     def test_documented_estimate(self):
-        est = pulse_error(1e-2, 100)
-        assert est.infidelity == pytest.approx(1e-2)
-        assert est.in_regime
+        entry = _pulse_area(_params(n_photons=100, pulse_error=1e-2))
+        assert 1.0 - entry.value == pytest.approx(1e-2)
+        assert entry.feasible
 
     def test_nonperturbative_flag(self):
-        est = pulse_error(0.5, 100)
-        assert not est.in_regime
+        assert not _pulse_area(_params(n_photons=100, pulse_error=0.5)).feasible
 
     @pytest.mark.parametrize("d", [-0.1, math.nan, math.inf])
     def test_negative_or_nonfinite_error_is_rejected(self, d):
+        rule = "nonnegative" if d < 0.0 else "finite"
         with pytest.raises(ValueError) as info:
-            pulse_error(d, 10)
-        assert str(info.value) == f"pulse error must be nonnegative and finite, got {d}"
+            _params(pulse_error=d)
+        assert str(info.value) == f"pulse_error must be {rule}, got {d}"
+
+
+def _mixed(d, n):
+    return _mixed_coupling(_params(delta_gamma=d, n_photons=n)).value
 
 
 class TestMixedRateCorrection:
     def test_matched_couplings(self):
-        assert mixed_rate_correction(0.0, 10) == 1.0
+        assert _mixed(0.0, 10) == 1.0
 
     def test_twenty_percent_mismatch(self):
         # gamma' = 1.2 gamma, i.e. relative mismatch -0.2, against the
@@ -112,24 +145,22 @@ class TestMixedRateCorrection:
         a, b = build_dicke(5, 1.0), build_dicke(5, 1.2)
         mismatched = oracle_integral(a, b, l=1, max_total_photons=10).value
         matched = oracle_integral(a, a, l=1, max_total_photons=10).value
-        assert mixed_rate_correction(-0.2, 10) == pytest.approx(
-            mismatched / matched, rel=1e-12
-        )
+        assert _mixed(-0.2, 10) == pytest.approx(mismatched / matched, rel=1e-12)
 
     def test_penalty_is_mild_at_the_paper_scale(self):
         # N = 1000, d = 0.1: the per-step model put this at 0.250
-        assert mixed_rate_correction(0.1, 1000) == pytest.approx(0.97116, abs=5e-5)
+        assert _mixed(0.1, 1000) == pytest.approx(0.97116, abs=5e-5)
 
     def test_rejects_flipped_coupling(self):
         with pytest.raises(ValueError):
-            mixed_rate_correction(1.5, 10)
+            _params(delta_gamma=1.5)
 
     def test_stronger_second_arm_matches_the_unscaled_ratio(self):
         # d < 0 builds the arms at rates 1/r and 1, not 1 and r = 1 - d
         arm = build_dicke(50, 1.0)
         unscaled = exchange_integral(TwinConfiguration(arm, build_dicke(50, 1.1))).value
         unscaled /= exchange_integral(TwinConfiguration(arm, arm)).value
-        assert mixed_rate_correction(-0.1, 100) == pytest.approx(unscaled, rel=1e-13, abs=0.0)
+        assert _mixed(-0.1, 100) == pytest.approx(unscaled, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("d,calls", [(0.0, 0), (0.1, 2)])
     def test_matched_couplings_run_no_recurrence(self, monkeypatch, d, calls):
@@ -154,23 +185,27 @@ class TestMixedRateCorrection:
         assert len(seen) == 2
 
 
+def _delay(n, gamma, tau):
+    return _arrival_delay(_params(n_photons=n, gamma_1d=gamma, delay=tau))
+
+
 class TestDelayCorrection:
     def test_zero_delay(self):
-        corr = delay_correction(10, 1.0, 0.0)
-        assert corr.bound_factor == 1.0
-        assert corr.first_order == 1.0
+        entry = _delay(10, 1.0, 0.0)
+        assert entry.value == 1.0
+        assert _note_number(entry) == 1.0
 
     def test_first_order_percent(self):
-        corr = delay_correction(10, 1.0, 1e-3)  # N gamma tau = 0.01
-        assert corr.first_order == pytest.approx(0.99)
-        assert corr.bound_factor == pytest.approx(math.exp(-0.01))
+        entry = _delay(10, 1.0, 1e-3)  # N gamma tau = 0.01
+        assert _note_number(entry) == pytest.approx(0.99)
+        assert entry.value == pytest.approx(math.exp(-0.01))
 
     @pytest.mark.parametrize("tau, rule", [
         (-1.0, "nonnegative"), (math.nan, "finite"), (math.inf, "finite"),
     ])
     def test_delay_must_be_finite_and_nonnegative(self, tau, rule):
         with pytest.raises(ValueError) as info:
-            delay_correction(10, 1.0, tau)
+            _params(delay=tau)
         assert str(info.value) == f"delay must be {rule}, got {tau}"
 
     def test_expansion_envelope_is_stable(self):
@@ -178,8 +213,8 @@ class TestDelayCorrection:
         # barely moves over two decades of delay
         ratios = []
         for x in (1e-3, 1e-2, 1e-1):
-            corr = delay_correction(1, 1.0, x)
-            ratios.append(abs(corr.bound_factor - corr.first_order) / x**2)
+            entry = _delay(2, 0.5, x)  # N gamma tau = x
+            ratios.append(abs(entry.value - _note_number(entry)) / x**2)
         assert max(ratios) / min(ratios) <= 1.1
 
     @pytest.mark.parametrize("tau", [1e-3, 1e-2, 1e-1])
@@ -187,54 +222,50 @@ class TestDelayCorrection:
         # four-photon cross-check against the exact delayed oracle
         arm = build_dicke(2, 1.0)
         check = oracle_delay_check(arm, tau)
-        corr = delay_correction(4, 1.0, tau)
-        assert corr.bound_factor * check.reference == pytest.approx(
+        assert _delay(4, 1.0, tau).value * check.reference == pytest.approx(
             check.bound, rel=1e-12
         )
         assert check.bound <= check.exact + 1e-12
 
 
+def _loss(n, overlap, eta):
+    return _interferometer_loss(_params(n_photons=n, interferometer_loss=eta), overlap)
+
+
 class TestInterferometerLoss:
     def test_lossless(self):
-        corr = interferometer_loss_correction(10, 0.82, 0.0)
-        assert corr.qfi_decrease == 0.0
+        assert _loss(10, 0.82, 0.0).value == 0.0
 
     def test_documented_decrease(self):
-        corr = interferometer_loss_correction(10, 0.82, 0.01)
-        assert corr.qfi_decrease == pytest.approx(100 * 0.01 * 0.82 / 4.0)
+        assert -_loss(10, 0.82, 0.01).value == pytest.approx(100 * 0.01 * 0.82 / 4.0)
 
     def test_heisenberg_threshold(self):
-        corr = interferometer_loss_correction(100, 0.82, 1e-5)
-        assert corr.eta_threshold == pytest.approx(4.0 / (0.82 * 1e4), rel=1e-12)
-        assert corr.eta_threshold == pytest.approx(4.9e-4, rel=0.01)
-        assert corr.heisenberg_ok
+        threshold = 4.0 / (0.82 * 1e4)
+        assert _loss(100, 0.82, 1e-5).feasible
+        assert _loss(100, 0.82, threshold).feasible
+        assert not _loss(100, 0.82, math.nextafter(threshold, math.inf)).feasible
+        assert _note_number(_loss(100, 0.82, 1e-5)) == pytest.approx(4.9e-4, rel=0.01)
 
     def test_threshold_violated(self):
-        corr = interferometer_loss_correction(100, 0.82, 1e-2)
-        assert not corr.heisenberg_ok
+        assert not _loss(100, 0.82, 1e-2).feasible
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            interferometer_loss_correction(4, 1.0, 1.5)
+            _params(interferometer_loss=1.5)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_photon_number_below_one_is_rejected(self, n):
         with pytest.raises(ValueError) as info:
-            interferometer_loss_correction(n, 0.8, 0.1)
-        assert str(info.value) == f"n_photons must be positive, got {n}"
+            _params(n_photons=n)
+        assert str(info.value) == f"n_photons must be an even total >= 2, got {n}"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_inputs_are_rejected(self, value):
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
-            interferometer_loss_correction(4, value, 0.1)
+            full_budget(_params(interferometer_loss=0.1), value, 0.9)
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
-            interferometer_loss_correction(4, ExchangeIntegral(value, 4, "oracle"), 0.1)
-
-
-def _params(**overrides):
-    values = dict(SIN_WAVEGUIDE, gamma_star=0.0, n_photons=10)
-    values.update(overrides)
-    return PlatformParams(**values)
+            full_budget(_params(interferometer_loss=0.1), ExchangeIntegral(value, 4, "oracle"),
+                        0.9)
 
 
 class TestPlatformParams:
@@ -258,6 +289,27 @@ class TestFullBudget:
     def test_nonfinite_overlap_is_rejected(self, value):
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
             full_budget(_params(), value, 0.9)
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5])
+    def test_overlap_outside_the_unit_interval_is_rejected(self, value):
+        # -0.5 read as a loss that raises the information, with an infinite
+        # eta threshold
+        with pytest.raises(ValueError) as info:
+            full_budget(_params(interferometer_loss=0.1), value, 0.9)
+        assert str(info.value) == f"exchange integral must lie in [0, 1], got {value}"
+
+    def test_overlap_rounding_above_one_is_accepted(self):
+        arm = build_harmonic(2, 1.0)
+        overlap = oracle_integral(arm, arm, l=1)
+        assert overlap.value == 1.0000000000000004
+        budget = full_budget(_params(n_photons=4), overlap, 1.0)
+        assert budget.effective_exchange_integral == overlap.value
+
+    @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
+    def test_margin_factor_must_be_positive_and_finite(self, margin):
+        with pytest.raises(ValueError) as info:
+            full_budget(_params(), 0.9, 1.0, margin_factor=margin)
+        assert str(info.value) == f"margin_factor must be positive and finite, got {margin}"
 
     def test_ideal_platform_reproduces_twin_qfi(self):
         budget = full_budget(_params(), 11.0 / 12.0, 1.0)
@@ -331,7 +383,7 @@ class TestFullBudget:
     def test_mixed_channel_uses_closed_form(self):
         budget = full_budget(_params(delta_gamma=0.2), 0.9, 1.0)
         entry = {e.channel: e for e in budget.entries}["mixed_coupling"]
-        assert entry.value == mixed_rate_correction(0.2, 10)
+        assert entry.value == _mixed(0.2, 10)
 
     def test_collection_probability_validated(self):
         with pytest.raises(ValueError):

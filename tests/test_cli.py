@@ -765,6 +765,22 @@ def test_json_output_bytes_are_pinned(tmp_path, argv, pin):
     assert out.read_bytes() == (_DATA / pin).read_bytes()
 
 
+_ALL_CHANNELS = _SIN_REPORT[:-1] + ["100", "--pulse-error", "0.05", "--delta-gamma", "0.1",
+                                    "--delay", "1e-12", "--eta", "1e-4", "--margin-factor", "3"]
+
+
+@pytest.mark.parametrize("flag,pin", [
+    ("--fidelity-table", "report_sin_all_channels.txt"),
+    ("--json", "report_sin_all_channels.json"),
+], ids=["text", "json"])
+def test_report_with_every_channel_active_is_pinned(tmp_path, flag, pin):
+    # every imperfection is nonzero, so the pulse, mismatch, delay and loss
+    # entries and their notes are read, not their lossless defaults
+    out = tmp_path / "out"
+    assert main(_ALL_CHANNELS + [flag, "--no-header", "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (_DATA / pin).read_bytes()
+
+
 def test_dump_config_bytes_are_pinned(tmp_path, capsys):
     dump = tmp_path / "config.json"
     assert main(["exchange", "--family", "dicke", "--n", "4,6", "--format", "json",
@@ -904,19 +920,16 @@ def test_package_import_binds_every_name():
 def test_public_surface_is_pinned():
     # an addition to or a removal from the package's names is a deliberate edit here
     assert dickeqfi.__all__ == [
-        "BudgetEntry", "CollectionEstimate", "DecayLadder", "DelayCheck", "DelayCorrection",
-        "ErrorBudget", "ExchangeIntegral", "InvalidLadderError", "LadderFamily",
-        "LossCorrection", "LossModel", "OracleTooLargeError", "ParityCurve", "PlatformParams",
-        "PopulationTrace", "PropagationCheck", "PulseErrorEstimate", "QfiReport",
-        "RetardationCheck", "SPEED_OF_LIGHT", "SWEEP_COLUMNS", "SuperradianceTime",
-        "TwinConfiguration", "build_anharmonic", "build_dicke", "build_harmonic",
-        "collection_loss_probability", "collection_probability_product", "collective_rates",
-        "delay_correction", "dicke_collection_probability", "dicke_populations",
-        "exchange_integral", "full_budget", "interferometer_loss_correction",
-        "mixed_rate_correction", "oracle_delay_check", "oracle_integral",
-        "oracle_integral_exact", "parity_curve", "parity_expectation", "parity_phase_variance",
-        "propagation_length_check", "pulse_error", "qfi_general", "qfi_mixed_number",
-        "qfi_twin", "qfi_vs_n_sweep", "retardation_check", "superradiance_timescale",
+        "BudgetEntry", "CollectionEstimate", "DecayLadder", "DelayCheck", "ErrorBudget",
+        "ExchangeIntegral", "InvalidLadderError", "LadderFamily", "LossModel",
+        "OracleTooLargeError", "ParityCurve", "PlatformParams", "PopulationTrace", "QfiReport",
+        "SPEED_OF_LIGHT", "SWEEP_COLUMNS", "SuperradianceTime", "TwinConfiguration",
+        "build_anharmonic", "build_dicke", "build_harmonic", "collection_loss_probability",
+        "collection_probability_product", "collective_rates", "dicke_collection_probability",
+        "dicke_populations", "exchange_integral", "full_budget", "oracle_delay_check",
+        "oracle_integral", "oracle_integral_exact", "parity_curve", "parity_expectation",
+        "parity_phase_variance", "qfi_general", "qfi_mixed_number", "qfi_twin",
+        "qfi_vs_n_sweep", "superradiance_timescale",
     ]
 
 

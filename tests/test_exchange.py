@@ -40,7 +40,7 @@ from dickeqfi.ladder import (
     build_dicke,
     build_harmonic,
 )
-from dickeqfi.budget import mixed_rate_correction
+from dickeqfi.budget import PlatformParams, _mixed_coupling
 from dickeqfi.metrology import twin_qfi
 from dickeqfi.oracle import oracle_integral, oracle_integral_exact
 
@@ -1105,6 +1105,13 @@ DICKE_RATIOS = [0.3, 0.5, 1.2, 2.0, 3.0]
 KERR_PAIRS = [((1.0, 0.5), (2.0, 3.0)), ((1.0, 10.0), (1.5, 1.0)), ((0.3, 0.0), (2.0, 7.0))]
 
 
+def _platform(n_photons, delta_gamma):
+    # a budget platform whose only imperfection is the coupling mismatch
+    return PlatformParams(quality_factor=1e6, group_index=10.0, wavelength=300e-9,
+                          gamma_1d=1.0, gamma_star=0.0, n_photons=n_photons,
+                          delta_gamma=delta_gamma)
+
+
 class TestMixedRates:
     """Distinct arms: unequal couplings and Kerr ladders of different gamma, u."""
 
@@ -1169,7 +1176,8 @@ class TestMixedRates:
 
     def test_quadratic_expansion(self):
         # small mismatch d: 1 - ratio = c d^2 + O(d^3), c independent of d
-        c = [(1.0 - mixed_rate_correction(d, 100)) / d**2 for d in (1e-2, 1e-3, -1e-3)]
+        c = [(1.0 - _mixed_coupling(_platform(100, d)).value) / d**2
+             for d in (1e-2, 1e-3, -1e-3)]
         assert c[1] == pytest.approx(c[0], rel=0.02)
         assert c[2] == pytest.approx(c[1], rel=0.002)
 
@@ -1196,8 +1204,8 @@ class TestMixedRates:
 
     def test_rejects_nonpositive_ratio(self):
         for d in (1.0, 2.0):
-            with pytest.raises(ValueError):
-                mixed_rate_correction(d, 4)
+            with pytest.raises(ValueError, match="delta_gamma must be below 1"):
+                _platform(4, d)
 
 
 class TestAnharmonicFalloff:

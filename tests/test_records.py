@@ -42,11 +42,6 @@ SAMPLES = {
     "SuperradianceTime": dict(exact=2.5, log_estimate=2.3),
     "PlatformParams": dict(_PLATFORM, pulse_error=0.01, delta_gamma=0.05, delay=1e-9,
                            interferometer_loss=0.02),
-    "PropagationCheck": dict(l_prop_over_lambda=5e4, feasible=True, margin=5e3),
-    "RetardationCheck": dict(n_max=101, feasible=False, n_cubed_bound=1.06e7),
-    "PulseErrorEstimate": dict(infidelity=0.01, in_regime=True),
-    "DelayCorrection": dict(bound_factor=0.9, first_order=0.95),
-    "LossCorrection": dict(qfi_decrease=2.0, eta_threshold=0.05, heisenberg_ok=True),
     "BudgetEntry": dict(channel="collection", kind="probability", value=0.96, feasible=True,
                         note="squared"),
     "ErrorBudget": dict(entries=(BudgetEntry("pulse_area", "probability", 1.0, True, ""),
@@ -135,13 +130,6 @@ REPRS = {
     "PlatformParams": "PlatformParams(quality_factor=1000000.0, group_index=10.0, "
                       "wavelength=3e-07, gamma_1d=37699000.0, gamma_star=628320.0, n_photons=10, "
                       "pulse_error=0.01, delta_gamma=0.05, delay=1e-09, interferometer_loss=0.02)",
-    "PropagationCheck": "PropagationCheck(l_prop_over_lambda=50000.0, feasible=True, "
-                        "margin=5000.0)",
-    "RetardationCheck": "RetardationCheck(n_max=101, feasible=False, n_cubed_bound=10600000.0)",
-    "PulseErrorEstimate": "PulseErrorEstimate(infidelity=0.01, in_regime=True)",
-    "DelayCorrection": "DelayCorrection(bound_factor=0.9, first_order=0.95)",
-    "LossCorrection": "LossCorrection(qfi_decrease=2.0, eta_threshold=0.05, "
-                      "heisenberg_ok=True)",
     "BudgetEntry": "BudgetEntry(channel='collection', kind='probability', value=0.96, "
                    "feasible=True, note='squared')",
     "ErrorBudget": "ErrorBudget(entries=(BudgetEntry(channel='pulse_area', kind='probability', "
