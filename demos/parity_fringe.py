@@ -14,14 +14,7 @@ import pathlib
 
 import numpy as np
 
-from dickeqfi import (
-    ExchangeIntegral,
-    build_dicke,
-    oracle_integral,
-    parity_curve,
-    parity_phase_variance,
-    qfi_twin,
-)
+from dickeqfi import build_dicke, oracle_integral, parity_curve, qfi_twin
 
 HERE = pathlib.Path(__file__).resolve().parent
 M = 2
@@ -37,18 +30,9 @@ print("collective overlaps by exchanged pairs:",
 
 for label, curve, i1 in (("single mode", single, 1.0),
                          ("collective", collective, overlaps[1])):
-    report = qfi_twin(
-        2 * M,
-        ExchangeIntegral(value=i1, total_photons=2 * M, method="oracle",
-                         exchanged_count=1),
-    )
-    variance = parity_phase_variance(
-        M,
-        ExchangeIntegral(value=i1, total_photons=2 * M, method="oracle",
-                         exchanged_count=1),
-    )
-    print(f"{label:12s}: curvature {-curve.curvature:.6f}  QFI {report.qfi:.6f}  "
-          f"variance*QFI {variance * report.qfi:.12f}")
+    qfi = qfi_twin(2 * M, i1)
+    print(f"{label:12s}: curvature {-curve.curvature:.6f}  QFI {qfi:.6f}  "
+          f"curvature/QFI {-curve.curvature / qfi:.12f}")
 
 csv_path = HERE / "parity_fringe.csv"
 with open(csv_path, "w") as handle:

@@ -23,8 +23,7 @@ from .exchange import (
     InvalidLadderError, LadderFamily, SWEEP_COLUMNS, exchange_integral, qfi_vs_n_sweep,
 )
 from .metrology import (
-    ParityCurve, QfiReport, parity_curve, parity_expectation, parity_phase_variance,
-    qfi_general, qfi_mixed_number, qfi_twin,
+    ParityCurve, parity_curve, parity_expectation, qfi_general, qfi_mixed_number, qfi_twin,
 )
 from .dickesim import (
     CollectionEstimate, LossModel, PopulationTrace, SuperradianceTime,

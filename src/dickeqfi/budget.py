@@ -28,7 +28,7 @@ import math
 # reaches the budget's recurrences whatever the import order.
 from . import exchange, ladder
 from .ladder import Record, TwinConfiguration
-from .metrology import twin_qfi
+from .metrology import _one_pair_overlap, qfi_twin
 from .oracle import ExchangeIntegral
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact
@@ -121,12 +121,16 @@ def _retardation(params: PlatformParams, margin_factor: float) -> BudgetEntry:
 
     The fastest collective rate grows as N^2/4 while the transit time
     grows as N, capping N^3 at 4c/(n_g lambda gamma); the usable ceiling
-    divides that bound by the margin factor before the cube root.
+    divides that bound by the margin factor before the cube root.  A
+    product n_g lambda gamma that underflows to zero, or a bound that
+    overflows, leaves no finite ceiling: it is inf, and any N passes.
     """
-    bound = 4.0 * SPEED_OF_LIGHT / (params.group_index * params.wavelength * params.gamma_1d)
-    n_max = int(math.floor((bound / margin_factor) ** (1.0 / 3.0)))
+    rate = params.group_index * params.wavelength * params.gamma_1d
+    bound = 4.0 * SPEED_OF_LIGHT / rate if rate else math.inf
+    root = (bound / margin_factor) ** (1.0 / 3.0)
+    n_max = float(math.floor(root)) if root < math.inf else math.inf
     return BudgetEntry(
-        "retardation", "feasibility", float(n_max), params.n_photons <= n_max,
+        "retardation", "feasibility", n_max, params.n_photons <= n_max,
         f"photon-number ceiling from transit time (raw N^3 bound {bound:.3g})",
     )
 
@@ -221,15 +225,6 @@ def _interferometer_loss(params: PlatformParams, i_eff: float) -> BudgetEntry:
     )
 
 
-def _overlap_value(i_n: ExchangeIntegral | float) -> float:
-    value = i_n.value if isinstance(i_n, ExchangeIntegral) else float(i_n)
-    if not math.isfinite(value):
-        raise ValueError(f"exchange integral must be finite, got {value}")
-    if not 0.0 <= value <= 1.0 + exchange._OVERSHOOT_TOL:
-        raise ValueError(f"exchange integral must lie in [0, 1], got {value}")
-    return value
-
-
 def full_budget(
     params: PlatformParams,
     i_n: ExchangeIntegral | float,
@@ -254,7 +249,7 @@ def full_budget(
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
     if not 0.0 < margin_factor < math.inf:
         raise ValueError(f"margin_factor must be positive and finite, got {margin_factor}")
-    value = _overlap_value(i_n)
+    value = _one_pair_overlap(i_n)
 
     mixed = _mixed_coupling(params)
     delayed = _arrival_delay(params)
@@ -274,8 +269,8 @@ def full_budget(
     )
     return ErrorBudget(
         entries=entries,
-        ideal_qfi=twin_qfi(params.n_photons, value),
-        combined_qfi_lower_bound=p * p * twin_qfi(params.n_photons, i_eff) + loss.value,
+        ideal_qfi=qfi_twin(params.n_photons, value),
+        combined_qfi_lower_bound=p * p * qfi_twin(params.n_photons, i_eff) + loss.value,
         effective_exchange_integral=i_eff,
         collection_probability=p,
     )

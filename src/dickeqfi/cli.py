@@ -48,7 +48,7 @@ from .exchange import (
 # build_dicke is unused here but stays a cli attribute: perfbench's tracer wraps it
 from .ladder import Record, TwinConfiguration, build_dicke  # noqa: F401
 from .metrology import parity_curve, qfi_twin
-from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, ExchangeIntegral, oracle_integral
+from .oracle import DEFAULT_MAX_TOTAL_PHOTONS, oracle_integral
 
 # None of these modules imports numpy when it loads.  Handlers call the
 # names as this module's globals, so a replaced cli attribute (a tracer's
@@ -381,9 +381,7 @@ def cmd_parity(cfg: RunConfig) -> int:
 
     phis = _linspace(-opts["phi_max"], opts["phi_max"], opts["points"])
     curve = parity_curve(m, integrals, phis)
-    one_pair = ExchangeIntegral(value=integrals[1], total_photons=2 * m,
-                                method="oracle", exchanged_count=1)
-    qfi = qfi_twin(2 * m, one_pair).qfi
+    qfi = qfi_twin(2 * m, integrals[1])
     _write(cfg, _table(curve.to_rows(), ("phi", "expectation"), cfg))
     print(f"# curvature={-curve.curvature:.12g} qfi={qfi:.12g} "
           f"saturation={-curve.curvature / qfi:.12g}", file=sys.stderr)

@@ -100,11 +100,8 @@ from functools import partial
 from .ladder import (
     DecayLadder, Record, TwinConfiguration, build_anharmonic, build_dicke, build_harmonic,
 )
-from .metrology import twin_qfi
+from .metrology import _OVERSHOOT_TOL, qfi_twin
 from .oracle import ExchangeIntegral
-
-# Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
-_OVERSHOOT_TOL = 1e-12
 
 # Most cells per antidiagonal in one batched Dicke pass (P pairs of at most
 # M photons per arm hold P M cells, counted over the full lattice: a twin
@@ -564,7 +561,7 @@ def _sweep_row(n_total: int, outcome: float | str) -> dict:
         return {"N": n_total, "error": outcome}
     try:
         value = _overlap(n_total // 2, outcome)
-        qfi = twin_qfi(n_total, value)
+        qfi = qfi_twin(n_total, value)
         return dict(zip(SWEEP_COLUMNS, (n_total, value, qfi, 1.0 / qfi, 1.0 / n_total,
                                         1.0 / n_total**2, 2.0 / (n_total * (n_total + 2.0)))))
     except (InvalidLadderError, ArithmeticError) as exc:

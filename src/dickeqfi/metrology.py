@@ -2,9 +2,13 @@
 
 Once the exchange overlap of the two input wavepackets is known, the
 quantum Fisher information of the interferometer state is elementary
-algebra, and so is the small-angle response of a parity readout.  All
-functions here are stateless and cheap; the heavy lifting happened in
-the exchange or oracle modules.
+algebra: ``qfi_general``, ``qfi_twin`` and ``qfi_mixed_number`` return it
+as a float, and the per-shot Cramer-Rao variance is its inverse.  Each
+takes the one-pair overlap as an ``ExchangeIntegral`` or as a number.  The
+parity readout's fringe follows; its curvature at zero phase is minus the
+twin QFI, so parity saturates the Cramer-Rao bound there.  All functions
+here are stateless and cheap; the heavy lifting happened in the exchange
+or oracle modules.
 """
 from __future__ import annotations
 
@@ -13,36 +17,34 @@ import math
 from .ladder import Record
 from .oracle import ExchangeIntegral
 
-_INPUT_KINDS = ("twin", "general", "mixed_number")
+# Largest excess over I = 1 accepted as rounding (seen: 1.6e-15 at m = 200).
+_OVERSHOOT_TOL = 1e-12
 
 
-class QfiReport(Record):
-    """Quantum Fisher information and the derived sensitivity ratios.
+def _one_pair_overlap(i_ab: ExchangeIntegral | float) -> float:
+    """The single-pair overlap I of a record (whose ``exchanged_count`` must
+    be 1) or of a number; I must be finite and within [0, 1] up to rounding,
+    which keeps every QFI here nonnegative."""
+    if isinstance(i_ab, ExchangeIntegral):
+        if i_ab.exchanged_count != 1:
+            raise ValueError(
+                "QFI formulas take the single-pair exchange integral, got "
+                f"exchanged_count={i_ab.exchanged_count}"
+            )
+        value = i_ab.value
+    else:
+        value = float(i_ab)
+    if not math.isfinite(value):
+        raise ValueError(f"exchange integral must be finite, got {value}")
+    if not 0.0 <= value <= 1.0 + _OVERSHOOT_TOL:
+        raise ValueError(f"exchange integral must lie in [0, 1], got {value}")
+    return value
 
-    ``phase_variance`` is the per-shot Cramer-Rao bound 1/qfi;
-    ``snl_ratio`` and ``hl_ratio`` compare against the shot-noise and
-    Heisenberg references F = N and F = N^2.
-    """
 
-    __slots__ = ("qfi", "phase_variance", "n_total", "snl_ratio", "hl_ratio", "input_kind")
-
-    def __post_init__(self):
-        if self.input_kind not in _INPUT_KINDS:
-            raise ValueError(f"unknown input kind {self.input_kind!r}")
-
-
-def _report(qfi: float, n_total: int, kind: str) -> QfiReport:
-    if not 0.0 <= qfi < math.inf:
-        raise ValueError(f"quantum Fisher information must be finite and nonnegative, "
-                         f"got {qfi}")
-    return QfiReport(
-        qfi=qfi,
-        phase_variance=math.inf if qfi == 0.0 else 1.0 / qfi,
-        n_total=n_total,
-        snl_ratio=qfi / n_total if n_total else 0.0,
-        hl_ratio=qfi / n_total**2 if n_total else 0.0,
-        input_kind=kind,
-    )
+def _finite(qfi: float) -> float:
+    if not qfi < math.inf:
+        raise ValueError(f"quantum Fisher information must be finite, got {qfi}")
+    return qfi
 
 
 def _photon_number(n) -> int:
@@ -53,47 +55,30 @@ def _photon_number(n) -> int:
     return int(n)
 
 
-def _require_single_exchange(integral: ExchangeIntegral):
-    if integral.exchanged_count != 1:
-        raise ValueError(
-            "QFI formulas take the single-pair exchange integral, got "
-            f"exchanged_count={integral.exchanged_count}"
-        )
-    if not math.isfinite(integral.value):
-        raise ValueError(f"exchange integral must be finite, got {integral.value}")
-
-
-def qfi_general(m: int, n: int, i_ab: ExchangeIntegral) -> QfiReport:
+def qfi_general(m: int, n: int, i_ab: ExchangeIntegral | float) -> float:
     """QFI for fixed photon numbers m and n in the two input ports.
 
     F = 2 m n I + m + n.  A vacuum port contributes nothing through the
     exchange term, so the single-arm value m is recovered for n = 0.
     """
     m, n = _photon_number(m), _photon_number(n)
-    _require_single_exchange(i_ab)
-    qfi = 2.0 * m * n * i_ab.value + m + n
-    return _report(qfi, m + n, "general")
+    return _finite(2.0 * m * n * _one_pair_overlap(i_ab) + m + n)
 
 
-def twin_qfi(n_total: int, i: float) -> float:
+def qfi_twin(n_total: int, i_n: ExchangeIntegral | float) -> float:
     """Twin-pair QFI F = N (I N + 2) / 2 for N photons and overlap I."""
-    return n_total * (i * n_total + 2.0) / 2.0
-
-
-def qfi_twin(n_total: int, i_n: ExchangeIntegral) -> QfiReport:
-    """Twin-pair QFI report (``twin_qfi``) from the single-pair overlap."""
     if n_total < 2 or n_total % 2:
         raise ValueError(f"twin input needs an even total photon number, got {n_total}")
-    _require_single_exchange(i_n)
-    return _report(twin_qfi(n_total, i_n.value), n_total, "twin")
+    i = _one_pair_overlap(i_n)
+    return _finite(n_total * (i * n_total + 2.0) / 2.0)
 
 
-def qfi_mixed_number(m: int, components) -> QfiReport:
+def qfi_mixed_number(m: int, components) -> float:
     """QFI with a fixed m-photon arm against a photon-number superposition.
 
     ``components`` lists (weight, n, integral) with weights summing to
     one; ``integral`` is the single-pair exchange overlap against the
-    n-photon component and may be None when n = 0.  Different photon
+    n-photon component, a record or a number, and may be None when n = 0.  Different photon
     numbers do not mix, so F = 2 m sum(w n I) + m + <n>.
     """
     m = _photon_number(m)
@@ -111,10 +96,8 @@ def qfi_mixed_number(m: int, components) -> QfiReport:
             continue
         if integral is None:
             raise ValueError(f"missing exchange integral for the n={n} component")
-        _require_single_exchange(integral)
-        cross += w * n * integral.value
-    qfi = 2.0 * m * cross + m + n_mean
-    return _report(qfi, m + round(n_mean), "mixed_number")
+        cross += w * n * _one_pair_overlap(integral)
+    return _finite(2.0 * m * cross + m + n_mean)
 
 
 # --------------------------------------------------------------------------
@@ -172,18 +155,6 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
         raise ArithmeticError(f"parity expectation at m={m}, phi={phi!r} cancels too far: "
                               f"rounding bound {bound:.3g} exceeds 1e-9")
     return total
-
-
-def parity_phase_variance(m: int, i_1: ExchangeIntegral) -> float:
-    """Small-angle phase variance of the parity readout.
-
-    Equals the inverse of the twin QFI, so parity saturates the
-    Cramer-Rao bound at the operating point.
-    """
-    if m < 1:
-        raise ValueError("need at least one photon per arm")
-    _require_single_exchange(i_1)
-    return 1.0 / twin_qfi(2 * m, i_1.value)
 
 
 class ParityCurve(Record):

@@ -305,6 +305,20 @@ class TestFullBudget:
         budget = full_budget(_params(n_photons=4), overlap, 1.0)
         assert budget.effective_exchange_integral == overlap.value
 
+    @pytest.mark.parametrize("exchanged", [0, 2])
+    def test_only_the_single_pair_record_is_accepted(self, exchanged):
+        record = ExchangeIntegral(value=0.9, total_photons=10, method="oracle",
+                                  exchanged_count=exchanged)
+        with pytest.raises(ValueError) as info:
+            full_budget(_params(), record, 0.9)
+        assert str(info.value) == ("QFI formulas take the single-pair exchange integral, "
+                                   f"got exchanged_count={exchanged}")
+
+    def test_a_record_and_its_value_give_the_same_budget(self):
+        params = _params(delta_gamma=0.1, delay=1e-9, interferometer_loss=1e-3)
+        record = ExchangeIntegral(value=0.82, total_photons=10, method="recurrence")
+        assert full_budget(params, record, 0.9) == full_budget(params, 0.82, 0.9)
+
     @pytest.mark.parametrize("margin", [0.0, -1.0, math.nan, math.inf])
     def test_margin_factor_must_be_positive_and_finite(self, margin):
         with pytest.raises(ValueError) as info:
@@ -410,7 +424,6 @@ class TestFullBudget:
         # all channels small at N = 4: the composed bound must stay below
         # the QFI rebuilt from the oracle-exact delayed overlap
         from dickeqfi.metrology import qfi_twin
-        from dickeqfi.oracle import ExchangeIntegral, oracle_integral
 
         tau = 0.01
         arm = build_dicke(2, 1.0)
@@ -419,9 +432,5 @@ class TestFullBudget:
         budget = full_budget(params, value, 1.0)
         check = oracle_delay_check(arm, tau)
         assert budget.effective_exchange_integral <= check.exact + 1e-12
-        exact_qfi = qfi_twin(
-            4,
-            ExchangeIntegral(value=check.exact, total_photons=4,
-                             method="oracle", exchanged_count=1),
-        ).qfi
+        exact_qfi = qfi_twin(4, check.exact)
         assert budget.combined_qfi_lower_bound <= exact_qfi + 1e-12

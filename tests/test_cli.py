@@ -922,13 +922,13 @@ def test_public_surface_is_pinned():
     assert dickeqfi.__all__ == [
         "BudgetEntry", "CollectionEstimate", "DecayLadder", "DelayCheck", "ErrorBudget",
         "ExchangeIntegral", "InvalidLadderError", "LadderFamily", "LossModel",
-        "OracleTooLargeError", "ParityCurve", "PlatformParams", "PopulationTrace", "QfiReport",
+        "OracleTooLargeError", "ParityCurve", "PlatformParams", "PopulationTrace",
         "SPEED_OF_LIGHT", "SWEEP_COLUMNS", "SuperradianceTime", "TwinConfiguration",
         "build_anharmonic", "build_dicke", "build_harmonic", "collection_loss_probability",
         "collection_probability_product", "collective_rates", "dicke_collection_probability",
         "dicke_populations", "exchange_integral", "full_budget", "oracle_delay_check",
         "oracle_integral", "oracle_integral_exact", "parity_curve", "parity_expectation",
-        "parity_phase_variance", "qfi_general", "qfi_mixed_number", "qfi_twin",
+        "qfi_general", "qfi_mixed_number", "qfi_twin",
         "qfi_vs_n_sweep", "superradiance_timescale",
     ]
 
@@ -1056,11 +1056,28 @@ def test_traced_report_records_the_budget_recurrence():
 
 def test_traced_names_resolve():
     # The benchmark's tracer replaces these module attributes; each must
-    # exist, or a traced run fails before it starts.
+    # be a callable, or a traced run fails before it starts.
     from perfbench.tracing import WRAPPED
 
     for module, attr, _, _ in WRAPPED:
-        assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+        target = getattr(importlib.import_module(module), attr, None)
+        assert callable(target), f"{module}.{attr}"
+
+
+@pytest.mark.parametrize("op", [
+    ["cli", "verify", "--m-max", "1", "--families", "dicke", "--jobs", "1", "--no-header"],
+    ["oracle", "--gamma", "1", "--tau", "0.15", "--m-max", "1"],
+], ids=["cli", "oracle"])
+def test_traced_child_operation_runs(tmp_path, op):
+    # A benchmark operation run with every tracer wrapper installed exits
+    # cleanly and writes its spans, the operation's own span first.
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, "-m", "perfbench.child", "--trace", str(trace), *op],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())
+    assert spans[0]["name"] == ("cli" if op[0] == "cli" else "driver")
+    assert len(spans) > 1
 
 
 def test_large_negative_mismatch_stays_finite(capsys):
@@ -1070,6 +1087,20 @@ def test_large_negative_mismatch_stays_finite(capsys):
     assert err == ""
     entry = next(e for e in json.loads(out)["entries"] if e["channel"] == "mixed_coupling")
     assert 0.0 <= entry["value"] <= 1.0
+
+
+@pytest.mark.parametrize("platform", [
+    ["--n-g", "1e-200", "--lambda-a", "1e-200"],  # n_g lambda gamma underflows to 0
+    ["--q", "1e300", "--n-g", "1e-300", "--lambda-a", "1e-7"],  # the N^3 bound overflows
+])
+def test_unbounded_retardation_ceiling_is_reported(capsys, platform):
+    # both exited 1, with "float division by zero" and "cannot convert
+    # float infinity to integer"
+    code, out, err = run(capsys, *_SIN_REPORT, *platform, "--no-header")
+    assert (code, err) == (EXIT_OK, "")
+    line = next(row for row in out.splitlines() if row.lstrip().startswith("retardation"))
+    assert line.split()[1:3] == ["inf", "y"]
+    assert line.endswith("(raw N^3 bound inf)")
 
 
 # Options that every run of a subcommand needs, given in its config file.

@@ -41,7 +41,7 @@ from dickeqfi.ladder import (
     build_harmonic,
 )
 from dickeqfi.budget import PlatformParams, _mixed_coupling
-from dickeqfi.metrology import twin_qfi
+from dickeqfi.metrology import qfi_twin
 from dickeqfi.oracle import oracle_integral, oracle_integral_exact
 
 
@@ -92,7 +92,7 @@ def point_row(family, n_total):
         value = exchange_integral(twin(arm)).value
     except Exception as exc:
         return {"N": n_total, "error": f"{type(exc).__name__}: {exc}"}
-    qfi = twin_qfi(n_total, value)
+    qfi = qfi_twin(n_total, value)
     return {"N": n_total, "I_N": value, "F_Q": qfi, "dphi2": 1.0 / qfi,
             "dphi2_snl": 1.0 / n_total, "dphi2_hl": 1.0 / n_total**2,
             "dphi2_fock": 2.0 / (n_total * (n_total + 2.0))}

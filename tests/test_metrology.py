@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_legendre
 
-from dickeqfi.ladder import build_dicke
+from dickeqfi.ladder import build_dicke, build_harmonic
 from dickeqfi.metrology import (
     parity_curve,
     parity_expectation,
-    parity_phase_variance,
     qfi_general,
     qfi_mixed_number,
     qfi_twin,
@@ -26,17 +24,23 @@ def integral(value, n_total=4, exchanged=1):
     )
 
 
+# each QFI function as a function of the one-pair overlap alone
+QFI_FUNCTIONS = (
+    lambda i: qfi_twin(4, i),
+    lambda i: qfi_general(2, 2, i),
+    lambda i: qfi_mixed_number(2, [(1.0, 2, i)]),
+)
+
+
 class TestGeneralQfi:
     def test_two_photon_unit_overlap(self):
-        report = qfi_general(1, 1, integral(1.0, 2))
-        assert report.qfi == 4.0
-        assert report.phase_variance == 0.25
+        assert qfi_general(1, 1, integral(1.0, 2)) == 4.0
 
     def test_vacuum_port(self):
-        assert qfi_general(5, 0, integral(0.3)).qfi == 5.0
+        assert qfi_general(5, 0, integral(0.3)) == 5.0
 
     def test_four_photon_collective(self):
-        assert qfi_general(2, 2, integral(X4)).qfi == pytest.approx(8 * X4 + 4)
+        assert qfi_general(2, 2, integral(X4)) == pytest.approx(8 * X4 + 4)
 
     @given(
         m=st.integers(0, 40),
@@ -47,7 +51,7 @@ class TestGeneralQfi:
     def test_symmetric_in_arm_exchange(self, m, n, value):
         a = qfi_general(m, n, integral(value, m + n))
         b = qfi_general(n, m, integral(value, m + n))
-        assert a.qfi == pytest.approx(b.qfi, rel=1e-14)
+        assert a == pytest.approx(b, rel=1e-14)
 
     def test_rejects_wrong_exchange_count(self):
         with pytest.raises(ValueError):
@@ -60,42 +64,42 @@ class TestGeneralQfi:
                 qfi_general(*args, integral(1.0))
 
     def test_integral_floats_and_numpy_integers_pass(self):
-        report = qfi_general(2.0, np.int64(2), integral(X4))
-        assert report == qfi_general(2, 2, integral(X4))
-        assert type(report.n_total) is int
+        qfi = qfi_general(2.0, np.int64(2), integral(X4))
+        assert qfi == qfi_general(2, 2, integral(X4))
+        assert type(qfi) is float
 
 
 class TestTwinQfi:
     def test_unit_overlap_reference(self):
-        assert qfi_twin(4, integral(1.0)).qfi == 12.0
+        assert qfi_twin(4, integral(1.0)) == 12.0
 
     def test_zero_overlap_is_shot_noise(self):
         for n in (2, 10, 64):
-            report = qfi_twin(n, integral(0.0, n))
-            assert report.qfi == float(n)
-            assert report.snl_ratio == 1.0
+            qfi = qfi_twin(n, integral(0.0, n))
+            assert qfi == float(n)
+            assert qfi / n == 1.0  # the shot-noise reference F = N
 
     def test_collective_hundred_photons(self):
-        report = qfi_twin(100, integral(0.82, 100))
-        assert report.qfi == pytest.approx(0.41 * 100**2 + 100)
-        assert report.hl_ratio == pytest.approx(0.42, abs=0.01)
+        qfi = qfi_twin(100, integral(0.82, 100))
+        assert qfi == pytest.approx(0.41 * 100**2 + 100)
+        assert qfi / 100**2 == pytest.approx(0.42, abs=0.01)  # against Heisenberg's F = N^2
 
     @given(values=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_overlap(self, values):
         low, high = sorted(values)
-        assert qfi_twin(8, integral(low, 8)).qfi <= qfi_twin(8, integral(high, 8)).qfi
+        assert qfi_twin(8, integral(low, 8)) <= qfi_twin(8, integral(high, 8))
 
     @given(n_half=st.integers(1, 50), value=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_photon_number_states_are_the_twin_optimum(self, n_half, value):
         n = 2 * n_half
-        assert qfi_twin(n, integral(value, n)).qfi <= n * (n + 2) / 2.0 + 1e-9
+        assert qfi_twin(n, integral(value, n)) <= n * (n + 2) / 2.0 + 1e-9
 
     def test_negative_qfi_rejected(self):
-        # an overlap of -1 drives the formula negative, which no valid
-        # input state can produce; the report constructor refuses it
-        with pytest.raises(ValueError):
+        # an overlap of -1 would drive the formula negative, which no valid
+        # input state can produce; the overlap's range check refuses it
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got -1.0"):
             qfi_twin(8, integral(-1.0, 8))
 
     def test_rejects_odd_totals(self):
@@ -105,17 +109,17 @@ class TestTwinQfi:
 
 class TestMixedNumberQfi:
     def test_vacuum_component_only(self):
-        assert qfi_mixed_number(3, [(1.0, 0, None)]).qfi == 3.0
+        assert qfi_mixed_number(3, [(1.0, 0, None)]) == 3.0
 
     def test_single_component_reduces_to_general(self):
-        report = qfi_mixed_number(2, [(1.0, 3, integral(0.7, 5))])
-        assert report.qfi == pytest.approx(qfi_general(2, 3, integral(0.7, 5)).qfi)
+        qfi = qfi_mixed_number(2, [(1.0, 3, integral(0.7, 5))])
+        assert qfi == pytest.approx(qfi_general(2, 3, integral(0.7, 5)))
 
     def test_two_component_example(self):
-        report = qfi_mixed_number(
+        qfi = qfi_mixed_number(
             2, [(0.5, 0, None), (0.5, 2, integral(1.0))]
         )
-        assert report.qfi == pytest.approx(7.0)
+        assert qfi == pytest.approx(7.0)
 
     def test_rejects_unnormalised_weights(self):
         with pytest.raises(ValueError):
@@ -143,31 +147,54 @@ class TestMixedNumberQfi:
 
 
 class TestReports:
-    def test_variance_identity(self):
-        report = qfi_twin(6, integral(0.5, 6))
-        assert report.phase_variance * report.qfi == pytest.approx(1.0, rel=1e-14)
-
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_nonfinite_overlap_is_rejected(self, value):
         message = f"exchange integral must be finite, got {value}"
-        for qfi in (lambda i: qfi_twin(4, i), lambda i: qfi_general(2, 2, i),
-                    lambda i: qfi_mixed_number(2, [(1.0, 2, i)]),
-                    lambda i: parity_phase_variance(2, i)):
+        for qfi in QFI_FUNCTIONS:
             with pytest.raises(ValueError, match=message):
                 qfi(integral(value))
+            with pytest.raises(ValueError, match=message):
+                qfi(value)
 
     def test_nonfinite_weight_or_qfi_is_rejected(self):
         with pytest.raises(ValueError, match="component weights must sum to 1, got nan"):
             qfi_mixed_number(2, [(math.nan, 2, integral(0.5))])
         # 2 m n I overflows to inf at m = n = 1e200
-        with pytest.raises(ValueError, match="must be finite and nonnegative, got inf"):
+        with pytest.raises(ValueError, match="quantum Fisher information must be finite, got inf"):
             qfi_general(1e200, 1e200, integral(0.5))
+        with pytest.raises(ValueError, match="quantum Fisher information must be finite, got inf"):
+            qfi_general(1e200, 1e200, 0.5)
 
-    def test_serialisation_round_trip(self):
-        report = qfi_twin(4, integral(X4))
-        data = json.loads(report.to_json())
-        assert data["qfi"] == report.qfi
-        assert data["input_kind"] == "twin"
+    @given(value=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_a_record_and_its_value_give_the_same_bits(self, value):
+        for qfi in QFI_FUNCTIONS:
+            assert qfi(integral(value)) == qfi(value)
+
+    @pytest.mark.parametrize("exchanged", [0, 2])
+    def test_only_the_single_pair_record_is_accepted(self, exchanged):
+        message = f"single-pair exchange integral, got exchanged_count={exchanged}"
+        for qfi in QFI_FUNCTIONS:
+            with pytest.raises(ValueError, match=message):
+                qfi(integral(0.5, exchanged=exchanged))
+
+    @pytest.mark.parametrize("value", [-0.5, 1.5, -1e-300, 1.0 + 2e-12])
+    def test_overlap_outside_the_unit_interval_is_rejected(self, value):
+        message = rf"exchange integral must lie in \[0, 1\], got {value}"
+        for qfi in QFI_FUNCTIONS:
+            with pytest.raises(ValueError, match=message):
+                qfi(integral(value))
+            with pytest.raises(ValueError, match=message):
+                qfi(value)
+
+    def test_rounding_overshoot_of_the_harmonic_oracle_is_accepted(self):
+        # the oracle's m = 2 harmonic overlap reads a rounding step above one
+        arm = build_harmonic(2, 1.0)
+        value = oracle_integral(arm, arm, l=1).value
+        assert value == 1.0000000000000004
+        assert qfi_twin(4, value) == 4 * (value * 4 + 2.0) / 2.0
+        assert qfi_general(2, 2, value) == 2.0 * 2 * 2 * value + 4
+        assert qfi_mixed_number(2, [(1.0, 2, value)]) == qfi_general(2, 2, value)
 
 
 class TestParity:
@@ -273,28 +300,36 @@ class TestParity:
         assert abs(slope) <= 1e-8
 
 
+def parity_variance(m, integrals):
+    """Small-angle phase variance of the parity readout, by error
+    propagation: Var(P) / (dP/dphi)^2 tends to minus one over the fringe's
+    curvature at zero phase."""
+    return -1.0 / parity_curve(m, integrals, [0.0]).curvature
+
+
 class TestParityVariance:
     def test_two_photon_reference(self):
-        assert parity_phase_variance(1, integral(1.0, 2)) == 0.25
+        assert parity_variance(1, [1.0, 1.0]) == 0.25
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_single_mode_matches_fock_scaling(self, m):
         n = 2 * m
-        variance = parity_phase_variance(m, integral(1.0, n))
+        variance = parity_variance(m, [1.0] * (m + 1))
         assert variance == pytest.approx(2.0 / (n * (n + 2)), rel=1e-14)
         # fringe curvature = 4 * endpoint derivative of the Legendre polynomial
         assert 4.0 * (m * (m + 1) / 2.0) == pytest.approx(1.0 / variance, rel=1e-14)
 
     def test_four_photon_collective(self):
-        assert parity_phase_variance(2, integral(X4)) == pytest.approx(
+        assert parity_variance(2, [1.0, X4, 0.5]) == pytest.approx(
             1.0 / (8 * X4 + 4), rel=1e-14
         )
 
     @given(m=st.integers(1, 30), value=st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
     def test_saturates_cramer_rao(self, m, value):
-        variance = parity_phase_variance(m, integral(value, 2 * m))
-        qfi = qfi_twin(2 * m, integral(value, 2 * m)).qfi
+        # the fringe's variance against the twin QFI's Cramer-Rao bound
+        variance = parity_variance(m, [1.0, value] + [0.5] * (m - 1))
+        qfi = qfi_twin(2 * m, integral(value, 2 * m))
         assert variance * qfi == pytest.approx(1.0, rel=1e-12)
 
 
@@ -321,7 +356,7 @@ class TestParityCurve:
         curve = parity_curve(2, integrals, np.linspace(-0.5, 0.5, 21))
         assert curve.expectation[10] == pytest.approx(1.0)
         assert -curve.curvature == pytest.approx(
-            qfi_twin(4, integral(integrals[1])).qfi, rel=1e-9
+            qfi_twin(4, integral(integrals[1])), rel=1e-9
         )
         rows = curve.to_rows()
         assert rows[0].keys() == {"phi", "expectation"}

@@ -29,8 +29,6 @@ SAMPLES = {
                              imag_residual=1e-17),
     "DelayCheck": dict(exact=0.9, bound=0.7, reference=1.0),
     "LadderFamily": dict(kind="anharmonic", gamma=2.0, u=0.5),
-    "QfiReport": dict(qfi=12.0, phase_variance=1 / 12, n_total=4, snl_ratio=3.0, hl_ratio=0.75,
-                      input_kind="twin"),
     "ParityCurve": dict(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0,
                         integrals=(1.0, 0.9, 1.0)),
     "LossModel": dict(gamma_1d=1.0, gamma_star=0.01),
@@ -83,9 +81,8 @@ INVALID = [
     ("ExchangeIntegral", dict(value=0.5, total_photons=2, method="oracle", exchanged_count=-1),
      "exchanged_count must be nonnegative"),
     ("LadderFamily", dict(kind="kerr"), "unknown ladder family 'kerr'"),
-    ("QfiReport", dict(qfi=4.0, phase_variance=0.25, n_total=2, snl_ratio=2.0, hl_ratio=1.0,
-                       input_kind="fock"),
-     "unknown input kind 'fock'"),
+    ("PlatformParams", dict(_PLATFORM, gamma_star=-1.0),
+     "gamma_star must be nonnegative, got -1.0"),
     ("LossModel", dict(gamma_1d=0), "gamma_1d must be positive, got 0"),
     ("LossModel", dict(gamma_1d=1.0, gamma_star=-1), "gamma_star must be nonnegative, got -1"),
     ("PlatformParams", dict(_PLATFORM, quality_factor=math.inf),
@@ -117,8 +114,6 @@ REPRS = {
                         "exchanged_count=2, imag_residual=1e-17)",
     "DelayCheck": "DelayCheck(exact=0.9, bound=0.7, reference=1.0)",
     "LadderFamily": "LadderFamily(kind='anharmonic', gamma=2.0, u=0.5)",
-    "QfiReport": "QfiReport(qfi=12.0, phase_variance=0.08333333333333333, n_total=4, "
-                 "snl_ratio=3.0, hl_ratio=0.75, input_kind='twin')",
     "ParityCurve": "ParityCurve(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0, "
                    "integrals=(1.0, 0.9, 1.0))",
     "LossModel": "LossModel(gamma_1d=1.0, gamma_star=0.01)",
