@@ -47,10 +47,10 @@ arm = build_dicke(params.n_photons // 2, 1.0)
 overlap = exchange_integral(TwinConfiguration(arm, arm))
 loss = LossModel(1.0, 1.0 / PURCELL)
 collection = dicke_collection_probability(params.n_photons // 2, loss)
-budget = full_budget(params, overlap, collection.exact)
+budget = full_budget(params, overlap, collection.p)
 
 print(f"exchange overlap at N = {params.n_photons}: {overlap.value:.4f}")
-print(f"per-arm collection probability: {collection.exact:.4f}")
+print(f"per-arm collection probability: {collection.p:.4f}")
 print(f"ideal QFI            : {budget.ideal_qfi:.1f}")
 print(f"combined lower bound : {budget.combined_qfi_lower_bound:.1f}")
 print("\nchannel breakdown:")

@@ -25,10 +25,10 @@ for n in (10, 100, 1000):
     for decade in range(3):
         purcell = 100.0 * math.log(n) * 10.0**decade
         est = dicke_collection_probability(n, LossModel(1.0, 1.0 / purcell))
-        rows.append((n, purcell, 1.0 - est.exact, math.log(n) / purcell))
-        print(f"N={n:5d}  P={purcell:10.1f}  1-p={1.0 - est.exact:.4e}  "
+        rows.append((n, purcell, 1.0 - est.p, math.log(n) / purcell))
+        print(f"N={n:5d}  P={purcell:10.1f}  1-p={1.0 - est.p:.4e}  "
               f"ln(N)/P={math.log(n) / purcell:.4e}  "
-              f"ratio={(1.0 - est.exact) / (math.log(n) / purcell):.3f}")
+              f"ratio={(1.0 - est.p) / (math.log(n) / purcell):.3f}")
 
 csv_path = HERE / "loss_scaling.csv"
 with open(csv_path, "w") as handle:

@@ -20,11 +20,11 @@ HERE = pathlib.Path(__file__).resolve().parent
 M = 2
 phis = np.linspace(-np.pi / 2, np.pi / 2, 181)
 
-single = parity_curve(M, [1.0] * (M + 1), phis)
+single = parity_curve([1.0] * (M + 1), phis)
 
 arm = build_dicke(M, 1.0)
 overlaps = [oracle_integral(arm, arm, l=l).value for l in range(M + 1)]
-collective = parity_curve(M, overlaps, phis)
+collective = parity_curve(overlaps, phis)
 print("collective overlaps by exchanged pairs:",
       [f"{v:.6f}" for v in overlaps])
 

@@ -10,12 +10,14 @@ profile is mirror symmetric about the ladder midpoint.
 
 Writes cascade_trace.csv (t, P_0..P_N, sum) next to this script.
 """
+import math
 import pathlib
 
 import numpy as np
 
 from dickeqfi import (
     LossModel,
+    collection_probability_product,
     collective_rates,
     dicke_populations,
     superradiance_timescale,
@@ -24,12 +26,13 @@ from dickeqfi import (
 HERE = pathlib.Path(__file__).resolve().parent
 N = 20
 
-timescale = superradiance_timescale(N, 1.0)
-print(f"N = {N} emitters, cascade duration {timescale.exact:.4f} / rate "
-      f"(log estimate {timescale.log_estimate:.4f})")
+print(f"N = {N} emitters, cascade duration {superradiance_timescale(N, 1.0):.4f} / rate "
+      f"(log estimate {math.log(N) / N:.4f})")
 
-trace = dicke_populations(N, LossModel(1.0, 0.0))
-print(f"collection probability without loss: {trace.collection_probability:.12f}")
+lossless = LossModel(1.0, 0.0)
+trace = dicke_populations(N, lossless)
+print(f"collection probability without loss: "
+      f"{collection_probability_product(N, lossless):.12f}")
 print(f"worst conservation defect on the grid: {np.max(np.abs(trace.sum_deficit)):.2e}")
 
 rates = collective_rates(N, 1.0)

@@ -26,9 +26,8 @@ from .metrology import (
     ParityCurve, parity_curve, parity_expectation, qfi_general, qfi_mixed_number, qfi_twin,
 )
 from .dickesim import (
-    CollectionEstimate, LossModel, PopulationTrace, SuperradianceTime,
-    collection_loss_probability, collection_probability_product, collective_rates,
-    dicke_collection_probability, dicke_populations, superradiance_timescale,
+    CollectionProbability, LossModel, PopulationTrace, collection_probability_product,
+    collective_rates, dicke_collection_probability, dicke_populations, superradiance_timescale,
 )
 from .budget import BudgetEntry, ErrorBudget, PlatformParams, SPEED_OF_LIGHT, full_budget
 

@@ -249,7 +249,7 @@ def full_budget(
         raise ValueError(f"collection probability must lie in [0, 1], got {p}")
     if not 0.0 < margin_factor < math.inf:
         raise ValueError(f"margin_factor must be positive and finite, got {margin_factor}")
-    value = _one_pair_overlap(i_n)
+    value = _one_pair_overlap(i_n, params.n_photons)
 
     mixed = _mixed_coupling(params)
     delayed = _arrival_delay(params)

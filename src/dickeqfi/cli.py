@@ -34,7 +34,6 @@ import sys
 from .budget import DEFAULT_MARGIN_FACTOR, PlatformParams, full_budget, matched_dicke_overlap
 from .dickesim import (
     LossModel,
-    collection_loss_probability,
     collection_probability_product,
     dicke_collection_probability,
     dicke_populations,
@@ -327,7 +326,7 @@ def cmd_loss(cfg: RunConfig) -> int:
     rows = []
     for n in n_values:
         for p1d in purcells:
-            one_minus_p = collection_loss_probability(n, _loss_model(p1d))
+            one_minus_p = dicke_collection_probability(n, _loss_model(p1d)).one_minus_p
             rows.append({
                 "N": n,
                 "purcell": p1d,
@@ -380,7 +379,7 @@ def cmd_parity(cfg: RunConfig) -> int:
         ]
 
     phis = _linspace(-opts["phi_max"], opts["phi_max"], opts["points"])
-    curve = parity_curve(m, integrals, phis)
+    curve = parity_curve(integrals, phis)
     qfi = qfi_twin(2 * m, integrals[1])
     _write(cfg, _table(curve.to_rows(), ("phi", "expectation"), cfg))
     print(f"# curvature={-curve.curvature:.12g} qfi={qfi:.12g} "
@@ -408,13 +407,16 @@ def cmd_report(cfg: RunConfig) -> int:
     integral = matched_dicke_overlap(n // 2)
     purcell = params.gamma_1d / params.gamma_star if params.gamma_star else math.inf
     loss = _loss_model(purcell)
-    p = dicke_collection_probability(n // 2, loss).exact
+    p = dicke_collection_probability(n // 2, loss).p
     budget = full_budget(params, integral, p, margin_factor=opts["margin_factor"])
 
     if opts["json"]:
         import json
 
         payload = budget.to_dict()
+        for entry in payload["entries"]:  # strict JSON has no Infinity: write null
+            if not math.isfinite(entry["value"]):
+                entry["value"] = None
         payload["platform"] = params.to_dict()
         _write(cfg, [json.dumps(payload, indent=2) + "\n"])
         return EXIT_OK

@@ -11,8 +11,9 @@ The ladder is an absorbing chain with no re-entry, so its integrated
 quantities are closed forms: each rung passes on the collective share
 of its total decay rate, the collection probability is the product of
 those shares, and the time spent on a rung is the probability of
-reaching it divided by its total out-rate.  The collection closed forms
-are plain ``math`` over the rungs, so they load no numpy.  Only the
+reaching it divided by its total out-rate.  ``dicke_collection_probability``
+returns p as that product and 1 - p as its sum in logarithms, both plain
+``math`` over the rungs, so it loads no numpy.  Only the
 time-resolved trace builds arrays (numpy is imported by the functions
 that do): it needs the generator itself, which is bidiagonal, and
 advances it with its matrix exponential, so no ODE solver runs.  The
@@ -45,13 +46,6 @@ class LossModel(Record):
         if self.gamma_star < 0.0:
             raise ValueError(f"gamma_star must be nonnegative, got {self.gamma_star}")
 
-    @property
-    def purcell(self) -> float:
-        """Ratio of guided to unguided decay; infinite without loss."""
-        if self.gamma_star == 0.0:
-            return math.inf
-        return self.gamma_1d / self.gamma_star
-
 
 class PopulationTrace(Record):
     """Time-resolved ladder populations and their integrated summaries."""
@@ -60,7 +54,6 @@ class PopulationTrace(Record):
         "times",                   # shape (T,)
         "populations",             # shape (N+1, T), row m = level m
         "residence",               # shape (N+1,), time spent per level; inf at 0
-        "collection_probability",
         "sum_deficit",             # 1 - sum_m P_m(t) on the grid
         "converged",
         "residual",                # excited population left beyond the horizon
@@ -68,16 +61,10 @@ class PopulationTrace(Record):
     )
 
 
-class CollectionEstimate(Record):
-    """Collection probability: exact branching product, log scaling."""
+class CollectionProbability(Record):
+    """Collection probability p and its complement 1 - p, each formed directly."""
 
-    __slots__ = ("exact", "log_estimate")
-
-
-class SuperradianceTime(Record):
-    """Cascade duration: exact rate sum and the logarithmic scaling."""
-
-    __slots__ = ("exact", "log_estimate")
+    __slots__ = ("p", "one_minus_p")
 
 
 def collective_rates(n_emitters: int, gamma_1d: float) -> np.ndarray:
@@ -87,16 +74,11 @@ def collective_rates(n_emitters: int, gamma_1d: float) -> np.ndarray:
     return np.fromiter(_dicke_rates(n_emitters, gamma_1d), float, n_emitters)
 
 
-def superradiance_timescale(n_emitters: int, gamma_1d: float) -> SuperradianceTime:
+def superradiance_timescale(n_emitters: int, gamma_1d: float) -> float:
     """Total cascade duration as the sum of per-rung lifetimes."""
     import numpy as np
 
-    gammas = collective_rates(n_emitters, gamma_1d)
-    exact = float(np.sum(1.0 / gammas))
-    return SuperradianceTime(
-        exact=exact,
-        log_estimate=math.log(n_emitters) / (n_emitters * gamma_1d),
-    )
+    return float(np.sum(1.0 / collective_rates(n_emitters, gamma_1d)))
 
 
 # Higham (2005), Table 2.3: the [13/13] Pade approximant of exp is
@@ -141,13 +123,13 @@ def dicke_populations(n_emitters: int, loss: LossModel) -> PopulationTrace:
     advanced by one ``_expm`` propagator.  The residual is the excited
     population at the end of the grid; while it exceeds ``_RESIDUAL_TOL``
     the horizon doubles, up to ``_MAX_EXTENSIONS`` times, and the trace is
-    flagged unconverged if it still does.  Residence times and the
-    collection probability are closed forms; the ground level's residence
-    is infinite, since it absorbs the collected weight.
+    flagged unconverged if it still does.  Residence times are closed
+    forms; the ground level's residence is infinite, since it absorbs the
+    collected weight.
     """
     import numpy as np
 
-    t_max = 20.0 * superradiance_timescale(n_emitters, loss.gamma_1d).exact
+    t_max = 20.0 * superradiance_timescale(n_emitters, loss.gamma_1d)
     times = np.linspace(0.0, t_max, 401)
     gammas = collective_rates(n_emitters, loss.gamma_1d)
     out_rates = gammas + np.arange(1, n_emitters + 1) * loss.gamma_star  # m = 1..N
@@ -178,7 +160,6 @@ def dicke_populations(n_emitters: int, loss: LossModel) -> PopulationTrace:
         times=times,
         populations=populations,
         residence=np.concatenate(([math.inf], reach / out_rates)),
-        collection_probability=collection_probability_product(n_emitters, loss),
         sum_deficit=1.0 - populations.sum(axis=0),
         converged=residual <= _RESIDUAL_TOL,
         residual=residual,
@@ -196,42 +177,25 @@ def collection_probability_product(n_emitters: int, loss: LossModel) -> float:
     return math.prod((g / (g + lost) for g, lost in _rungs(n_emitters, loss)), start=1.0)
 
 
-def collection_loss_probability(n_emitters: int, loss: LossModel) -> float:
-    """1 - p, the chance that at least one photon leaves the guided mode.
-
-    The same branching product as ``collection_probability_product``,
-    summed in logarithms so that no 1 - p cancellation loses digits at
-    large Purcell factors (1.0 - p is 7e-5 off at N = 10, P = 1e12).
-    ``fsum`` makes the sum independent of the rungs' order.  A rung whose
-    lost share rounds to 1, or whose loss rate overflows, keeps nothing and
-    adds log 0 = -inf, so 1 - p reads exactly 1, as the product's p = 0.
-    """
-    shares = (lost / (g + lost) for g, lost in _rungs(n_emitters, loss))
-    total = math.fsum(math.log1p(-q) if q < 1.0 else -math.inf for q in shares)
-    # 0.0 - x, not -x: a lossless chain reads 0.0, not -0.0
-    return 0.0 - math.expm1(total)
-
-
 def _rungs(n_emitters: int, loss: LossModel):
     """Collective and residual rate of each rung, m = 1..N."""
     for m, rate in enumerate(_dicke_rates(n_emitters, loss.gamma_1d), start=1):
         yield rate, m * loss.gamma_star
 
 
-def dicke_collection_probability(n_emitters: int, loss: LossModel) -> CollectionEstimate:
-    """N-photon collection probability, exact and in its log scaling.
+def dicke_collection_probability(n_emitters: int, loss: LossModel) -> CollectionProbability:
+    """N-photon collection probability p and the loss probability 1 - p.
 
-    ``exact`` is the per-rung branching product, which is exact for the
-    absorbing chain, and ``log_estimate`` is 1 - ln(N)/P.  To leading
-    order in 1/P the product is 1 - H_N/P, and ln(N) is only the large-N
-    form of the harmonic number H_N, so at small N the error 1 - p
-    exceeds ln(N)/P for any P: by 27% at N = 10 (H_10/ln(10) = 1.27) and
-    13% at N = 100.  The expansion holds only for P >> H_N; below that
-    ``log_estimate`` is clamped at 0, the least probability.
+    ``p`` is ``collection_probability_product``.  ``one_minus_p`` is the
+    same branching product summed in logarithms, so that no 1 - p
+    cancellation loses digits at large Purcell factors (1.0 - p is 7e-5 off
+    at N = 10, P = 1e12).  ``fsum`` makes the sum independent of the rungs'
+    order.  A rung whose lost share rounds to 1, or whose loss rate
+    overflows, keeps nothing and adds log 0 = -inf, so 1 - p reads exactly
+    1, as the product's p = 0.
     """
-    exact = collection_probability_product(n_emitters, loss)
-    if loss.gamma_star == 0.0:
-        log_estimate = 1.0
-    else:
-        log_estimate = max(0.0, 1.0 - math.log(n_emitters) / loss.purcell)
-    return CollectionEstimate(exact=exact, log_estimate=log_estimate)
+    shares = (lost / (g + lost) for g, lost in _rungs(n_emitters, loss))
+    total = math.fsum(math.log1p(-q) if q < 1.0 else -math.inf for q in shares)
+    # 0.0 - x, not -x: a lossless chain reads 0.0, not -0.0
+    return CollectionProbability(p=collection_probability_product(n_emitters, loss),
+                                 one_minus_p=0.0 - math.expm1(total))

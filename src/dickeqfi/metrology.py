@@ -21,15 +21,21 @@ from .oracle import ExchangeIntegral
 _OVERSHOOT_TOL = 1e-12
 
 
-def _one_pair_overlap(i_ab: ExchangeIntegral | float) -> float:
+def _one_pair_overlap(i_ab: ExchangeIntegral | float, total: int) -> float:
     """The single-pair overlap I of a record (whose ``exchanged_count`` must
-    be 1) or of a number; I must be finite and within [0, 1] up to rounding,
-    which keeps every QFI here nonnegative."""
+    be 1 and whose ``total_photons`` must be ``total``) or of a number; I
+    must be finite and within [0, 1] up to rounding, which keeps every QFI
+    here nonnegative."""
     if isinstance(i_ab, ExchangeIntegral):
         if i_ab.exchanged_count != 1:
             raise ValueError(
                 "QFI formulas take the single-pair exchange integral, got "
                 f"exchanged_count={i_ab.exchanged_count}"
+            )
+        if i_ab.total_photons != total:
+            raise ValueError(
+                f"exchange integral is for {i_ab.total_photons} photons, "
+                f"the QFI for {total}"
             )
         value = i_ab.value
     else:
@@ -62,14 +68,14 @@ def qfi_general(m: int, n: int, i_ab: ExchangeIntegral | float) -> float:
     exchange term, so the single-arm value m is recovered for n = 0.
     """
     m, n = _photon_number(m), _photon_number(n)
-    return _finite(2.0 * m * n * _one_pair_overlap(i_ab) + m + n)
+    return _finite(2.0 * m * n * _one_pair_overlap(i_ab, m + n) + m + n)
 
 
 def qfi_twin(n_total: int, i_n: ExchangeIntegral | float) -> float:
     """Twin-pair QFI F = N (I N + 2) / 2 for N photons and overlap I."""
     if n_total < 2 or n_total % 2:
         raise ValueError(f"twin input needs an even total photon number, got {n_total}")
-    i = _one_pair_overlap(i_n)
+    i = _one_pair_overlap(i_n, n_total)
     return _finite(n_total * (i * n_total + 2.0) / 2.0)
 
 
@@ -96,7 +102,7 @@ def qfi_mixed_number(m: int, components) -> float:
             continue
         if integral is None:
             raise ValueError(f"missing exchange integral for the n={n} component")
-        cross += w * n * _one_pair_overlap(integral)
+        cross += w * n * _one_pair_overlap(integral, m + n)
     return _finite(2.0 * m * cross + m + n_mean)
 
 
@@ -105,23 +111,22 @@ def qfi_mixed_number(m: int, components) -> float:
 # --------------------------------------------------------------------------
 
 
-def _check_integrals(m: int, integrals) -> tuple[float, ...]:
+def _check_integrals(integrals) -> tuple[float, ...]:
+    """The overlaps I^(0..m) as floats: at least one, each finite."""
     vals = tuple(float(v) for v in integrals)
-    if len(vals) != m + 1:
-        raise ValueError(
-            f"parity expectation needs the full overlap set I^(0..{m}); "
-            f"got {len(vals)} values"
-        )
+    if not vals:
+        raise ValueError("parity expectation needs the overlaps I^(0..m), got none")
     for l, val in enumerate(vals):
         if not math.isfinite(val):
             raise ValueError(f"overlap I^({l}) must be finite, got {val}")
     return vals
 
 
-def parity_expectation(m: int, integrals, phi: float) -> float:
+def parity_expectation(integrals, phi: float) -> float:
     """Expectation of photon-number parity in one output port.
 
-    ``integrals`` holds the exchange overlaps with 0..m swapped pairs.  The
+    ``integrals`` holds the exchange overlaps with 0..m swapped pairs, so
+    m photons per arm is one less than their number.  The
     value is a binomial-weighted trigonometric polynomial within [-1, 1],
     whose alternating terms reach 2^m / m near phi = pi/4: an
     ArithmeticError reports a sum that cancels past its rounding bound,
@@ -129,7 +134,8 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
     the Legendre polynomial P_m(cos 2 phi), which Bonnet's recurrence then
     gives without cancelling.
     """
-    vals = _check_integrals(m, integrals)
+    vals = _check_integrals(integrals)
+    m = len(vals) - 1
     if not math.isfinite(phi):
         raise ValueError(f"phase phi must be finite, got {phi}")
     s2 = math.sin(phi) ** 2
@@ -160,7 +166,7 @@ def parity_expectation(m: int, integrals, phi: float) -> float:
 class ParityCurve(Record):
     """Sampled parity fringe with its curvature at the origin."""
 
-    __slots__ = ("phi", "expectation", "curvature", "integrals")
+    __slots__ = ("phi", "expectation", "curvature")
 
     def to_rows(self) -> list[dict]:
         return [
@@ -169,16 +175,16 @@ class ParityCurve(Record):
         ]
 
 
-def parity_curve(m: int, integrals, phi_grid) -> ParityCurve:
+def parity_curve(integrals, phi_grid) -> ParityCurve:
     """Sample the parity fringe and record its curvature at zero phase.
 
+    ``integrals`` are the overlaps I^(0..m), as for ``parity_expectation``.
     The curvature involves only the zero- and one-pair overlaps, so it
     equals minus the twin QFI regardless of the higher exchange terms.
     """
-    vals = _check_integrals(m, integrals)
+    vals = _check_integrals(integrals)
+    m = len(vals) - 1
     phis = tuple(float(p) for p in phi_grid)
-    expectation = tuple(parity_expectation(m, vals, p) for p in phis)
+    expectation = tuple(parity_expectation(vals, p) for p in phis)
     curvature = -2.0 * m * (m * vals[1] + vals[0]) if m >= 1 else 0.0
-    return ParityCurve(
-        phi=phis, expectation=expectation, curvature=curvature, integrals=vals
-    )
+    return ParityCurve(phi=phis, expectation=expectation, curvature=curvature)

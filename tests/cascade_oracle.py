@@ -33,7 +33,7 @@ def bdf_cascade(n, gamma_star, t_eval):
 def bdf_drained(n, gamma_star):
     """Ground population and residences after forty cascade durations,
     by which every rung has drained."""
-    horizon = 40.0 * superradiance_timescale(n, 1.0).exact
+    horizon = 40.0 * superradiance_timescale(n, 1.0)
     populations, residence = bdf_cascade(n, gamma_star, [0.0, horizon])
     assert np.sum(populations[1:, -1]) < 1e-12
     return populations[0, -1], residence

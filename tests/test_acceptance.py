@@ -199,8 +199,7 @@ def test_criterion_6_loss_scaling():
         purcells = [base, 10.0 * base, 100.0 * base]
         exact = []
         for p1d in purcells:
-            est = dicke_collection_probability(n, LossModel(1.0, 1.0 / p1d))
-            exact.append(1.0 - est.exact)
+            exact.append(dicke_collection_probability(n, LossModel(1.0, 1.0 / p1d)).one_minus_p)
         for p1d, value in zip(purcells, exact):
             deviation = abs(value - harmonic / p1d) / (harmonic / p1d)
             if deviation > 0.20:
@@ -230,25 +229,25 @@ def test_criterion_6_loss_scaling():
 def test_criterion_7_parity_saturation():
     h = 1e-4
 
-    def curvature(m, overlaps):
+    def curvature(overlaps):
         # minus the central second difference of the fringe at zero phase
         return -(
-            parity_expectation(m, overlaps, h)
-            - 2.0 * parity_expectation(m, overlaps, 0.0)
-            + parity_expectation(m, overlaps, -h)
+            parity_expectation(overlaps, h)
+            - 2.0 * parity_expectation(overlaps, 0.0)
+            + parity_expectation(overlaps, -h)
         ) / h**2
 
     worst_single = 0.0
     for m in (1, 2, 3, 4, 5):
         worst_single = max(
             worst_single,
-            abs(curvature(m, [1.0] * (m + 1)) - 2.0 * m * (m + 1)) / (2.0 * m * (m + 1)),
+            abs(curvature([1.0] * (m + 1)) - 2.0 * m * (m + 1)) / (2.0 * m * (m + 1)),
         )
     # the collective m = 2 fringe, from the oracle's overlaps, saturates the
     # twin QFI when its measured curvature equals it
     arm = build_dicke(2, 1.0)
     integrals = [oracle_integral(arm, arm, l=l).value for l in range(3)]
-    saturation = curvature(2, integrals) / qfi_twin(4, integrals[1])
+    saturation = curvature(integrals) / qfi_twin(4, integrals[1])
     ok = worst_single <= 1e-6 and abs(saturation - 1.0) <= 1e-6
     assert _verdict(
         7,

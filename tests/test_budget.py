@@ -264,7 +264,7 @@ class TestInterferometerLoss:
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
             full_budget(_params(interferometer_loss=0.1), value, 0.9)
         with pytest.raises(ValueError, match=f"exchange integral must be finite, got {value}"):
-            full_budget(_params(interferometer_loss=0.1), ExchangeIntegral(value, 4, "oracle"),
+            full_budget(_params(interferometer_loss=0.1), ExchangeIntegral(value, 10, "oracle"),
                         0.9)
 
 
@@ -313,6 +313,14 @@ class TestFullBudget:
             full_budget(_params(), record, 0.9)
         assert str(info.value) == ("QFI formulas take the single-pair exchange integral, "
                                    f"got exchanged_count={exchanged}")
+
+    def test_a_record_for_another_photon_number_is_rejected(self):
+        record = ExchangeIntegral(value=0.82, total_photons=4, method="recurrence")
+        with pytest.raises(ValueError) as info:
+            full_budget(_params(), record, 0.9)
+        assert str(info.value) == "exchange integral is for 4 photons, the QFI for 10"
+        assert full_budget(_params(n_photons=4), record, 0.9) == full_budget(
+            _params(n_photons=4), 0.82, 0.9)
 
     def test_a_record_and_its_value_give_the_same_budget(self):
         params = _params(delta_gamma=0.1, delay=1e-9, interferometer_loss=1e-3)

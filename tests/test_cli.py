@@ -1,3 +1,4 @@
+import collections
 import gc
 import importlib
 import itertools
@@ -810,9 +811,9 @@ def test_loss_sweep_loads_no_numpy():
 def test_cascade_closed_forms_load_no_numpy():
     assert _probe("from dickeqfi import dickesim as d\n" + _NUMPY_LOADED +
                   "loss = d.LossModel(1.0, 0.01)\n"
-                  "print(d.collection_loss_probability(10, loss) > 0.0,"
-                  " d.collection_probability_product(10, loss) < 1.0,"
-                  " d.dicke_collection_probability(10, loss).exact < 1.0)\n"
+                  "est = d.dicke_collection_probability(10, loss)\n"
+                  "print(est.one_minus_p > 0.0,"
+                  " d.collection_probability_product(10, loss) < 1.0, est.p < 1.0)\n"
                   + _NUMPY_LOADED) == ["False", "True True True", "False"]
 
 
@@ -920,11 +921,11 @@ def test_package_import_binds_every_name():
 def test_public_surface_is_pinned():
     # an addition to or a removal from the package's names is a deliberate edit here
     assert dickeqfi.__all__ == [
-        "BudgetEntry", "CollectionEstimate", "DecayLadder", "DelayCheck", "ErrorBudget",
+        "BudgetEntry", "CollectionProbability", "DecayLadder", "DelayCheck", "ErrorBudget",
         "ExchangeIntegral", "InvalidLadderError", "LadderFamily", "LossModel",
         "OracleTooLargeError", "ParityCurve", "PlatformParams", "PopulationTrace",
-        "SPEED_OF_LIGHT", "SWEEP_COLUMNS", "SuperradianceTime", "TwinConfiguration",
-        "build_anharmonic", "build_dicke", "build_harmonic", "collection_loss_probability",
+        "SPEED_OF_LIGHT", "SWEEP_COLUMNS", "TwinConfiguration",
+        "build_anharmonic", "build_dicke", "build_harmonic",
         "collection_probability_product", "collective_rates", "dicke_collection_probability",
         "dicke_populations", "exchange_integral", "full_budget", "oracle_delay_check",
         "oracle_integral", "oracle_integral_exact", "parity_curve", "parity_expectation",
@@ -1002,7 +1003,7 @@ def test_purcell_grid_near_the_largest_float_names_the_key(capsys):
     ("oracle_integral", ["parity", "--m", "1", "--family", "dicke"]),
     ("parity_curve", ["parity", "--m", "1", "--single-mode"]),
     ("qfi_twin", ["parity", "--m", "1", "--single-mode"]),
-    ("collection_loss_probability", ["loss", "--n", "3"]),
+    ("dicke_collection_probability", ["loss", "--n", "3"]),
     ("dicke_populations", ["loss", "--n", "3", "--trace"]),
     ("dicke_collection_probability", _SIN_REPORT),
     ("collection_probability_product", _SIN_REPORT + ["--fidelity-table"]),
@@ -1080,6 +1081,19 @@ def test_traced_child_operation_runs(tmp_path, op):
     assert len(spans) > 1
 
 
+def test_traced_loss_sweep_records_one_collection_span_per_point(tmp_path):
+    # each point's p and 1 - p come from one dicke_collection_probability call
+    trace = tmp_path / "trace.json"
+    proc = subprocess.run([sys.executable, "-m", "perfbench.child", "--trace", str(trace),
+                           "cli", "loss", "--n", "10,100", "--purcell", "100..1e5",
+                           "--points", "2", "--jobs", "1", "--no-header"],
+                          capture_output=True, text=True, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    names = collections.Counter(span["name"] for span in json.loads(trace.read_text()))
+    assert sorted(names.items()) == [("cli", 1), ("dickesim.collection", 4),
+                                     ("dickesim.product", 4)]
+
+
 def test_large_negative_mismatch_stays_finite(capsys):
     # d = -1e300 asks for a second arm 1e300 times stronger; no rate may overflow
     code, out, err = run(capsys, *_SIN_REPORT[:-1], "100", "--delta-gamma=-1e300", "--json")
@@ -1089,10 +1103,13 @@ def test_large_negative_mismatch_stays_finite(capsys):
     assert 0.0 <= entry["value"] <= 1.0
 
 
-@pytest.mark.parametrize("platform", [
+_UNBOUNDED_PLATFORMS = [
     ["--n-g", "1e-200", "--lambda-a", "1e-200"],  # n_g lambda gamma underflows to 0
     ["--q", "1e300", "--n-g", "1e-300", "--lambda-a", "1e-7"],  # the N^3 bound overflows
-])
+]
+
+
+@pytest.mark.parametrize("platform", _UNBOUNDED_PLATFORMS)
 def test_unbounded_retardation_ceiling_is_reported(capsys, platform):
     # both exited 1, with "float division by zero" and "cannot convert
     # float infinity to integer"
@@ -1101,6 +1118,21 @@ def test_unbounded_retardation_ceiling_is_reported(capsys, platform):
     line = next(row for row in out.splitlines() if row.lstrip().startswith("retardation"))
     assert line.split()[1:3] == ["inf", "y"]
     assert line.endswith("(raw N^3 bound inf)")
+
+
+@pytest.mark.parametrize("platform", _UNBOUNDED_PLATFORMS)
+def test_report_json_writes_an_unbounded_value_as_null(capsys, platform):
+    # json.dumps wrote the non-standard token Infinity, which strict readers reject
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code, out, err = run(capsys, *_SIN_REPORT, *platform, "--json", "--no-header")
+    assert (code, err) == (EXIT_OK, "")
+    entries = {entry["channel"]: entry
+               for entry in json.loads(out, parse_constant=reject)["entries"]}
+    assert entries["retardation"]["value"] is None
+    assert all(entry["value"] is None or math.isfinite(entry["value"])
+               for entry in entries.values())
 
 
 # Options that every run of a subcommand needs, given in its config file.

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from dickeqfi.dickesim import (
     LossModel,
     _expm,
-    collection_loss_probability,
     collection_probability_product,
     collective_rates,
     dicke_collection_probability,
@@ -22,10 +21,6 @@ LOSSLESS = LossModel(1.0, 0.0)
 
 
 class TestLossModel:
-    def test_purcell(self):
-        assert LossModel(2.0, 0.5).purcell == 4.0
-        assert math.isinf(LossModel(1.0, 0.0).purcell)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             LossModel(0.0, 0.1)
@@ -67,7 +62,7 @@ class TestAnalyticSeeds:
     def test_grid_is_twenty_cascade_durations_in_400_steps(self):
         for n in (1, 2, 7):
             trace = dicke_populations(n, LOSSLESS)
-            t_max = 20.0 * superradiance_timescale(n, 1.0).exact
+            t_max = 20.0 * superradiance_timescale(n, 1.0)
             assert np.array_equal(trace.times, np.linspace(0.0, t_max, 401))
 
     def test_initial_condition(self):
@@ -121,13 +116,13 @@ class TestResidence:
 class TestCollectionProbability:
     def test_lossless_is_unity(self):
         est = dicke_collection_probability(6, LOSSLESS)
-        assert est.exact == 1.0
-        assert est.log_estimate == 1.0
+        assert est.p == 1.0
+        assert est.one_minus_p == 0.0
 
     def test_single_emitter_branching(self):
         loss = LossModel(1.0, 0.25)
         est = dicke_collection_probability(1, loss)
-        assert est.exact == pytest.approx(0.8, rel=1e-14)
+        assert est.p == pytest.approx(0.8, rel=1e-14)
 
     @pytest.mark.parametrize(
         "n,purcell", [(1, 4.0), (5, 50.0), (20, 300.0), (60, 1000.0), (100, 1000.0)]
@@ -135,13 +130,13 @@ class TestCollectionProbability:
     def test_integration_matches_branching_product(self, n, purcell):
         est = dicke_collection_probability(n, LossModel(1.0, 1.0 / purcell))
         integrated, _ = bdf_drained(n, 1.0 / purcell)
-        assert 1.0 - est.exact == pytest.approx(1.0 - integrated, rel=1e-10)
+        assert 1.0 - est.p == pytest.approx(1.0 - integrated, rel=1e-10)
 
     @pytest.mark.parametrize(
         "n,purcell", [(1, 4.0), (10, 1e2), (10, 1e12), (10, 1e15), (1000, 1.2e5)]
     )
     def test_loss_probability_keeps_its_digits(self, n, purcell):
-        assert collection_loss_probability(n, LossModel(1.0, 1.0 / purcell)) == pytest.approx(
+        assert loss_probability(n, LossModel(1.0, 1.0 / purcell)) == pytest.approx(
             first_loss_sum(n, purcell), rel=1e-12, abs=0.0
         )
 
@@ -159,11 +154,24 @@ class TestCollectionProbability:
             loss = LossModel(1.0, 1.0 / purcell)
             gammas, lost = numpy_rungs(n, loss)
             expected = 0.0 - math.expm1(float(np.sum(np.log1p(-lost / (gammas + lost)))))
-            assert collection_loss_probability(n, loss) == pytest.approx(
+            assert loss_probability(n, loss) == pytest.approx(
                 expected, rel=1e-15, abs=0.0), (n, purcell)
 
+    def test_both_forms_keep_their_bits(self):
+        # p is the product of the rung shares and 1 - p their log-sum, each
+        # formed directly: neither is derived from the other
+        for n, purcell in LOSS_SWEEP_GRID:
+            loss = LossModel(1.0, 1.0 / purcell)
+            rungs = [(k * (n - k + 1) * 1.0, k * loss.gamma_star) for k in range(1, n + 1)]
+            product = math.prod((g / (g + lost) for g, lost in rungs), start=1.0)
+            shares = (lost / (g + lost) for g, lost in rungs)
+            total = math.fsum(math.log1p(-q) if q < 1.0 else -math.inf for q in shares)
+            est = dicke_collection_probability(n, loss)
+            assert est.p.hex() == product.hex(), (n, purcell)
+            assert est.one_minus_p.hex() == (0.0 - math.expm1(total)).hex(), (n, purcell)
+
     def test_lossless_chain_loses_nothing(self):
-        q = collection_loss_probability(7, LOSSLESS)
+        q = loss_probability(7, LOSSLESS)
         assert q == 0.0 and math.copysign(1.0, q) == 1.0
 
     @pytest.mark.parametrize("gamma_star", [1e17, 1e300, 1e308])
@@ -171,18 +179,12 @@ class TestCollectionProbability:
         # lost shares that round to 1 (1e17, 1e300) or loss rates m * gamma_star
         # that overflow (1e308): log1p(-1) raises and inf / inf is nan
         loss = LossModel(1.0, gamma_star)
-        assert collection_loss_probability(10, loss) == 1.0
+        assert loss_probability(10, loss) == 1.0
         assert 1.0 - collection_probability_product(10, loss) == 1.0
-
-    def test_log_estimate_is_clamped_at_zero(self):
-        # 1 - ln(10) / 1e-17 would read -2.3e17; the expansion needs P >> H_N
-        assert dicke_collection_probability(10, LossModel(1.0, 1e17)).log_estimate == 0.0
-        est = dicke_collection_probability(10, LossModel(1.0, 1e-2))
-        assert est.log_estimate == 1.0 - math.log(10) / 1e2
 
     def test_hundred_emitters_kilopurcell(self):
         est = dicke_collection_probability(100, LossModel(1.0, 1e-3))
-        assert 1.0 - est.exact == pytest.approx(4.6e-3, rel=0.15)
+        assert 1.0 - est.p == pytest.approx(4.6e-3, rel=0.15)
 
     def test_monotone_in_loss_rate(self):
         values = [
@@ -214,7 +216,7 @@ class TestCollectionProbability:
     def test_trace_collection_matches_product(self):
         loss = LossModel(1.0, 0.02)
         trace = dicke_populations(12, loss)
-        assert trace.collection_probability == pytest.approx(
+        assert trace.populations[0, -1] == pytest.approx(
             collection_probability_product(12, loss), rel=1e-6
         )
 
@@ -233,6 +235,14 @@ class TestCollectionProbability:
 CLOSED_FORM_GRID = [(n, 10.0 ** (e / 4.0))
                     for n in (1, 2, 3, 7, 10, 33, 100, 317, 1000, 3162, 10_000)
                     for e in range(-8, 49, 2)]
+
+# The 261 points of the grid with N up to 1000, where p and 1 - p are pinned
+# bit for bit to their two forms.
+LOSS_SWEEP_GRID = [(n, purcell) for n, purcell in CLOSED_FORM_GRID if n <= 1000]
+
+
+def loss_probability(n, loss):
+    return dicke_collection_probability(n, loss).one_minus_p
 
 
 def numpy_rungs(n, loss):
@@ -255,7 +265,7 @@ class TestPropagator:
     def test_cascade_step_matches_scipy(self, n, purcell, steps):
         from scipy.linalg import expm
 
-        t_max = 20.0 * superradiance_timescale(n, 1.0).exact
+        t_max = 20.0 * superradiance_timescale(n, 1.0)
         a = cascade_generator(n, 1.0 / purcell) * (t_max / steps)
         assert np.max(np.abs(_expm(a) - expm(a))) <= 1e-10
 
@@ -293,21 +303,21 @@ def first_loss_sum(n, purcell):
 
 class TestTimescale:
     def test_single_emitter(self):
-        assert superradiance_timescale(1, 1.0).exact == 1.0
+        assert superradiance_timescale(1, 1.0) == 1.0
 
     def test_three_emitters(self):
-        assert superradiance_timescale(3, 1.0).exact == pytest.approx(11.0 / 12.0)
+        assert superradiance_timescale(3, 1.0) == pytest.approx(11.0 / 12.0)
 
     def test_rate_scaling(self):
-        assert superradiance_timescale(5, 2.0).exact == pytest.approx(
-            superradiance_timescale(5, 1.0).exact / 2.0
+        assert superradiance_timescale(5, 2.0) == pytest.approx(
+            superradiance_timescale(5, 1.0) / 2.0
         )
 
     @pytest.mark.parametrize("n,purcell", [(10, 500.0), (100, 2000.0)])
     def test_upper_bounds_collection_error(self, n, purcell):
         loss = LossModel(1.0, 1.0 / purcell)
         one_minus_p = 1.0 - collection_probability_product(n, loss)
-        bound = n * loss.gamma_star * superradiance_timescale(n, 1.0).exact
+        bound = n * loss.gamma_star * superradiance_timescale(n, 1.0)
         assert one_minus_p <= bound
 
 
@@ -319,7 +329,7 @@ class TestGuards:
     @pytest.mark.parametrize("n", [0, -3])
     @pytest.mark.parametrize("call", [
         lambda n: collection_probability_product(n, LossModel(1.0, 0.1)),
-        lambda n: collection_loss_probability(n, LossModel(1.0, 0.1)),
+        lambda n: loss_probability(n, LossModel(1.0, 1e300)),
         lambda n: collective_rates(n, 1.0),
         lambda n: dicke_collection_probability(n, LossModel(1.0, 0.1)),
         lambda n: dicke_collection_probability(n, LOSSLESS),
@@ -363,4 +373,3 @@ class TestGuards:
         trace = dicke_populations(1, LOSSLESS)
         assert trace.converged
         assert trace.horizon == 40.0
-        assert trace.collection_probability == pytest.approx(1.0, abs=1e-9)

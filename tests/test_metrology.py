@@ -37,7 +37,7 @@ class TestGeneralQfi:
         assert qfi_general(1, 1, integral(1.0, 2)) == 4.0
 
     def test_vacuum_port(self):
-        assert qfi_general(5, 0, integral(0.3)) == 5.0
+        assert qfi_general(5, 0, integral(0.3, 5)) == 5.0
 
     def test_four_photon_collective(self):
         assert qfi_general(2, 2, integral(X4)) == pytest.approx(8 * X4 + 4)
@@ -161,7 +161,7 @@ class TestReports:
             qfi_mixed_number(2, [(math.nan, 2, integral(0.5))])
         # 2 m n I overflows to inf at m = n = 1e200
         with pytest.raises(ValueError, match="quantum Fisher information must be finite, got inf"):
-            qfi_general(1e200, 1e200, integral(0.5))
+            qfi_general(1e200, 1e200, integral(0.5, 2 * int(1e200)))
         with pytest.raises(ValueError, match="quantum Fisher information must be finite, got inf"):
             qfi_general(1e200, 1e200, 0.5)
 
@@ -177,6 +177,24 @@ class TestReports:
         for qfi in QFI_FUNCTIONS:
             with pytest.raises(ValueError, match=message):
                 qfi(integral(0.5, exchanged=exchanged))
+
+    def test_a_record_for_another_photon_number_is_rejected(self):
+        # qfi_twin(100, <a four-photon record>) returned 4600.0
+        record = integral(0.9, 4)
+        calls = [
+            (lambda: qfi_twin(100, record), 100),
+            (lambda: qfi_general(3, 5, record), 8),
+            (lambda: qfi_general(1, 1, record), 2),
+            (lambda: qfi_mixed_number(2, [(0.5, 2, record), (0.5, 3, record)]), 5),
+            (lambda: qfi_mixed_number(1, [(0.5, 0, None), (0.5, 2, record)]), 3),
+        ]
+        for call, total in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == f"exchange integral is for 4 photons, the QFI for {total}"
+        assert qfi_twin(4, record) == qfi_twin(4, 0.9)
+        assert qfi_general(1, 3, record) == qfi_general(1, 3, 0.9)
+        assert qfi_mixed_number(2, [(1.0, 2, record)]) == qfi_mixed_number(2, [(1.0, 2, 0.9)])
 
     @pytest.mark.parametrize("value", [-0.5, 1.5, -1e-300, 1.0 + 2e-12])
     def test_overlap_outside_the_unit_interval_is_rejected(self, value):
@@ -199,7 +217,7 @@ class TestReports:
 
 class TestParity:
     def test_zero_phase_is_unity(self):
-        assert parity_expectation(3, [1.0, 0.9, 0.8, 0.7], 0.0) == pytest.approx(1.0)
+        assert parity_expectation([1.0, 0.9, 0.8, 0.7], 0.0) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_single_mode_is_legendre(self, m):
@@ -208,7 +226,7 @@ class TestParity:
         phis = np.linspace(-1.5, 1.5, 31)
         ones = [1.0] * (m + 1)
         for phi in phis:
-            assert parity_expectation(m, ones, phi) == pytest.approx(
+            assert parity_expectation(ones, phi) == pytest.approx(
                 float(eval_legendre(m, math.cos(2 * phi))), abs=1e-12
             )
 
@@ -216,11 +234,15 @@ class TestParity:
         arm = build_dicke(2, 1.0)
         integrals = [oracle_integral(arm, arm, l=l).value for l in range(3)]
         for phi in np.linspace(-math.pi, math.pi, 101):
-            assert -1.0 - 1e-12 <= parity_expectation(2, integrals, phi) <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= parity_expectation(integrals, phi) <= 1.0 + 1e-12
 
     def test_missing_integrals_rejected(self):
-        with pytest.raises(ValueError):
-            parity_expectation(3, [1.0, 0.9], 0.1)
+        # m is one less than the number of overlaps, so only an empty set is short
+        message = r"^parity expectation needs the overlaps I\^\(0\.\.m\), got none$"
+        with pytest.raises(ValueError, match=message):
+            parity_expectation([], 0.1)
+        with pytest.raises(ValueError, match=message):
+            parity_curve([], [0.0])
 
     @given(m=st.integers(1, 80), phi=st.floats(-math.pi / 2, math.pi / 2))
     @settings(max_examples=300, deadline=None)
@@ -228,7 +250,7 @@ class TestParity:
         # the terms reach 2^m / m and cancel to at most 1: a returned value
         # is within the 1e-9 rounding bound, or the cancellation is reported
         try:
-            value = parity_expectation(m, [1.0] * (m + 1), phi)
+            value = parity_expectation([1.0] * (m + 1), phi)
         except ArithmeticError as exc:
             assert "rounding bound" in str(exc)
             return
@@ -238,7 +260,7 @@ class TestParity:
     def test_the_whole_fringe_passes_up_to_eighteen_photons(self, m):
         ones = [1.0] * (m + 1)
         for phi in np.linspace(-math.pi / 2, math.pi / 2, 181):
-            assert parity_expectation(m, ones, phi) == pytest.approx(
+            assert parity_expectation(ones, phi) == pytest.approx(
                 float(eval_legendre(m, math.cos(2 * phi))), rel=0.0, abs=1e-11
             )
 
@@ -248,11 +270,11 @@ class TestParity:
         # -6.8e41; overlaps below one keep the sum (all ones take Legendre's)
         vals = [0.9] * (m + 1)
         with pytest.raises(ArithmeticError, match="rounding bound"):
-            parity_expectation(m, vals, math.pi / 4)
-        assert parity_expectation(m, [1.0] * (m + 1), math.pi / 4) == pytest.approx(
+            parity_expectation(vals, math.pi / 4)
+        assert parity_expectation([1.0] * (m + 1), math.pi / 4) == pytest.approx(
             float(eval_legendre(m, 0.0)), rel=0.0, abs=1e-12)
         # near zero phase the terms fall off fast and the sum stays exact
-        assert parity_expectation(m, [1.0] * (m + 1), 1e-3) == pytest.approx(
+        assert parity_expectation([1.0] * (m + 1), 1e-3) == pytest.approx(
             float(eval_legendre(m, math.cos(2e-3))), rel=0.0, abs=1e-12)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -264,16 +286,16 @@ class TestParity:
             s2, c2, total = math.sin(phi) ** 2, math.cos(phi) ** 2, 0.0
             for l, val in enumerate(integrals):
                 total += (-1.0) ** l * s2**l * c2 ** (m - l) * math.comb(m, l) ** 2 * val
-            assert parity_expectation(m, integrals, phi) == total
+            assert parity_expectation(integrals, phi) == total
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_numeric_curvature_single_mode(self, m):
         h = 1e-4
         ones = [1.0] * (m + 1)
         second = (
-            parity_expectation(m, ones, h)
-            - 2.0 * parity_expectation(m, ones, 0.0)
-            + parity_expectation(m, ones, -h)
+            parity_expectation(ones, h)
+            - 2.0 * parity_expectation(ones, 0.0)
+            + parity_expectation(ones, -h)
         ) / h**2
         assert -second == pytest.approx(2.0 * m * (m + 1.0), rel=1e-6)
 
@@ -282,9 +304,9 @@ class TestParity:
         integrals = [oracle_integral(arm, arm, l=l).value for l in range(3)]
         h = 1e-4
         second = (
-            parity_expectation(2, integrals, h)
-            - 2.0 * parity_expectation(2, integrals, 0.0)
-            + parity_expectation(2, integrals, -h)
+            parity_expectation(integrals, h)
+            - 2.0 * parity_expectation(integrals, 0.0)
+            + parity_expectation(integrals, -h)
         ) / h**2
         expected = 2.0 * 2 * (2 * integrals[1] + integrals[0])
         assert -second == pytest.approx(expected, rel=1e-6)
@@ -294,33 +316,33 @@ class TestParity:
         integrals = [oracle_integral(arm, arm, l=l).value for l in range(3)]
         h = 1e-4
         slope = (
-            parity_expectation(2, integrals, h)
-            - parity_expectation(2, integrals, -h)
+            parity_expectation(integrals, h)
+            - parity_expectation(integrals, -h)
         ) / (2 * h)
         assert abs(slope) <= 1e-8
 
 
-def parity_variance(m, integrals):
+def parity_variance(integrals):
     """Small-angle phase variance of the parity readout, by error
     propagation: Var(P) / (dP/dphi)^2 tends to minus one over the fringe's
     curvature at zero phase."""
-    return -1.0 / parity_curve(m, integrals, [0.0]).curvature
+    return -1.0 / parity_curve(integrals, [0.0]).curvature
 
 
 class TestParityVariance:
     def test_two_photon_reference(self):
-        assert parity_variance(1, [1.0, 1.0]) == 0.25
+        assert parity_variance([1.0, 1.0]) == 0.25
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_single_mode_matches_fock_scaling(self, m):
         n = 2 * m
-        variance = parity_variance(m, [1.0] * (m + 1))
+        variance = parity_variance([1.0] * (m + 1))
         assert variance == pytest.approx(2.0 / (n * (n + 2)), rel=1e-14)
         # fringe curvature = 4 * endpoint derivative of the Legendre polynomial
         assert 4.0 * (m * (m + 1) / 2.0) == pytest.approx(1.0 / variance, rel=1e-14)
 
     def test_four_photon_collective(self):
-        assert parity_variance(2, [1.0, X4, 0.5]) == pytest.approx(
+        assert parity_variance([1.0, X4, 0.5]) == pytest.approx(
             1.0 / (8 * X4 + 4), rel=1e-14
         )
 
@@ -328,7 +350,7 @@ class TestParityVariance:
     @settings(max_examples=50, deadline=None)
     def test_saturates_cramer_rao(self, m, value):
         # the fringe's variance against the twin QFI's Cramer-Rao bound
-        variance = parity_variance(m, [1.0, value] + [0.5] * (m - 1))
+        variance = parity_variance([1.0, value] + [0.5] * (m - 1))
         qfi = qfi_twin(2 * m, integral(value, 2 * m))
         assert variance * qfi == pytest.approx(1.0, rel=1e-12)
 
@@ -337,23 +359,23 @@ class TestParityCurve:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_overlap_is_rejected(self, value):
         with pytest.raises(ValueError, match=rf"overlap I\^\(1\) must be finite, got {value}"):
-            parity_curve(2, [1.0, value, 0.5], [0.0, 0.1])
+            parity_curve([1.0, value, 0.5], [0.0, 0.1])
         with pytest.raises(ValueError, match=rf"I\^\(2\) must be finite, got {value}"):
-            parity_expectation(2, [1.0, 0.5, value], 0.1)
+            parity_expectation([1.0, 0.5, value], 0.1)
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_nonfinite_phase_is_rejected(self, phi):
         # nan gave a nan fringe and inf an unnamed "math domain error"
         message = f"^phase phi must be finite, got {phi}$"
         with pytest.raises(ValueError, match=message):
-            parity_expectation(2, [1.0, 0.9, 0.5], phi)
+            parity_expectation([1.0, 0.9, 0.5], phi)
         with pytest.raises(ValueError, match=message):
-            parity_curve(2, [1.0, 0.9, 0.5], [0.0, phi])
+            parity_curve([1.0, 0.9, 0.5], [0.0, phi])
 
     def test_curve_summary(self):
         arm = build_dicke(2, 1.0)
         integrals = [oracle_integral(arm, arm, l=l).value for l in range(3)]
-        curve = parity_curve(2, integrals, np.linspace(-0.5, 0.5, 21))
+        curve = parity_curve(integrals, np.linspace(-0.5, 0.5, 21))
         assert curve.expectation[10] == pytest.approx(1.0)
         assert -curve.curvature == pytest.approx(
             qfi_twin(4, integral(integrals[1])), rel=1e-9

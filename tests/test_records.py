@@ -29,15 +29,12 @@ SAMPLES = {
                              imag_residual=1e-17),
     "DelayCheck": dict(exact=0.9, bound=0.7, reference=1.0),
     "LadderFamily": dict(kind="anharmonic", gamma=2.0, u=0.5),
-    "ParityCurve": dict(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0,
-                        integrals=(1.0, 0.9, 1.0)),
+    "ParityCurve": dict(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0),
     "LossModel": dict(gamma_1d=1.0, gamma_star=0.01),
     "PopulationTrace": dict(times=(0.0, 1.0), populations=((0.0, 0.5), (1.0, 0.5)),
-                            residence=(math.inf, 1.0), collection_probability=0.99,
-                            sum_deficit=(0.0, 1e-16), converged=True, residual=0.0,
-                            horizon=1.0),
-    "CollectionEstimate": dict(exact=0.9, log_estimate=0.1),
-    "SuperradianceTime": dict(exact=2.5, log_estimate=2.3),
+                            residence=(math.inf, 1.0), sum_deficit=(0.0, 1e-16),
+                            converged=True, residual=0.0, horizon=1.0),
+    "CollectionProbability": dict(p=0.9, one_minus_p=0.1),
     "PlatformParams": dict(_PLATFORM, pulse_error=0.01, delta_gamma=0.05, delay=1e-9,
                            interferometer_loss=0.02),
     "BudgetEntry": dict(channel="collection", kind="probability", value=0.96, feasible=True,
@@ -114,14 +111,12 @@ REPRS = {
                         "exchanged_count=2, imag_residual=1e-17)",
     "DelayCheck": "DelayCheck(exact=0.9, bound=0.7, reference=1.0)",
     "LadderFamily": "LadderFamily(kind='anharmonic', gamma=2.0, u=0.5)",
-    "ParityCurve": "ParityCurve(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0, "
-                   "integrals=(1.0, 0.9, 1.0))",
+    "ParityCurve": "ParityCurve(phi=(0.0, 0.1), expectation=(1.0, 0.9), curvature=-12.0)",
     "LossModel": "LossModel(gamma_1d=1.0, gamma_star=0.01)",
     "PopulationTrace": "PopulationTrace(times=(0.0, 1.0), populations=((0.0, 0.5), (1.0, 0.5)), "
-                       "residence=(inf, 1.0), collection_probability=0.99, sum_deficit=(0.0, "
-                       "1e-16), converged=True, residual=0.0, horizon=1.0)",
-    "CollectionEstimate": "CollectionEstimate(exact=0.9, log_estimate=0.1)",
-    "SuperradianceTime": "SuperradianceTime(exact=2.5, log_estimate=2.3)",
+                       "residence=(inf, 1.0), sum_deficit=(0.0, 1e-16), converged=True, "
+                       "residual=0.0, horizon=1.0)",
+    "CollectionProbability": "CollectionProbability(p=0.9, one_minus_p=0.1)",
     "PlatformParams": "PlatformParams(quality_factor=1000000.0, group_index=10.0, "
                       "wavelength=3e-07, gamma_1d=37699000.0, gamma_star=628320.0, n_photons=10, "
                       "pulse_error=0.01, delta_gamma=0.05, delay=1e-09, interferometer_loss=0.02)",
@@ -231,8 +226,8 @@ def test_fields_by_position_and_keyword():
 
 
 def test_records_of_different_classes_differ():
-    estimate = dickeqfi.CollectionEstimate(exact=1.0, log_estimate=2.0)
-    assert estimate != dickeqfi.SuperradianceTime(exact=1.0, log_estimate=2.0)
+    estimate = dickeqfi.CollectionProbability(p=1.0, one_minus_p=2.0)
+    assert estimate != dickeqfi.LossModel(gamma_1d=1.0, gamma_star=2.0)
     assert estimate != (1.0, 2.0)
 
 
